@@ -25,7 +25,10 @@ When c_1 > 0 there is no equation to pass across the joint; the nodes are
 interval, which is the standard continuous scheme for second-kind systems.
 
 History and partial integrals use a fixed Gauss-Legendre rule applied to the
-interval interpolants.  Newton failures are recorded, not raised: a solve
+interval interpolants.  κ is vectorised over quadrature points (see
+SemiNonlinearIAE), so each integral is one κ call: the history integral
+covers the solution stored at the Gauss nodes of every completed interval,
+and each Newton iteration makes one call per equation.  Newton failures are recorded, not raised: a solve
 that stops converging after an index change is the phenomenon of interest,
 and the partial solution up to that step is returned with the failure
 record.
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .problems import LinearIAE, SemiNonlinearIAE
+from .problems import LinearIAE, SemiNonlinearIAE, fd_jacobian
 
 
 @dataclass
@@ -146,11 +149,52 @@ class PiecewiseSolution:
         return ts.ravel()
 
 
+_CONTRACT = ("κ must be vectorised: κ(t, s, y) with s of shape (M,) and y of shape "
+             "(r, M), components on axis 0, returns shape (r, M)")
+
+
+def _checked_kappa(kappa, r: int):
+    """κ as the solver calls it; the first call checks the batch contract."""
+    checked = False
+
+    def call(t, s, y):
+        nonlocal checked
+        if checked:
+            return kappa(t, s, y)
+        try:
+            out = np.asarray(kappa(t, s, y), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{_CONTRACT}; the batched call raised {exc!r}") from exc
+        if out.shape != (r, s.size):
+            raise InvalidInputError(
+                f"{_CONTRACT}; the batched call returned shape {out.shape}, "
+                f"expected {(r, s.size)}")
+        checked = True
+        return out
+
+    return call
+
+
 def _kernel_of(p):
+    """(κ, ∂κ/∂y, linear) in batch form: for s of shape (M,) and y of shape
+    (r, M), κ returns (r, M) and ∂κ/∂y returns (r, r, M)."""
     if isinstance(p, LinearIAE):
-        return (lambda t, s, y: p.k(t, s) @ y), (lambda t, s, y: p.k(t, s)), True
+        def k_at(t, s):
+            return np.stack([p.k(t, si) for si in s], axis=-1)
+
+        return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
+                (lambda t, s, y: k_at(t, s)), True)
     if isinstance(p, SemiNonlinearIAE):
-        return p.kappa, p.kappa_jacobian, False
+        kappa = _checked_kappa(p.kappa, p.r)
+        kappa_y = p.kappa_y
+        if kappa_y is None:
+            def jac(t, s, y):
+                return fd_jacobian(lambda _t, yy: kappa(t, s, yy), t, y)
+        else:
+            # κ_y keeps the per-point contract
+            def jac(t, s, y):
+                return np.stack([kappa_y(t, si, yi) for si, yi in zip(s, y.T)], axis=-1)
+        return kappa, jac, False
     raise InvalidInputError(f"expected an IAE problem, got {type(p)}")
 
 
@@ -161,14 +205,17 @@ class _Scheme:
     nodes: np.ndarray       # interpolation nodes in [0, 1]
     eq_taus: np.ndarray     # local positions of the interval's equations
     h: float
-    gauss_x: np.ndarray
-    gauss_w: np.ndarray
     hist_tau: np.ndarray    # Gauss nodes mapped to [0, 1]
     hist_w: np.ndarray      # matching weights (x h gives ds)
     hist_basis: np.ndarray  # (q, n_nodes) Lagrange weights at hist_tau
-    part_tau: list = field(default_factory=list)    # per equation: nodes in [0, eq_tau]
-    part_w: list = field(default_factory=list)
-    part_basis: list = field(default_factory=list)  # per equation: (q, n_nodes)
+    part: list = field(default_factory=list)  # per equation: partial_rule(eq_tau)
+
+    def partial_rule(self, tau_end: float):
+        """Gauss rule on [0, tau_end] of an interval: local nodes (q,),
+        weights including ds (q,), and Lagrange weights at the nodes (q, n_nodes)."""
+        tau = tau_end * self.hist_tau
+        basis = np.array([_lagrange_weights(self.nodes, x) for x in tau])
+        return tau, self.h * tau_end * self.hist_w, basis
 
 
 def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float, quad_order: int) -> _Scheme:
@@ -181,30 +228,40 @@ def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float, quad_order: int) -
         eq_taus = c.copy()
     x, w = np.polynomial.legendre.leggauss(quad_order)
     hist_tau = 0.5 * (x + 1.0)
-    hist_w = 0.5 * w
     hist_basis = np.array([_lagrange_weights(nodes, tau) for tau in hist_tau])
-    sch = _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, gauss_x=x, gauss_w=w,
-                  hist_tau=hist_tau, hist_w=hist_w, hist_basis=hist_basis)
-    for tau_eq in eq_taus:
-        tau_i = 0.5 * tau_eq * (x + 1.0)
-        w_i = 0.5 * tau_eq * w
-        sch.part_tau.append(tau_i)
-        sch.part_w.append(w_i)
-        sch.part_basis.append(np.array([_lagrange_weights(nodes, tau) for tau in tau_i]))
+    sch = _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
+                  hist_basis=hist_basis)
+    sch.part = [sch.partial_rule(tau_eq) for tau_eq in eq_taus]
     return sch
 
 
-def _history(kappa, sch: _Scheme, values: np.ndarray, n: int, t_eval: float,
-             a: float, r: int) -> np.ndarray:
-    """∫ over the n completed intervals of κ(t_eval, s, u(s)) ds."""
-    acc = np.zeros(r)
-    for j in range(n):
-        t_j = a + j * sch.h
-        u_at = sch.hist_basis @ values[j]  # (q, r)
-        for g in range(sch.hist_tau.size):
-            s = t_j + sch.hist_tau[g] * sch.h
-            acc = acc + sch.h * sch.hist_w[g] * np.asarray(kappa(t_eval, s, u_at[g]), dtype=float)
-    return acc
+@dataclass
+class _GaussHistory:
+    """u at the Gauss nodes of every completed interval, laid out as κ takes it."""
+
+    basis: np.ndarray  # (q, n_nodes) Lagrange weights at the Gauss nodes
+    s: np.ndarray      # (N q,) Gauss points of all intervals, in time order
+    w: np.ndarray      # (N q,) matching weights, ds included
+    u: np.ndarray      # (r, N q) solution at s, written as intervals complete
+
+    @classmethod
+    def empty(cls, sch: _Scheme, a: float, n_intervals: int, r: int) -> "_GaussHistory":
+        t_j = a + np.arange(n_intervals) * sch.h
+        s = (t_j[:, None] + sch.hist_tau[None, :] * sch.h).ravel()
+        return cls(basis=sch.hist_basis, s=s, w=np.tile(sch.h * sch.hist_w, n_intervals),
+                   u=np.zeros((r, s.size)))
+
+    def store(self, n: int, values: np.ndarray):
+        """Record interval n from its nodal values (n_nodes, r)."""
+        q = self.basis.shape[0]
+        self.u[:, n * q:(n + 1) * q] = (self.basis @ values).T
+
+    def integral(self, kappa, t_eval: float, n: int) -> np.ndarray:
+        """∫ over the first n intervals of κ(t_eval, s, u(s)) ds, in one κ call."""
+        m = n * self.basis.shape[0]
+        if m == 0:
+            return np.zeros(self.u.shape[0])
+        return kappa(t_eval, self.s[:m], self.u[:, :m]) @ self.w[:m]
 
 
 def _consistent_start(p, a: float):
@@ -270,6 +327,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         diag["warnings"].append(
             f"initial data violate A(a)y = f(a) by {start_defect:.3e}")
 
+    history = _GaussHistory.empty(sch, a, n_steps, r)
     left_value = y_start
     completed = 0
     for n in range(n_steps):
@@ -277,7 +335,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         t_eq = t_n + sch.eq_taus * cfg.h
         a_eq = [p.A(t) for t in t_eq]
         f_eq = [np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_eq]
-        hist = [_history(kappa, sch, values[:n], n, t, a, r) for t in t_eq]
+        hist = [history.integral(kappa, t, n) for t in t_eq]
+        s_part = [t_n + tau * cfg.h for tau, _, _ in sch.part]
 
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
@@ -296,28 +355,17 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
             # overflow while probing a divergent iterate is expected; the
             # finiteness checks below turn it into a clean non-convergence
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(n_eq):
+                for i, (_, w_i, basis_i) in enumerate(sch.part):
                     rows = slice(i * r, (i + 1) * r)
-                    part = np.zeros(r)
-                    jac_blocks = [np.zeros((r, r)) for _ in range(n_nodes)]
-                    for g in range(sch.part_tau[i].size):
-                        wgt = cfg.h * sch.part_w[i][g]
-                        if wgt == 0.0:
-                            continue
-                        s = t_n + sch.part_tau[i][g] * cfg.h
-                        basis = sch.part_basis[i][g]
-                        u_s = basis @ u_all
-                        part += wgt * np.asarray(kappa(t_eq[i], s, u_s), dtype=float)
-                        kj = np.asarray(kappa_jac(t_eq[i], s, u_s), dtype=float)
-                        for j in range(n_nodes):
-                            if basis[j] != 0.0:
-                                jac_blocks[j] += wgt * basis[j] * kj
+                    u_s = (basis_i @ u_all).T  # (r, q)
+                    part = kappa(t_eq[i], s_part[i], u_s) @ w_i
+                    # block j = Σ_g w_g ℓ_j(τ_g) ∂κ/∂y(s_g), one per node
+                    jac_blocks = np.einsum("gj,abg->jab", w_i[:, None] * basis_i,
+                                           kappa_jac(t_eq[i], s_part[i], u_s))
                     eq_node = i + 1  # equation positions line up with nodes[1:]
                     big_res[rows] = a_eq[i] @ u_all[eq_node] + hist[i] + part - f_eq[i]
-                    jac_blocks[eq_node] = jac_blocks[eq_node] + a_eq[i]
-                    for j in range(1, n_nodes):
-                        cols = slice((j - 1) * r, j * r)
-                        big_jac[rows, cols] = jac_blocks[j]
+                    jac_blocks[eq_node] += a_eq[i]
+                    big_jac[rows] = np.hstack(jac_blocks[1:])
             res_norm = float(np.linalg.norm(big_res))
             if not np.all(np.isfinite(big_res)) or not np.all(np.isfinite(big_jac)):
                 break
@@ -347,6 +395,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
             break
         values[n, 0] = left_value
         values[n, 1:] = u_free
+        history.store(n, values[n])
         left_value = values[n, -1] if nodes[-1] == 1.0 else \
             _lagrange_weights(nodes, 1.0) @ values[n]
         completed = n + 1
@@ -357,29 +406,28 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
 
 def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
-    """Defining-equation residual norms at probe points, using the same
-    per-interval Gauss machinery as the solver."""
+    """Defining-equation residual norms at probe points, using the solver's
+    batched Gauss quadrature with an 8-point rule."""
     kappa, _, _ = _kernel_of(p)
     sch = _build_scheme(sol.c, sol.tau_nodes, sol.h, 8)
     probe_grid = np.asarray(probe_grid, dtype=float)
     lo, hi = sol.t_start, sol.t_end
     if probe_grid.size == 0 or probe_grid.min() < lo - 1e-9 or probe_grid.max() > hi + 1e-9:
         raise InvalidInputError(f"probe grid must lie inside the solved span [{lo}, {hi}]")
-    x, w = sch.gauss_x, sch.gauss_w
+    history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)
+    for n in range(sol.n_intervals):
+        history.store(n, sol.nodal_values[n])
     out = np.empty(probe_grid.size)
     for idx, t in enumerate(probe_grid):
         t = float(min(max(t, lo), hi))
         n = sol.interval_of(t)
-        t_n = sol.t_start + n * sol.h
-        acc = _history(kappa, sch, sol.nodal_values[:n], n, t, sol.t_start, sol.r)
+        t_n = lo + n * sol.h
+        acc = history.integral(kappa, t, n)
         # partial piece of the current interval, [t_n, t]
-        width = t - t_n
-        if width > 0.0:
-            for g in range(x.size):
-                s = t_n + 0.5 * width * (x[g] + 1.0)
-                tau = (s - t_n) / sol.h
-                u_s = sol.eval_local(n, tau)
-                acc = acc + 0.5 * width * w[g] * np.asarray(kappa(t, s, u_s), dtype=float)
+        tau_t = (t - t_n) / sol.h
+        if tau_t > 0.0:
+            tau, w, basis = sch.partial_rule(tau_t)
+            acc = acc + kappa(t, t_n + tau * sol.h, (basis @ sol.nodal_values[n]).T) @ w
         u_t = sol(t)
         res = p.A(t) @ u_t + acc - np.atleast_1d(np.asarray(p.f(t), dtype=float))
         out[idx] = float(np.linalg.norm(res))

@@ -9,17 +9,20 @@ raise, never execute code.
 
 Expressions are parsed with the ast module, validated node by node against
 the whitelist, and then compiled once to a plain Python function of the
-declared variables.
+declared variables.  The functions are numpy ufuncs, so a compiled
+expression evaluates elementwise when its variables are arrays (an ``exp``
+that overflows gives ``inf`` with a RuntimeWarning, not an exception).
 """
 
 from __future__ import annotations
 
 import ast
-import math
+
+import numpy as np
 
 from .errors import ProblemFileError
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)

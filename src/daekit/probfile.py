@@ -61,7 +61,12 @@ def _compile_vector(entries, variables, what, r, path):
     fns = [compile_expression(e, variables) for e in entries]
 
     def evaluate(*args):
-        return np.array([fn(*args) for fn in fns], dtype=float)
+        # array arguments evaluate every entry elementwise; an entry that
+        # does not depend on them (a constant, say) broadcasts to their shape
+        out = np.empty((r,) + np.broadcast(*args).shape)
+        for i, fn in enumerate(fns):
+            out[i] = fn(*args)
+        return out
 
     return evaluate
 

@@ -34,16 +34,16 @@ def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.nd
                 step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of y ↦ g(t, y).
 
-    Column j perturbs y_j by ±step·max(1, |y_j|).
+    Column j perturbs y_j by ±step·max(1, |y_j|).  A y of shape (r, M) holds
+    M points, components on axis 0, and g takes them all in one call; the
+    result then has shape (n, r, M), one Jacobian per point on the last axis.
     """
     if step <= 0:
         raise InvalidInputError("step must be positive")
-    y = _vec(y)
-    r = y.size
-    g0 = _vec(g(t, y))
-    jac = np.empty((g0.size, r))
-    for j in range(r):
-        h = step * max(1.0, abs(y[j]))
+    y = np.array(y, dtype=float, ndmin=1)
+    cols = []
+    for j in range(y.shape[0]):
+        h = step * np.maximum(1.0, np.abs(y[j]))
         yp = y.copy()
         ym = y.copy()
         yp[j] += h
@@ -52,8 +52,8 @@ def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.nd
         gm = _vec(g(t, ym))
         if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
             raise EvaluationError(f"non-finite function value while differencing at t={t}")
-        jac[:, j] = (gp - gm) / (2.0 * h)
-    return jac
+        cols.append((gp - gm) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 @dataclass
@@ -135,7 +135,17 @@ class LinearDAE:
 
 @dataclass
 class SemiNonlinearIAE:
-    """A(t) y(t) + ∫_{t_start}^t κ(t,s,y(s)) ds = f(t)."""
+    """A(t) y(t) + ∫_{t_start}^t κ(t,s,y(s)) ds = f(t).
+
+    κ is vectorised over quadrature points: ``kappa(t, s, y)`` with scalar t,
+    s of shape (M,) and y of shape (r, M) (components on axis 0, as in
+    scipy's ``solve_ivp(vectorized=True)``) returns shape (r, M).  A scalar
+    s with y of shape (r,) returns shape (r,).  ``solve_iae`` and
+    ``residual`` make one batched κ call per equation and raise
+    InvalidInputError when the first one fails or has the wrong shape.
+    ``kappa_y`` keeps the per-point form: scalar s, y of shape (r,), and an
+    (r, r) result.
+    """
 
     A: MatrixFunction
     kappa: Callable[[float, float, np.ndarray], np.ndarray]

@@ -1,11 +1,14 @@
 """Piecewise polynomial collocation for integral-algebraic systems."""
 
+import math
+
 import numpy as np
 import pytest
 
 from daekit import (
     CollocationConfig,
     InvalidInputError,
+    LinearIAE,
     MatrixFunction,
     PiecewiseSolution,
     SemiNonlinearIAE,
@@ -61,6 +64,47 @@ def test_residual_vanishes_at_collocation_points():
     sol, _ = solve_iae(p, cfg)
     r = residual(p, sol, np.array(sol.collocation_times()))
     assert np.max(np.abs(r)) <= cfg.newton_tol * 10.0
+
+
+# --- linear IAEs through the kernel adapter --------------------------------
+
+@pytest.mark.parametrize("k, exact", [
+    # y + int_0^t y ds = 1 gives exp(-t); y + int_0^t (t - s) y ds = 1 gives cos t
+    (lambda t, s: np.array([[1.0]]), lambda t: np.exp(-t)),
+    (lambda t, s: np.array([[t - s]]), np.cos),
+], ids=["exp", "cos"])
+def test_linear_iae_closed_forms(k, exact):
+    p = LinearIAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)), k=k,
+                  f=lambda t: np.array([1.0]), r=1, T=1.0)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.02))
+    assert diag["failure"] is None
+    grid = np.linspace(0.0, 1.0, 101)
+    assert max(abs(sol(t)[0] - exact(t)) for t in grid) <= 1e-8
+    assert np.max(residual(p, sol, grid)) <= 1e-8
+
+
+# --- the vectorised κ contract ----------------------------------------------
+
+@pytest.mark.parametrize("kappa", [
+    lambda t, s, y: np.array([math.exp(y[0])]),
+    lambda t, s, y: np.array([float(y[0])]),
+    lambda t, s, y: np.array([1.0]),
+], ids=["math.exp", "float", "wrong-shape"])
+def test_non_vectorised_kappa_is_rejected_with_the_contract(kappa):
+    p = scalar_second_kind()
+    p.kappa = kappa
+    with pytest.raises(InvalidInputError, match="vectorised"):
+        solve_iae(p, CollocationConfig(h=0.1))
+
+
+def test_finite_difference_jacobian_matches_the_analytic_one():
+    p = example("ex34")
+    sol, diag = solve_iae(p, CollocationConfig())
+    p.kappa_y = None
+    fd_sol, fd_diag = solve_iae(p, CollocationConfig())
+    assert fd_diag["failure"] is None
+    assert fd_diag["newton_iters"] == diag["newton_iters"]
+    assert np.max(np.abs(fd_sol.nodal_values - sol.nodal_values)) <= 1e-9
 
 
 # --- index-2 system with a growing solution ---------------------------------

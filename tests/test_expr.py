@@ -1,9 +1,11 @@
 """Expression compiler for problem files: accepted grammar and rejections."""
 
+import json
+
 import numpy as np
 import pytest
 
-from daekit import ProblemFileError, compile_expression
+from daekit import ProblemFileError, compile_expression, load_problem
 
 
 def test_arithmetic_and_functions():
@@ -62,3 +64,32 @@ def test_unknown_variable_depends_on_declared_names():
     compile_expression("s", ("t", "s"))
     with pytest.raises(ProblemFileError):
         compile_expression("s", ("t",))
+
+
+def test_array_evaluation_matches_scalar_evaluation():
+    fn = compile_expression("(y1^2 + 2)*y2 + exp(y2) - sin(s)*cos(t)", ("t", "s", "y1", "y2"))
+    rng = np.random.default_rng(3)
+    s, y1, y2 = rng.uniform(-2.0, 2.0, size=(3, 17))
+    got = fn(0.7, s, y1, y2)
+    assert got.shape == (17,)
+    want = [fn(0.7, float(a), float(b), float(c)) for a, b, c in zip(s, y1, y2)]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_constant_kappa_entry_broadcasts_over_the_batch(tmp_path):
+    path = tmp_path / "iae.json"
+    path.write_text(json.dumps({
+        "kind": "iae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+        "kappa": ["y1*s", 2], "f": ["t", 0]}))
+    p = load_problem(path)
+    s = np.linspace(0.0, 1.0, 5)
+    y = np.vstack([np.arange(5.0), np.ones(5)])
+    got = p.kappa(0.5, s, y)
+    assert got.shape == (2, 5)
+    np.testing.assert_array_equal(got, [np.arange(5.0) * s, np.full(5, 2.0)])
+    np.testing.assert_array_equal(p.kappa(0.5, 0.25, np.array([3.0, 1.0])), [0.75, 2.0])
+
+
+def test_exp_overflow_gives_inf_with_a_warning():
+    with pytest.warns(RuntimeWarning):
+        assert compile_expression("exp(t)")(1000.0) == np.inf

@@ -45,6 +45,20 @@ def test_fd_jacobian_on_shared_kernel_rows():
     np.testing.assert_allclose(jac, [[0.0, 2.0 + np.e], [0.0, 0.0]], atol=1e-6)
 
 
+def test_fd_jacobian_on_a_batch_matches_the_pointwise_loop():
+    # y of shape (r, M): one Jacobian per point on the last axis, the same
+    # arithmetic as differencing each point on its own
+    p = example("ex34")
+    rng = np.random.default_rng(7)
+    s = rng.uniform(1.0, 2.0, size=9)
+    y = rng.uniform(-2.0, 2.0, size=(2, 9))
+    batch = fd_jacobian(lambda t, yy: p.kappa(t, s, yy), 1.5, y)
+    assert batch.shape == (2, 2, 9)
+    for g in range(9):
+        want = fd_jacobian(lambda t, yy: p.kappa(t, s[g], yy), 1.5, y[:, g])
+        np.testing.assert_array_equal(batch[:, :, g], want)
+
+
 @pytest.mark.parametrize("name", ["ex31", "ex32", "ex33"])
 def test_analytic_jacobians_match_finite_differences_dae(name):
     p = example(name)
