@@ -21,7 +21,7 @@ trustworthy, hence the default cap nu_max = 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .linalg import (
     numerical_rank,
     semi_inverse,
 )
-from .problems import LinearDAE, LinearIAE
+from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
 
 Kernel = Callable[[float, float], np.ndarray]
 
@@ -74,8 +74,7 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
             k_cache[key] = got
         return got
 
-    A_next = MatrixFunction(eval=a_next, domain=A_i.domain, smoothness=max(A_i.smoothness - 1, 0))
-    return A_next, k_next
+    return MatrixFunction(eval=a_next, domain=A_i.domain), k_next
 
 
 @dataclass
@@ -88,14 +87,9 @@ class ChainLevel:
     rank: Optional[int]
     det_sample: list
     tol: float = DEFAULT_RANK_TOL
-    _proj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def projector(self, t: float) -> np.ndarray:
-        got = self._proj_cache.get(t)
-        if got is None:
-            got = semi_inverse(self.A(t), self.tol).projector
-            self._proj_cache[t] = got
-        return got
+        return semi_inverse(self.A(t), self.tol).projector
 
 
 @dataclass(frozen=True)
@@ -292,18 +286,37 @@ def consistency_check(levels, F_list, tol: float = 1e-6, t0: Optional[float] = N
                              condition_number=cond, warnings=warnings)
 
 
+def linear_kernel(p, eta=None) -> Kernel:
+    """Kernel of the linear integral problem whose chain gives the index of p.
+
+    * LinearDAE:        (t, s) ↦ B(s) − A′(s)
+    * SemiNonlinearDAE: (t, s) ↦ F_y(s, η(s)) − A′(s)
+    * SemiNonlinearIAE: (t, s) ↦ κ_y(t, s, η(s))
+
+    A DAE is integrated by parts over [t_start, t] first, which is where
+    −A′ comes from; A′ uses the declared derivative when present.  ``eta``
+    is the trajectory to linearize along (any callable of s) or a fixed
+    vector; a LinearDAE ignores it.
+    """
+    if isinstance(p, LinearDAE):
+        return lambda t, s: p.B(s) - matfn_derivative(p.A, s)
+    if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
+        raise InvalidInputError(f"no linear kernel for a {type(p).__name__}")
+    if eta is None:
+        raise InvalidInputError("a semi-nonlinear problem needs eta to linearize along")
+    at = eta if callable(eta) else (lambda s, v=np.asarray(eta, dtype=float): v)
+    if isinstance(p, SemiNonlinearDAE):
+        return lambda t, s: p.jacobian(s, at(s)) - matfn_derivative(p.A, s)
+    return lambda t, s: p.kappa_jacobian(t, s, at(s))
+
+
 def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:
     """Rewrite A y′ + B y = f as a first/second-kind integral system.
 
     Integrating by parts over [t_start, t] gives the kernel
-    (t, s) ↦ B(s) − A′(s) and right side ∫ f(s) ds; the kernel alone
-    determines the index.  A′ uses the declared derivative when present.
+    (t, s) ↦ B(s) − A′(s) of :func:`linear_kernel` and right side
+    ∫ f(s) ds; the kernel alone determines the index.
     """
-    A, B = p.A, p.B
-
-    def kernel(t: float, s: float) -> np.ndarray:
-        return B(s) - matfn_derivative(A, s)
-
     cache: dict[float, np.ndarray] = {}
 
     def rhs(t: float) -> np.ndarray:
@@ -317,8 +330,8 @@ def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:
             cache[t] = got
         return got
 
-    return LinearIAE(A=A, k=kernel, f=rhs, r=p.r, T=p.T, t_start=p.t_start,
-                     name=f"{p.name}-as-iae" if p.name else "")
+    return LinearIAE(A=p.A, k=linear_kernel(p), f=rhs, r=p.r, T=p.T,
+                     t_start=p.t_start, name=f"{p.name}-as-iae" if p.name else "")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .linalg import MatrixFunction
 from .probfile import load_problem
 from .problems import (LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE,
                        TrajectorySample)
-from .structure import classify, detect_critical_points, linearize_iae
+from .structure import _restrict, classify, detect_critical_points, linearize_iae
 
 HALF_PI = float(np.pi / 2)
 
@@ -126,18 +126,12 @@ def _as_linear_iae(p, interval):
         return None, ("analyze needs a linear problem or one with a known "
                       "solution to linearize along; use classify instead")
     a, b = interval
-    ts = np.linspace(a, b, 201)
-    traj = TrajectorySample.from_function(p.exact, ts)
-    if isinstance(p, SemiNonlinearIAE):
-        return linearize_iae(p, traj), None
-    # DAE: linearized pair (A, F_y along traj), then reduced to an IAE kernel
-    lin = LinearDAE(
-        A=p.A,
-        B=MatrixFunction(eval=lambda t: p.jacobian(t, traj(t)),
-                         domain=p.A.domain, name=f"{p.name}-Fy"),
-        f=p.f, y0=None, r=p.r, T=p.T, t_start=p.t_start,
-        name=f"{p.name}-linearized")
-    return dae_to_iae(lin), None
+    traj = TrajectorySample.from_function(p.exact, np.linspace(a, b, 201))
+    q = linearize_iae(p, traj)
+    # the chain's difference stencils must stay where the trajectory is
+    lo, hi = p.A.domain
+    q.A = _restrict(q.A, max(a, lo), min(b, hi))
+    return q, None
 
 
 def _cmd_analyze(args) -> int:

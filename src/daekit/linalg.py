@@ -145,7 +145,6 @@ class MatrixFunction:
     eval: Callable[[float], np.ndarray]
     domain: tuple[float, float] = (0.0, 1.0)
     derivative: Optional[Callable[[float], np.ndarray]] = None
-    smoothness: int = 4
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -167,7 +166,7 @@ class MatrixFunction:
         m = np.asarray(m, dtype=float)
         zero = np.zeros_like(m)
         return MatrixFunction(eval=lambda t: m, domain=domain,
-                              derivative=lambda t: zero, smoothness=10, name=name)
+                              derivative=lambda t: zero, name=name)
 
 
 def matfn_derivative(f: MatrixFunction, t: float, step: Optional[float] = None) -> np.ndarray:

@@ -34,9 +34,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import IndexReport, chain_step, rank_degree_index
+from .chain import IndexReport, chain_step, linear_kernel, rank_degree_index
 from .errors import ClassificationUnreliableError, DomainError, InvalidInputError
-from .linalg import DEFAULT_RANK_TOL, MatrixFunction, matfn_derivative
+from .linalg import DEFAULT_RANK_TOL, MatrixFunction
 from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
@@ -47,48 +47,20 @@ from .problems import (
 
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
     return MatrixFunction(eval=mf.eval, domain=(float(lo), float(hi)),
-                          derivative=mf.derivative, smoothness=mf.smoothness,
-                          name=mf.name)
+                          derivative=mf.derivative, name=mf.name)
 
 
-def linearize_dae(p: SemiNonlinearDAE, traj: TrajectorySample):
-    """Linear pair (A, B̃) of the error equation, B̃(t) = F_y(t, traj(t))."""
+def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE,
+                  traj: TrajectorySample) -> LinearIAE:
+    """Linear IAE of the error equation along ``traj``, kernel from :func:`linear_kernel`.
 
-    def btilde(t: float) -> np.ndarray:
-        return p.jacobian(t, traj(t))
-
-    return p.A, btilde
-
-
-def linearize_iae(p: SemiNonlinearIAE, traj: TrajectorySample) -> LinearIAE:
-    """Linear IAE of the error equation, kernel (t,s) ↦ κ_y(t, s, traj(s)).
-
-    The right-hand side is irrelevant for index analysis and is set to zero.
+    For an IAE the kernel is (t,s) ↦ κ_y(t, s, traj(s)); for a DAE it is the
+    integrated linearization (t,s) ↦ F_y(s, traj(s)) − A′(s).  The
+    right-hand side is irrelevant for index analysis and is set to zero.
     """
-
-    def kernel(t: float, s: float) -> np.ndarray:
-        return p.kappa_jacobian(t, s, traj(s))
-
-    return LinearIAE(A=p.A, k=kernel, f=lambda t: np.zeros(p.r), r=p.r, T=p.T,
-                     t_start=p.t_start,
+    return LinearIAE(A=p.A, k=linear_kernel(p, traj), f=lambda t: np.zeros(p.r),
+                     r=p.r, T=p.T, t_start=p.t_start,
                      name=f"{p.name}-linearized" if p.name else "")
-
-
-def _frozen_kernel(p, eta: np.ndarray):
-    """Kernel of the linearization with the unknowns frozen at the vector eta.
-
-    DAE case: the derivative is integrated away first, giving the kernel
-    B̃(s) − A′(s) with B̃(s) = F_y(s, eta).
-    """
-    if isinstance(p, SemiNonlinearDAE):
-        def kernel(t: float, s: float) -> np.ndarray:
-            return p.jacobian(s, eta) - matfn_derivative(p.A, s)
-    elif isinstance(p, SemiNonlinearIAE):
-        def kernel(t: float, s: float) -> np.ndarray:
-            return p.kappa_jacobian(t, s, eta)
-    else:
-        raise InvalidInputError(f"expected a semi-nonlinear problem, got {type(p)}")
-    return kernel
 
 
 def _window(p, traj: TrajectorySample, t: float, width: float):
@@ -108,7 +80,7 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
     lo, hi = _window(p, traj, t, window)
     grid = np.linspace(lo, hi, window_points)
     a_loc = _restrict(p.A, lo, hi)
-    return rank_degree_index(a_loc, _frozen_kernel(p, np.asarray(eta, dtype=float)),
+    return rank_degree_index(a_loc, linear_kernel(p, np.asarray(eta, dtype=float)),
                              grid=grid, nu_max=nu_max, tol=tol)
 
 
@@ -126,31 +98,11 @@ def pointwise_index(p, traj: TrajectorySample, t: float, window: float = 0.05,
     return report.nu
 
 
-def _frozen_level_matrix(p, eta, t: float, traj: TrajectorySample, level: int,
-                         window: float, tol: float) -> np.ndarray:
-    """A_level(t) of the frozen chain, built without rank gating."""
-    lo, hi = _window(p, traj, t, window)
-    a_i: MatrixFunction = _restrict(p.A, lo, hi)
-    k_i = _frozen_kernel(p, np.asarray(eta, dtype=float))
-    for _ in range(level):
-        a_i, k_i = chain_step(a_i, k_i, tol)
-    return a_i(t)
-
-
-def _traj_level_matrix(p, traj: TrajectorySample, interval, level: int,
-                       tol: float) -> MatrixFunction:
-    """A_level of the along-trajectory linearization (η = traj), blind chain."""
-    lo, hi = interval
-    a_i = _restrict(p.A, lo, hi)
-    if isinstance(p, SemiNonlinearDAE):
-        def k_i(t: float, s: float) -> np.ndarray:
-            return p.jacobian(s, traj(s)) - matfn_derivative(p.A, s)
-    else:
-        def k_i(t: float, s: float) -> np.ndarray:
-            return p.kappa_jacobian(t, s, traj(s))
-    for _ in range(level):
-        a_i, k_i = chain_step(a_i, k_i, tol)
-    return a_i
+def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunction:
+    """A_{i+steps} of the chain from (A_i, k_i), built without rank gating."""
+    for _ in range(steps):
+        A_i, k_i = chain_step(A_i, k_i, tol)
+    return A_i
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
@@ -330,8 +282,9 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     for j, t in enumerate(grid):
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
+        a_loc = _restrict(p.A, *_window(p, traj, t, window))
         dets = [float(np.linalg.det(
-            _frozen_level_matrix(p, center, t, traj, nu_ref, window, tol)))]
+            _blind_chain(a_loc, linear_kernel(p, center), nu_ref, tol)(t)))]
         cond_signs = [[np.sign(float(c(t, center))) for c in conditions]]
         for _ in range(n_perturb):
             eta = _ball_sample(rng, center, eps)
@@ -340,8 +293,10 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
                                           nu_max=nu_max, window_points=window_points)
                 if rep.nu != nu_ref:
                     nu_flip = True
-                dets.append(float(np.linalg.det(
-                    _frozen_level_matrix(p, eta, t, traj, nu_ref, window, tol))))
+                # A_ν from the chain the report built; step past where it stopped
+                lev = rep.levels[min(nu_ref, len(rep.levels) - 1)]
+                a_nu = _blind_chain(lev.A, lev.k, nu_ref - lev.level, tol)
+                dets.append(float(np.linalg.det(a_nu(t))))
                 cond_signs.append([np.sign(float(c(t, eta))) for c in conditions])
         if _sign_flip(dets):
             det_flip = True
@@ -366,7 +321,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     if conditions:
         crit.extend(t for t, _ in detect_critical_points(
             traj, conditions, refine=True, interval=(a, b)))
-    a_ref = _traj_level_matrix(p, traj, (a, b), nu_ref, tol)
+    a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref, tol)
     traj_dets = np.array([float(np.linalg.det(a_ref(float(t)))) for t in grid])
     floor = 1e-12 * max(1.0, float(np.max(np.abs(traj_dets))))
     for j in range(grid.size - 1):

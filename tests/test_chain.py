@@ -14,6 +14,7 @@ from daekit import (
     InvalidInputError,
     LinearDAE,
     MatrixFunction,
+    TrajectorySample,
     chain_step,
     consistency_check,
     dae_to_iae,
@@ -25,6 +26,7 @@ from daekit import (
     example,
     numerical_rank,
 )
+from daekit.chain import linear_kernel
 from helpers import (
     PAIR_A,
     PAIR_K,
@@ -327,6 +329,25 @@ def test_dae_to_iae_kernel_subtracts_leading_derivative():
     s = 0.4
     np.testing.assert_allclose(q.k(0.9, s), K_SWAP - matfn_derivative(a, s),
                                atol=1e-8)
+
+
+def test_linear_kernel_frozen_vector_equals_constant_trajectory():
+    p = example("ex34")
+    eta = np.array([1.3, -0.4])
+    grid = np.linspace(1.0, 2.0, 5)
+    flat = TrajectorySample(grid, np.tile(eta, (grid.size, 1)))
+    k_vec, k_traj = linear_kernel(p, eta), linear_kernel(p, flat)
+    for t, s in [(1.5, 1.2), (2.0, 1.0)]:
+        np.testing.assert_array_equal(k_vec(t, s), k_traj(t, s))
+        np.testing.assert_array_equal(k_vec(t, s), p.kappa_jacobian(t, s, eta))
+
+
+def test_linear_kernel_rejects_what_it_cannot_linearize():
+    q = dae_to_iae(_linear_dae(A_SING, K_SWAP))
+    with pytest.raises(InvalidInputError):
+        linear_kernel(q, np.zeros(2))
+    with pytest.raises(InvalidInputError):
+        linear_kernel(example("ex32"))
 
 
 def test_second_kind_systems_have_index_zero():

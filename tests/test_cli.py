@@ -142,10 +142,21 @@ def test_analyze_problem_file(tmp_path, capsys):
     assert "consistency at t0=0: PASS" in out
 
 
-def test_analyze_example_with_known_solution(capsys):
-    assert main(["analyze", "--problem", "ex34"]) == 0
+@pytest.mark.parametrize("name, interval, nu", [
+    ("ex34", None, 2),
+    # sub-intervals: the trajectory covers [a, b] only, and the linearization
+    # has right-hand side 0, so its start data are consistent
+    ("ex34", ("1.2", "1.8"), 2),
+    ("ex32", ("1", "2"), 1),
+], ids=["ex34", "ex34-1.2-1.8", "ex32-1-2"])
+def test_analyze_example_with_known_solution(name, interval, nu, capsys):
+    argv = ["analyze", "--problem", name]
+    if interval:
+        argv += ["--interval", *interval]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "rank-degree index: 2" in out
+    assert f"rank-degree index: {nu}" in out
+    assert "consistency at t0=" in out and ": PASS" in out
 
 
 def test_analyze_json_format(tmp_path, capsys):

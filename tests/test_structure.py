@@ -14,7 +14,6 @@ from daekit import (
     detect_critical_points,
     example,
     frozen_index_report,
-    linearize_dae,
     linearize_iae,
     pointwise_index,
 )
@@ -31,21 +30,26 @@ def traj_through(p, a, b, t_extra=None, n=201):
     return TrajectorySample.from_function(p.exact, grid)
 
 
-# --- linearize_dae --------------------------------------------------------
+# --- linearize_iae on a DAE ------------------------------------------------
 
-def test_linearize_dae_jacobian_along_exact_solution():
+def test_linearize_iae_of_dae_jacobian_along_exact_solution():
     p = example("ex32")
-    a, btilde = linearize_dae(p, exact_traj(p, 0.5, 1.0, 101))
-    assert a is p.A
+    lin = linearize_iae(p, exact_traj(p, 0.5, 1.0, 101))
+    assert lin.A is p.A
+    # A is constant, so the kernel is F_y(s, traj(s)) whatever t is
     want = np.array([[-2.0 * np.cos(0.5), -np.exp(0.5)],
                      [-0.5, -np.cos(0.5)]])
-    np.testing.assert_allclose(btilde(0.5), want, atol=1e-8)
+    for t in (0.5, 0.8, 1.0):
+        np.testing.assert_allclose(lin.k(t, 0.5), want, atol=1e-8)
+    np.testing.assert_allclose(lin.f(0.7), np.zeros(2), atol=1e-15)
 
 
-def test_linearize_dae_of_linear_problem_ignores_trajectory():
+def test_linearize_iae_of_linear_dae_ignores_trajectory():
     m = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    da = np.array([[0.0, 1.0], [0.0, 0.0]])
     p = SemiNonlinearDAE(
-        A=MatrixFunction.constant(np.eye(2), domain=(0.0, 1.0)),
+        A=MatrixFunction(eval=lambda t: np.array([[1.0, t], [0.0, 0.0]]),
+                         domain=(0.0, 1.0), derivative=lambda t: da),
         F=lambda t, y: m @ y,
         f=lambda t: np.zeros(2),
         r=2, T=1.0, t_start=0.0,
@@ -53,11 +57,11 @@ def test_linearize_dae_of_linear_problem_ignores_trajectory():
     grid = np.linspace(0.0, 1.0, 31)
     tr1 = TrajectorySample(grid, np.column_stack([np.sin(grid), grid]))
     tr2 = TrajectorySample(grid, np.column_stack([np.exp(grid), -grid]))
-    _, b1 = linearize_dae(p, tr1)
-    _, b2 = linearize_dae(p, tr2)
-    for t in (0.0, 0.3, 0.9):
-        np.testing.assert_allclose(b1(t), m, atol=1e-12)
-        np.testing.assert_allclose(b1(t), b2(t), atol=1e-12)
+    k1 = linearize_iae(p, tr1).k
+    k2 = linearize_iae(p, tr2).k
+    for t, s in [(0.5, 0.0), (0.3, 0.3), (1.0, 0.9)]:
+        np.testing.assert_allclose(k1(t, s), m - da, atol=1e-12)
+        np.testing.assert_allclose(k1(t, s), k2(t, s), atol=1e-12)
 
 
 # --- linearize_iae --------------------------------------------------------
