@@ -28,7 +28,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
-from .problems import SemiNonlinearDAE
+from .linalg import newton
+from .problems import SemiNonlinearDAE, mesh_steps, probe_points
 
 
 @dataclass
@@ -120,28 +121,11 @@ def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
     """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters)."""
     a = p.A(t_new)
     fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
-    y = np.array(y_guess, dtype=float)
-    for it in range(1, max_iter + 1):
-        # overflow while probing a divergent iterate is expected; the
-        # finiteness checks below turn it into a clean non-convergence
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = c * (a @ y) - a @ d \
-                + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv
-            if not np.all(np.isfinite(res)):
-                return None, it
-            jac = c * a + p.jacobian(t_new, y)
-        if not np.all(np.isfinite(jac)):
-            return None, it
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None, it
-        y = y + delta
-        if not np.all(np.isfinite(y)):
-            return None, it
-        if np.linalg.norm(delta) <= tol * (1.0 + np.linalg.norm(y)):
-            return y, it
-    return None, max_iter
+    y, it, _, _ = newton(
+        lambda y: c * (a @ y) - a @ d
+        + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv,
+        lambda y: c * a + p.jacobian(t_new, y), y_guess, tol, max_iter)
+    return y, it
 
 
 def _bdf1(p, t_n, y_n, h, cfg):
@@ -187,10 +171,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     lo, hi = p.interval
     if not (lo - 1e-9 <= a < b <= hi + 1e-9):
         raise InvalidInputError(f"interval [{a}, {b}] outside problem domain [{lo}, {hi}]")
-    n_steps_f = (b - a) / cfg.h
-    n_steps = int(round(n_steps_f))
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
-        raise InvalidInputError(f"(b - a)/h = {n_steps_f} is not a whole number of steps")
+    n_steps = mesh_steps(a, b, cfg.h)
 
     if abs(a - p.t_start) <= 1e-12 and p.y0 is not None:
         y0 = np.array(p.y0, dtype=float)
@@ -260,10 +241,8 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
     through the accepted points, so even an exact trajectory shows the
     interpolation-differentiation floor rather than zero.
     """
-    probe_grid = np.asarray(probe_grid, dtype=float)
     lo, hi = float(sol.times[0]), float(sol.times[-1])
-    if probe_grid.size == 0 or probe_grid.min() < lo - 1e-9 or probe_grid.max() > hi + 1e-9:
-        raise InvalidInputError(f"probe grid must lie inside the solved span [{lo}, {hi}]")
+    probe_grid = probe_points(probe_grid, lo, hi)
     spline = sol.interpolant()
     dspline = spline.derivative()
     out = np.empty(probe_grid.size)

@@ -28,10 +28,10 @@ History and partial integrals use a fixed Gauss-Legendre rule applied to the
 interval interpolants.  κ is vectorised over quadrature points (see
 SemiNonlinearIAE), so each integral is one κ call: the history integral
 covers the solution stored at the Gauss nodes of every completed interval,
-and each Newton iteration makes one call per equation.  Newton failures are recorded, not raised: a solve
-that stops converging after an index change is the phenomenon of interest,
-and the partial solution up to that step is returned with the failure
-record.
+and each Newton iteration makes one call per equation.  Newton failures
+are recorded, not raised: a solve that stops converging after an index
+change is the phenomenon of interest, and the partial solution up to
+that step is returned with the failure record.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .problems import LinearIAE, SemiNonlinearIAE, fd_jacobian
+from .linalg import newton
+from .problems import LinearIAE, SemiNonlinearIAE, mesh_steps, probe_points
 
 
 @dataclass
@@ -185,16 +186,7 @@ def _kernel_of(p):
         return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
                 (lambda t, s, y: k_at(t, s)), True)
     if isinstance(p, SemiNonlinearIAE):
-        kappa = _checked_kappa(p.kappa, p.r)
-        kappa_y = p.kappa_y
-        if kappa_y is None:
-            def jac(t, s, y):
-                return fd_jacobian(lambda _t, yy: kappa(t, s, yy), t, y)
-        else:
-            # κ_y keeps the per-point contract
-            def jac(t, s, y):
-                return np.stack([kappa_y(t, si, yi) for si, yi in zip(s, y.T)], axis=-1)
-        return kappa, jac, False
+        return _checked_kappa(p.kappa, p.r), p.kappa_jacobian, False
     raise InvalidInputError(f"expected an IAE problem, got {type(p)}")
 
 
@@ -294,10 +286,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
             f"solve must start at the integral origin t_start={p.t_start}, got {a}")
     if b <= a or b > p.T + 1e-9:
         raise InvalidInputError(f"bad interval [{a}, {b}] for problem on [{p.t_start}, {p.T}]")
-    n_steps_f = (b - a) / cfg.h
-    n_steps = int(round(n_steps_f))
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
-        raise InvalidInputError(f"(b - a)/h = {n_steps_f} is not a whole number of steps")
+    n_steps = mesh_steps(a, b, cfg.h)
 
     c = np.asarray(cfg.c, dtype=float)
     nodes = cfg.tau_nodes()
@@ -338,63 +327,40 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         hist = [history.integral(kappa, t, n) for t in t_eq]
         s_part = [t_n + tau * cfg.h for tau, _, _ in sch.part]
 
+        u_s = [None] * n_eq  # (r, q) per equation, at the latest residual's iterate
+        def res_of(x):
+            u_all = np.vstack([left_value[None, :], x.reshape(n_eq, r)])  # (n_nodes, r)
+            out = []
+            for i, (_, w_i, basis_i) in enumerate(sch.part):
+                u_s[i] = (basis_i @ u_all).T
+                # equation positions line up with nodes[1:]
+                out.append(a_eq[i] @ u_all[i + 1] + hist[i]
+                           + kappa(t_eq[i], s_part[i], u_s[i]) @ w_i - f_eq[i])
+            return np.concatenate(out)
+
+        def jac_of(x):
+            rows = []
+            for i, (_, w_i, basis_i) in enumerate(sch.part):
+                # block j = Σ_g w_g ℓ_j(τ_g) ∂κ/∂y(s_g), one per node
+                blocks = np.einsum("gj,abg->jab", w_i[:, None] * basis_i,
+                                   kappa_jac(t_eq[i], s_part[i], u_s[i]))
+                blocks[i + 1] += a_eq[i]
+                rows.append(np.hstack(blocks[1:]))
+            return np.vstack(rows)
+
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
-        free_guess = np.tile(left_value, (n_eq, 1))
-
-        u_free = free_guess.copy()
-        converged = False
-        iters = 0
-        res_norm = np.inf
-        cond = np.inf
-        for it in range(1, cfg.newton_max_iter + 1):
-            iters = it
-            u_all = np.vstack([left_value[None, :], u_free])  # (n_nodes, r)
-            big_res = np.zeros(n_eq * r)
-            big_jac = np.zeros((n_eq * r, n_eq * r))
-            # overflow while probing a divergent iterate is expected; the
-            # finiteness checks below turn it into a clean non-convergence
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, (_, w_i, basis_i) in enumerate(sch.part):
-                    rows = slice(i * r, (i + 1) * r)
-                    u_s = (basis_i @ u_all).T  # (r, q)
-                    part = kappa(t_eq[i], s_part[i], u_s) @ w_i
-                    # block j = Σ_g w_g ℓ_j(τ_g) ∂κ/∂y(s_g), one per node
-                    jac_blocks = np.einsum("gj,abg->jab", w_i[:, None] * basis_i,
-                                           kappa_jac(t_eq[i], s_part[i], u_s))
-                    eq_node = i + 1  # equation positions line up with nodes[1:]
-                    big_res[rows] = a_eq[i] @ u_all[eq_node] + hist[i] + part - f_eq[i]
-                    jac_blocks[eq_node] += a_eq[i]
-                    big_jac[rows] = np.hstack(jac_blocks[1:])
-            res_norm = float(np.linalg.norm(big_res))
-            if not np.all(np.isfinite(big_res)) or not np.all(np.isfinite(big_jac)):
-                break
-            try:
-                delta = np.linalg.solve(big_jac, -big_res)
-            except np.linalg.LinAlgError:
-                break
-            u_free = u_free + delta.reshape(n_eq, r)
-            if not np.all(np.isfinite(u_free)):
-                break
-            if np.linalg.norm(delta) <= cfg.newton_tol * (1.0 + np.linalg.norm(u_free)):
-                converged = True
-                cond = float(np.linalg.cond(big_jac))
-                break
-            if linear:
-                # affine equations: the first full step is exact
-                converged = True
-                cond = float(np.linalg.cond(big_jac))
-                break
-
+        u_free, iters, res, jac = newton(res_of, jac_of, np.tile(left_value, n_eq),
+                                         cfg.newton_tol, cfg.newton_max_iter, affine=linear)
         diag["newton_iters"].append(iters)
-        diag["residual_norms"].append(res_norm)
-        diag["condition_numbers"].append(cond)
-        if not converged:
+        diag["residual_norms"].append(float(np.linalg.norm(res)))
+        diag["condition_numbers"].append(np.inf if u_free is None else float(np.linalg.cond(jac)))
+        if u_free is None:
             diag["failure"] = {"step": n, "t": t_n,
                                "reason": "Newton iteration did not converge"}
             break
         values[n, 0] = left_value
-        values[n, 1:] = u_free
+        values[n, 1:] = u_free.reshape(n_eq, r)
         history.store(n, values[n])
         left_value = values[n, -1] if nodes[-1] == 1.0 else \
             _lagrange_weights(nodes, 1.0) @ values[n]
@@ -410,10 +376,8 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     batched Gauss quadrature with an 8-point rule."""
     kappa, _, _ = _kernel_of(p)
     sch = _build_scheme(sol.c, sol.tau_nodes, sol.h, 8)
-    probe_grid = np.asarray(probe_grid, dtype=float)
     lo, hi = sol.t_start, sol.t_end
-    if probe_grid.size == 0 or probe_grid.min() < lo - 1e-9 or probe_grid.max() > hi + 1e-9:
-        raise InvalidInputError(f"probe grid must lie inside the solved span [{lo}, {hi}]")
+    probe_grid = probe_points(probe_grid, lo, hi)
     history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)
     for n in range(sol.n_intervals):
         history.store(n, sol.nodal_values[n])

@@ -92,6 +92,42 @@ def semi_inverse(m, tol: float = DEFAULT_RANK_TOL) -> SemiInverseResult:
     return SemiInverseResult(a_minus=a_minus, rank=rank, projector=projector, tol_used=tol)
 
 
+def newton(residual: Callable[[np.ndarray], np.ndarray],
+           jacobian: Callable[[np.ndarray], np.ndarray], x0, tol: float, max_iter: int,
+           affine: bool = False):
+    """Full Newton iteration for residual(x) = 0.
+
+    Each iteration calls ``residual(x)``, then ``jacobian(x)`` at the same x
+    and only if that residual is finite, so a Jacobian may reuse what its
+    residual computed.  Stops when ‖δ‖ ≤ tol·(1 + ‖x‖), or after the first
+    step when ``affine``.  Returns (x, iterations, last residual, last
+    Jacobian); x is None after a non-finite residual, Jacobian or iterate,
+    a singular Jacobian, or ``max_iter`` iterations without convergence.
+    """
+    x = np.array(x0, dtype=float)
+    res = jac = None
+    for it in range(1, max_iter + 1):
+        # overflow while probing a divergent iterate is expected; the
+        # finiteness checks below turn it into a clean non-convergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residual(x)
+            if not np.all(np.isfinite(res)):
+                return None, it, res, None
+            jac = jacobian(x)
+        if not np.all(np.isfinite(jac)):
+            return None, it, res, jac
+        try:
+            delta = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None, it, res, jac
+        x = x + delta
+        if not np.all(np.isfinite(x)):
+            return None, it, res, jac
+        if affine or np.linalg.norm(delta) <= tol * (1.0 + np.linalg.norm(x)):
+            return x, it, res, jac
+    return None, max_iter, res, jac
+
+
 def default_fd_step(t: float) -> float:
     """Default step for 4th-order differentiation stencils at time ``t``."""
     return 1e-4 * max(1.0, abs(t))

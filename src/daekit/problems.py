@@ -56,6 +56,23 @@ def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.nd
     return np.stack(cols, axis=1)
 
 
+def mesh_steps(a: float, b: float, h: float) -> int:
+    """Number of steps of size h from a to b; it must be a whole number."""
+    n_steps_f = (b - a) / h
+    n_steps = int(round(n_steps_f))
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
+        raise InvalidInputError(f"(b - a)/h = {n_steps_f} is not a whole number of steps")
+    return n_steps
+
+
+def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
+    """The probe grid as an array, checked to lie inside the solved span [lo, hi]."""
+    probe_grid = np.asarray(probe_grid, dtype=float)
+    if probe_grid.size == 0 or probe_grid.min() < lo - 1e-9 or probe_grid.max() > hi + 1e-9:
+        raise InvalidInputError(f"probe grid must lie inside the solved span [{lo}, {hi}]")
+    return probe_grid
+
+
 @dataclass
 class TrajectorySample:
     """Sampled trajectory with linear interpolation between samples."""
@@ -162,10 +179,14 @@ class SemiNonlinearIAE:
     def interval(self) -> tuple[float, float]:
         return (self.t_start, self.T)
 
-    def kappa_jacobian(self, t: float, s: float, y: np.ndarray) -> np.ndarray:
-        if self.kappa_y is not None:
+    def kappa_jacobian(self, t: float, s, y: np.ndarray) -> np.ndarray:
+        """∂κ/∂y (κ_y, else differences of κ): (r, r) at a scalar s and y (r,);
+        (r, r, M) at s (M,) and y (r, M), κ_y then called per point."""
+        if self.kappa_y is None:
+            return fd_jacobian(lambda _t, yy: self.kappa(t, s, yy), t, y)
+        if np.ndim(s) == 0:
             return np.asarray(self.kappa_y(t, s, y), dtype=float)
-        return fd_jacobian(lambda _t, yy: self.kappa(t, s, yy), t, y)
+        return np.stack([self.kappa_y(t, si, yi) for si, yi in zip(s, y.T)], axis=-1)
 
 
 @dataclass

@@ -243,6 +243,24 @@ def test_solve_iae_writes_artifacts(tmp_path):
     assert diag["max_residual_at_collocation"] <= 1e-8
 
 
+def test_solve_iae_breakdown_from_problem_file_exits_0(tmp_path, capsys):
+    # ex34 as a file has no κ_y; its breakdown at c = (0.3, 0.8) is a result
+    e = np.e
+    data = {"kind": "iae", "t_start": 1.0, "T": 2.0,
+            "A": [[1, 0], [0, 0]],
+            "kappa": ["(y1^2 + 2)*y2 + exp(y2)", "y1^2"],
+            "f": [f"2*exp(t) + (2*t - 1)*exp(2*t)/4 + t^2 - {e * e / 4 + e + 1!r}",
+                  f"(exp(2*t) - {e * e!r})/2"],
+            "exact": ["exp(t)", "t"]}
+    path = write_problem(tmp_path, data, name="ex34.json")
+    code = main(["solve-iae", "--problem", str(path), "--c", "0.3,0.8", "--h", "0.1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "stopped early" in capsys.readouterr().out
+    diag = json.loads((tmp_path / "run.diagnostics.json").read_text())
+    assert diag["failure"] is not None
+
+
 def test_solve_iae_wrong_problem_kind_exits_1(capsys):
     assert main(["solve-iae", "--problem", "ex32"]) == 1
     assert "solve-dae" in capsys.readouterr().err

@@ -107,6 +107,18 @@ def test_finite_difference_jacobian_matches_the_analytic_one():
     assert np.max(np.abs(fd_sol.nodal_values - sol.nodal_values)) <= 1e-9
 
 
+@pytest.mark.parametrize("c, h", [((0.3, 0.8), 0.1), ((0.5,), 0.05)])
+def test_breakdown_without_kappa_y_is_a_failure_record(c, h):
+    # the iterate diverges until κ overflows; the finite-difference Jacobian
+    # is never formed at a non-finite residual, so the breakdown is data
+    p = example("ex34")
+    p.kappa_y = None
+    sol, diag = solve_iae(p, CollocationConfig(c=c, h=h))
+    assert diag["failure"] is not None
+    assert sol.n_intervals == diag["failure"]["step"]
+    assert diag["condition_numbers"][-1] == np.inf
+
+
 # --- index-2 system with a growing solution ---------------------------------
 
 def test_growing_solution_completes_accurately():

@@ -14,6 +14,7 @@ from daekit import (
     numerical_rank,
     semi_inverse,
 )
+from daekit.linalg import newton
 from helpers import random_fixed_rank
 
 
@@ -165,3 +166,32 @@ def test_matrix_function_rejects_non_finite_values():
     f = MatrixFunction(eval=lambda t: np.array([[np.inf]]), domain=(0.0, 1.0))
     with pytest.raises(InvalidInputError):
         f(0.5)
+
+
+# --- the shared Newton routine ------------------------------------------------
+
+def _no_jacobian(x):
+    raise AssertionError("jacobian called after a non-finite residual")
+
+
+@pytest.mark.parametrize("residual, jacobian, x0, max_iter, affine, want_x, want_iters", [
+    (lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x), [1.0], 25, False, np.sqrt(2.0), 5),
+    (lambda x: x - 1.0, lambda x: np.zeros((1, 1)), [0.5], 25, False, None, 1),
+    (lambda x: np.array([np.inf]), _no_jacobian, [0.5], 25, False, None, 1),
+    # affine: the first step is taken as the answer, converged or not
+    (lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x), [1.0], 25, True, 1.5, 1),
+    # x^2 + 1 has no real root: the iterates wander until max_iter
+    (lambda x: x ** 2 + 1.0, lambda x: np.diag(2.0 * x), [0.5], 7, False, None, 7),
+], ids=["sqrt2", "singular-jacobian", "non-finite-residual", "affine-one-step", "no-root"])
+def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_iters):
+    x, iters, res, jac = newton(residual, jacobian, x0, 1e-12, max_iter, affine=affine)
+    assert iters == want_iters
+    if want_x is None:
+        assert x is None
+    else:
+        np.testing.assert_allclose(x, [want_x], rtol=1e-15)
+    assert res.shape == (1,)
+    if jacobian is _no_jacobian:
+        assert jac is None
+    else:
+        assert jac.shape == (1, 1)

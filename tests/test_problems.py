@@ -158,3 +158,16 @@ def test_trajectory_sample_extrapolation_guard():
                                           np.linspace(0.0, 1.0, 11))
     with pytest.raises(ExtrapolationError):
         traj(1.5)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["kappa_y", "finite-differences"])
+def test_batched_kappa_jacobian_is_the_pointwise_stack(declared):
+    p = example("ex34")
+    if not declared:
+        p.kappa_y = None
+    rng = np.random.default_rng(8)
+    s = rng.uniform(1.0, 2.0, size=9)
+    y = rng.uniform(-2.0, 2.0, size=(2, 9))
+    batch = p.kappa_jacobian(1.5, s, y)
+    want = np.stack([p.kappa_jacobian(1.5, s[g], y[:, g]) for g in range(9)], axis=-1)
+    np.testing.assert_array_equal(batch, want)
