@@ -17,6 +17,14 @@ Derivatives fall back to 4th-order finite differences.  Each nesting level
 divides roundoff by the step (1e-4 by default), so roughly four digits are
 lost per level; chains past level 4 need analytic derivatives to be
 trustworthy, hence the default cap nu_max = 4.
+
+The levels are evaluated on whole arrays of times: A_{i+1} and k_{i+1}
+take a float t (and s) or (n,) arrays of them.  An array call evaluates
+level i once on all its points and on all their stencil points, with one
+stacked SVD for the projectors there, and recurses on those points into
+the level below.  The levels memoize nothing; a user's A, kernel and
+callbacks are still called once per point.  Every element gets the
+arithmetic of a float call, so both forms agree bit for bit.
 """
 
 from __future__ import annotations
@@ -41,40 +49,49 @@ from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
 Kernel = Callable[[float, float], np.ndarray]
 
 
+def _vectorized_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
+    """Kernel of floats t, s or of (n,) arrays, from ``fn`` of two (n,) arrays."""
+    def k(t, s):
+        if np.ndim(t) == 0 and np.ndim(s) == 0:
+            return fn(np.array([t], dtype=float), np.array([s], dtype=float))[0]
+        return fn(*np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float)))
+
+    k.vectorized = True
+    return k
+
+
+def _on_arrays(k: Kernel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``k`` on (n,) arrays t, s: a user kernel is called once per pair."""
+    if getattr(k, "vectorized", False):
+        return k
+    return lambda t, s: np.stack([k(float(a), float(b)) for a, b in zip(t, s)])
+
+
 def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
                fd_step: Optional[float] = None) -> tuple[MatrixFunction, Kernel]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
-    The projector V_i is recomputed from A_i via the SVD semi-inverse at
-    every evaluation point and memoized; the t-derivative in the kernel
-    update holds s fixed.
+    Both take a float t (and s) or (n,) arrays, and evaluate an array with
+    one stacked SVD for the projectors V_i at its points and one for those
+    at its stencil points.  The t-derivative in the kernel update holds s
+    fixed.
     """
     lo, hi = A_i.domain
-    proj_cache: dict[float, np.ndarray] = {}
+    k_at = _on_arrays(k_i)
 
-    def V(t: float) -> np.ndarray:
-        got = proj_cache.get(t)
-        if got is None:
-            got = semi_inverse(A_i(t), tol).projector
-            proj_cache[t] = got
-        return got
+    def a_next(t: np.ndarray) -> np.ndarray:
+        a = A_i(t)
+        return a + semi_inverse(a, tol).projector @ k_at(t, t)
 
-    def a_next(t: float) -> np.ndarray:
-        return A_i(t) + V(t) @ k_i(t, t)
+    def projected(tau: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return semi_inverse(A_i(tau), tol).projector @ k_at(tau, s)
 
-    k_cache: dict[tuple[float, float], np.ndarray] = {}
+    def k_next(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        dd = fd_derivative(projected, t, step=fd_step, lo=lo, hi=hi, args=(s,))
+        return dd + k_at(t, s)
 
-    def k_next(t: float, s: float) -> np.ndarray:
-        key = (t, s)
-        got = k_cache.get(key)
-        if got is None:
-            dd = fd_derivative(lambda tau: V(tau) @ k_i(tau, s), t,
-                               step=fd_step, lo=lo, hi=hi)
-            got = dd + k_i(t, s)
-            k_cache[key] = got
-        return got
-
-    return MatrixFunction(eval=a_next, domain=A_i.domain), k_next
+    return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
+            _vectorized_kernel(k_next))
 
 
 @dataclass
@@ -159,12 +176,13 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise InvalidInputError("grid must be strictly increasing")
 
-    r = np.asarray(A(grid[0])).shape[0]
     levels: list[ChainLevel] = []
     A_i, k_i = A, k
     for level in range(nu_max + 1):
-        ranks = np.array([numerical_rank(A_i(t), tol) for t in grid])
-        det_sample = [(float(t), float(np.linalg.det(A_i(t)))) for t in grid]
+        a_grid = A_i(grid)
+        r = a_grid.shape[-1]
+        ranks = numerical_rank(a_grid, tol)
+        det_sample = [(float(t), float(d)) for t, d in zip(grid, np.linalg.det(a_grid))]
         if np.any(ranks != ranks[0]):
             t_bad = float(grid[int(np.argmax(ranks != ranks[0]))])
             levels.append(ChainLevel(level, A_i, k_i, None, det_sample, tol))

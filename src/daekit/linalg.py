@@ -4,11 +4,17 @@ Everything here works on small dense real square matrices (the coefficient
 matrices of algebraic equation systems).  A "semi-inverse" of A is any matrix
 A⁻ with A A⁻ A = A; the Moore-Penrose pseudoinverse is used throughout because
 it is deterministic and varies continuously while the rank stays constant.
+
+The matrix routines also take a stack (..., r, r) of matrices, in the style
+of a numpy gufunc, and the routines of t also take an array of times.  One
+stacked SVD costs little more than one small SVD, and each slice of a stack
+gets exactly the arithmetic of the single-matrix call, so the two forms
+agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,26 +37,31 @@ _STENCILS = {
 
 def _check_square_finite(m):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(
+            f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
     return m
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
+def _kept(s: np.ndarray, tol: float) -> np.ndarray:
+    """Singular values above ``tol`` times the largest of their matrix (none if it is 0)."""
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    return s > tol * s[..., :1]
+
+
+def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     """Number of singular values above ``tol * sigma_max``.
 
     The zero matrix has rank 0; ``tol`` is relative to the largest singular
-    value, so scaling the matrix does not change the answer.
+    value, so scaling the matrix does not change the answer.  A stack
+    (..., r, r) gives an integer array of shape (...).
     """
     m = _check_square_finite(m)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    rank = np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False), tol), axis=-1)
+    return int(rank) if m.ndim == 2 else rank
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,12 @@ class SemiInverseResult:
 
     ``projector`` is V = E - A A⁻, the left annihilator of A: V A = 0.  It
     extracts the rows of an equation system in which A carries no information
-    (the purely algebraic directions).
+    (the purely algebraic directions).  For a stack of matrices every field
+    but ``tol_used`` is stacked too (``rank`` is then an integer array).
     """
 
     a_minus: np.ndarray
-    rank: int
+    rank: int | np.ndarray
     projector: np.ndarray
     tol_used: float
 
@@ -73,23 +85,19 @@ def semi_inverse(m, tol: float = DEFAULT_RANK_TOL) -> SemiInverseResult:
 
     Returns the pseudoinverse, the retained rank, and the projector
     V = E - A A⁻.  The truncation keeps the result stable when A is
-    numerically rank-deficient.
+    numerically rank-deficient.  ``m`` may be one matrix or a stack
+    (..., r, r); a stack takes one SVD call.
     """
     m = _check_square_finite(m)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    r = m.shape[0]
     u, s, vh = np.linalg.svd(m)
-    if s.size and s[0] > 0.0:
-        keep = s > tol * s[0]
-    else:
-        keep = np.zeros_like(s, dtype=bool)
-    rank = int(np.count_nonzero(keep))
+    keep = _kept(s, tol)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    a_minus = (vh.T * inv_s) @ u.T
-    projector = np.eye(r) - m @ a_minus
-    return SemiInverseResult(a_minus=a_minus, rank=rank, projector=projector, tol_used=tol)
+    a_minus = (np.swapaxes(vh, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
+    projector = np.eye(m.shape[-1]) - m @ a_minus
+    rank = np.count_nonzero(keep, axis=-1)
+    return SemiInverseResult(a_minus=a_minus, rank=int(rank) if m.ndim == 2 else rank,
+                             projector=projector, tol_used=tol)
 
 
 def newton(residual: Callable[[np.ndarray], np.ndarray],
@@ -101,73 +109,103 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     and only if that residual is finite, so a Jacobian may reuse what its
     residual computed.  Stops when ‖δ‖ ≤ tol·(1 + ‖x‖), or after the first
     step when ``affine``.  Returns (x, iterations, last residual, last
-    Jacobian); x is None after a non-finite residual, Jacobian or iterate,
-    a singular Jacobian, or ``max_iter`` iterations without convergence.
+    Jacobian); x is None after a non-finite residual, Jacobian or iterate
+    (an iterate whose norm overflows counts as non-finite: the test above
+    would pass for any δ), a singular Jacobian, or ``max_iter`` iterations
+    without convergence.
     """
     x = np.array(x0, dtype=float)
     res = jac = None
     for it in range(1, max_iter + 1):
         # overflow while probing a divergent iterate is expected; the
-        # finiteness checks below turn it into a clean non-convergence
+        # finiteness checks turn it into a clean non-convergence
         with np.errstate(over="ignore", invalid="ignore"):
             res = residual(x)
             if not np.all(np.isfinite(res)):
                 return None, it, res, None
             jac = jacobian(x)
-        if not np.all(np.isfinite(jac)):
+            if not np.all(np.isfinite(jac)):
+                return None, it, res, jac
+            try:
+                delta = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                return None, it, res, jac
+            x = x + delta
+            x_norm = np.linalg.norm(x)
+        if not np.isfinite(x_norm):
             return None, it, res, jac
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None, it, res, jac
-        x = x + delta
-        if not np.all(np.isfinite(x)):
-            return None, it, res, jac
-        if affine or np.linalg.norm(delta) <= tol * (1.0 + np.linalg.norm(x)):
+        if affine or np.linalg.norm(delta) <= tol * (1.0 + x_norm):
             return x, it, res, jac
     return None, max_iter, res, jac
 
 
-def default_fd_step(t: float) -> float:
-    """Default step for 4th-order differentiation stencils at time ``t``."""
-    return 1e-4 * max(1.0, abs(t))
+def default_fd_step(t):
+    """Default step for 4th-order differentiation stencils at ``t`` (a time or an array)."""
+    return 1e-4 * np.maximum(1.0, np.abs(t))
 
 
-def fd_derivative(fn: Callable[[float], np.ndarray], t: float, step: Optional[float] = None,
-                  lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+def fd_derivative(fn: Callable, t, step: Optional[float] = None,
+                  lo: float = -np.inf, hi: float = np.inf, args: tuple = ()) -> np.ndarray:
     """4th-order finite-difference derivative of an array-valued function of t.
 
     Uses the central 5-point stencil where the domain allows, one-sided
     4th-order stencils near ``lo``/``hi``.  The step shrinks if the domain
-    window is too narrow for the stencil.
+    window is too narrow for the stencil.  ``fn`` is called as
+    ``fn(tau, *args)``.
+
+    For a float ``t``, ``fn`` is called once per stencil point.  For an
+    (n,) array ``t``, it is called once, on the (m,) array of every stencil
+    point of every t, and must return an (m, ...) stack; each of ``args`` is
+    then an (n,) array aligned with ``t`` and reaches ``fn`` repeated to
+    match the points.  Each t keeps its own step and stencil kind, so the
+    (n, ...) result equals the loop of float calls bit for bit.
     """
-    if step is None:
-        step = default_fd_step(t)
-    if step <= 0:
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    ts = np.atleast_1d(ts)
+    steps = default_fd_step(ts) if step is None else np.full(ts.shape, float(step))
+    if np.any(steps <= 0):
         raise InvalidInputError("step must be positive")
-    if not (lo - 1e-12 <= t <= hi + 1e-12):
-        raise DomainError(f"t={t} outside [{lo}, {hi}]")
+    outside = ~((lo - 1e-12 <= ts) & (ts <= hi + 1e-12))
+    if np.any(outside):
+        raise DomainError(f"t={ts[np.argmax(outside)]} outside [{lo}, {hi}]")
 
     width = hi - lo
     if np.isfinite(width):
         # largest stencil reach is 4 steps (one-sided) or 2 (central)
-        step = min(step, max(width / 4.0, 1e-14))
+        steps = np.minimum(steps, max(width / 4.0, 1e-14))
 
-    if t - 2.0 * step >= lo and t + 2.0 * step <= hi:
-        kind = "central"
-    elif t + 4.0 * step <= hi:
-        kind = "forward"
-    elif t - 4.0 * step >= lo:
-        kind = "backward"
+    central = (ts - 2.0 * steps >= lo) & (ts + 2.0 * steps <= hi)
+    forward = ~central & (ts + 4.0 * steps <= hi)
+    backward = ~central & ~forward & (ts - 4.0 * steps >= lo)
+    stuck = ~(central | forward | backward)
+    if np.any(stuck):
+        j = int(np.argmax(stuck))
+        raise DomainError(
+            f"domain [{lo}, {hi}] too narrow for a stencil of step {steps[j]} at t={ts[j]}")
+
+    # the stencil points kind by kind, offset-major within a kind
+    groups = [(_STENCILS[kind], np.flatnonzero(mask))
+              for kind, mask in (("central", central), ("forward", forward),
+                                 ("backward", backward)) if np.any(mask)]
+    points = np.concatenate([(ts[idx] + offsets[:, None] * steps[idx]).ravel()
+                             for (offsets, _), idx in groups])
+    if scalar:
+        vals = np.stack([np.asarray(fn(tau, *args), dtype=float) for tau in points])
     else:
-        raise DomainError(f"domain [{lo}, {hi}] too narrow for a stencil of step {step} at t={t}")
+        rows = np.concatenate([np.tile(idx, offsets.size) for (offsets, _), idx in groups])
+        vals = np.asarray(fn(points, *(np.asarray(a)[rows] for a in args)), dtype=float)
 
-    offsets, weights = _STENCILS[kind]
-    acc = None
-    for off, w in zip(offsets, weights):
-        val = np.asarray(fn(t + off * step), dtype=float) * w
-        acc = val if acc is None else acc + val
-    return acc / step
+    out = np.empty((ts.size,) + vals.shape[1:])
+    start = 0
+    for (_, weights), idx in groups:
+        acc = None
+        for w in weights:
+            val = vals[start:start + idx.size] * w
+            acc = val if acc is None else acc + val
+            start += idx.size
+        out[idx] = acc / steps[idx].reshape((-1,) + (1,) * (vals.ndim - 1))
+    return out[0] if scalar else out
 
 
 @dataclass
@@ -175,27 +213,42 @@ class MatrixFunction:
     """A time-dependent square matrix on a closed interval.
 
     ``derivative`` is the analytic d/dt when available; otherwise
-    :func:`matfn_derivative` falls back to finite differences.
+    :func:`matfn_derivative` falls back to finite differences.  A float t
+    gives the (r, r) matrix and an array of times the stack of shape
+    t.shape + (r, r).  ``eval`` is called once per time, unless
+    ``vectorized``: then it takes an (n,) array and returns the (n, r, r)
+    stack.  Nothing is memoized, so ``eval`` runs at every evaluation point.
     """
 
-    eval: Callable[[float], np.ndarray]
+    eval: Callable
     domain: tuple[float, float] = (0.0, 1.0)
     derivative: Optional[Callable[[float], np.ndarray]] = None
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    vectorized: bool = False
 
-    def __call__(self, t: float) -> np.ndarray:
-        t = float(t)
+    def __call__(self, t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        if self.vectorized:
+            m = self._eval_checked(ts.ravel())
+        elif ts.ndim == 0:
+            return self._eval_checked(float(ts))
+        else:
+            m = np.stack([self._eval_checked(x) for x in map(float, ts.ravel())])
+        return m.reshape(ts.shape + m.shape[1:])
+
+    def _eval_checked(self, t) -> np.ndarray:
+        """eval(t) as floats for a float or an (n,) array t inside the domain."""
+        t_min, t_max = (t, t) if isinstance(t, float) else (t.min(), t.max())
         lo, hi = self.domain
-        if not (lo - 1e-9 * max(1.0, abs(lo)) <= t <= hi + 1e-9 * max(1.0, abs(hi))):
-            raise DomainError(f"t={t} outside domain [{lo}, {hi}] of {self.name or 'matrix function'}")
-        hit = self._cache.get(t)
-        if hit is None:
-            hit = np.asarray(self.eval(t), dtype=float)
-            if not np.all(np.isfinite(hit)):
-                raise InvalidInputError(f"non-finite matrix at t={t}")
-            self._cache[t] = hit
-        return hit
+        for bad, inside in ((t_min, t_min >= lo - 1e-9 * max(1.0, abs(lo))),
+                            (t_max, t_max <= hi + 1e-9 * max(1.0, abs(hi)))):
+            if not inside:
+                raise DomainError(f"t={bad} outside domain [{lo}, {hi}] "
+                                  f"of {self.name or 'matrix function'}")
+        m = np.asarray(self.eval(t), dtype=float)
+        if not np.isfinite(m).all():
+            raise InvalidInputError(f"non-finite matrix at t={t}")
+        return m
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":

@@ -29,7 +29,7 @@ problems.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,8 +46,7 @@ from .problems import (
 
 
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
-    return MatrixFunction(eval=mf.eval, domain=(float(lo), float(hi)),
-                          derivative=mf.derivative, name=mf.name)
+    return replace(mf, domain=(float(lo), float(hi)))
 
 
 def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE,
@@ -86,16 +85,17 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
 
 def pointwise_index(p, traj: TrajectorySample, t: float, window: float = 0.05,
                     tol: float = DEFAULT_RANK_TOL, nu_max: int = 4,
-                    window_points: int = 9) -> Optional[int]:
+                    window_points: int = 9, full_output: bool = False):
     """Index of the linearization frozen at traj(t), or None if the chain fails.
 
     None means the constant-rank hypothesis broke or the level cap was hit
     inside the window; at actual transitions that is expected evidence,
-    not an error.
+    not an error.  With ``full_output`` the result is (ν, report), the
+    report being the :func:`frozen_index_report` that ν was read from.
     """
     report = frozen_index_report(p, traj(t), t, traj, window=window, tol=tol,
                                  nu_max=nu_max, window_points=window_points)
-    return report.nu
+    return (report.nu, report) if full_output else report.nu
 
 
 def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunction:
@@ -103,6 +103,12 @@ def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunc
     for _ in range(steps):
         A_i, k_i = chain_step(A_i, k_i, tol)
     return A_i
+
+
+def _final_det(report: IndexReport, nu: int, t: float, tol: float) -> float:
+    """det A_ν(t) from the chain a report built, stepped past the level where it stopped."""
+    lev = report.levels[min(nu, len(report.levels) - 1)]
+    return float(np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t)))
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
@@ -257,9 +263,10 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         else:
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
 
-    nu_at = [pointwise_index(p, traj, float(t), window=window, tol=tol,
-                             nu_max=nu_max, window_points=window_points)
-             for t in grid]
+    centre = [pointwise_index(p, traj, float(t), window=window, tol=tol, nu_max=nu_max,
+                              window_points=window_points, full_output=True)
+              for t in grid]
+    nu_at = [nu for nu, _ in centre]
     defined = [n for n in nu_at if n is not None]
     undefined_fraction = 1.0 - len(defined) / len(nu_at)
     if undefined_fraction > 0.2:
@@ -279,12 +286,10 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     conditions = tuple(getattr(p, "critical_conditions", ()) or ())
     rng = np.random.default_rng(seed)
     nu_flip = det_flip = cond_flip = False
-    for j, t in enumerate(grid):
+    for t, (_, centre_rep) in zip(grid, centre):
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
-        a_loc = _restrict(p.A, *_window(p, traj, t, window))
-        dets = [float(np.linalg.det(
-            _blind_chain(a_loc, linear_kernel(p, center), nu_ref, tol)(t)))]
+        dets = [_final_det(centre_rep, nu_ref, t, tol)]
         cond_signs = [[np.sign(float(c(t, center))) for c in conditions]]
         for _ in range(n_perturb):
             eta = _ball_sample(rng, center, eps)
@@ -293,10 +298,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
                                           nu_max=nu_max, window_points=window_points)
                 if rep.nu != nu_ref:
                     nu_flip = True
-                # A_ν from the chain the report built; step past where it stopped
-                lev = rep.levels[min(nu_ref, len(rep.levels) - 1)]
-                a_nu = _blind_chain(lev.A, lev.k, nu_ref - lev.level, tol)
-                dets.append(float(np.linalg.det(a_nu(t))))
+                dets.append(_final_det(rep, nu_ref, t, tol))
                 cond_signs.append([np.sign(float(c(t, eta))) for c in conditions])
         if _sign_flip(dets):
             det_flip = True
@@ -322,7 +324,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         crit.extend(t for t, _ in detect_critical_points(
             traj, conditions, refine=True, interval=(a, b)))
     a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref, tol)
-    traj_dets = np.array([float(np.linalg.det(a_ref(float(t)))) for t in grid])
+    traj_dets = np.linalg.det(a_ref(grid))
     floor = 1e-12 * max(1.0, float(np.max(np.abs(traj_dets))))
     for j in range(grid.size - 1):
         d0, d1 = traj_dets[j], traj_dets[j + 1]

@@ -193,6 +193,50 @@ def test_semi_inverse_choice_does_not_change_index():
         assert nu == 2
 
 
+# --- whole-grid evaluation -------------------------------------------------
+
+def _t_dependent_pair():
+    # the range of A(t) turns with t, so the projector V_0(t) does too
+    a = MatrixFunction(eval=lambda t: np.array([[1.0, 0.0], [t, 0.0]]), domain=(0.0, 1.0))
+    return a, lambda t, s: np.array([[0.0, 1.0], [0.0, s]])
+
+
+def _hessenberg4_pair():
+    # y_i' + b y_{i+1} = 0 (i < 4), b y_1 = sin t with b = 1 + t/2: index 4
+    shift = np.roll(np.eye(4), 1, axis=1)
+    q = dae_to_iae(LinearDAE(
+        A=MatrixFunction.constant(np.diag([1.0, 1.0, 1.0, 0.0]), domain=(0.0, 1.0)),
+        B=MatrixFunction(eval=lambda t: (1.0 + 0.5 * t) * shift, domain=(0.0, 1.0)),
+        f=lambda t: np.array([0.0, 0.0, 0.0, np.sin(t)]), y0=None, r=4, T=1.0))
+    return q.A, q.k
+
+
+@pytest.mark.parametrize("pair, nu", [(_t_dependent_pair, 2), (_hessenberg4_pair, 4)],
+                         ids=["t-dependent", "hessenberg4"])
+def test_levels_on_a_grid_equal_point_by_point_evaluation(pair, nu):
+    # both endpoints, so one-sided and central stencils meet in one call
+    grid = np.linspace(0.0, 1.0, 9)
+    rep = rank_degree_index(*pair(), grid=grid)
+    assert rep.nu == nu
+    s = grid[::-1].copy()
+    for lev in rep.levels[1:]:
+        whole = lev.A(grid)
+        assert whole.tobytes() == np.stack([lev.A(t) for t in grid]).tobytes()
+        dets = np.array([d for _, d in lev.det_sample])
+        assert dets.tobytes() == np.linalg.det(whole).tobytes()
+        assert lev.k(grid, s).tobytes() == \
+            np.stack([lev.k(t, u) for t, u in zip(grid, s)]).tobytes()
+        assert lev.projector(grid).tobytes() == \
+            np.stack([lev.projector(t) for t in grid]).tobytes()
+
+
+def test_chain_levels_take_a_scalar_s_with_an_array_t():
+    a1, k1 = chain_step(*_t_dependent_pair())
+    grid = np.linspace(0.0, 1.0, 5)
+    assert k1(grid, 0.3).tobytes() == np.stack([k1(t, 0.3) for t in grid]).tobytes()
+    assert a1(grid).shape == (5, 2, 2)
+
+
 # --- rhs_chain ------------------------------------------------------------
 
 def test_rhs_chain_zero_propagates():

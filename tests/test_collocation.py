@@ -119,6 +119,21 @@ def test_breakdown_without_kappa_y_is_a_failure_record(c, h):
     assert diag["condition_numbers"][-1] == np.inf
 
 
+@pytest.mark.parametrize("with_kappa_y", [True, False])
+def test_an_overflowing_iterate_is_not_accepted(with_kappa_y):
+    # at c = (0.3, 0.8) the iterate on [1.6, 1.7] blows up to |u| ~ 1e172;
+    # once ‖u‖ overflows, ‖δ‖ ≤ tol·(1 + ‖u‖) holds for any δ, so that
+    # interval must be the failure, not an accepted step
+    p = example("ex34")
+    if not with_kappa_y:
+        p.kappa_y = None
+    sol, diag = solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.1))
+    assert diag["failure"]["step"] == sol.n_intervals == 6
+    assert diag["failure"]["t"] == pytest.approx(1.6)
+    assert np.all(np.isfinite(diag["residual_norms"][:-1]))
+    assert np.max(np.abs(sol.nodal_values)) < 1e3
+
+
 # --- index-2 system with a growing solution ---------------------------------
 
 def test_growing_solution_completes_accurately():

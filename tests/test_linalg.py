@@ -168,6 +168,108 @@ def test_matrix_function_rejects_non_finite_values():
         f(0.5)
 
 
+# --- stacks of matrices and arrays of times ----------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _mixed_rank_stack():
+    rng = np.random.default_rng(5)
+    return np.stack([np.zeros((3, 3)),
+                     random_fixed_rank(rng, 3, 1),
+                     random_fixed_rank(rng, 3, 2),
+                     random_fixed_rank(rng, 3, 3),
+                     np.diag([1.0, 1e-12, 0.0])])
+
+
+def test_stacked_semi_inverse_is_the_loop_of_single_calls():
+    stack = _mixed_rank_stack()
+    got = semi_inverse(stack)
+    singles = [semi_inverse(m) for m in stack]
+    assert got.rank.tolist() == [res.rank for res in singles] == [0, 1, 2, 3, 1]
+    assert _bits(got.a_minus) == _bits([res.a_minus for res in singles])
+    assert _bits(got.projector) == _bits([res.projector for res in singles])
+
+
+def test_stacked_numerical_rank_is_the_loop_of_single_calls():
+    stack = _mixed_rank_stack()
+    assert numerical_rank(stack).tolist() == [numerical_rank(m) for m in stack]
+    # leading axes of any shape, gufunc style
+    assert numerical_rank(stack[:4].reshape(2, 2, 3, 3)).tolist() == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("fn", [semi_inverse, numerical_rank])
+def test_a_non_finite_slice_rejects_the_stack(fn):
+    stack = _mixed_rank_stack()
+    stack[3, 1, 2] = np.nan
+    with pytest.raises(InvalidInputError):
+        fn(stack)
+    with pytest.raises(InvalidInputError):
+        fn(np.zeros((4, 2, 3)))
+
+
+def _wiggle(t, s=0.0):
+    t, s = np.asarray(t)[..., None, None], np.asarray(s)[..., None, None]
+    return np.array([[1.0, 0.0], [0.0, 2.0]]) * np.sin(3.0 * t) + np.cos(t + s) - t ** 3
+
+
+def test_fd_derivative_on_an_array_is_the_loop_of_float_calls():
+    # both ends of [0, 1] take one-sided stencils, the middle the central one
+    ts = np.array([0.0, 1e-5, 2e-4, 0.5, 1.0 - 2e-4, 1.0 - 1e-5, 1.0])
+    got = fd_derivative(_wiggle, ts, lo=0.0, hi=1.0)
+    want = [fd_derivative(_wiggle, t, lo=0.0, hi=1.0) for t in ts]
+    assert got.shape == (ts.size, 2, 2)
+    assert _bits(got) == _bits(want)
+    # extra arguments travel with their t, through every stencil kind
+    ss = np.linspace(-1.0, 1.0, ts.size)
+    got = fd_derivative(_wiggle, ts, step=1e-3, lo=0.0, hi=1.0, args=(ss,))
+    want = [fd_derivative(_wiggle, t, step=1e-3, lo=0.0, hi=1.0, args=(s,))
+            for t, s in zip(ts, ss)]
+    assert _bits(got) == _bits(want)
+
+
+def test_fd_derivative_on_an_array_calls_fn_once():
+    calls = []
+
+    def fn(tau):
+        calls.append(np.shape(tau))
+        return _wiggle(tau)
+
+    fd_derivative(fn, np.array([0.0, 0.5, 1.0]), lo=0.0, hi=1.0)
+    assert calls == [(4 + 5 + 5,)]
+    with pytest.raises(DomainError):
+        fd_derivative(fn, np.array([0.5, 1.5]), lo=0.0, hi=1.0)
+
+
+def test_matrix_function_on_an_array_is_the_loop_of_float_calls():
+    seen = []
+
+    def ev(t):
+        seen.append(type(t))
+        return _wiggle(t)
+
+    f = MatrixFunction(eval=ev, domain=(0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 7)
+    got = f(ts)
+    assert seen == [float] * ts.size
+    assert _bits(got) == _bits([f(t) for t in ts])
+    assert f(ts.reshape(7, 1)).shape == (7, 1, 2, 2)
+    vec = MatrixFunction(eval=_wiggle, domain=(0.0, 1.0), vectorized=True)
+    assert _bits(vec(ts)) == _bits(got)
+    assert _bits(vec(0.25)) == _bits(f(0.25))
+    with pytest.raises(DomainError):
+        f(np.array([0.5, 1.5]))
+
+
+def test_matrix_function_evaluates_at_every_call():
+    calls = []
+    f = MatrixFunction(eval=lambda t: calls.append(t) or np.eye(2), domain=(0.0, 1.0))
+    f(0.5)
+    f(0.5)
+    assert calls == [0.5, 0.5]
+
+
 # --- the shared Newton routine ------------------------------------------------
 
 def _no_jacobian(x):
@@ -182,7 +284,11 @@ def _no_jacobian(x):
     (lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x), [1.0], 25, True, 1.5, 1),
     # x^2 + 1 has no real root: the iterates wander until max_iter
     (lambda x: x ** 2 + 1.0, lambda x: np.diag(2.0 * x), [0.5], 7, False, None, 7),
-], ids=["sqrt2", "singular-jacobian", "non-finite-residual", "affine-one-step", "no-root"])
+    # the first step lands near -5e159: finite, but ‖x‖ overflows, and
+    # ‖δ‖ ≤ tol·(1 + ‖x‖) would then accept it whatever δ is
+    (lambda x: x ** 2 + 1.0, lambda x: np.diag(2.0 * x), [1e-160], 25, False, None, 1),
+], ids=["sqrt2", "singular-jacobian", "non-finite-residual", "affine-one-step", "no-root",
+        "overflowing-iterate"])
 def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_iters):
     x, iters, res, jac = newton(residual, jacobian, x0, 1e-12, max_iter, affine=affine)
     assert iters == want_iters

@@ -136,6 +136,36 @@ def test_frozen_report_carries_chain_details():
     assert [lev.rank for lev in rep.levels] == [1, 1, 2]
 
 
+def test_pointwise_index_full_output_returns_its_report():
+    p = example("ex34")
+    tr = exact_traj(p)
+    nu, rep = pointwise_index(p, tr, 1.5, full_output=True)
+    assert nu == rep.nu == pointwise_index(p, tr, 1.5) == 2
+    assert rep.to_dict() == frozen_index_report(p, tr(1.5), 1.5, tr).to_dict()
+
+
+def test_classify_builds_each_centre_chain_once(monkeypatch):
+    # ex34 has ν = 2 everywhere: two chain steps per centre report and two
+    # for the chain along the trajectory; the centre determinant reuses
+    # the report's A_2 instead of building it again
+    import daekit.chain
+    import daekit.structure
+
+    steps = []
+    original = daekit.chain.chain_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(daekit.chain, "chain_step", counted)
+    monkeypatch.setattr(daekit.structure, "chain_step", counted)
+    grid = np.linspace(1.0, 2.0, 6)
+    prof = classify(example("ex34"), n_perturb=0, grid=grid)
+    assert prof.nu_at == [2] * grid.size
+    assert len(steps) == 2 * grid.size + 2
+
+
 # --- critical point detection ---------------------------------------------
 
 def test_detect_critical_points_finds_cosine_zero():
