@@ -25,6 +25,15 @@ stacked SVD for the projectors there, and recurses on those points into
 the level below.  The levels memoize nothing; a user's A, kernel and
 callbacks are still called once per point.  Every element gets the
 arithmetic of a float call, so both forms agree bit for bit.
+:func:`rank_degree_index` builds each level's grid values from those of
+the level below instead of evaluating that level again.
+
+A chain may also carry a sample axis: a kernel linearized at an (S, r)
+stack of η's has values (S, r, r), and a level 0 repeated along the same
+axis makes every level's values (n, S, r, r).  One chain then serves all
+S samples with one stacked SVD per level and per stencil, and
+:func:`rank_degree_index` reads per-sample ranks, ν and determinants from
+it; each sample's numbers equal those of its own chain bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +76,11 @@ def _on_arrays(k: Kernel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return lambda t, s: np.stack([k(float(a), float(b)) for a, b in zip(t, s)])
 
 
+def _next_a(a: np.ndarray, k_tt: np.ndarray, tol: float) -> np.ndarray:
+    """A_{i+1}(t) = A_i(t) + V_i(t) k_i(t, t) from the values of A_i and k_i(t, t)."""
+    return a + semi_inverse(a, tol).projector @ k_tt
+
+
 def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
                fd_step: Optional[float] = None) -> tuple[MatrixFunction, Kernel]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
@@ -80,8 +94,7 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
     k_at = _on_arrays(k_i)
 
     def a_next(t: np.ndarray) -> np.ndarray:
-        a = A_i(t)
-        return a + semi_inverse(a, tol).projector @ k_at(t, t)
+        return _next_a(A_i(t), k_at(t, t), tol)
 
     def projected(tau: np.ndarray, s: np.ndarray) -> np.ndarray:
         return semi_inverse(A_i(tau), tol).projector @ k_at(tau, s)
@@ -96,7 +109,11 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
 
 @dataclass
 class ChainLevel:
-    """Level i of the chain: the pair (A_i, k_i) plus rank/determinant data."""
+    """Level i of the chain: the pair (A_i, k_i) plus rank/determinant data.
+
+    In a chain with a sample axis, A and k are shared by all samples and
+    ``rank`` and ``det_sample`` are the report's own sample's.
+    """
 
     level: int
     A: MatrixFunction
@@ -156,7 +173,7 @@ class IndexReport:
 
 def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
                       tol: float = DEFAULT_RANK_TOL,
-                      fd_step: Optional[float] = None) -> IndexReport:
+                      fd_step: Optional[float] = None) -> IndexReport | list:
     """Iterate the chain until A_ν is nonsingular everywhere on the grid.
 
     Singularity is tested as numerical rank deficiency (never via literal
@@ -164,7 +181,16 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     grid aborts the chain with a non-constant-rank status; exceeding
     ``nu_max`` levels reports that instead of guessing.
 
-    The default grid is 33 uniform points over A's domain.
+    The default grid is 33 uniform points over A's domain.  A level's grid
+    values are built from those of the level below, A_{i+1} = A_i + V_i
+    k_i(t, t), so no level is evaluated on the grid twice.
+
+    A and k may carry a sample axis (module docstring): A(grid) of shape
+    (n, S, r, r) and kernel values of shape (S, r, r).  The level loop then
+    runs until every sample has stopped and returns the list of S reports,
+    report j equal to sample j's own except that its levels hold the
+    shared A and k (sample j of A_i(t) is A_i(t)[..., j, :, :]).  Without
+    the axis it returns one report: the S = 1 case.
     """
     if nu_max < 1:
         raise InvalidInputError("nu_max must be at least 1")
@@ -176,26 +202,37 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise InvalidInputError("grid must be strictly increasing")
 
-    levels: list[ChainLevel] = []
     A_i, k_i = A, k
+    a_grid = A(grid)
+    stacked = a_grid.ndim == 4
+    n_samples = a_grid.shape[1] if stacked else 1
+    levels: list = [[] for _ in range(n_samples)]
+    reports: list = [None] * n_samples
     for level in range(nu_max + 1):
-        a_grid = A_i(grid)
-        r = a_grid.shape[-1]
-        ranks = numerical_rank(a_grid, tol)
-        det_sample = [(float(t), float(d)) for t, d in zip(grid, np.linalg.det(a_grid))]
-        if np.any(ranks != ranks[0]):
-            t_bad = float(grid[int(np.argmax(ranks != ranks[0]))])
-            levels.append(ChainLevel(level, A_i, k_i, None, det_sample, tol))
-            return IndexReport(None, levels, grid,
-                               ChainStatus("non-constant-rank", level, t_bad), tol)
-        rank_i = int(ranks[0])
-        levels.append(ChainLevel(level, A_i, k_i, rank_i, det_sample, tol))
-        if rank_i == r:
-            return IndexReport(level, levels, grid, ChainStatus("ok"), tol)
+        ranks = numerical_rank(a_grid, tol).reshape(grid.size, n_samples)
+        dets = np.linalg.det(a_grid).reshape(grid.size, n_samples)
+        for j in range(n_samples):
+            if reports[j] is not None:
+                continue
+            det_sample = [(float(t), float(d)) for t, d in zip(grid, dets[:, j])]
+            varies = ranks[:, j] != ranks[0, j]
+            rank_j = None if np.any(varies) else int(ranks[0, j])
+            levels[j].append(ChainLevel(level, A_i, k_i, rank_j, det_sample, tol))
+            if rank_j is None:
+                t_bad = float(grid[int(np.argmax(varies))])
+                reports[j] = IndexReport(None, levels[j], grid,
+                                         ChainStatus("non-constant-rank", level, t_bad), tol)
+            elif rank_j == a_grid.shape[-1]:
+                reports[j] = IndexReport(level, levels[j], grid, ChainStatus("ok"), tol)
+        if all(rep is not None for rep in reports):
+            break
         if level < nu_max:
+            k_grid = _on_arrays(k_i)(grid, grid)
             A_i, k_i = chain_step(A_i, k_i, tol, fd_step)
-    return IndexReport(None, levels, grid,
-                       ChainStatus("exceeded-max-level", nu_max), tol)
+            a_grid = _next_a(a_grid, k_grid, tol)
+    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
+               if rep is None else rep for rep, lev in zip(reports, levels)]
+    return reports if stacked else reports[0]
 
 
 def rhs_chain(f: Callable[[float], np.ndarray], levels,
@@ -313,8 +350,10 @@ def linear_kernel(p, eta=None) -> Kernel:
 
     A DAE is integrated by parts over [t_start, t] first, which is where
     −A′ comes from; A′ uses the declared derivative when present.  ``eta``
-    is the trajectory to linearize along (any callable of s) or a fixed
-    vector; a LinearDAE ignores it.
+    is the trajectory to linearize along (any callable of s), a fixed
+    vector, or an (S, r) stack of fixed vectors; a LinearDAE ignores it.
+    A stack gives kernel values with a sample axis, shape (S, r, r), whose
+    slice j is the kernel at eta[j] (the Jacobian is called per sample).
     """
     if isinstance(p, LinearDAE):
         return lambda t, s: p.B(s) - matfn_derivative(p.A, s)
@@ -323,9 +362,14 @@ def linear_kernel(p, eta=None) -> Kernel:
     if eta is None:
         raise InvalidInputError("a semi-nonlinear problem needs eta to linearize along")
     at = eta if callable(eta) else (lambda s, v=np.asarray(eta, dtype=float): v)
+
+    def at_each(jac, s) -> np.ndarray:
+        y = at(s)
+        return np.stack([jac(row) for row in y]) if np.ndim(y) == 2 else jac(y)
+
     if isinstance(p, SemiNonlinearDAE):
-        return lambda t, s: p.jacobian(s, at(s)) - matfn_derivative(p.A, s)
-    return lambda t, s: p.kappa_jacobian(t, s, at(s))
+        return lambda t, s: at_each(lambda y: p.jacobian(s, y), s) - matfn_derivative(p.A, s)
+    return lambda t, s: at_each(lambda y: p.kappa_jacobian(t, s, y), s)
 
 
 def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:

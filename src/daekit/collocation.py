@@ -353,7 +353,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         u_free, iters, res, jac = newton(res_of, jac_of, np.tile(left_value, n_eq),
                                          cfg.newton_tol, cfg.newton_max_iter, affine=linear)
         diag["newton_iters"].append(iters)
-        diag["residual_norms"].append(float(np.linalg.norm(res)))
+        with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
+            diag["residual_norms"].append(float(np.linalg.norm(res)))
         diag["condition_numbers"].append(np.inf if u_free is None else float(np.linalg.cond(jac)))
         if u_free is None:
             diag["failure"] = {"step": n, "t": t_n,

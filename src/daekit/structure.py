@@ -24,6 +24,12 @@ sign change means some intermediate η is singular, so the index differs
 there).  The determinant argument assumes the lower chain levels keep
 their rank between the compared points, which holds for the built-in
 problems.
+
+At each grid point the ball samples go through one
+:func:`frozen_index_report` call on their (S, r) stack of η's: one chain
+whose level values carry a sample axis, (n, S, r, r), gives every
+sample's ν, and its A_ν at t gives all S determinants in one stacked
+``det``.  The centre keeps its own chain through :func:`pointwise_index`.
 """
 
 from __future__ import annotations
@@ -74,13 +80,23 @@ def _window(p, traj: TrajectorySample, t: float, width: float):
 
 def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
                         window: float = 0.05, tol: float = DEFAULT_RANK_TOL,
-                        nu_max: int = 4, window_points: int = 9) -> IndexReport:
-    """Chain report for the linearization frozen at ``eta``, on a window around t."""
+                        nu_max: int = 4, window_points: int = 9) -> IndexReport | list:
+    """Chain report for the linearization frozen at ``eta``, on a window around t.
+
+    An (S, r) stack of η's gives the list of S reports from one chain with
+    a sample axis (see :func:`~daekit.chain.rank_degree_index`): level 0 is
+    A repeated S times, and each report equals the single-η report of its
+    sample except that its levels hold the shared chain.
+    """
     lo, hi = _window(p, traj, t, window)
     grid = np.linspace(lo, hi, window_points)
+    eta = np.asarray(eta, dtype=float)
     a_loc = _restrict(p.A, lo, hi)
-    return rank_degree_index(a_loc, linear_kernel(p, np.asarray(eta, dtype=float)),
-                             grid=grid, nu_max=nu_max, tol=tol)
+    if eta.ndim == 2:
+        a_loc = MatrixFunction(
+            eval=lambda ts, a=a_loc: np.repeat(a(ts)[:, None], len(eta), axis=1),
+            domain=(lo, hi), vectorized=True)
+    return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max, tol=tol)
 
 
 def pointwise_index(p, traj: TrajectorySample, t: float, window: float = 0.05,
@@ -105,10 +121,14 @@ def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunc
     return A_i
 
 
-def _final_det(report: IndexReport, nu: int, t: float, tol: float) -> float:
-    """det A_ν(t) from the chain a report built, stepped past the level where it stopped."""
+def _final_det(report: IndexReport, nu: int, t: float, tol: float):
+    """det A_ν(t) from the chain a report built, stepped past the level where it stopped.
+
+    A report of a chain with a sample axis gives the (S,) determinants of
+    all its samples from one stacked ``det``.
+    """
     lev = report.levels[min(nu, len(report.levels) - 1)]
-    return float(np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t)))
+    return np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t))
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
@@ -289,17 +309,18 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     for t, (_, centre_rep) in zip(grid, centre):
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
+        etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
         dets = [_final_det(centre_rep, nu_ref, t, tol)]
-        cond_signs = [[np.sign(float(c(t, center))) for c in conditions]]
-        for _ in range(n_perturb):
-            eta = _ball_sample(rng, center, eps)
-            if not (nu_flip and det_flip and (cond_flip or not conditions)):
-                rep = frozen_index_report(p, eta, t, traj, window=window, tol=tol,
-                                          nu_max=nu_max, window_points=window_points)
-                if rep.nu != nu_ref:
-                    nu_flip = True
-                dets.append(_final_det(rep, nu_ref, t, tol))
-                cond_signs.append([np.sign(float(c(t, eta))) for c in conditions])
+        if etas:
+            reps = frozen_index_report(p, etas, t, traj, window=window, tol=tol,
+                                       nu_max=nu_max, window_points=window_points)
+            if any(rep.nu != nu_ref for rep in reps):
+                nu_flip = True
+            # every report holds the shared chain; the longest holds most of it
+            dets.extend(_final_det(max(reps, key=lambda rep: len(rep.levels)),
+                                   nu_ref, t, tol))
+        cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
+                      for eta in [center, *etas]]
         if _sign_flip(dets):
             det_flip = True
         for ci in range(len(conditions)):

@@ -143,6 +143,17 @@ def exact_traj(p, a=None, b=None, n=201):
     return TrajectorySample.from_function(p.exact, np.linspace(a, b, n))
 
 
+def float_bits(obj):
+    """``obj`` (e.g. a ``to_dict()``) with every float as its hex string, for bitwise ==."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: float_bits(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [float_bits(val) for val in obj]
+    return obj
+
+
 def ex33_as_integral_equation():
     """ex33 recast as an integral equation on [0, 2].
 

@@ -31,6 +31,7 @@ from helpers import (
     PAIR_A,
     PAIR_K,
     exact_traj,
+    float_bits,
     fmat,
     fmat_add,
     fmat_eye,
@@ -228,6 +229,24 @@ def test_levels_on_a_grid_equal_point_by_point_evaluation(pair, nu):
             np.stack([lev.k(t, u) for t, u in zip(grid, s)]).tobytes()
         assert lev.projector(grid).tobytes() == \
             np.stack([lev.projector(t) for t in grid]).tobytes()
+
+
+def test_a_sample_axis_gives_each_sample_the_report_of_its_own_chain():
+    # three kernels that stop the chain at three different places
+    kernels = [lambda t, s: K_SWAP,                                  # ν = 2
+               lambda t, s: np.zeros((2, 2)),                         # never regular
+               lambda t, s: np.array([[0.0, 0.0], [0.0, t - 0.5]])]   # A_1(0.5) singular
+    a = MatrixFunction.constant(A_SING)
+    a_stack = MatrixFunction(eval=lambda t: np.repeat(a(t)[:, None], 3, axis=1),
+                             domain=a.domain, vectorized=True)
+    grid = np.linspace(0.0, 1.0, 11)
+    reports = rank_degree_index(a_stack, lambda t, s: np.stack([k(t, s) for k in kernels]),
+                                grid=grid)
+    assert [str(rep.status) for rep in reports] == [
+        "ok", "exceeded-max-level(4)", "non-constant-rank-at(level=1, t=0.5)"]
+    for rep, k in zip(reports, kernels):
+        assert float_bits(rep.to_dict()) == \
+            float_bits(rank_degree_index(a, k, grid=grid).to_dict())
 
 
 def test_chain_levels_take_a_scalar_s_with_an_array_t():

@@ -1,6 +1,7 @@
 """Piecewise polynomial collocation for integral-algebraic systems."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ def test_an_overflowing_iterate_is_not_accepted(with_kappa_y):
     assert diag["failure"]["t"] == pytest.approx(1.6)
     assert np.all(np.isfinite(diag["residual_norms"][:-1]))
     assert np.max(np.abs(sol.nodal_values)) < 1e3
+
+
+@pytest.mark.parametrize("with_kappa_y", [True, False])
+def test_a_diverged_interval_records_an_infinite_residual_without_a_warning(with_kappa_y):
+    # the failing interval's residual overflows; its norm is recorded as
+    # inf without numpy's "overflow encountered in dot"
+    p = example("ex34")
+    if not with_kappa_y:
+        p.kappa_y = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol, diag = solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.1))
+    assert diag["failure"]["step"] == sol.n_intervals
+    assert diag["residual_norms"][-1] == np.inf
 
 
 # --- index-2 system with a growing solution ---------------------------------

@@ -15,9 +15,10 @@ from daekit import (
     example,
     frozen_index_report,
     linearize_iae,
+    numerical_rank,
     pointwise_index,
 )
-from helpers import exact_traj
+from helpers import exact_traj, float_bits
 
 HALF_PI = np.pi / 2.0
 
@@ -144,10 +145,8 @@ def test_pointwise_index_full_output_returns_its_report():
     assert rep.to_dict() == frozen_index_report(p, tr(1.5), 1.5, tr).to_dict()
 
 
-def test_classify_builds_each_centre_chain_once(monkeypatch):
-    # ex34 has ν = 2 everywhere: two chain steps per centre report and two
-    # for the chain along the trajectory; the centre determinant reuses
-    # the report's A_2 instead of building it again
+def _classify_ex34_counting_chain_steps(monkeypatch, n_perturb):
+    """classify(ex34) on 6 points, and the number of chain_step calls it made."""
     import daekit.chain
     import daekit.structure
 
@@ -160,10 +159,101 @@ def test_classify_builds_each_centre_chain_once(monkeypatch):
 
     monkeypatch.setattr(daekit.chain, "chain_step", counted)
     monkeypatch.setattr(daekit.structure, "chain_step", counted)
-    grid = np.linspace(1.0, 2.0, 6)
-    prof = classify(example("ex34"), n_perturb=0, grid=grid)
-    assert prof.nu_at == [2] * grid.size
-    assert len(steps) == 2 * grid.size + 2
+    prof = classify(example("ex34"), n_perturb=n_perturb, grid=np.linspace(1.0, 2.0, 6))
+    return prof, len(steps)
+
+
+def test_classify_builds_each_centre_chain_once(monkeypatch):
+    # ex34 has ν = 2 everywhere: two chain steps per centre report and two
+    # for the chain along the trajectory; the centre determinant reuses
+    # the report's A_2 instead of building it again
+    prof, steps = _classify_ex34_counting_chain_steps(monkeypatch, n_perturb=0)
+    assert prof.nu_at == [2] * 6
+    assert steps == 2 * 6 + 2
+
+
+def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch):
+    # the 8 samples of a point add one stacked chain of two steps, whose A_2
+    # also gives their 8 determinants (a chain per sample made it 110)
+    prof, steps = _classify_ex34_counting_chain_steps(monkeypatch, n_perturb=8)
+    assert prof.classification == "well-structure"
+    assert steps == 2 * 6 + 2 * 6 + 2
+
+
+def _ex32_crossing_inside_the_window():
+    # ex32 linearized at y1 = η1 + t − π/2: for η1 = 0 the critical condition
+    # y1 = 0 holds at the middle window point only
+    p = example("ex32")
+    F_y = p.F_y
+    p.F_y = lambda t, y: F_y(t, y + np.array([t - HALF_PI, 0.0]))
+    return p
+
+
+# η = (η1, π/2) at t = π/2; ex32's A_1 = [[1, 0], [−η2, −η1]] is singular
+# (rank tolerance 1e-10) for |η1| below about 3.5e-10
+@pytest.mark.parametrize("make, nu_max, eta1, outcomes", [
+    (lambda: example("ex32"), 4, [0.0, 1e-11, 1e-6, -0.05],
+     [(2, "ok"), (2, "ok"), (1, "ok"), (1, "ok")]),
+    (lambda: example("ex32"), 1, [1e-6, 0.0, -1e-11],
+     [(1, "ok"), (None, "exceeded-max-level"), (None, "exceeded-max-level")]),
+    (_ex32_crossing_inside_the_window, 4, [0.0, 0.2],
+     [(None, "non-constant-rank"), (1, "ok")]),
+], ids=["nu-1-and-2", "exceeded-max-level", "non-constant-rank"])
+def test_stacked_report_equals_single_reports_near_the_critical_point(make, nu_max, eta1,
+                                                                     outcomes):
+    import daekit.structure
+
+    p = make()
+    tr = exact_traj(p)
+    etas = [np.array([e, HALF_PI]) for e in eta1]
+    reports = frozen_index_report(p, etas, HALF_PI, tr, nu_max=nu_max)
+    singles = [frozen_index_report(p, eta, HALF_PI, tr, nu_max=nu_max) for eta in etas]
+    assert [(rep.nu, rep.status.kind) for rep in reports] == outcomes
+    assert [float_bits(rep.to_dict()) for rep in reports] == \
+        [float_bits(rep.to_dict()) for rep in singles]
+    # every sample's det A_ν(π/2) from one stacked det, for each ν that
+    # classify may compare against
+    longest = max(reports, key=lambda rep: len(rep.levels))
+    for nu in (1, 2):
+        dets = daekit.structure._final_det(longest, nu, HALF_PI, 1e-10)
+        assert dets.tobytes() == np.array(
+            [daekit.structure._final_det(rep, nu, HALF_PI, 1e-10) for rep in singles]).tobytes()
+
+
+def test_stacked_report_equals_single_reports_along_a_growing_solution():
+    p = example("ex34")
+    tr = exact_traj(p)
+    rng = np.random.default_rng(3)
+    etas = tr(1.5) + rng.uniform(-0.1, 0.1, size=(8, 2))
+    reports = frozen_index_report(p, etas, 1.5, tr)
+    assert [rep.nu for rep in reports] == [2] * 8
+    assert [float_bits(rep.to_dict()) for rep in reports] == \
+        [float_bits(frozen_index_report(p, eta, 1.5, tr).to_dict()) for eta in etas]
+
+
+def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
+    # ex34's ν = 2 chain on 9 points calls κ_y 9 times for k_0(grid, grid)
+    # and 47 times for k_1(grid, grid) (k_0 at the 9 points and at their 38
+    # stencil points); evaluating A_1(grid) again for A_2(grid) adds 9
+    p = example("ex34")
+    tr = exact_traj(p)
+    calls = []
+    kappa_y = p.kappa_y
+
+    def counted(*args):
+        calls.append(1)
+        return kappa_y(*args)
+
+    monkeypatch.setattr(p, "kappa_y", counted)
+    rep = frozen_index_report(p, tr(1.5), 1.5, tr)
+    assert rep.nu == 2
+    assert len(calls) == 56
+    # the levels' grid data equal a fresh evaluation of each level on the grid
+    for lev in rep.levels:
+        whole = lev.A(rep.grid)
+        assert numerical_rank(whole).tolist() == [lev.rank] * rep.grid.size
+        assert np.array([d for _, d in lev.det_sample]).tobytes() == \
+            np.linalg.det(whole).tobytes()
 
 
 # --- critical point detection ---------------------------------------------
