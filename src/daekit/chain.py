@@ -11,22 +11,25 @@ starting from A₀ = A, k₀ = k, F₀ = f.  The index ν is the first level at
 which A_ν is nonsingular, provided every A_i has constant rank on the
 working interval.  Differentiating the projected equation integrates by
 parts: the boundary term of the Leibniz rule feeds the A-update, the
-interior term the kernel update.
+interior term the kernel update.  The kernel and the right side follow
+one update rule, g_{i+1} = d/dt[V_i g_i] + g_i, applied in one place
+(:func:`_lift`).
 
 Derivatives fall back to 4th-order finite differences.  Each nesting level
 divides roundoff by the step (1e-4 by default), so roughly four digits are
 lost per level; chains past level 4 need analytic derivatives to be
 trustworthy, hence the default cap nu_max = 4.
 
-The levels are evaluated on whole arrays of times: A_{i+1} and k_{i+1}
-take a float t (and s) or (n,) arrays of them.  An array call evaluates
-level i once on all its points and on all their stencil points, with one
-stacked SVD for the projectors there, and recurses on those points into
-the level below.  The levels memoize nothing; a user's A, kernel and
-callbacks are still called once per point.  Every element gets the
-arithmetic of a float call, so both forms agree bit for bit.
-:func:`rank_degree_index` builds each level's grid values from those of
-the level below instead of evaluating that level again.
+The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
+F_{i+1} take a float t (and s) or (n,) arrays of them.  An array call
+evaluates level i once on all its points and on all their stencil points,
+with one stacked SVD for the projectors there, and recurses on those
+points into the level below.  The levels memoize nothing; a user's A,
+kernel, right side and callbacks are still called once per point.  Every
+element gets the arithmetic of a float call, so both forms agree bit for
+bit.  :func:`rank_degree_index` builds each level's grid values from those
+of the level below instead of evaluating that level again.  The one memo
+left is :func:`dae_to_iae`'s, on the quadratures of its right side.
 
 A chain may also carry a sample axis: a kernel linearized at an (S, r)
 stack of η's has values (S, r, r), and a level 0 repeated along the same
@@ -58,53 +61,59 @@ from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
 Kernel = Callable[[float, float], np.ndarray]
 
 
-def _vectorized_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
-    """Kernel of floats t, s or of (n,) arrays, from ``fn`` of two (n,) arrays."""
-    def k(t, s):
-        if np.ndim(t) == 0 and np.ndim(s) == 0:
-            return fn(np.array([t], dtype=float), np.array([s], dtype=float))[0]
-        return fn(*np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float)))
+def _vectorized(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Function of float arguments or of (n,) arrays, from ``fn`` of (n,) arrays."""
+    def g(*args):
+        if all(np.ndim(a) == 0 for a in args):
+            return fn(*(np.array([a], dtype=float) for a in args))[0]
+        return fn(*np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args)))
 
-    k.vectorized = True
-    return k
-
-
-def _on_arrays(k: Kernel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``k`` on (n,) arrays t, s: a user kernel is called once per pair."""
-    if getattr(k, "vectorized", False):
-        return k
-    return lambda t, s: np.stack([k(float(a), float(b)) for a, b in zip(t, s)])
+    g.vectorized = True
+    return g
 
 
-def _next_a(a: np.ndarray, k_tt: np.ndarray, tol: float) -> np.ndarray:
-    """A_{i+1}(t) = A_i(t) + V_i(t) k_i(t, t) from the values of A_i and k_i(t, t)."""
-    return a + semi_inverse(a, tol).projector @ k_tt
+def _on_arrays(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``fn`` on (n,) arrays: a user function is called once per point."""
+    if getattr(fn, "vectorized", False):
+        return fn
+    return lambda *args: np.stack([fn(*map(float, point)) for point in zip(*args)])
 
 
-def chain_step(A_i: MatrixFunction, k_i: Kernel, tol: float = DEFAULT_RANK_TOL,
-               fd_step: Optional[float] = None) -> tuple[MatrixFunction, Kernel]:
+def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
+          tol: float) -> Callable[..., np.ndarray]:
+    """The update rule g_{i+1}(t, *args) = ∂/∂t[V_i(t) g(t, *args)] + g(t, *args).
+
+    ``g`` and the result take (n,) arrays of t and of each argument, which
+    is held fixed in the derivative, and return stacks of matrices along t.
+    """
+    lo, hi = A_i.domain
+
+    def projected(tau: np.ndarray, *args) -> np.ndarray:
+        return semi_inverse(A_i(tau), tol).projector @ g(tau, *args)
+
+    def lifted(t: np.ndarray, *args) -> np.ndarray:
+        return fd_derivative(projected, t, lo=lo, hi=hi, args=args) + g(t, *args)
+
+    return lifted
+
+
+def chain_step(A_i: MatrixFunction, k_i: Kernel,
+               tol: float = DEFAULT_RANK_TOL) -> tuple[MatrixFunction, Kernel]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
     Both take a float t (and s) or (n,) arrays, and evaluate an array with
     one stacked SVD for the projectors V_i at its points and one for those
-    at its stencil points.  The t-derivative in the kernel update holds s
-    fixed.
+    at its stencil points.  k_{i+1} is :func:`_lift` of k_i with s held
+    fixed, the rule :func:`rhs_chain` applies to the right side.
     """
-    lo, hi = A_i.domain
     k_at = _on_arrays(k_i)
 
     def a_next(t: np.ndarray) -> np.ndarray:
-        return _next_a(A_i(t), k_at(t, t), tol)
-
-    def projected(tau: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return semi_inverse(A_i(tau), tol).projector @ k_at(tau, s)
-
-    def k_next(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        dd = fd_derivative(projected, t, step=fd_step, lo=lo, hi=hi, args=(s,))
-        return dd + k_at(t, s)
+        a = A_i(t)
+        return a + semi_inverse(a, tol).projector @ k_at(t, t)
 
     return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
-            _vectorized_kernel(k_next))
+            _vectorized(_lift(A_i, k_at, tol)))
 
 
 @dataclass
@@ -121,9 +130,6 @@ class ChainLevel:
     rank: Optional[int]
     det_sample: list
     tol: float = DEFAULT_RANK_TOL
-
-    def projector(self, t: float) -> np.ndarray:
-        return semi_inverse(self.A(t), self.tol).projector
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,7 @@ class IndexReport:
 
 
 def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
-                      tol: float = DEFAULT_RANK_TOL,
-                      fd_step: Optional[float] = None) -> IndexReport | list:
+                      tol: float = DEFAULT_RANK_TOL) -> IndexReport | list:
     """Iterate the chain until A_ν is nonsingular everywhere on the grid.
 
     Singularity is tested as numerical rank deficiency (never via literal
@@ -183,7 +188,8 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
 
     The default grid is 33 uniform points over A's domain.  A level's grid
     values are built from those of the level below, A_{i+1} = A_i + V_i
-    k_i(t, t), so no level is evaluated on the grid twice.
+    k_i(t, t), so no level is evaluated on the grid twice; one stacked SVD
+    per level gives both its ranks and the projector V_i of that update.
 
     A and k may carry a sample axis (module docstring): A(grid) of shape
     (n, S, r, r) and kernel values of shape (S, r, r).  The level loop then
@@ -209,7 +215,8 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     levels: list = [[] for _ in range(n_samples)]
     reports: list = [None] * n_samples
     for level in range(nu_max + 1):
-        ranks = numerical_rank(a_grid, tol).reshape(grid.size, n_samples)
+        inv = semi_inverse(a_grid, tol)
+        ranks = inv.rank.reshape(grid.size, n_samples)
         dets = np.linalg.det(a_grid).reshape(grid.size, n_samples)
         for j in range(n_samples):
             if reports[j] is not None:
@@ -228,47 +235,30 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
             break
         if level < nu_max:
             k_grid = _on_arrays(k_i)(grid, grid)
-            A_i, k_i = chain_step(A_i, k_i, tol, fd_step)
-            a_grid = _next_a(a_grid, k_grid, tol)
+            A_i, k_i = chain_step(A_i, k_i, tol)
+            a_grid = a_grid + inv.projector @ k_grid
     reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
                if rep is None else rep for rep, lev in zip(reports, levels)]
     return reports if stacked else reports[0]
 
 
-def rhs_chain(f: Callable[[float], np.ndarray], levels,
-              fd_step: Optional[float] = None) -> list:
+def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
     """Right-hand-side companions F_0..F_n of the chain levels.
 
-    F_0 = f and F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t), using the
-    projector of each level in turn.  Returns one function per level.
+    F_0 = f and F_{i+1} = :func:`_lift` of F_i through level i's A_i, the
+    update rule of the kernel: F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t).
+    Returns one function per level; each takes a float t or an (n,) array
+    of times and gives an (r,) vector or an (n, r) stack.  Like a user
+    kernel, ``f`` is called once per point, and nothing is memoized.
     """
     if not levels:
         raise InvalidInputError("levels must be non-empty")
-
-    def wrap(fn):
-        cache: dict[float, np.ndarray] = {}
-
-        def g(t: float) -> np.ndarray:
-            got = cache.get(t)
-            if got is None:
-                got = np.atleast_1d(np.asarray(fn(t), dtype=float))
-                cache[t] = got
-            return got
-
-        return g
-
-    fns = [wrap(f)]
+    f_at = _on_arrays(f)
+    # values travel as (n, r, 1) columns, so V_i F_i is the kernel's product
+    columns = [lambda t: np.asarray(f_at(t), dtype=float).reshape(t.size, -1, 1)]
     for lev in levels[:-1]:
-        lo, hi = lev.A.domain
-        prev = fns[-1]
-
-        def lifted(t: float, lev=lev, prev=prev, lo=lo, hi=hi) -> np.ndarray:
-            d = fd_derivative(lambda tau: lev.projector(tau) @ prev(tau), t,
-                              step=fd_step, lo=lo, hi=hi)
-            return d + prev(t)
-
-        fns.append(wrap(lifted))
-    return fns
+        columns.append(_lift(lev.A, columns[-1], lev.tol))
+    return [_vectorized(lambda t, g=g: g(t)[..., 0]) for g in columns]
 
 
 @dataclass
@@ -379,6 +369,8 @@ def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:
     (t, s) ↦ B(s) − A′(s) of :func:`linear_kernel` and right side
     ∫ f(s) ds; the kernel alone determines the index.
     """
+    # the F chain's nested stencils revisit times: without this memo the
+    # index-4 Hessenberg consistency check takes 4,564 quad calls, not 92
     cache: dict[float, np.ndarray] = {}
 
     def rhs(t: float) -> np.ndarray:

@@ -224,6 +224,11 @@ def _cmd_solve_dae(args) -> int:
     return 0
 
 
+def _values_at(sol, times) -> np.ndarray:
+    """A collocation solution at ``times``, one row each: (0, r) when no interval completed."""
+    return np.array([sol(t) for t in times]).reshape(times.size, sol.r)
+
+
 def _cmd_solve_iae(args) -> int:
     p = _resolve_problem(args.problem)
     if p is None:
@@ -237,7 +242,7 @@ def _cmd_solve_iae(args) -> int:
     cfg = CollocationConfig(c=c, h=args.h)
     sol, diag = solve_iae(p, cfg, interval=interval)
     times = sol.collocation_times()
-    values = np.array([sol(t) for t in times])
+    values = _values_at(sol, times)
     if times.size:
         diag["max_residual_at_collocation"] = float(
             iae_residual(p, sol, times).max())
@@ -362,7 +367,7 @@ def _colloc_run(name, h):
     sol, diag = solve_iae(p, CollocationConfig(c=(0.0, 0.7, 0.9), h=h),
                           interval=(1.0, 2.0))
     times = sol.collocation_times()
-    values = np.array([sol(t) for t in times])
+    values = _values_at(sol, times)
     errs = _errors_on(times, values, p.exact) if times.size else np.array([])
     return p, sol, diag, times, values, errs
 

@@ -25,6 +25,7 @@ from daekit import (
     rhs_chain,
     example,
     numerical_rank,
+    semi_inverse,
 )
 from daekit.chain import linear_kernel
 from helpers import (
@@ -227,8 +228,8 @@ def test_levels_on_a_grid_equal_point_by_point_evaluation(pair, nu):
         assert dets.tobytes() == np.linalg.det(whole).tobytes()
         assert lev.k(grid, s).tobytes() == \
             np.stack([lev.k(t, u) for t, u in zip(grid, s)]).tobytes()
-        assert lev.projector(grid).tobytes() == \
-            np.stack([lev.projector(t) for t in grid]).tobytes()
+        assert semi_inverse(lev.A(grid), lev.tol).projector.tobytes() == \
+            np.stack([semi_inverse(lev.A(t), lev.tol).projector for t in grid]).tobytes()
 
 
 def test_a_sample_axis_gives_each_sample_the_report_of_its_own_chain():
@@ -284,6 +285,33 @@ def test_rhs_chain_constant_f_constant_projector():
     const = np.array([2.0, -3.0])
     fns = rhs_chain(lambda t: const, rep.levels)
     np.testing.assert_allclose(fns[1](0.5), const, atol=1e-9)
+
+
+def test_rhs_chain_levels_on_a_grid_equal_point_by_point_evaluation():
+    rep = rank_degree_index(*_t_dependent_pair())
+    assert rep.nu == 2
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.array([0.0, 1.0])
+
+    grid = np.linspace(0.0, 1.0, 9)
+    for fn in rhs_chain(f, rep.levels):
+        calls.clear()
+        whole = fn(grid)
+        # f is called once per point, each time with a float
+        assert calls and all(type(t) is float for t in calls)
+        assert whole.tobytes() == np.stack([fn(t) for t in grid]).tobytes()
+
+
+def test_rhs_chain_follows_a_turning_projector():
+    # V_0(t) = [[t², −t], [−t, 1]] / (1 + t²), so V_0 f = (−t, 1) / (1 + t²)
+    rep = rank_degree_index(*_t_dependent_pair())
+    f1 = rhs_chain(lambda t: np.array([0.0, 1.0]), rep.levels)[1]
+    for t in (0.0, 0.3, 0.5, 1.0):
+        want = [(t * t - 1.0) / (1.0 + t * t) ** 2, 1.0 - 2.0 * t / (1.0 + t * t) ** 2]
+        np.testing.assert_allclose(f1(t), want, rtol=0.0, atol=1e-8)
 
 
 def test_rhs_chain_needs_levels():

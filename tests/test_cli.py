@@ -261,6 +261,20 @@ def test_solve_iae_breakdown_from_problem_file_exits_0(tmp_path, capsys):
     assert diag["failure"] is not None
 
 
+def test_solve_iae_failure_at_the_first_step_writes_empty_artifacts(tmp_path, capsys):
+    # the Jacobian 2*y1 of kappa vanishes at the start value y = 0
+    data = {"kind": "iae", "t_start": 0, "T": 1, "A": [[0]], "kappa": ["y1^2"],
+            "f": ["t"]}
+    path = write_problem(tmp_path, data)
+    code = main(["solve-iae", "--problem", str(path), "--h", "0.1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "stopped early" in capsys.readouterr().out
+    assert (tmp_path / "run.csv").read_text().splitlines() == ["t,y1"]
+    diag = json.loads((tmp_path / "run.diagnostics.json").read_text())
+    assert diag["failure"]["step"] == 0
+
+
 def test_solve_iae_wrong_problem_kind_exits_1(capsys):
     assert main(["solve-iae", "--problem", "ex32"]) == 1
     assert "solve-dae" in capsys.readouterr().err
