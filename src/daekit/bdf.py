@@ -13,23 +13,26 @@ is the expected observation.  The solver first retries the step with up to
 attempt; if those fail too, it returns the trajectory computed so far with
 a failure record attached.
 
-A monitor evaluates critical conditions at every accepted point and emits
-a warning whenever |g| drops below ``warn_threshold`` or g changes sign,
-so a solution component drifting into a critical set is flagged as it
-happens rather than discovered from the blown-up error afterwards.
+A monitor evaluates the problem's critical conditions at every accepted
+point and warns whenever |g| drops below ``WARN_THRESHOLD`` or g changes
+sign, so a solution component drifting into a critical set is flagged as
+it happens rather than discovered from the blown-up error afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
-from .linalg import newton
+from .linalg import NEWTON_MAX_ITER, newton
 from .problems import SemiNonlinearDAE, mesh_steps, probe_points
+
+
+WARN_THRESHOLD = 1e-2
 
 
 @dataclass
@@ -37,20 +40,17 @@ class DaeSolveConfig:
     h: float
     order: int = 1
     newton_tol: float = 1e-10
-    newton_max_iter: int = 25
-    monitor: Optional[Sequence] = None  # None -> problem's own conditions
-    warn_threshold: float = 1e-2
     max_halvings: int = 3
 
     def validate(self):
-        if self.h <= 0:
-            raise InvalidInputError("h must be positive")
+        if not 0 < self.h < np.inf:
+            raise InvalidInputError("h must be finite and positive")
         if self.order not in (1, 2):
             raise InvalidInputError("order must be 1 or 2")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise InvalidInputError("bad Newton settings")
-        if self.warn_threshold < 0 or self.max_halvings < 0:
-            raise InvalidInputError("bad monitor/halving settings")
+        if not 0 < self.newton_tol < np.inf:
+            raise InvalidInputError("newton_tol must be finite and positive")
+        if self.max_halvings < 0:
+            raise InvalidInputError("max_halvings must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -109,28 +109,27 @@ class SolveResult:
             "config": {
                 "h": self.config.h, "order": self.config.order,
                 "newton_tol": self.config.newton_tol,
-                "newton_max_iter": self.config.newton_max_iter,
-                "warn_threshold": self.config.warn_threshold,
+                "newton_max_iter": NEWTON_MAX_ITER,
+                "warn_threshold": WARN_THRESHOLD,
                 "max_halvings": self.config.max_halvings,
             },
         }
 
 
 def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
-            y_guess: np.ndarray, tol: float, max_iter: int):
+            y_guess: np.ndarray, tol: float):
     """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters)."""
     a = p.A(t_new)
     fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
     y, it, _, _ = newton(
         lambda y: c * (a @ y) - a @ d
         + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv,
-        lambda y: c * a + p.jacobian(t_new, y), y_guess, tol, max_iter)
+        lambda y: c * a + p.jacobian(t_new, y), y_guess, tol, NEWTON_MAX_ITER)
     return y, it
 
 
 def _bdf1(p, t_n, y_n, h, cfg):
-    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n,
-                   cfg.newton_tol, cfg.newton_max_iter)
+    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n, cfg.newton_tol)
 
 
 def _halved(p, t_n, y_n, h, cfg, records, step_index):
@@ -184,16 +183,15 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
         raise InvalidInputError(
             f"initial value violates the algebraic rows at t={a}: defect {defect:.3e}")
 
-    monitor = tuple(p.critical_conditions if cfg.monitor is None else cfg.monitor)
     times = [a]
     values = [y0]
     newton_iters: list[int] = []
     warnings: list[MonitorWarning] = []
     halvings: list[dict] = []
     failure = None
-    prev_g = [float(g(a, y0)) for g in monitor]
+    prev_g = [float(g(a, y0)) for g in p.critical_conditions]
     for cid, gv in enumerate(prev_g):
-        if abs(gv) < cfg.warn_threshold:
+        if abs(gv) < WARN_THRESHOLD:
             warnings.append(MonitorWarning(a, cid, gv))
 
     y_n = y0
@@ -209,7 +207,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             c = 1.0 / cfg.h
             d = y_n / cfg.h
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
-        y_new, its = _newton(p, t_new, c, d, guess, cfg.newton_tol, cfg.newton_max_iter)
+        y_new, its = _newton(p, t_new, c, d, guess, cfg.newton_tol)
         if y_new is None:
             y_new, more = _halved(p, t_n, y_n, cfg.h, cfg, halvings, step)
             its += more
@@ -219,9 +217,9 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
                        "reason": "Newton iteration did not converge "
                                  f"(after {cfg.max_halvings} local halvings)"}
             break
-        for cid, g in enumerate(monitor):
+        for cid, g in enumerate(p.critical_conditions):
             gv = float(g(t_new, y_new))
-            if abs(gv) < cfg.warn_threshold or prev_g[cid] * gv < 0.0:
+            if abs(gv) < WARN_THRESHOLD or prev_g[cid] * gv < 0.0:
                 warnings.append(MonitorWarning(t_new, cid, gv))
             prev_g[cid] = gv
         times.append(t_new)

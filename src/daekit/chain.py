@@ -59,6 +59,8 @@ from .linalg import (
 from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
 
 Kernel = Callable[[float, float], np.ndarray]
+# absolute and relative tolerance of the quadratures in dae_to_iae's right side
+QUAD_TOL = 1e-12
 
 
 def _vectorized(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -293,20 +295,21 @@ class ConsistencyReport:
         }
 
 
-def consistency_check(levels, F_list, tol: float = 1e-6, t0: Optional[float] = None,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> ConsistencyReport:
+def consistency_check(levels, F_list, tol: float = 1e-6,
+                      t0: Optional[float] = None) -> ConsistencyReport:
     """Check the start-point compatibility conditions of a completed chain.
 
     Requires ν ≥ 1 levels of reduction and the matching rhs chain.  A
     numerically singular A_ν(t0) is an error; an ill-conditioned one only
-    produces a warning (the conditions are then poorly determined).
+    produces a warning (the conditions are then poorly determined).  Both
+    judge A_ν(t0) by the rank tolerance that built the chain.
     """
     nu = len(levels) - 1
     if nu < 1:
         raise InvalidInputError("need at least one reduction level")
     if len(F_list) < nu + 1:
         raise InvalidInputError(f"need {nu + 1} rhs functions, got {len(F_list)}")
-    A_nu = levels[-1].A
+    A_nu, rank_tol = levels[-1].A, levels[-1].tol
     t0 = float(A_nu.domain[0]) if t0 is None else float(t0)
     m = A_nu(t0)
     r = m.shape[0]
@@ -362,7 +365,7 @@ def linear_kernel(p, eta=None) -> Kernel:
     return lambda t, s: at_each(lambda y: p.kappa_jacobian(t, s, y), s)
 
 
-def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:
+def dae_to_iae(p: LinearDAE) -> LinearIAE:
     """Rewrite A y′ + B y = f as a first/second-kind integral system.
 
     Integrating by parts over [t_start, t] gives the kernel
@@ -378,7 +381,7 @@ def dae_to_iae(p: LinearDAE, quad_tol: float = 1e-12) -> LinearIAE:
         if got is None:
             got = np.array([
                 quad(lambda s, i=i: float(np.atleast_1d(p.f(s))[i]),
-                     p.t_start, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)[0]
+                     p.t_start, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
                 for i in range(p.r)
             ])
             cache[t] = got

@@ -37,18 +37,26 @@ from .structure import _restrict, classify, detect_critical_points, linearize_ia
 HALF_PI = float(np.pi / 2)
 
 
+def _numbers(text: str) -> tuple:
+    """A comma-separated list of numbers, as argparse's ``type`` of --c."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daekit",
         description="index analysis and solvers for differential/integral algebraic equations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, interval=True):
+    def common(sp):
         sp.add_argument("--problem", required=True,
                         help="example name (see `daekit list`) or JSON problem file")
-        if interval:
-            sp.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
-                            help="time interval (default: the problem's own)")
+        sp.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
+                        help="time interval (default: the problem's own)")
         sp.add_argument("--out", help="output stem for CSV/JSON artifacts")
         sp.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="stdout rendering: human text (csv) or JSON")
@@ -72,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve-iae", help="piecewise collocation solve")
     common(sp)
     sp.add_argument("--h", type=float, default=0.025, help="step size")
-    sp.add_argument("--c", default="0,0.7,0.9",
+    sp.add_argument("--c", type=_numbers, default="0,0.7,0.9",
                     help="collocation parameters, comma separated")
 
     sp = sub.add_parser("reproduce", help="rerun a figure experiment end to end")
@@ -134,12 +142,7 @@ def _as_linear_iae(p, interval):
     return q, None
 
 
-def _cmd_analyze(args) -> int:
-    p = _resolve_problem(args.problem)
-    if p is None:
-        print(f"unknown problem: {args.problem}", file=sys.stderr)
-        return 2
-    interval = tuple(args.interval) if args.interval else p.interval
+def _cmd_analyze(args, p, interval) -> int:
     q, err = _as_linear_iae(p, interval)
     if err:
         print(err, file=sys.stderr)
@@ -172,15 +175,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    p = _resolve_problem(args.problem)
-    if p is None:
-        print(f"unknown problem: {args.problem}", file=sys.stderr)
-        return 2
+def _cmd_classify(args, p, interval) -> int:
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         print("classify applies to semi-nonlinear problems", file=sys.stderr)
         return 1
-    interval = tuple(args.interval) if args.interval else p.interval
     grid = np.linspace(interval[0], interval[1], 21)
     profile = classify(p, eps=args.eps, seed=args.seed, grid=grid)
     payload = {"problem": args.problem, "interval": list(interval),
@@ -201,15 +199,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_solve_dae(args) -> int:
-    p = _resolve_problem(args.problem)
-    if p is None:
-        print(f"unknown problem: {args.problem}", file=sys.stderr)
-        return 2
+def _cmd_solve_dae(args, p, interval) -> int:
     if not isinstance(p, SemiNonlinearDAE):
         print("solve-dae needs a differential problem; use solve-iae", file=sys.stderr)
         return 1
-    interval = tuple(args.interval) if args.interval else p.interval
     cfg = DaeSolveConfig(h=args.h, order=args.order)
     sol = solve_dae(p, cfg, interval=interval)
     stem = _out_stem(args, f"{Path(args.problem).stem}-solve-dae")
@@ -229,17 +222,11 @@ def _values_at(sol, times) -> np.ndarray:
     return np.array([sol(t) for t in times]).reshape(times.size, sol.r)
 
 
-def _cmd_solve_iae(args) -> int:
-    p = _resolve_problem(args.problem)
-    if p is None:
-        print(f"unknown problem: {args.problem}", file=sys.stderr)
-        return 2
+def _cmd_solve_iae(args, p, interval) -> int:
     if not isinstance(p, (LinearIAE, SemiNonlinearIAE)):
         print("solve-iae needs an integral problem; use solve-dae", file=sys.stderr)
         return 1
-    interval = tuple(args.interval) if args.interval else p.interval
-    c = tuple(float(x) for x in args.c.split(","))
-    cfg = CollocationConfig(c=c, h=args.h)
+    cfg = CollocationConfig(c=args.c, h=args.h)
     sol, diag = solve_iae(p, cfg, interval=interval)
     times = sol.collocation_times()
     values = _values_at(sol, times)
@@ -441,13 +428,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; config errors are exit 1 here
         return 0 if exc.code == 0 else 1
-    handlers = {
-        "list": _cmd_list, "analyze": _cmd_analyze, "classify": _cmd_classify,
-        "solve-dae": _cmd_solve_dae, "solve-iae": _cmd_solve_iae,
-        "reproduce": _cmd_reproduce,
-    }
+    without_problem = {"list": _cmd_list, "reproduce": _cmd_reproduce}
+    on_problem = {"analyze": _cmd_analyze, "classify": _cmd_classify,
+                  "solve-dae": _cmd_solve_dae, "solve-iae": _cmd_solve_iae}
     try:
-        return handlers[args.command](args)
+        if args.command in without_problem:
+            return without_problem[args.command](args)
+        p = _resolve_problem(args.problem)
+        if p is None:
+            print(f"unknown problem: {args.problem}", file=sys.stderr)
+            return 2
+        interval = tuple(args.interval) if args.interval else p.interval
+        return on_problem[args.command](args, p, interval)
     except ProblemFileError as exc:
         print(f"problem file error: {exc}", file=sys.stderr)
         return 1

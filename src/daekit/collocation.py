@@ -24,7 +24,8 @@ When c_1 > 0 there is no equation to pass across the joint; the nodes are
 (0, c_1, ..., c_m) and all m collocation equations stay on their own
 interval, which is the standard continuous scheme for second-kind systems.
 
-History and partial integrals use a fixed Gauss-Legendre rule applied to the
+History and partial integrals use one Gauss-Legendre rule of ``QUAD_ORDER``
+points, in the solver and in :func:`residual` alike, applied to the
 interval interpolants.  κ is vectorised over quadrature points (see
 SemiNonlinearIAE), so each integral is one κ call: the history integral
 covers the solution stored at the Gauss nodes of every completed interval,
@@ -41,29 +42,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import newton
+from .linalg import NEWTON_MAX_ITER, newton
 from .problems import LinearIAE, SemiNonlinearIAE, mesh_steps, probe_points
+
+
+QUAD_ORDER = 8
 
 
 @dataclass
 class CollocationConfig:
     c: tuple = (0.0, 0.7, 0.9)
     h: float = 0.025
-    quad_order: int = 8
     newton_tol: float = 1e-12
-    newton_max_iter: int = 25
 
     def validate(self):
         c = np.asarray(self.c, dtype=float)
-        if c.size < 1 or np.any(np.diff(c) <= 0) or c[0] < 0 or c[-1] > 1:
+        if c.size < 1 or np.any(np.diff(c) <= 0) or not np.all((0 <= c) & (c <= 1)):
             raise InvalidInputError(
                 "collocation parameters must be distinct, increasing, inside [0, 1]")
-        if self.h <= 0:
-            raise InvalidInputError("h must be positive")
-        if self.quad_order < 1:
-            raise InvalidInputError("quad_order must be positive")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise InvalidInputError("bad Newton settings")
+        if not 0 < self.h < np.inf:
+            raise InvalidInputError("h must be finite and positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise InvalidInputError("newton_tol must be finite and positive")
 
     def tau_nodes(self) -> np.ndarray:
         """Interpolation nodes on [0, 1]: the collocation parameters plus
@@ -210,7 +210,7 @@ class _Scheme:
         return tau, self.h * tau_end * self.hist_w, basis
 
 
-def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float, quad_order: int) -> _Scheme:
+def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float) -> _Scheme:
     # equations owned by an interval: its collocation points with tau > 0,
     # plus the right-end closure when c starts at 0 (that closing equation
     # is the next interval's tau = 0 collocation equation)
@@ -218,7 +218,7 @@ def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float, quad_order: int) -
         eq_taus = np.append(c[1:], 1.0) if nodes[-1] == 1.0 and c[-1] < 1.0 else c[1:]
     else:
         eq_taus = c.copy()
-    x, w = np.polynomial.legendre.leggauss(quad_order)
+    x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
     hist_tau = 0.5 * (x + 1.0)
     hist_basis = np.array([_lagrange_weights(nodes, tau) for tau in hist_tau])
     sch = _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
@@ -290,7 +290,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
     c = np.asarray(cfg.c, dtype=float)
     nodes = cfg.tau_nodes()
-    sch = _build_scheme(c, nodes, cfg.h, cfg.quad_order)
+    sch = _build_scheme(c, nodes, cfg.h)
     n_nodes = nodes.size
     n_eq = sch.eq_taus.size        # equations per interval = free nodes per interval
     r = p.r
@@ -305,8 +305,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         "failure": None,
         "warnings": [start_warning] if start_warning else [],
         "config": {"c": [float(x) for x in c], "h": cfg.h,
-                   "quad_order": cfg.quad_order, "newton_tol": cfg.newton_tol,
-                   "newton_max_iter": cfg.newton_max_iter},
+                   "quad_order": QUAD_ORDER, "newton_tol": cfg.newton_tol,
+                   "newton_max_iter": NEWTON_MAX_ITER},
     }
     # the data themselves must satisfy the equation at t = a
     f_a = np.atleast_1d(np.asarray(p.f(a), dtype=float))
@@ -351,7 +351,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
         u_free, iters, res, jac = newton(res_of, jac_of, np.tile(left_value, n_eq),
-                                         cfg.newton_tol, cfg.newton_max_iter, affine=linear)
+                                         cfg.newton_tol, NEWTON_MAX_ITER, affine=linear)
         diag["newton_iters"].append(iters)
         with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
             diag["residual_norms"].append(float(np.linalg.norm(res)))
@@ -374,9 +374,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
 def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     """Defining-equation residual norms at probe points, using the solver's
-    batched Gauss quadrature with an 8-point rule."""
+    batched Gauss quadrature."""
     kappa, _, _ = _kernel_of(p)
-    sch = _build_scheme(sol.c, sol.tau_nodes, sol.h, 8)
+    sch = _build_scheme(sol.c, sol.tau_nodes, sol.h)
     lo, hi = sol.t_start, sol.t_end
     probe_grid = probe_points(probe_grid, lo, hi)
     history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)

@@ -100,6 +100,10 @@ def semi_inverse(m, tol: float = DEFAULT_RANK_TOL) -> SemiInverseResult:
                              projector=projector, tol_used=tol)
 
 
+# iteration cap of :func:`newton`, shared by the BDF and collocation solvers
+NEWTON_MAX_ITER = 25
+
+
 def newton(residual: Callable[[np.ndarray], np.ndarray],
            jacobian: Callable[[np.ndarray], np.ndarray], x0, tol: float, max_iter: int,
            affine: bool = False):
@@ -258,9 +262,9 @@ class MatrixFunction:
                               derivative=lambda t: zero, name=name)
 
 
-def matfn_derivative(f: MatrixFunction, t: float, step: Optional[float] = None) -> np.ndarray:
+def matfn_derivative(f: MatrixFunction, t: float) -> np.ndarray:
     """d/dt of a matrix function: analytic if declared, else 4th-order differences."""
     if f.derivative is not None:
         return np.asarray(f.derivative(t), dtype=float)
     lo, hi = f.domain
-    return fd_derivative(f.__call__, t, step=step, lo=lo, hi=hi)
+    return fd_derivative(f.__call__, t, lo=lo, hi=hi)

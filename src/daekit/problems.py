@@ -30,20 +30,23 @@ def _vec(x, r=None):
     return v
 
 
-def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray,
-                step: float = 1e-6) -> np.ndarray:
+JACOBIAN_STEP = 1e-6
+VERIFY_QUAD_TOL = 1e-10
+
+
+def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
+                y: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of y ↦ g(t, y).
 
-    Column j perturbs y_j by ±step·max(1, |y_j|).  A y of shape (r, M) holds
-    M points, components on axis 0, and g takes them all in one call; the
-    result then has shape (n, r, M), one Jacobian per point on the last axis.
+    Column j perturbs y_j by ±JACOBIAN_STEP·max(1, |y_j|).  A y of shape
+    (r, M) holds M points, components on axis 0, and g takes them all in one
+    call; the result then has shape (n, r, M), one Jacobian per point on the
+    last axis.
     """
-    if step <= 0:
-        raise InvalidInputError("step must be positive")
     y = np.array(y, dtype=float, ndmin=1)
     cols = []
     for j in range(y.shape[0]):
-        h = step * np.maximum(1.0, np.abs(y[j]))
+        h = JACOBIAN_STEP * np.maximum(1.0, np.abs(y[j]))
         yp = y.copy()
         ym = y.copy()
         yp[j] += h
@@ -239,13 +242,13 @@ def _exact_derivative(p, t: float) -> np.ndarray:
     return fd_derivative(lambda tt: _vec(p.exact(tt)), t, lo=lo, hi=hi)
 
 
-def verify_exact(p: Problem, grid, tol: float = 1e-10) -> float:
+def verify_exact(p: Problem, grid) -> float:
     """Max residual norm of the registered exact solution over ``grid``.
 
     Substitutes the exact solution into the defining equation: derivatives
     are analytic when registered (finite differences otherwise), integrals
-    use adaptive quadrature with absolute tolerance ``tol``.  Guards against
-    transcription slips in problem definitions.
+    use adaptive quadrature with tolerance ``VERIFY_QUAD_TOL``.  Guards
+    against transcription slips in problem definitions.
     """
     exact = getattr(p, "exact", None)
     if exact is None:
@@ -258,17 +261,16 @@ def verify_exact(p: Problem, grid, tol: float = 1e-10) -> float:
             res = p.A(t) @ _exact_derivative(p, t) + _vec(p.F(t, y), p.r) - _vec(p.f(t), p.r)
         elif isinstance(p, LinearDAE):
             res = p.A(t) @ _exact_derivative(p, t) + p.B(t) @ y - _vec(p.f(t), p.r)
-        elif isinstance(p, SemiNonlinearIAE):
+        elif isinstance(p, (SemiNonlinearIAE, LinearIAE)):
+            if isinstance(p, SemiNonlinearIAE):
+                def integrand(s):
+                    return _vec(p.kappa(t, s, _vec(exact(s), p.r)), p.r)
+            else:
+                def integrand(s):
+                    return p.k(t, s) @ _vec(exact(s), p.r)
             integ = np.array([
-                quad(lambda s, i=i: float(_vec(p.kappa(t, s, _vec(exact(s), p.r)), p.r)[i]),
-                     p.t_start, t, epsabs=tol, epsrel=tol, limit=200)[0]
-                for i in range(p.r)
-            ])
-            res = p.A(t) @ y + integ - _vec(p.f(t), p.r)
-        elif isinstance(p, LinearIAE):
-            integ = np.array([
-                quad(lambda s, i=i: float((p.k(t, s) @ _vec(exact(s), p.r))[i]),
-                     p.t_start, t, epsabs=tol, epsrel=tol, limit=200)[0]
+                quad(lambda s, i=i: float(integrand(s)[i]), p.t_start, t,
+                     epsabs=VERIFY_QUAD_TOL, epsrel=VERIFY_QUAD_TOL, limit=200)[0]
                 for i in range(p.r)
             ])
             res = p.A(t) @ y + integ - _vec(p.f(t), p.r)

@@ -10,8 +10,9 @@ pair may depend on where η sits:
   interval) and dependent form (it changes there; the crossing times are
   the critical points).
 
-The pointwise index at time t freezes η at traj(t) over a small window and
-runs the reduction chain there.  Freezing matters: letting η vary inside
+The pointwise index at time t freezes η at traj(t) over the window
+[t − WINDOW, t + WINDOW], sampled at WINDOW_POINTS times, and runs the
+reduction chain there.  Freezing matters: letting η vary inside
 the window makes the chain ranks non-constant exactly at transitions.
 
 Index transitions live on thin sets (for the built-in problems, the
@@ -51,6 +52,14 @@ from .problems import (
 )
 
 
+# the frozen window around t: half-width and number of sample times
+WINDOW = 0.05
+WINDOW_POINTS = 9
+# time resolution of every bisection for a sign change of a critical
+# condition or of the final chain determinant
+TIME_TOL = 1e-6
+
+
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
     return replace(mf, domain=(float(lo), float(hi)))
 
@@ -68,10 +77,10 @@ def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE,
                      name=f"{p.name}-linearized" if p.name else "")
 
 
-def _window(p, traj: TrajectorySample, t: float, width: float):
+def _window(p, traj: TrajectorySample, t: float):
     a = max(p.interval[0], traj.span[0])
     b = min(p.interval[1], traj.span[1])
-    lo, hi = max(a, t - width), min(b, t + width)
+    lo, hi = max(a, t - WINDOW), min(b, t + WINDOW)
     if hi - lo <= 1e-8:
         raise DomainError(
             f"window around t={t} degenerate within [{a}, {b}]")
@@ -79,8 +88,7 @@ def _window(p, traj: TrajectorySample, t: float, width: float):
 
 
 def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
-                        window: float = 0.05, tol: float = DEFAULT_RANK_TOL,
-                        nu_max: int = 4, window_points: int = 9) -> IndexReport | list:
+                        tol: float = DEFAULT_RANK_TOL, nu_max: int = 4) -> IndexReport | list:
     """Chain report for the linearization frozen at ``eta``, on a window around t.
 
     An (S, r) stack of η's gives the list of S reports from one chain with
@@ -88,8 +96,8 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
     A repeated S times, and each report equals the single-η report of its
     sample except that its levels hold the shared chain.
     """
-    lo, hi = _window(p, traj, t, window)
-    grid = np.linspace(lo, hi, window_points)
+    lo, hi = _window(p, traj, t)
+    grid = np.linspace(lo, hi, WINDOW_POINTS)
     eta = np.asarray(eta, dtype=float)
     a_loc = _restrict(p.A, lo, hi)
     if eta.ndim == 2:
@@ -99,9 +107,8 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
     return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max, tol=tol)
 
 
-def pointwise_index(p, traj: TrajectorySample, t: float, window: float = 0.05,
-                    tol: float = DEFAULT_RANK_TOL, nu_max: int = 4,
-                    window_points: int = 9, full_output: bool = False):
+def pointwise_index(p, traj: TrajectorySample, t: float, tol: float = DEFAULT_RANK_TOL,
+                    nu_max: int = 4, full_output: bool = False):
     """Index of the linearization frozen at traj(t), or None if the chain fails.
 
     None means the constant-rank hypothesis broke or the level cap was hit
@@ -109,8 +116,7 @@ def pointwise_index(p, traj: TrajectorySample, t: float, window: float = 0.05,
     not an error.  With ``full_output`` the result is (ν, report), the
     report being the :func:`frozen_index_report` that ν was read from.
     """
-    report = frozen_index_report(p, traj(t), t, traj, window=window, tol=tol,
-                                 nu_max=nu_max, window_points=window_points)
+    report = frozen_index_report(p, traj(t), t, traj, tol=tol, nu_max=nu_max)
     return (report.nu, report) if full_output else report.nu
 
 
@@ -132,7 +138,7 @@ def _final_det(report: IndexReport, nu: int, t: float, tol: float):
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
-                 g_lo: float, time_tol: float) -> float:
+                 g_lo: float, time_tol: float = TIME_TOL) -> float:
     """Bisect a sign change of g on [lo, hi] down to time_tol."""
     for _ in range(200):
         if hi - lo <= time_tol:
@@ -158,13 +164,12 @@ def _cluster(times: Sequence[float], tol: float) -> list:
 
 def detect_critical_points(traj: TrajectorySample, conditions,
                            refine: bool = True, interval=None,
-                           value_tol: float = 1e-8,
-                           time_tol: float = 1e-6) -> list:
+                           value_tol: float = 1e-8) -> list:
     """Times where a condition g(t, traj(t)) crosses or touches zero.
 
     Scans the trajectory's own sample times (clipped to ``interval``) for
     sign changes and for |g| dipping below ``value_tol``; with ``refine``
-    each sign change is bisected on the interpolant down to ``time_tol``.
+    each sign change is bisected on the interpolant down to ``TIME_TOL``.
     Returns (time, condition_index) pairs sorted by time.
     """
     if not conditions:
@@ -182,8 +187,7 @@ def detect_critical_points(traj: TrajectorySample, conditions,
             elif gs[j] * gs[j + 1] < 0.0:
                 if refine:
                     found.append(_bisect_zero(lambda tt: float(cond(tt, traj(tt))),
-                                              float(ts[j]), float(ts[j + 1]),
-                                              gs[j], time_tol))
+                                              float(ts[j]), float(ts[j + 1]), gs[j]))
                 else:
                     found.append(float(0.5 * (ts[j] + ts[j + 1])))
         if gs[-1] == 0.0:
@@ -191,7 +195,7 @@ def detect_critical_points(traj: TrajectorySample, conditions,
         for j in range(ts.size):
             if 0.0 < abs(gs[j]) < value_tol:
                 found.append(float(ts[j]))
-        hits.extend((t, cid) for t in _cluster(found, max(2.0 * time_tol, 1e-9)))
+        hits.extend((t, cid) for t in _cluster(found, 2.0 * TIME_TOL))
     return sorted(hits)
 
 
@@ -206,7 +210,7 @@ class IndexProfile:
     neighborhood_eps: float
     samples_per_point: int
     nu: Optional[int] = None
-    window: float = 0.05
+    window: float = WINDOW
     seed: int = 0
     undefined_fraction: float = 0.0
     evidence: list = field(default_factory=list)
@@ -247,9 +251,8 @@ def _sign_flip(values, floor_rel: float = 1e-12) -> bool:
 
 
 def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
-             n_perturb: int = 8, grid=None, seed: int = 0, window: float = 0.05,
-             tol: float = DEFAULT_RANK_TOL, nu_max: int = 4,
-             window_points: int = 9) -> IndexProfile:
+             n_perturb: int = 8, grid=None, seed: int = 0,
+             tol: float = DEFAULT_RANK_TOL, nu_max: int = 4) -> IndexProfile:
     """Structure/form classification of a semi-nonlinear problem.
 
     For each grid point the pointwise index is computed at the trajectory
@@ -265,8 +268,8 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     """
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError("classification applies to semi-nonlinear problems")
-    if eps <= 0 or n_perturb < 0:
-        raise InvalidInputError("eps must be positive and n_perturb non-negative")
+    if not 0 < eps < np.inf or n_perturb < 0:
+        raise InvalidInputError("eps must be finite and positive and n_perturb non-negative")
 
     a0, b0 = p.interval
     if grid is None:
@@ -283,8 +286,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         else:
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
 
-    centre = [pointwise_index(p, traj, float(t), window=window, tol=tol, nu_max=nu_max,
-                              window_points=window_points, full_output=True)
+    centre = [pointwise_index(p, traj, float(t), tol=tol, nu_max=nu_max, full_output=True)
               for t in grid]
     nu_at = [nu for nu, _ in centre]
     defined = [n for n in nu_at if n is not None]
@@ -312,8 +314,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
         dets = [_final_det(centre_rep, nu_ref, t, tol)]
         if etas:
-            reps = frozen_index_report(p, etas, t, traj, window=window, tol=tol,
-                                       nu_max=nu_max, window_points=window_points)
+            reps = frozen_index_report(p, etas, t, traj, tol=tol, nu_max=nu_max)
             if any(rep.nu != nu_ref for rep in reps):
                 nu_flip = True
             # every report holds the shared chain; the longest holds most of it
@@ -351,8 +352,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         d0, d1 = traj_dets[j], traj_dets[j + 1]
         if (d0 < -floor and d1 > floor) or (d0 > floor and d1 < -floor):
             crit.append(_bisect_zero(lambda tt: float(np.linalg.det(a_ref(tt))),
-                                     float(grid[j]), float(grid[j + 1]),
-                                     d0, 1e-6))
+                                     float(grid[j]), float(grid[j + 1]), d0))
     # fallback: bisect jumps of the pointwise index itself
     for j in range(grid.size - 1):
         n0, n1 = nu_at[j], nu_at[j + 1]
@@ -361,16 +361,9 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         lo_t, hi_t = float(grid[j]), float(grid[j + 1])
         if any(lo_t <= c <= hi_t for c in crit):
             continue
-        lo_n = n0
-        while hi_t - lo_t > 1e-3:
-            mid = 0.5 * (lo_t + hi_t)
-            n_mid = pointwise_index(p, traj, mid, window=window, tol=tol,
-                                    nu_max=nu_max, window_points=window_points)
-            if n_mid == lo_n:
-                lo_t = mid
-            else:
-                hi_t = mid
-        crit.append(0.5 * (lo_t + hi_t))
+        crit.append(_bisect_zero(
+            lambda tt: 1.0 if pointwise_index(p, traj, tt, tol=tol, nu_max=nu_max) == n0
+            else -1.0, lo_t, hi_t, 1.0, 1e-3))
 
     crit = _cluster([c for c in crit if a <= c <= b], 2e-3)
     if crit:
@@ -388,5 +381,5 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     return IndexProfile(times=list(map(float, grid)), nu_at=nu_at,
                         classification=classification, critical_points=crit,
                         neighborhood_eps=eps, samples_per_point=n_perturb,
-                        nu=nu_ref, window=window, seed=seed,
+                        nu=nu_ref, seed=seed,
                         undefined_fraction=undefined_fraction, evidence=evidence)

@@ -202,6 +202,14 @@ def test_config_validation():
             DaeSolveConfig(**bad).validate()
 
 
+@pytest.mark.parametrize("bad", [dict(h=np.nan), dict(h=np.inf),
+                                 dict(h=1e-2, newton_tol=np.nan)],
+                         ids=["h-nan", "h-inf", "newton-tol-nan"])
+def test_config_rejects_non_finite_settings(bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        DaeSolveConfig(**bad).validate()
+
+
 def test_result_serializes():
     sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-2),
                     interval=(0.5, 1.0))

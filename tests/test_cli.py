@@ -166,8 +166,33 @@ def test_analyze_json_format(tmp_path, capsys):
     assert payload["report"]["nu"] == 2
 
 
-def test_analyze_unknown_problem_exits_2(capsys):
-    assert main(["analyze", "--problem", "nosuch"]) == 2
+def test_analyze_linear_dae_problem_file(tmp_path, capsys):
+    # y1' + y2 = sin t, y1 = t: the algebraic row needs two differentiations
+    data = {"kind": "linear-dae", "t_start": 0.0, "T": 1.0,
+            "A": [[1, 0], [0, 0]], "B": [[0, 1], [1, 0]],
+            "f": ["sin(t)", "t"]}
+    path = write_problem(tmp_path, data)
+    assert main(["analyze", "--problem", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "rank-degree index: 2" in out
+    assert "consistency at t0=0: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--problem", "ex34"],
+    ["classify", "--problem", "ex32", "--interval", "1", "2"],
+], ids=["analyze", "classify"])
+def test_out_file_holds_the_json_output(tmp_path, capsys, argv):
+    assert main([*argv, "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "run.json").read_text()) == printed
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "solve-dae", "solve-iae"])
+def test_unknown_problem_exits_2(capsys, command):
+    assert main([command, "--problem", "nosuch"]) == 2
     assert "unknown problem" in capsys.readouterr().err
 
 
@@ -226,6 +251,18 @@ def test_solve_dae_invalid_config_exits_1(capsys):
                  "--h", "0.3"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-dae", "--problem", "ex32", "--h", "nan"], "h must be finite"),
+    (["solve-iae", "--problem", "ex34", "--h", "nan"], "h must be finite"),
+    (["solve-iae", "--problem", "ex34", "--c", "0,abc"], "argument --c"),
+    (["solve-iae", "--problem", "ex34", "--c", "0,nan"], "collocation parameters"),
+    (["classify", "--problem", "ex32", "--eps", "nan"], "eps must be finite"),
+], ids=["dae-h-nan", "iae-h-nan", "c-not-a-number", "c-nan", "eps-nan"])
+def test_non_finite_or_unparsable_settings_exit_1(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_solve_dae_wrong_problem_kind_exits_1(capsys):

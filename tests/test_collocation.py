@@ -254,3 +254,11 @@ def test_config_validation():
                 dict(c=())]:
         with pytest.raises(InvalidInputError):
             CollocationConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("bad", [dict(h=np.nan), dict(h=np.inf), dict(c=(0.0, np.nan)),
+                                 dict(newton_tol=np.nan)],
+                         ids=["h-nan", "h-inf", "c-nan", "newton-tol-nan"])
+def test_config_rejects_non_finite_settings(bad):
+    with pytest.raises(InvalidInputError):
+        CollocationConfig(**bad).validate()

@@ -378,6 +378,33 @@ def test_classify_raises_when_index_mostly_undefined():
         classify(bad, traj=flat, seed=0)
 
 
+def test_classify_locates_a_jump_of_the_pointwise_index():
+    # the frozen index is 1 while y1 = cos t > 0 and 2 once F_y's corner
+    # max(y1, 0) vanishes; with no declared conditions and no sign change
+    # of det A_1, only the bisection of the ν jump finds π/2
+    p = SemiNonlinearDAE(
+        A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(1.0, 2.0)),
+        F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=2.0, t_start=1.0,
+        F_y=lambda t, y: np.array([[-2.0 * y[0], -np.exp(y[1])],
+                                   [-y[1], -max(y[0], 0.0)]]),
+        exact=lambda t: np.array([np.cos(t), t]))
+    grid = np.linspace(1.0, 2.0, 21)
+    prof = classify(p, grid=grid)
+    assert prof.nu_at == [1 if t < HALF_PI else 2 for t in grid]
+    assert prof.classification == "free-structure-dependent"
+    assert "pointwise index varies along the trajectory" in prof.evidence
+    assert "pointwise index varies across sampled neighborhoods" in prof.evidence
+    # bisection of [1.55, 1.6] down to 1e-3
+    assert prof.critical_points == [1.570703125]
+
+
+def test_classify_rejects_non_finite_eps():
+    p = example("ex32")
+    with pytest.raises(InvalidInputError, match="eps"):
+        classify(p, traj=exact_traj(p, 0.5, 1.0), eps=np.nan,
+                 grid=np.linspace(0.5, 1.0, 5))
+
+
 def test_classify_validates_input():
     p = example("ex32")
     tr = exact_traj(p, 0.5, 1.0)
