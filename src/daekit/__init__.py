@@ -1,7 +1,6 @@
 """Index analysis and solvers for differential- and integral-algebraic equations."""
 
 from .errors import (
-    ChainError,
     ClassificationUnreliableError,
     DaekitError,
     DomainError,
@@ -65,7 +64,6 @@ from .export import solution_table, write_json, write_solution_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainError",
     "ClassificationUnreliableError",
     "DaekitError",
     "DomainError",

@@ -21,7 +21,7 @@ it happens rather than discovered from the blown-up error afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,7 +60,7 @@ class MonitorWarning:
     value: float
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "condition": self.condition, "value": self.value}
+        return asdict(self)
 
 
 @dataclass

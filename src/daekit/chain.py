@@ -41,7 +41,7 @@ it; each sample's numbers equal those of its own chain bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -284,15 +284,7 @@ class ConsistencyReport:
         return all(self.passes)
 
     def to_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "defects": [float(d) for d in self.defects],
-            "passes": [bool(p) for p in self.passes],
-            "tol": self.tol,
-            "condition_number": self.condition_number,
-            "warnings": list(self.warnings),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def consistency_check(levels, F_list, tol: float = 1e-6,
@@ -399,9 +391,7 @@ class HessenbergResult:
     worst_condition: float
 
     def to_dict(self) -> dict:
-        return {"confirmed": self.confirmed, "nu": self.nu,
-                "violated_at": self.violated_at,
-                "worst_condition": self.worst_condition}
+        return asdict(self)
 
 
 def hessenberg_index(diag_jacobians, grid, tol: float = DEFAULT_RANK_TOL) -> HessenbergResult:

@@ -116,10 +116,6 @@ class PiecewiseSolution:
         return self.nodal_values.shape[2]
 
     @property
-    def degree(self) -> int:
-        return self.tau_nodes.size - 1
-
-    @property
     def mesh(self) -> np.ndarray:
         return self.t_start + self.h * np.arange(self.n_intervals + 1)
 
@@ -284,7 +280,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     if abs(a - p.t_start) > 1e-12:
         raise InvalidInputError(
             f"solve must start at the integral origin t_start={p.t_start}, got {a}")
-    if b <= a or b > p.T + 1e-9:
+    if not a < b <= p.T + 1e-9:
         raise InvalidInputError(f"bad interval [{a}, {b}] for problem on [{p.t_start}, {p.T}]")
     n_steps = mesh_steps(a, b, cfg.h)
 

@@ -21,10 +21,6 @@ class EvaluationError(DaekitError):
     """A user-supplied function returned non-finite values."""
 
 
-class ChainError(DaekitError):
-    """The index chain could not be continued (non-constant rank, ...)."""
-
-
 class InconsistentChainError(DaekitError):
     """Consistency conditions cannot be evaluated (singular final chain matrix)."""
 

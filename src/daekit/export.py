@@ -64,7 +64,17 @@ def _jsonable(obj):
     return obj
 
 
+def dumps(obj) -> str:
+    """A diagnostics/summary object as deterministic JSON text.
+
+    Non-finite floats become the strings "inf", "-inf" and "nan", so the
+    text is valid JSON; a value of any type not handled here raises
+    TypeError.
+    """
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj):
-    """Write a diagnostics/summary object as deterministic JSON."""
-    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    """Write ``dumps(obj)`` to path; returns the path."""
+    Path(path).write_text(dumps(obj))
     return Path(path)

@@ -32,6 +32,9 @@ def _vec(x, r=None):
 
 JACOBIAN_STEP = 1e-6
 VERIFY_QUAD_TOL = 1e-10
+# the most steps a solve may take; at r = 2 the collocation history of
+# 10**6 intervals alone is 128 MB
+MAX_STEPS = 10**6
 
 
 def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -60,8 +63,11 @@ def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
 
 
 def mesh_steps(a: float, b: float, h: float) -> int:
-    """Number of steps of size h from a to b; it must be a whole number."""
+    """Number of steps of size h from a to b: a whole number, at most MAX_STEPS."""
     n_steps_f = (b - a) / h
+    if n_steps_f > MAX_STEPS:
+        raise InvalidInputError(
+            f"(b - a)/h = {n_steps_f:g} steps exceeds the limit of {MAX_STEPS}")
     n_steps = int(round(n_steps_f))
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
         raise InvalidInputError(f"(b - a)/h = {n_steps_f} is not a whole number of steps")

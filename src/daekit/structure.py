@@ -36,7 +36,7 @@ sample's ν, and its A_ν at t gives all S determinants in one stacked
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -216,19 +216,7 @@ class IndexProfile:
     evidence: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "nu_at": [None if n is None else int(n) for n in self.nu_at],
-            "classification": self.classification,
-            "critical_points": [float(t) for t in self.critical_points],
-            "neighborhood_eps": self.neighborhood_eps,
-            "samples_per_point": self.samples_per_point,
-            "nu": self.nu,
-            "window": self.window,
-            "seed": self.seed,
-            "undefined_fraction": self.undefined_fraction,
-            "evidence": list(self.evidence),
-        }
+        return asdict(self)
 
 
 def _ball_sample(rng: np.random.Generator, center: np.ndarray, eps: float) -> np.ndarray:
@@ -328,8 +316,6 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
             col = [row[ci] for row in cond_signs if row[ci] != 0.0]
             if col and (min(col) < 0.0 < max(col)):
                 cond_flip = True
-        if nu_flip and det_flip and (cond_flip or not conditions):
-            break
     if nu_flip:
         free = True
         evidence.append("pointwise index varies across sampled neighborhoods")
@@ -368,8 +354,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     crit = _cluster([c for c in crit if a <= c <= b], 2e-3)
     if crit:
         free = True
-        if "critical points located along the trajectory" not in evidence:
-            evidence.append("critical points located along the trajectory")
+        evidence.append("critical points located along the trajectory")
 
     if not free:
         classification = "well-structure"

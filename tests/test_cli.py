@@ -12,8 +12,11 @@ from daekit import (
     SemiNonlinearDAE,
     SemiNonlinearIAE,
     load_problem,
+    solve_dae,
 )
+from daekit import cli
 from daekit.cli import main
+from daekit.export import dumps
 
 CONSTANT_PAIR = {
     "kind": "linear-iae",
@@ -259,10 +262,33 @@ def test_solve_dae_invalid_config_exits_1(capsys):
     (["solve-iae", "--problem", "ex34", "--c", "0,abc"], "argument --c"),
     (["solve-iae", "--problem", "ex34", "--c", "0,nan"], "collocation parameters"),
     (["classify", "--problem", "ex32", "--eps", "nan"], "eps must be finite"),
-], ids=["dae-h-nan", "iae-h-nan", "c-not-a-number", "c-nan", "eps-nan"])
+    (["solve-dae", "--problem", "ex32", "--interval", "0.5", "1", "--h", "1e-300"],
+     "exceeds the limit"),
+    (["solve-iae", "--problem", "ex34", "--h", "1e-300"], "exceeds the limit"),
+], ids=["dae-h-nan", "iae-h-nan", "c-not-a-number", "c-nan", "eps-nan",
+        "dae-too-many-steps", "iae-too-many-steps"])
 def test_non_finite_or_unparsable_settings_exit_1(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "run")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("analyze", "ex34"), ("classify", "ex34"),
+    ("solve-dae", "ex32"), ("solve-iae", "ex34"),
+])
+@pytest.mark.parametrize("interval", [("nan", "2"), ("2", "1"), ("1", "1")],
+                         ids=["nan", "reversed", "equal"])
+def test_bad_interval_exits_1(tmp_path, capsys, command, problem, interval):
+    assert main([command, "--problem", problem, "--interval", *interval,
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "--interval needs two finite numbers A < B" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_analyze_without_exact_solution_points_to_classify(capsys):
+    # ex31 is semi-nonlinear and has no known solution to linearize along
+    assert main(["analyze", "--problem", "ex31"]) == 1
+    assert "use classify instead" in capsys.readouterr().err
 
 
 def test_solve_dae_wrong_problem_kind_exits_1(capsys):
@@ -296,6 +322,27 @@ def test_solve_iae_breakdown_from_problem_file_exits_0(tmp_path, capsys):
     assert "stopped early" in capsys.readouterr().out
     diag = json.loads((tmp_path / "run.diagnostics.json").read_text())
     assert diag["failure"] is not None
+
+
+def test_json_stdout_is_strict_json_and_equals_the_diagnostics_file(tmp_path, capsys):
+    # the divergent step leaves infinite residual norms in the diagnostics
+    assert main(["solve-iae", "--problem", "ex34", "--c", "0.3,0.8", "--h", "0.1",
+                 "--format", "json", "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(out, parse_constant=reject)["failure"] is not None
+    assert '"inf"' in out
+    assert out == (tmp_path / "run.diagnostics.json").read_text()
+
+
+def test_dumps_converts_numpy_and_non_finite_values_and_refuses_other_types():
+    assert dumps({"t": np.float64(-np.inf), "n": np.int64(3), "ok": np.bool_(True)}) == \
+        '{\n  "n": 3,\n  "ok": true,\n  "t": "-inf"\n}\n'
+    with pytest.raises(TypeError):
+        dumps({"x": object()})
 
 
 def test_solve_iae_failure_at_the_first_step_writes_empty_artifacts(tmp_path, capsys):
@@ -362,3 +409,17 @@ def test_reproduce_breakdown_figure(tmp_path, capsys):
     assert abs(summary["first_warning_t"] - np.pi / 2) <= 0.05
     assert summary["critical_points"]
     assert abs(summary["critical_points"][0] - np.pi / 2) <= 1e-3
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3"])
+def test_reproduce_solves_each_bdf_step_size_once(tmp_path, capsys, monkeypatch, figure):
+    steps = []
+
+    def counted(p, cfg, interval=None):
+        steps.append(cfg.h)
+        return solve_dae(p, cfg, interval=interval)
+
+    monkeypatch.setattr(cli, "solve_dae", counted)
+    assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert steps == [4e-3, 2e-3, 1e-3, 5e-4]

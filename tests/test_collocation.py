@@ -244,6 +244,12 @@ def test_interval_must_start_at_the_problem_origin():
         solve_iae(example("ex34"), CollocationConfig(), interval=(1.3, 2.0))
 
 
+@pytest.mark.parametrize("b", [np.nan, 1.0, 0.5, 2.5])
+def test_interval_end_must_lie_after_the_start_inside_the_problem(b):
+    with pytest.raises(InvalidInputError, match="bad interval"):
+        solve_iae(example("ex34"), CollocationConfig(), interval=(1.0, b))
+
+
 def test_interval_must_be_a_whole_number_of_steps():
     with pytest.raises(InvalidInputError):
         solve_iae(example("ex34"), CollocationConfig(h=0.3))

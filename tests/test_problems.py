@@ -6,6 +6,9 @@ import pytest
 from daekit import (
     ExtrapolationError,
     InvalidInputError,
+    LinearDAE,
+    LinearIAE,
+    MatrixFunction,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
     TrajectorySample,
@@ -14,6 +17,7 @@ from daekit import (
     fd_jacobian,
     verify_exact,
 )
+from daekit.problems import MAX_STEPS, mesh_steps
 from helpers import ex33_as_integral_equation
 
 
@@ -105,6 +109,40 @@ def test_verify_exact_ex35():
 def test_verify_exact_integrated_ex33():
     p = ex33_as_integral_equation()
     assert verify_exact(p, np.linspace(0.0, 2.0, 21)) <= 1e-8
+
+
+def _constant(rows):
+    return MatrixFunction.constant(np.array(rows, dtype=float), domain=(0.0, 1.0))
+
+
+def test_verify_exact_linear_dae():
+    # y1' = y2, y2 = cos t
+    p = LinearDAE(A=_constant([[1, 0], [0, 0]]), B=_constant([[0, -1], [0, 1]]),
+                  f=lambda t: np.array([0.0, np.cos(t)]), y0=np.array([0.0, 1.0]),
+                  r=2, T=1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    p.exact = lambda t: np.array([np.sin(t), np.cos(t)])
+    assert verify_exact(p, grid) <= 1e-6
+    p.exact = lambda t: np.array([np.cos(t), np.cos(t)])
+    assert verify_exact(p, grid) >= 0.5
+
+
+def test_verify_exact_linear_iae():
+    # y1 + int y2 = 1, int y1 = sin t: the index-2 constant pair
+    p = LinearIAE(A=_constant([[1, 0], [0, 0]]),
+                  k=lambda t, s: np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  f=lambda t: np.array([1.0, np.sin(t)]), r=2, T=1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    p.exact = lambda t: np.array([np.cos(t), np.sin(t)])
+    assert verify_exact(p, grid) <= 1e-8
+    p.exact = lambda t: np.array([np.cos(t), np.cos(t)])
+    assert verify_exact(p, grid) >= 0.1
+
+
+def test_mesh_steps_refuses_more_than_max_steps():
+    assert mesh_steps(0.0, 1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    with pytest.raises(InvalidInputError, match="exceeds the limit"):
+        mesh_steps(0.0, 1.0, 1e-300)
 
 
 def test_verify_exact_needs_exact_solution():

@@ -288,6 +288,16 @@ def test_detect_critical_points_positive_solution_is_empty():
                                   (lambda t, y: y[0],)) == []
 
 
+@pytest.mark.parametrize("y1, t_hit", [
+    ([1.0, 0.5, 1e-9, 0.5, 1.0], 1.5),
+    ([1.0, 0.5, 0.0, -0.5, -1.0], 1.5),
+    ([1.0, 0.5, 0.25, 0.1, 0.0], 2.0),
+], ids=["touch", "zero-at-inner-sample", "zero-at-last-sample"])
+def test_detect_critical_points_without_a_sign_change_between_samples(y1, t_hit):
+    traj = TrajectorySample(times=np.linspace(1.0, 2.0, 5), values=np.c_[y1])
+    assert detect_critical_points(traj, (lambda t, y: y[0],)) == [(t_hit, 0)]
+
+
 def test_detect_critical_points_requires_conditions():
     p = example("ex32")
     with pytest.raises(InvalidInputError):
