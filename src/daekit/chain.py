@@ -24,12 +24,14 @@ The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
 F_{i+1} take a float t (and s) or (n,) arrays of them.  An array call
 evaluates level i once on all its points and on all their stencil points,
 with one stacked SVD for the projectors there, and recurses on those
-points into the level below.  The levels memoize nothing; a user's A,
-kernel, right side and callbacks are still called once per point.  Every
-element gets the arithmetic of a float call, so both forms agree bit for
-bit.  :func:`rank_degree_index` builds each level's grid values from those
-of the level below instead of evaluating that level again.  The one memo
-left is :func:`dae_to_iae`'s, on the quadratures of its right side.
+points into the level below.  The levels memoize nothing.  A user's A
+(unless vectorized), kernel, right side and callbacks are called once per
+point; the kernels of :func:`linear_kernel` make one Jacobian call per
+array instead.  Every element gets the arithmetic of a float call, so
+both forms agree bit for bit.  :func:`rank_degree_index` builds each
+level's grid values from those of the level below instead of evaluating
+that level again.  The one memo left is :func:`dae_to_iae`'s, on the
+quadratures of its right side.
 
 A chain may also carry a sample axis: a kernel linearized at an (S, r)
 stack of η's has values (S, r, r), and a level 0 repeated along the same
@@ -56,7 +58,14 @@ from .linalg import (
     numerical_rank,
     semi_inverse,
 )
-from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
+from .problems import (
+    LinearDAE,
+    LinearIAE,
+    SemiNonlinearDAE,
+    SemiNonlinearIAE,
+    TrajectorySample,
+    batch_jacobian,
+)
 
 Kernel = Callable[[float, float], np.ndarray]
 # absolute and relative tolerance of the quadratures in dae_to_iae's right side
@@ -74,8 +83,9 @@ def _vectorized(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     return g
 
 
-def _on_arrays(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """``fn`` on (n,) arrays: a user function is called once per point."""
+def on_arrays(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``fn`` on (n,) arrays: as it is if it carries a true ``vectorized``
+    attribute (see :func:`_vectorized`), else called once per point."""
     if getattr(fn, "vectorized", False):
         return fn
     return lambda *args: np.stack([fn(*map(float, point)) for point in zip(*args)])
@@ -108,7 +118,7 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel,
     at its stencil points.  k_{i+1} is :func:`_lift` of k_i with s held
     fixed, the rule :func:`rhs_chain` applies to the right side.
     """
-    k_at = _on_arrays(k_i)
+    k_at = on_arrays(k_i)
 
     def a_next(t: np.ndarray) -> np.ndarray:
         a = A_i(t)
@@ -236,7 +246,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
         if all(rep is not None for rep in reports):
             break
         if level < nu_max:
-            k_grid = _on_arrays(k_i)(grid, grid)
+            k_grid = on_arrays(k_i)(grid, grid)
             A_i, k_i = chain_step(A_i, k_i, tol)
             a_grid = a_grid + inv.projector @ k_grid
     reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
@@ -250,12 +260,12 @@ def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
     F_0 = f and F_{i+1} = :func:`_lift` of F_i through level i's A_i, the
     update rule of the kernel: F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t).
     Returns one function per level; each takes a float t or an (n,) array
-    of times and gives an (r,) vector or an (n, r) stack.  Like a user
-    kernel, ``f`` is called once per point, and nothing is memoized.
+    of times and gives an (r,) vector or an (n, r) stack.  ``f`` is called
+    once per point, and nothing is memoized.
     """
     if not levels:
         raise InvalidInputError("levels must be non-empty")
-    f_at = _on_arrays(f)
+    f_at = on_arrays(f)
     # values travel as (n, r, 1) columns, so V_i F_i is the kernel's product
     columns = [lambda t: np.asarray(f_at(t), dtype=float).reshape(t.size, -1, 1)]
     for lev in levels[:-1]:
@@ -335,26 +345,52 @@ def linear_kernel(p, eta=None) -> Kernel:
 
     A DAE is integrated by parts over [t_start, t] first, which is where
     −A′ comes from; A′ uses the declared derivative when present.  ``eta``
-    is the trajectory to linearize along (any callable of s), a fixed
-    vector, or an (S, r) stack of fixed vectors; a LinearDAE ignores it.
-    A stack gives kernel values with a sample axis, shape (S, r, r), whose
-    slice j is the kernel at eta[j] (the Jacobian is called per sample).
+    is the trajectory to linearize along (a :class:`TrajectorySample` or
+    any callable of s), a fixed vector, or an (S, r) stack of fixed
+    vectors; a LinearDAE ignores it.  A stack gives kernel values with a
+    sample axis, shape (S, r, r), whose slice j is the kernel at eta[j].
+
+    The kernel takes floats or (n,) arrays of t and s, like a chain level.
+    An array call makes one Jacobian call on all its points (and samples),
+    through :func:`~daekit.problems.batch_jacobian`: the batch form is
+    tried once per kernel, checked against per-point calls at its two end
+    points, and a Jacobian that fails that try is called per point.
     """
     if isinstance(p, LinearDAE):
-        return lambda t, s: p.B(s) - matfn_derivative(p.A, s)
+        return _vectorized(lambda t, s: p.B(s) - matfn_derivative(p.A, s))
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError(f"no linear kernel for a {type(p).__name__}")
     if eta is None:
         raise InvalidInputError("a semi-nonlinear problem needs eta to linearize along")
-    at = eta if callable(eta) else (lambda s, v=np.asarray(eta, dtype=float): v)
+    if isinstance(eta, TrajectorySample):
+        at = eta
+    elif callable(eta):
+        def at(s):
+            return np.array([eta(x) for x in map(float, s)], dtype=float)
+    else:
+        v = np.asarray(eta, dtype=float)
 
-    def at_each(jac, s) -> np.ndarray:
-        y = at(s)
-        return np.stack([jac(row) for row in y]) if np.ndim(y) == 2 else jac(y)
+        def at(s):
+            return np.broadcast_to(v, s.shape + v.shape)
+    dae = isinstance(p, SemiNonlinearDAE)
+    jac = batch_jacobian(p.jacobian if dae else p.kappa_jacobian, p.r)
 
-    if isinstance(p, SemiNonlinearDAE):
-        return lambda t, s: at_each(lambda y: p.jacobian(s, y), s) - matfn_derivative(p.A, s)
-    return lambda t, s: at_each(lambda y: p.kappa_jacobian(t, s, y), s)
+    def kernel(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        y = at(s)                                   # (n, r) or (n, S, r)
+        lead = y.shape[:-1]
+        col = lead[:1] + (1,) * (len(lead) - 1)     # a per-point value across samples
+
+        def spread(a: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(a.reshape(col), lead).ravel()
+
+        points = y.reshape(-1, p.r).T               # (r, M), point-major
+        k = jac(spread(s), points) if dae else jac(spread(t), spread(s), points)
+        k = np.moveaxis(k, -1, 0).reshape(lead + (p.r, p.r))
+        if dae:
+            k = k - matfn_derivative(p.A, s).reshape(col + (p.r, p.r))
+        return k
+
+    return _vectorized(kernel)
 
 
 def dae_to_iae(p: LinearDAE) -> LinearIAE:
@@ -380,7 +416,8 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
         return got
 
     return LinearIAE(A=p.A, k=linear_kernel(p), f=rhs, r=p.r, T=p.T,
-                     t_start=p.t_start, name=f"{p.name}-as-iae" if p.name else "")
+                     t_start=p.t_start, name=f"{p.name}-as-iae" if p.name else "",
+                     exact=p.exact)
 
 
 @dataclass

@@ -29,7 +29,11 @@ points, in the solver and in :func:`residual` alike, applied to the
 interval interpolants.  κ is vectorised over quadrature points (see
 SemiNonlinearIAE), so each integral is one κ call: the history integral
 covers the solution stored at the Gauss nodes of every completed interval,
-and each Newton iteration makes one call per equation.  Newton failures
+and each Newton iteration makes one call per equation.  Its Jacobian is
+one κ_y call per equation too, when κ_y takes the batch; κ_y is tried in
+batch form (and checked against per-point calls) once per solve, and one
+that fails the try is called per Gauss point
+(:func:`~daekit.problems.batch_jacobian`).  Newton failures
 are recorded, not raised: a solve that stops converging after an index
 change is the phenomenon of interest, and the partial solution up to
 that step is returned with the failure record.
@@ -43,7 +47,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import NEWTON_MAX_ITER, newton
-from .problems import LinearIAE, SemiNonlinearIAE, mesh_steps, probe_points
+from .chain import on_arrays
+from .problems import LinearIAE, SemiNonlinearIAE, batch_jacobian, mesh_steps, probe_points
 
 
 QUAD_ORDER = 8
@@ -174,15 +179,18 @@ def _checked_kappa(kappa, r: int):
 
 def _kernel_of(p):
     """(κ, ∂κ/∂y, linear) in batch form: for s of shape (M,) and y of shape
-    (r, M), κ returns (r, M) and ∂κ/∂y returns (r, r, M)."""
+    (r, M), κ returns (r, M) and ∂κ/∂y returns (r, r, M), each in one call
+    of the user's function when it takes the batch."""
     if isinstance(p, LinearIAE):
+        k_on = on_arrays(p.k)
+
         def k_at(t, s):
-            return np.stack([p.k(t, si) for si in s], axis=-1)
+            return np.moveaxis(k_on(np.full(s.shape, t), s), 0, -1)
 
         return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
                 (lambda t, s, y: k_at(t, s)), True)
     if isinstance(p, SemiNonlinearIAE):
-        return _checked_kappa(p.kappa, p.r), p.kappa_jacobian, False
+        return _checked_kappa(p.kappa, p.r), batch_jacobian(p.kappa_jacobian, p.r), False
     raise InvalidInputError(f"expected an IAE problem, got {type(p)}")
 
 

@@ -17,7 +17,9 @@ Five semi-nonlinear problems exercising the index taxonomy:
 All five share the leading matrix diag(1, 0).  Right-hand sides come from
 substituting the stated solutions into the equations (the integrals for
 ex34/ex35 evaluate in closed form); ``verify_exact`` in the test suite
-guards every registered formula.
+guards every registered formula.  Every F_y and κ_y also takes a batch:
+y of shape (r, M) gives the (r, r, M) stack of Jacobians, so a constant
+entry is written as an array shaped like y[0].
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _shared_kappa(t, s, y):
 
 def _shared_kappa_y(t, s, y):
     return np.array([[2.0 * y[0] * y[1], (y[0] ** 2 + 2.0) + np.exp(y[1])],
-                     [2.0 * y[0], 0.0]])
+                     [2.0 * y[0], np.zeros_like(y[0])]])
 
 
 @_register("ex31")
@@ -87,8 +89,8 @@ def _ex31() -> SemiNonlinearDAE:
         A=MatrixFunction.constant(_A_SING, domain=domain, name="A"),
         F=lambda t, y: np.array([-y[0] ** 2 - np.exp(y[0]) - y[1], np.exp(y[0])]),
         f=lambda t: np.array([0.0, -np.sin(t)]),
-        F_y=lambda t, y: np.array([[-2.0 * y[0] - np.exp(y[0]), -1.0],
-                                   [np.exp(y[0]), 0.0]]),
+        F_y=lambda t, y: np.array([[-2.0 * y[0] - np.exp(y[0]), -np.ones_like(y[0])],
+                                   [np.exp(y[0]), np.zeros_like(y[0])]]),
         r=2,
         T=domain[1],
         t_start=domain[0],

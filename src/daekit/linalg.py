@@ -221,7 +221,10 @@ class MatrixFunction:
     gives the (r, r) matrix and an array of times the stack of shape
     t.shape + (r, r).  ``eval`` is called once per time, unless
     ``vectorized``: then it takes an (n,) array and returns the (n, r, r)
-    stack.  Nothing is memoized, so ``eval`` runs at every evaluation point.
+    stack, a float t reaching it as a (1,) array; an ``eval`` that carries
+    a true ``vectorized`` attribute of its own also takes a float t as the
+    float.  A declared ``derivative`` is called the way ``eval`` is.
+    Nothing is memoized, so ``eval`` runs at every evaluation point.
     """
 
     eval: Callable
@@ -232,10 +235,11 @@ class MatrixFunction:
 
     def __call__(self, t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
+        takes_float = not self.vectorized or getattr(self.eval, "vectorized", False)
+        if ts.ndim == 0 and takes_float:
+            return self._eval_checked(float(ts))
         if self.vectorized:
             m = self._eval_checked(ts.ravel())
-        elif ts.ndim == 0:
-            return self._eval_checked(float(ts))
         else:
             m = np.stack([self._eval_checked(x) for x in map(float, ts.ravel())])
         return m.reshape(ts.shape + m.shape[1:])
@@ -256,15 +260,27 @@ class MatrixFunction:
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":
+        """The matrix ``m`` at every t: a float t returns ``m`` itself, an
+        (n,) array its read-only broadcast to (n, r, r)."""
+        def fixed(value: np.ndarray) -> Callable:
+            def at(t):
+                return value if isinstance(t, float) else \
+                    np.broadcast_to(value, t.shape + value.shape)
+
+            at.vectorized = True
+            return at
+
         m = np.asarray(m, dtype=float)
-        zero = np.zeros_like(m)
-        return MatrixFunction(eval=lambda t: m, domain=domain,
-                              derivative=lambda t: zero, name=name)
+        return MatrixFunction(eval=fixed(m), domain=domain,
+                              derivative=fixed(np.zeros_like(m)), name=name,
+                              vectorized=True)
 
 
-def matfn_derivative(f: MatrixFunction, t: float) -> np.ndarray:
-    """d/dt of a matrix function: analytic if declared, else 4th-order differences."""
-    if f.derivative is not None:
-        return np.asarray(f.derivative(t), dtype=float)
-    lo, hi = f.domain
-    return fd_derivative(f.__call__, t, lo=lo, hi=hi)
+def matfn_derivative(f: MatrixFunction, t) -> np.ndarray:
+    """d/dt of a matrix function at a float t or an (n,) array of times:
+    analytic if declared, else 4th-order differences."""
+    if f.derivative is None:
+        lo, hi = f.domain
+        return fd_derivative(f.__call__, t, lo=lo, hi=hi)
+    return MatrixFunction(eval=f.derivative, domain=f.domain, vectorized=f.vectorized,
+                          name=f"derivative of {f.name or 'matrix function'}")(t)

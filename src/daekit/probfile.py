@@ -120,7 +120,7 @@ def load_problem(path):
         if rk != r:
             raise ProblemFileError(f"{path}: k must match A's dimension {r}")
         return LinearIAE(A=a_fn, k=k_eval, f=f_fn, r=r, T=t_end,
-                         t_start=t_start, name=name)
+                         t_start=t_start, name=name, exact=exact)
 
     if kind == "linear-dae":
         b_eval, rb = _compile_matrix(_require(data, "B", path), ("t",), "B", path)
@@ -128,16 +128,15 @@ def load_problem(path):
             raise ProblemFileError(f"{path}: B must match A's dimension {r}")
         b_fn = MatrixFunction(eval=b_eval, domain=(t_start, t_end), name=f"{name}-B")
         return LinearDAE(A=a_fn, B=b_fn, f=f_fn, y0=y0, r=r, T=t_end,
-                         t_start=t_start, name=name)
+                         t_start=t_start, name=name, exact=exact)
 
     if kind == "dae":
         big_f = _compile_vector(_require(data, "F", path), ("t",) + y_vars, "F", r, path)
-        exact_fn = exact
         return SemiNonlinearDAE(
             A=a_fn,
             F=lambda t, y: big_f(t, *np.asarray(y, dtype=float)),
             f=f_fn, r=r, T=t_end, t_start=t_start, y0=y0,
-            exact=exact_fn, critical_conditions=conditions, name=name)
+            exact=exact, critical_conditions=conditions, name=name)
 
     kappa = _compile_vector(_require(data, "kappa", path), ("t", "s") + y_vars,
                             "kappa", r, path)

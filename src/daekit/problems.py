@@ -35,6 +35,8 @@ VERIFY_QUAD_TOL = 1e-10
 # the most steps a solve may take; at r = 2 the collocation history of
 # 10**6 intervals alone is 128 MB
 MAX_STEPS = 10**6
+# a batched Jacobian and per-point calls may round apart in the last bits
+BATCH_CHECK_RTOL = 4 * np.finfo(float).eps
 
 
 def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -60,6 +62,52 @@ def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
             raise EvaluationError(f"non-finite function value while differencing at t={t}")
         cols.append((gp - gm) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def batch_jacobian(jac: Callable[..., np.ndarray], r: int) -> Callable[..., np.ndarray]:
+    """``jac`` in batch form: (..., y) with y of shape (r, M) gives (r, r, M).
+
+    The leading arguments (t and s) are scalars or (M,) arrays.  The first
+    call with M >= 2 tries ``jac`` on the whole batch and keeps that form
+    for good if it returns shape (r, r, M) and its first and last points
+    agree with per-point calls there to BATCH_CHECK_RTOL of their largest
+    entry; a per-point Jacobian that reduces over its y (a norm, a sum)
+    gives other values on a batch and is caught that way.  Otherwise, and
+    if the try raises TypeError/ValueError, this and every later call go
+    once per point (float arguments, y of shape (r,)) and stack the (r, r)
+    results.  The decision lives in the returned closure, so each kernel or
+    solve that builds one tries the batch form at most once.
+    """
+    batched = None
+
+    def per_point(lead, y: np.ndarray, points) -> np.ndarray:
+        lead = [np.broadcast_to(a, y.shape[1:]) for a in lead]
+        return np.stack([np.asarray(jac(*(float(a[g]) for a in lead), y[:, g]), dtype=float)
+                         for g in points], axis=-1)
+
+    def agrees(out: np.ndarray, lead, y: np.ndarray) -> bool:
+        ends = [0, y.shape[1] - 1]
+        want = per_point(lead, y, ends)
+        return bool(np.all(np.max(np.abs(out[..., ends] - want), axis=(0, 1))
+                           <= BATCH_CHECK_RTOL * np.max(np.abs(want), axis=(0, 1))))
+
+    def call(*args) -> np.ndarray:
+        nonlocal batched
+        *lead, y = args
+        if batched is None and y.shape[1] >= 2:
+            try:
+                out = np.asarray(jac(*args), dtype=float)
+            except (TypeError, ValueError):
+                out = None
+            batched = out is not None and out.shape == (r, r, y.shape[1]) \
+                and agrees(out, lead, y)
+            if batched:
+                return out
+        if batched:
+            return np.asarray(jac(*args), dtype=float)
+        return per_point(lead, y, range(y.shape[1]))
+
+    return call
 
 
 def mesh_steps(a: float, b: float, h: float) -> int:
@@ -109,19 +157,27 @@ class TrajectorySample:
         vals = np.array([_vec(fn(t)) for t in times])
         return TrajectorySample(times=times, values=vals)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """Value (r,) at a float t, or the (n, r) values at an (n,) array of
+        times, each row with the arithmetic of its float call."""
+        ts = np.asarray(t, dtype=float)
+        t = ts.reshape(-1)
         lo, hi = self.span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= t <= hi + slack):
-            raise ExtrapolationError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
+        inside = (lo - slack <= t) & (t <= hi + slack)
+        if not inside.all():
+            raise ExtrapolationError(
+                f"t={t[np.argmin(inside)]} outside trajectory span [{lo}, {hi}]")
+        t = np.minimum(np.maximum(t, lo), hi)
         if self.times.size == 1:
-            return self.values[0]
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), self.times.size - 2)
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+            vals = np.repeat(self.values, t.size, axis=0)
+        else:
+            # t >= times[0] after the clamp, so i >= 0
+            i = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
+            t0, t1 = self.times[i], self.times[i + 1]
+            w = ((t - t0) / (t1 - t0))[:, None]
+            vals = (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return vals.reshape(ts.shape + vals.shape[1:])
 
 
 @dataclass
@@ -135,6 +191,7 @@ class LinearIAE:
     T: float
     t_start: float = 0.0
     name: str = ""
+    exact: Optional[Callable[[float], np.ndarray]] = None
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -153,6 +210,7 @@ class LinearDAE:
     T: float
     t_start: float = 0.0
     name: str = ""
+    exact: Optional[Callable[[float], np.ndarray]] = None
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -169,8 +227,11 @@ class SemiNonlinearIAE:
     s with y of shape (r,) returns shape (r,).  ``solve_iae`` and
     ``residual`` make one batched κ call per equation and raise
     InvalidInputError when the first one fails or has the wrong shape.
-    ``kappa_y`` keeps the per-point form: scalar s, y of shape (r,), and an
-    (r, r) result.
+    ``kappa_y`` may take the same batch, with t a scalar or of shape (M,),
+    and return (r, r, M); its per-point form (scalars, y of shape (r,), an
+    (r, r) result) must still work.  Callers go through
+    :func:`batch_jacobian`, which tries the batch form once, checks it
+    against per-point calls and falls back to those.
     """
 
     A: MatrixFunction
@@ -188,14 +249,13 @@ class SemiNonlinearIAE:
     def interval(self) -> tuple[float, float]:
         return (self.t_start, self.T)
 
-    def kappa_jacobian(self, t: float, s, y: np.ndarray) -> np.ndarray:
-        """∂κ/∂y (κ_y, else differences of κ): (r, r) at a scalar s and y (r,);
-        (r, r, M) at s (M,) and y (r, M), κ_y then called per point."""
+    def kappa_jacobian(self, t, s, y: np.ndarray) -> np.ndarray:
+        """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r) at scalars
+        and y (r,); (r, r, M) at s (M,) and y (r, M) if κ_y (or κ) takes the
+        batch.  :func:`batch_jacobian` adds the per-point fallback."""
         if self.kappa_y is None:
             return fd_jacobian(lambda _t, yy: self.kappa(t, s, yy), t, y)
-        if np.ndim(s) == 0:
-            return np.asarray(self.kappa_y(t, s, y), dtype=float)
-        return np.stack([self.kappa_y(t, si, yi) for si, yi in zip(s, y.T)], axis=-1)
+        return np.asarray(self.kappa_y(t, s, y), dtype=float)
 
 
 @dataclass
@@ -219,7 +279,10 @@ class SemiNonlinearDAE:
     def interval(self) -> tuple[float, float]:
         return (self.t_start, self.T)
 
-    def jacobian(self, t: float, y: np.ndarray) -> np.ndarray:
+    def jacobian(self, t, y: np.ndarray) -> np.ndarray:
+        """∂F/∂y (F_y, else differences of F) in one call: (r, r) at a float t
+        and y (r,); (r, r, M) at t (M,) and y (r, M) if F_y (or F) takes the
+        batch.  :func:`batch_jacobian` adds the per-point fallback."""
         if self.F_y is not None:
             return np.asarray(self.F_y(t, y), dtype=float)
         return fd_jacobian(self.F, t, y)

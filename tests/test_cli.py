@@ -11,8 +11,10 @@ from daekit import (
     ProblemFileError,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
+    dae_to_iae,
     load_problem,
     solve_dae,
+    verify_exact,
 )
 from daekit import cli
 from daekit.cli import main
@@ -56,6 +58,35 @@ def test_load_linear_dae(tmp_path):
     np.testing.assert_allclose(p.B(0.5), [[np.cos(0.5), 0.0], [0.5, 1.0]])
     np.testing.assert_array_equal(p.y0, [1.0, 0.0])
     assert p.name == "problem"
+
+
+# y = (cos t, sin t) solves both: y + ∫_0^t k y ds = (1, 0) and y' + B y = 0
+ROTATION_FILES = {
+    "linear-iae": {"kind": "linear-iae", "t_start": 0.0, "T": 1.0,
+                   "A": [[1, 0], [0, 1]], "k": [["0", "1"], ["-1", "0"]],
+                   "f": ["1", "0"], "exact": ["cos(t)", "sin(t)"]},
+    "linear-dae": {"kind": "linear-dae", "t_start": 0.0, "T": 1.0,
+                   "A": [[1, 0], [0, 1]], "B": [["0", "1"], ["-1", "0"]],
+                   "f": [0, 0], "y0": [1, 0], "exact": ["cos(t)", "sin(t)"]},
+}
+
+
+@pytest.mark.parametrize("kind", ROTATION_FILES)
+def test_linear_problem_files_keep_their_exact_solution(tmp_path, kind):
+    p = load_problem(write_problem(tmp_path, ROTATION_FILES[kind]))
+    np.testing.assert_allclose(p.exact(0.5), [np.cos(0.5), np.sin(0.5)])
+    assert verify_exact(p, np.linspace(0.0, 1.0, 11)) <= 1e-8
+    if kind == "linear-dae":
+        assert dae_to_iae(p).exact is p.exact
+
+
+def test_solve_iae_on_a_linear_problem_file_writes_the_exact_and_error_columns(tmp_path):
+    path = write_problem(tmp_path, ROTATION_FILES["linear-iae"], name="rotation.json")
+    assert main(["solve-iae", "--problem", str(path), "--h", "0.05",
+                 "--out", str(tmp_path / "rotation")]) == 0
+    lines = (tmp_path / "rotation.csv").read_text().splitlines()
+    assert lines[0] == "t,y1,y2,exact1,exact2,error"
+    assert max(float(line.split(",")[-1]) for line in lines[1:]) <= 1e-6
 
 
 def test_load_semi_nonlinear_dae(tmp_path):

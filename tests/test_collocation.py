@@ -49,6 +49,26 @@ def test_scalar_second_kind_accuracy():
     assert sup_error(p, sol, 0.0, 1.0) <= 1e-4
 
 
+def test_a_per_point_kappa_y_gives_the_solve_of_the_batched_one():
+    # ex34's κ_y on floats: tried in batch form once per solve, then per point
+    p, q = example("ex34"), example("ex34")
+    builtin, shapes = p.kappa_y, []
+
+    def per_point(t, s, y):
+        shapes.append(np.shape(y))
+        y1, y2 = float(y[0]), float(y[1])
+        return np.array([[2.0 * y1 * y2, (y1 ** 2 + 2.0) + math.exp(y2)], [2.0 * y1, 0.0]])
+
+    q.kappa_y = per_point
+    cfg = CollocationConfig(h=0.05)
+    want, _ = solve_iae(p, cfg, interval=(1.0, 1.5))
+    got, diag = solve_iae(q, cfg, interval=(1.0, 1.5))
+    assert diag["failure"] is None
+    np.testing.assert_allclose(got.nodal_values, want.nodal_values, rtol=1e-12, atol=0.0)
+    assert [shape for shape in shapes if len(shape) == 2] == [(2, 8)]
+    assert builtin is p.kappa_y
+
+
 def test_scalar_second_kind_order_at_least_two():
     p = scalar_second_kind()
     errs = []

@@ -111,6 +111,26 @@ def test_matfn_derivative_constant():
                                atol=1e-10)
 
 
+def test_constant_matrix_function_takes_an_array_in_one_call():
+    m = np.array([[2.0, 1.0], [0.0, 3.0]])
+    f = MatrixFunction.constant(m, domain=(0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 5)
+    assert f.vectorized
+    assert _bits(f(ts)) == _bits([f(t) for t in ts])
+    assert _bits(f(0.5)) == _bits(m)
+    assert _bits(matfn_derivative(f, ts)) == _bits(np.zeros((5, 2, 2)))
+    with pytest.raises(DomainError):
+        f(np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "finite-differences"])
+def test_matfn_derivative_on_an_array_is_the_loop_of_float_calls(declared):
+    f = MatrixFunction(eval=_wiggle, domain=(0.0, 1.0),
+                       derivative=(lambda t: np.cos(t) * np.eye(2)) if declared else None)
+    ts = np.linspace(0.0, 1.0, 7)
+    assert _bits(matfn_derivative(f, ts)) == _bits([matfn_derivative(f, t) for t in ts])
+
+
 def test_matfn_derivative_linear():
     f = MatrixFunction(eval=lambda t: t * np.eye(2), domain=(0.0, 1.0))
     np.testing.assert_allclose(matfn_derivative(f, 0.5), np.eye(2), atol=1e-8)
@@ -260,6 +280,32 @@ def test_matrix_function_on_an_array_is_the_loop_of_float_calls():
     assert _bits(vec(0.25)) == _bits(f(0.25))
     with pytest.raises(DomainError):
         f(np.array([0.5, 1.5]))
+
+
+def test_a_vectorized_eval_gets_a_float_t_as_a_one_point_array():
+    # written for arrays only: t[:, None, None] fails on a float
+    f = MatrixFunction(eval=lambda t: t[:, None, None] * np.eye(2), domain=(0.0, 1.0),
+                       derivative=lambda t: np.ones_like(t)[:, None, None] * np.eye(2),
+                       vectorized=True)
+    assert _bits(f(0.25)) == _bits(0.25 * np.eye(2))
+    assert _bits(matfn_derivative(f, 0.25)) == _bits(np.eye(2))
+    ts = np.linspace(0.0, 1.0, 4)
+    assert _bits(f(ts)) == _bits([f(t) for t in ts])
+    assert _bits(matfn_derivative(f, ts)) == _bits([np.eye(2)] * 4)
+
+
+def test_an_eval_marked_vectorized_gets_a_float_t_as_the_float():
+    seen = []
+
+    def ev(t):
+        seen.append(np.shape(t))
+        return _wiggle(t)
+
+    ev.vectorized = True
+    f = MatrixFunction(eval=ev, domain=(0.0, 1.0), vectorized=True)
+    f(0.25)
+    f(np.linspace(0.0, 1.0, 4))
+    assert seen == [(), (4,)]
 
 
 def test_matrix_function_evaluates_at_every_call():

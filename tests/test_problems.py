@@ -196,6 +196,31 @@ def test_trajectory_sample_extrapolation_guard():
                                           np.linspace(0.0, 1.0, 11))
     with pytest.raises(ExtrapolationError):
         traj(1.5)
+    with pytest.raises(ExtrapolationError):
+        traj(np.array([0.5, 1.5]))
+
+
+def _interpolated(traj, t):
+    """The interpolant at one float t, in scalar arithmetic."""
+    lo, hi = traj.span
+    t = min(max(float(t), lo), hi)
+    i = min(max(int(np.searchsorted(traj.times, t, side="right")) - 1, 0), traj.times.size - 2)
+    t0, t1 = traj.times[i], traj.times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return (1.0 - w) * traj.values[i] + w * traj.values[i + 1]
+
+
+def test_trajectory_on_an_array_is_the_loop_of_float_calls():
+    rng = np.random.default_rng(11)
+    times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=9)]))
+    traj = TrajectorySample.from_function(lambda t: np.array([np.sin(3.0 * t), t * t]), times)
+    # random points, every sample time, and ends just outside the span (clamped)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, size=50), times, [-1e-10, 1.0 + 1e-10]])
+    want = np.stack([_interpolated(traj, t) for t in ts]).tobytes()
+    assert traj(ts).tobytes() == want
+    assert np.stack([traj(t) for t in ts]).tobytes() == want
+    single = TrajectorySample(times=[0.5], values=[[1.0, 2.0]])
+    assert single(np.array([0.5, 0.5])).tobytes() == np.stack([single(0.5)] * 2).tobytes()
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["kappa_y", "finite-differences"])

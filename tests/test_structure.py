@@ -232,22 +232,28 @@ def test_stacked_report_equals_single_reports_along_a_growing_solution():
 
 
 def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
-    # ex34's ν = 2 chain on 9 points calls κ_y 9 times for k_0(grid, grid)
-    # and 47 times for k_1(grid, grid) (k_0 at the 9 points and at their 38
-    # stencil points); evaluating A_1(grid) again for A_2(grid) adds 9
+    # ex34's ν = 2 chain on 9 points evaluates κ_y at 9 points for
+    # k_0(grid, grid) and at 47 for k_1(grid, grid) (k_0 at the 9 points and
+    # at their 38 stencil points); evaluating A_1(grid) again for A_2(grid)
+    # would add 9.  κ_y takes each batch in one call: count its width M.
+    # The kernel's one check of the batch form adds two per-point calls.
     p = example("ex34")
     tr = exact_traj(p)
-    calls = []
+    widths, probes = [], []
     kappa_y = p.kappa_y
 
-    def counted(*args):
-        calls.append(1)
-        return kappa_y(*args)
+    def counted(t, s, y):
+        if np.ndim(y) == 2:
+            widths.append(y.shape[1])
+        else:
+            probes.append(s)
+        return kappa_y(t, s, y)
 
     monkeypatch.setattr(p, "kappa_y", counted)
     rep = frozen_index_report(p, tr(1.5), 1.5, tr)
     assert rep.nu == 2
-    assert len(calls) == 56
+    assert sum(widths) == 56
+    assert len(probes) == 2
     # the levels' grid data equal a fresh evaluation of each level on the grid
     for lev in rep.levels:
         whole = lev.A(rep.grid)
