@@ -219,7 +219,7 @@ def _cmd_solve_dae(args, p, interval) -> int:
 
 def _values_at(sol, times) -> np.ndarray:
     """A collocation solution at ``times``, one row each: (0, r) when no interval completed."""
-    return np.array([sol(t) for t in times]).reshape(times.size, sol.r)
+    return sol(times) if times.size else np.empty((0, sol.r))
 
 
 def _cmd_solve_iae(args, p, interval) -> int:

@@ -29,11 +29,15 @@ points, in the solver and in :func:`residual` alike, applied to the
 interval interpolants.  κ is vectorised over quadrature points (see
 SemiNonlinearIAE), so each integral is one κ call: the history integral
 covers the solution stored at the Gauss nodes of every completed interval,
-and each Newton iteration makes one call per equation.  Its Jacobian is
-one κ_y call per equation too, when κ_y takes the batch; κ_y is tried in
-batch form (and checked against per-point calls) once per solve, and one
-that fails the try is called per Gauss point
-(:func:`~daekit.problems.batch_jacobian`).  Newton failures
+and each Newton iteration makes one call per equation, at that equation's
+scalar t.  The Newton matrix of an interval is one dense (n_eq r)² system,
+built in one piece from one κ_y call per Newton iteration on the Gauss
+points of every equation, with t of shape (M,) (each equation's time
+repeated over its points).  κ_y is tried in that batch form (and checked
+against per-point calls) once per solve, and one that fails the try is
+called per Gauss point (:func:`~daekit.problems.batch_jacobian`).  A κ
+with no κ_y is differenced in the same call, so it sees that (M,) t, and
+falls back to per-point calls when it cannot take it.  Newton failures
 are recorded, not raised: a solve that stops converging after an index
 change is the phenomenon of interest, and the partial solution up to
 that step is returned with the failure record.
@@ -79,14 +83,19 @@ class CollocationConfig:
         return np.concatenate(([0.0], c))
 
 
-def _lagrange_weights(nodes: np.ndarray, tau: float) -> np.ndarray:
-    """Values of the Lagrange basis polynomials for ``nodes`` at ``tau``."""
+def _lagrange_weights(nodes: np.ndarray, tau) -> np.ndarray:
+    """Values of the Lagrange basis polynomials for ``nodes`` at ``tau``:
+    shape (m,) at a float, tau.shape + (m,) at an array.  Basis j is the
+    product over l != j of (tau - nodes[l]) / (nodes[j] - nodes[l]), taken
+    in increasing l for every tau, so an array entry equals its float call."""
     m = nodes.size
-    out = np.ones(m)
-    for j in range(m):
-        for l in range(m):
-            if l != j:
-                out[j] *= (tau - nodes[l]) / (nodes[j] - nodes[l])
+    denom = nodes[:, None] - nodes  # (j, l)
+    denom.flat[::m + 1] = 1.0
+    factors = (np.asarray(tau, dtype=float)[..., None, None] - nodes) / denom
+    factors.reshape(-1, m * m)[:, ::m + 1] = 1.0  # l = j is no factor
+    out = factors[..., 0]
+    for l in range(1, m):
+        out = out * factors[..., l]
     return out
 
 
@@ -128,23 +137,31 @@ class PiecewiseSolution:
     def t_end(self) -> float:
         return self.t_start + self.h * self.n_intervals
 
-    def interval_of(self, t: float) -> int:
-        n = int(np.floor((t - self.t_start) / self.h))
-        return min(max(n, 0), self.n_intervals - 1)
+    def interval_of(self, t) -> np.ndarray:
+        """Index of the interval holding each time in the array t."""
+        n = np.floor((np.asarray(t, dtype=float) - self.t_start) / self.h).astype(int)
+        return np.minimum(np.maximum(n, 0), self.n_intervals - 1)
 
-    def eval_local(self, n: int, tau: float) -> np.ndarray:
-        return _lagrange_weights(self.tau_nodes, tau) @ self.nodal_values[n]
-
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """Value (r,) at a float t, or the (n, r) values at an (n,) array of
+        times; a float goes through the array arithmetic, so each row
+        equals its float call bit for bit."""
         if self.n_intervals == 0:
             raise InvalidInputError("empty solution")
-        slack = 1e-9 * max(1.0, abs(self.t_start), abs(self.t_end))
-        if not (self.t_start - slack <= t <= self.t_end + slack):
+        ts = np.asarray(t, dtype=float)
+        t = ts.reshape(-1)
+        lo, hi = self.t_start, self.t_end
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        inside = (lo - slack <= t) & (t <= hi + slack)
+        if not inside.all():
             raise InvalidInputError(
-                f"t={t} outside solved span [{self.t_start}, {self.t_end}]")
+                f"t={t[np.argmin(inside)]} outside solved span [{lo}, {hi}]")
         n = self.interval_of(t)
-        tau = (t - (self.t_start + n * self.h)) / self.h
-        return self.eval_local(n, min(max(tau, 0.0), 1.0))
+        tau = np.minimum(np.maximum((t - (lo + n * self.h)) / self.h, 0.0), 1.0)
+        # a (1, n_nodes) @ (n_nodes, r) product per time, so no row's
+        # arithmetic depends on the other times
+        vals = _lagrange_weights(self.tau_nodes, tau)[:, None, :] @ self.nodal_values[n]
+        return vals.reshape(ts.shape + (self.r,))
 
     def collocation_times(self) -> np.ndarray:
         ts = self.t_start + self.h * np.arange(self.n_intervals)[:, None] + self.h * self.c[None, :]
@@ -204,14 +221,25 @@ class _Scheme:
     hist_tau: np.ndarray    # Gauss nodes mapped to [0, 1]
     hist_w: np.ndarray      # matching weights (x h gives ds)
     hist_basis: np.ndarray  # (q, n_nodes) Lagrange weights at hist_tau
-    part: list = field(default_factory=list)  # per equation: partial_rule(eq_tau)
+    # partial_rule(eq_taus), one row per equation: local nodes (n_eq, q),
+    # weights with ds (n_eq, q), Lagrange weights (n_eq, q, n_nodes) and
+    # their product with the weights
+    part_tau: np.ndarray = field(init=False)
+    part_w: np.ndarray = field(init=False)
+    part_basis: np.ndarray = field(init=False)
+    part_wbasis: np.ndarray = field(init=False)
 
-    def partial_rule(self, tau_end: float):
+    def __post_init__(self):
+        self.part_tau, self.part_w, self.part_basis = self.partial_rule(self.eq_taus)
+        self.part_wbasis = self.part_w[..., None] * self.part_basis
+
+    def partial_rule(self, tau_end):
         """Gauss rule on [0, tau_end] of an interval: local nodes (q,),
-        weights including ds (q,), and Lagrange weights at the nodes (q, n_nodes)."""
+        weights including ds (q,), and Lagrange weights at the nodes
+        (q, n_nodes); an (n,) array of ends gives each an extra leading axis."""
+        tau_end = np.asarray(tau_end, dtype=float)[..., None]
         tau = tau_end * self.hist_tau
-        basis = np.array([_lagrange_weights(self.nodes, x) for x in tau])
-        return tau, self.h * tau_end * self.hist_w, basis
+        return tau, self.h * tau_end * self.hist_w, _lagrange_weights(self.nodes, tau)
 
 
 def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float) -> _Scheme:
@@ -224,11 +252,8 @@ def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float) -> _Scheme:
         eq_taus = c.copy()
     x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
     hist_tau = 0.5 * (x + 1.0)
-    hist_basis = np.array([_lagrange_weights(nodes, tau) for tau in hist_tau])
-    sch = _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
-                  hist_basis=hist_basis)
-    sch.part = [sch.partial_rule(tau_eq) for tau_eq in eq_taus]
-    return sch
+    return _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
+                   hist_basis=_lagrange_weights(nodes, hist_tau))
 
 
 @dataclass
@@ -323,34 +348,35 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     history = _GaussHistory.empty(sch, a, n_steps, r)
     left_value = y_start
     completed = 0
+    eqs = np.arange(n_eq)
+    end_weights = _lagrange_weights(nodes, 1.0)  # the right end, when it is no node
     for n in range(n_steps):
         t_n = a + n * cfg.h
         t_eq = t_n + sch.eq_taus * cfg.h
-        a_eq = [p.A(t) for t in t_eq]
-        f_eq = [np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_eq]
-        hist = [history.integral(kappa, t, n) for t in t_eq]
-        s_part = [t_n + tau * cfg.h for tau, _, _ in sch.part]
+        a_eq = p.A(t_eq)  # (n_eq, r, r)
+        f_eq = np.array([np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_eq])
+        hist = np.array([history.integral(kappa, t, n) for t in t_eq])
+        s_part = t_n + sch.part_tau * cfg.h      # (n_eq, q)
+        # κ_y sees the Gauss points of every equation at once: t, s of shape (n_eq q,)
+        t_all, s_all = np.repeat(t_eq, QUAD_ORDER), s_part.ravel()
 
-        u_s = [None] * n_eq  # (r, q) per equation, at the latest residual's iterate
+        u_s = None  # (n_eq, q, r) at the latest residual's iterate
         def res_of(x):
+            nonlocal u_s
             u_all = np.vstack([left_value[None, :], x.reshape(n_eq, r)])  # (n_nodes, r)
-            out = []
-            for i, (_, w_i, basis_i) in enumerate(sch.part):
-                u_s[i] = (basis_i @ u_all).T
-                # equation positions line up with nodes[1:]
-                out.append(a_eq[i] @ u_all[i + 1] + hist[i]
-                           + kappa(t_eq[i], s_part[i], u_s[i]) @ w_i - f_eq[i])
-            return np.concatenate(out)
+            u_s = sch.part_basis @ u_all
+            k_int = np.array([kappa(t_eq[i], s_part[i], u_s[i].T) @ sch.part_w[i]
+                              for i in range(n_eq)])
+            # equation positions line up with nodes[1:]
+            return (np.einsum("eab,eb->ea", a_eq, u_all[1:]) + hist + k_int - f_eq).ravel()
 
         def jac_of(x):
-            rows = []
-            for i, (_, w_i, basis_i) in enumerate(sch.part):
-                # block j = Σ_g w_g ℓ_j(τ_g) ∂κ/∂y(s_g), one per node
-                blocks = np.einsum("gj,abg->jab", w_i[:, None] * basis_i,
-                                   kappa_jac(t_eq[i], s_part[i], u_s[i]))
-                blocks[i + 1] += a_eq[i]
-                rows.append(np.hstack(blocks[1:]))
-            return np.vstack(rows)
+            # block (i, j) = Σ_g w_ig ℓ_j(τ_ig) ∂κ/∂y(s_ig) over the free nodes j,
+            # plus A(t_eq[i]) where node j carries equation i
+            k_y = kappa_jac(t_all, s_all, u_s.reshape(-1, r).T).reshape(r, r, n_eq, -1)
+            jac = np.einsum("egj,abeg->eajb", sch.part_wbasis[:, :, 1:], k_y)
+            jac[eqs, :, eqs, :] += a_eq
+            return jac.reshape(n_eq * r, n_eq * r)
 
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
@@ -367,8 +393,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         values[n, 0] = left_value
         values[n, 1:] = u_free.reshape(n_eq, r)
         history.store(n, values[n])
-        left_value = values[n, -1] if nodes[-1] == 1.0 else \
-            _lagrange_weights(nodes, 1.0) @ values[n]
+        left_value = values[n, -1] if nodes[-1] == 1.0 else end_weights @ values[n]
         completed = n + 1
 
     sol = PiecewiseSolution(t_start=a, h=cfg.h, c=c.copy(), tau_nodes=nodes.copy(),
@@ -386,18 +411,18 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)
     for n in range(sol.n_intervals):
         history.store(n, sol.nodal_values[n])
-    out = np.empty(probe_grid.size)
-    for idx, t in enumerate(probe_grid):
-        t = float(min(max(t, lo), hi))
-        n = sol.interval_of(t)
-        t_n = lo + n * sol.h
-        acc = history.integral(kappa, t, n)
-        # partial piece of the current interval, [t_n, t]
-        tau_t = (t - t_n) / sol.h
-        if tau_t > 0.0:
-            tau, w, basis = sch.partial_rule(tau_t)
-            acc = acc + kappa(t, t_n + tau * sol.h, (basis @ sol.nodal_values[n]).T) @ w
-        u_t = sol(t)
-        res = p.A(t) @ u_t + acc - np.atleast_1d(np.asarray(p.f(t), dtype=float))
-        out[idx] = float(np.linalg.norm(res))
-    return out
+    t_probe = np.minimum(np.maximum(probe_grid, lo), hi)
+    n_probe = sol.interval_of(t_probe)
+    t_n = lo + n_probe * sol.h
+    # partial piece of the current interval, [t_n, t], at every probe
+    tau_t = (t_probe - t_n) / sol.h
+    tau, w, basis = sch.partial_rule(tau_t)
+    u_part = basis @ sol.nodal_values[n_probe]  # (P, q, r)
+    acc = np.array([history.integral(kappa, t, n) for t, n in zip(t_probe.tolist(), n_probe)])
+    for idx in np.flatnonzero(tau_t > 0.0):
+        acc[idx] = acc[idx] + kappa(float(t_probe[idx]), t_n[idx] + tau[idx] * sol.h,
+                                    u_part[idx].T) @ w[idx]
+    f = np.array([np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_probe.tolist()])
+    res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - f
+    # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
+    return np.array([float(np.linalg.norm(x)) for x in res])

@@ -18,6 +18,8 @@ from daekit import (
     solve_iae,
     verify_exact,
 )
+from daekit import collocation
+from daekit.collocation import QUAD_ORDER
 from helpers import ex33_as_integral_equation
 
 HALF_PI = np.pi / 2.0
@@ -65,8 +67,115 @@ def test_a_per_point_kappa_y_gives_the_solve_of_the_batched_one():
     got, diag = solve_iae(q, cfg, interval=(1.0, 1.5))
     assert diag["failure"] is None
     np.testing.assert_allclose(got.nodal_values, want.nodal_values, rtol=1e-12, atol=0.0)
-    assert [shape for shape in shapes if len(shape) == 2] == [(2, 8)]
+    # one batch try per solve, on the Gauss points of all three equations
+    assert [shape for shape in shapes if len(shape) == 2] == [(2, 3 * QUAD_ORDER)]
     assert builtin is p.kappa_y
+
+
+# --- the stacked Newton system of one interval --------------------------------
+
+def first_interval_system(monkeypatch, p, cfg):
+    """(x, residual, Jacobian) of the solver's first interval at a point x
+    near its initial guess, taken before the Newton iteration runs."""
+    seen = []
+    real = collocation.newton
+
+    def spy(res_of, jac_of, x0, *args, **kwargs):
+        if not seen:
+            x = x0 + 0.01 * np.sin(np.arange(1.0, x0.size + 1.0))
+            # the Jacobian reuses the iterate of the residual called before it
+            seen.append((x, res_of(x), jac_of(x)))
+        return real(res_of, jac_of, x0, *args, **kwargs)
+
+    monkeypatch.setattr(collocation, "newton", spy)
+    solve_iae(p, cfg, interval=(p.t_start, p.t_start + cfg.h))
+    return seen[0]
+
+
+def per_equation_system(p, cfg, x):
+    """The first interval's residual and Newton matrix, one equation at a
+    time, with per-point κ_y calls: the solver's own Gauss rule written out."""
+    nodes = cfg.tau_nodes()
+    c = np.asarray(cfg.c)
+    eq_taus = np.append(c[1:], 1.0) if c[0] == 0.0 else c
+    xg, wg = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    n_eq, r, a, h = eq_taus.size, p.r, p.t_start, cfg.h
+
+    def lagrange(tau):
+        return np.array([np.prod([(tau - nodes[l]) / (nodes[j] - nodes[l])
+                                  for l in range(nodes.size) if l != j])
+                         for j in range(nodes.size)])
+
+    u_all = np.vstack([p.exact(a), x.reshape(n_eq, r)])
+    res, rows = [], []
+    for i, tau_eq in enumerate(eq_taus):
+        t = a + tau_eq * h
+        taus = tau_eq * 0.5 * (xg + 1.0)
+        w = h * tau_eq * 0.5 * wg
+        basis = np.array([lagrange(tau) for tau in taus])  # (q, n_nodes)
+        s, u = a + taus * h, (basis @ u_all).T
+        res.append(p.A(t) @ u_all[i + 1] + p.kappa(t, s, u) @ w - p.f(t))
+        blocks = [sum(w[g] * basis[g, j] * p.kappa_y(t, s[g], u[:, g])
+                      for g in range(taus.size)) for j in range(nodes.size)]
+        blocks[i + 1] = blocks[i + 1] + p.A(t)
+        rows.append(np.hstack(blocks[1:]))
+    return np.concatenate(res), np.vstack(rows)
+
+
+def scalar_nonlinear_second_kind():
+    # κ depends on t, s and y, so a wrong time on any Gauss point shows
+    return SemiNonlinearIAE(
+        A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+        kappa=lambda t, s, y: (1.0 + t - s) * np.sin(y),
+        f=lambda t: np.array([1.0]),
+        r=1, T=1.0, t_start=0.0,
+        kappa_y=lambda t, s, y: np.array([[(1.0 + t - s) * np.cos(y[0])]]),
+        exact=lambda t: np.array([1.0]))
+
+
+@pytest.mark.parametrize("make, c", [
+    (lambda: example("ex34"), (0.0, 0.7, 0.9)),
+    (lambda: example("ex34"), (0.3, 0.8)),
+    (scalar_nonlinear_second_kind, (0.0, 0.7, 0.9)),
+], ids=["ex34-closing-equation", "ex34-c1-positive", "r1"])
+def test_the_stacked_newton_system_is_the_per_equation_one(monkeypatch, make, c):
+    p = make()
+    cfg = CollocationConfig(c=c, h=0.05)
+    x, res, jac = first_interval_system(monkeypatch, p, cfg)
+    want_res, want_jac = per_equation_system(p, cfg, x)
+    assert jac.shape == want_jac.shape == (x.size, x.size)
+    np.testing.assert_allclose(res, want_res, rtol=0.0, atol=1e-14 * np.abs(want_res).max())
+    np.testing.assert_allclose(jac, want_jac, rtol=0.0, atol=1e-14 * np.abs(want_jac).max())
+
+
+def test_kappa_y_is_called_once_per_newton_iteration():
+    # plus the two per-point calls that check the one batch try of a solve
+    p = example("ex34")
+    builtin, calls = p.kappa_y, []
+    p.kappa_y = lambda t, s, y: calls.append(np.shape(y)) or builtin(t, s, y)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.05), interval=(1.0, 1.5))
+    assert diag["failure"] is None and sol.n_intervals == 10
+    assert len(calls) == sum(diag["newton_iters"]) + 2
+    assert calls.count((2,)) == 2
+
+
+def test_a_kappa_of_scalar_t_alone_is_differenced_per_point():
+    # without κ_y the Jacobian differences κ on the batch, whose t has shape
+    # (M,); float(t) refuses it once, and every later call goes per point
+    p, q = example("ex34"), example("ex34")
+    t_shapes = []
+
+    def kappa(t, s, y):
+        t_shapes.append(np.shape(t))
+        return p.kappa(t, s, y) * (float(t) / float(t))
+
+    q.kappa, q.kappa_y = kappa, None
+    cfg = CollocationConfig(h=0.05)
+    want, _ = solve_iae(p, cfg, interval=(1.0, 2.0))
+    got, diag = solve_iae(q, cfg, interval=(1.0, 2.0))
+    assert diag["failure"] is None
+    np.testing.assert_allclose(got.nodal_values, want.nodal_values, rtol=0.0, atol=1e-12)
+    assert [shape for shape in t_shapes if shape != ()] == [(3 * QUAD_ORDER,)]
 
 
 def test_scalar_second_kind_order_at_least_two():
@@ -249,6 +358,40 @@ def test_solution_is_continuous_at_mesh_points():
     for m in sol.mesh[1:-1]:
         jump = np.max(np.abs(sol(m - 1e-13) - sol(m + 1e-13)))
         assert jump <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [(0.0, 0.7, 0.9, 1.0), (0.0, 0.3, 0.8), (0.0, 0.5)])
+def test_lagrange_weights_on_an_array_are_the_scalar_products_bit_for_bit(nodes):
+    nodes = np.array(nodes)
+    taus = np.concatenate([np.linspace(0.0, 1.0, 41), nodes, [1.0 / 3.0, 0.9999999]])
+
+    def scalar(tau):
+        out = np.ones(nodes.size)
+        for j in range(nodes.size):
+            for l in range(nodes.size):
+                if l != j:
+                    out[j] *= (tau - nodes[l]) / (nodes[j] - nodes[l])
+        return out
+
+    want = np.array([scalar(float(tau)) for tau in taus])
+    assert collocation._lagrange_weights(nodes, taus).tobytes() == want.tobytes()
+    assert collocation._lagrange_weights(nodes, taus.reshape(-1, 1)).shape == (taus.size, 1, nodes.size)
+    for tau, row in zip(taus, want):
+        assert collocation._lagrange_weights(nodes, float(tau)).tobytes() == row.tobytes()
+
+
+def test_solution_on_an_array_of_times_gives_the_float_calls_row_by_row():
+    sol, _ = solve_iae(example("ex34"), CollocationConfig(h=0.05), interval=(1.0, 1.5))
+    times = np.concatenate([np.linspace(1.0, 1.5, 37), sol.mesh, sol.mesh[1:-1] - 1e-13,
+                            sol.mesh[1:-1] + 1e-13, [1.0 - 1e-12, 1.5 + 1e-12]])
+    values = sol(times)
+    assert values.shape == (times.size, 2)
+    for t, row in zip(times, values):
+        assert sol(float(t)).shape == (2,)
+        assert sol(float(t)).tobytes() == row.tobytes()
+    assert sol(np.array([[1.1, 1.2]])).shape == (1, 2, 2)
+    with pytest.raises(InvalidInputError):
+        sol(np.array([1.2, 0.9]))
 
 
 def test_solution_rejects_points_outside_span():
