@@ -9,7 +9,7 @@ system determines them.
 
 Newton failures are data, not exceptions: near an index change divergence
 is the expected observation.  The solver first retries the step with up to
-``max_halvings`` local halvings (first-order substeps), recording each
+``MAX_HALVINGS`` local halvings (first-order substeps), recording each
 attempt; if those fail too, it returns the trajectory computed so far with
 a failure record attached.
 
@@ -29,28 +29,26 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
 from .linalg import NEWTON_MAX_ITER, newton
-from .problems import SemiNonlinearDAE, mesh_steps, probe_points
+from .problems import SemiNonlinearDAE, check_span, mesh_steps, probe_points
 
 
 WARN_THRESHOLD = 1e-2
+# Newton stopping tolerance of every step, and the most local halvings a
+# step whose Newton iteration fails is retried with
+NEWTON_TOL = 1e-10
+MAX_HALVINGS = 3
 
 
 @dataclass
 class DaeSolveConfig:
     h: float
     order: int = 1
-    newton_tol: float = 1e-10
-    max_halvings: int = 3
 
     def validate(self):
         if not 0 < self.h < np.inf:
             raise InvalidInputError("h must be finite and positive")
         if self.order not in (1, 2):
             raise InvalidInputError("order must be 1 or 2")
-        if not 0 < self.newton_tol < np.inf:
-            raise InvalidInputError("newton_tol must be finite and positive")
-        if self.max_halvings < 0:
-            raise InvalidInputError("max_halvings must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,8 @@ class SolveResult:
         return self._spline
 
     def __call__(self, t):
+        """Spline value at t, which must lie in the solved span."""
+        check_span(t, float(self.times[0]), float(self.times[-1]))
         return self.interpolant()(t)
 
     def to_dict(self) -> dict:
@@ -108,40 +108,40 @@ class SolveResult:
             "initial_defect": self.initial_defect,
             "config": {
                 "h": self.config.h, "order": self.config.order,
-                "newton_tol": self.config.newton_tol,
+                "newton_tol": NEWTON_TOL,
                 "newton_max_iter": NEWTON_MAX_ITER,
                 "warn_threshold": WARN_THRESHOLD,
-                "max_halvings": self.config.max_halvings,
+                "max_halvings": MAX_HALVINGS,
             },
         }
 
 
 def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
-            y_guess: np.ndarray, tol: float):
+            y_guess: np.ndarray):
     """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters)."""
     a = p.A(t_new)
     fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
     y, it, _, _ = newton(
         lambda y: c * (a @ y) - a @ d
         + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv,
-        lambda y: c * a + p.jacobian(t_new, y), y_guess, tol, NEWTON_MAX_ITER)
+        lambda y: c * a + p.jacobian(t_new, y), y_guess, NEWTON_TOL, NEWTON_MAX_ITER)
     return y, it
 
 
-def _bdf1(p, t_n, y_n, h, cfg):
-    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n, cfg.newton_tol)
+def _bdf1(p, t_n, y_n, h):
+    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n)
 
 
-def _halved(p, t_n, y_n, h, cfg, records, step_index):
+def _halved(p, t_n, y_n, h, records, step_index):
     """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... ."""
-    for halving in range(1, cfg.max_halvings + 1):
+    for halving in range(1, MAX_HALVINGS + 1):
         m = 2 ** halving
         sub_h = h / m
         y, t = y_n, t_n
         total_iters = 0
         ok = True
         for i in range(m):
-            y_next, its = _bdf1(p, t, y, sub_h, cfg)
+            y_next, its = _bdf1(p, t, y, sub_h)
             total_iters += its
             if y_next is None:
                 ok = False
@@ -207,15 +207,15 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             c = 1.0 / cfg.h
             d = y_n / cfg.h
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
-        y_new, its = _newton(p, t_new, c, d, guess, cfg.newton_tol)
+        y_new, its = _newton(p, t_new, c, d, guess)
         if y_new is None:
-            y_new, more = _halved(p, t_n, y_n, cfg.h, cfg, halvings, step)
+            y_new, more = _halved(p, t_n, y_n, cfg.h, halvings, step)
             its += more
         newton_iters.append(its)
         if y_new is None:
             failure = {"t": t_new, "step": step,
                        "reason": "Newton iteration did not converge "
-                                 f"(after {cfg.max_halvings} local halvings)"}
+                                 f"(after {MAX_HALVINGS} local halvings)"}
             break
         for cid, g in enumerate(p.critical_conditions):
             gv = float(g(t_new, y_new))

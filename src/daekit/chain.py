@@ -21,14 +21,15 @@ lost per level; chains past level 4 need analytic derivatives to be
 trustworthy, hence the default cap nu_max = 4.
 
 The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
-F_{i+1} take a float t (and s) or (n,) arrays of them.  An array call
-evaluates level i once on all its points and on all their stencil points,
-with one stacked SVD for the projectors there, and recurses on those
-points into the level below.  The levels memoize nothing.  A user's A
-(unless vectorized), kernel, right side and callbacks are called once per
-point; the kernels of :func:`linear_kernel` make one Jacobian call per
-array instead.  Every element gets the arithmetic of a float call, so
-both forms agree bit for bit.  :func:`rank_degree_index` builds each
+F_{i+1} are vectorized MatrixFunctions of a float t (and s) or of (n,)
+arrays.  An array call evaluates level i once on all its points and on
+all their stencil points, with one stacked SVD for the projectors there,
+and recurses on those points into the level below; nothing is memoized.
+A user's A (unless vectorized), kernel and right side are called once
+per point, a plain callable being wrapped by :func:`per_point`; the
+kernels of :func:`linear_kernel` make one Jacobian call per array.  Each
+element gets the arithmetic of a float call, so both forms agree bit for
+bit.  :func:`rank_degree_index` builds each
 level's grid values from those of the level below instead of evaluating
 that level again.  The one memo left is :func:`dae_to_iae`'s, on the
 quadratures of its right side.
@@ -56,6 +57,7 @@ from .linalg import (
     fd_derivative,
     matfn_derivative,
     numerical_rank,
+    per_point,
     semi_inverse,
 )
 from .problems import (
@@ -67,28 +69,9 @@ from .problems import (
     batch_jacobian,
 )
 
-Kernel = Callable[[float, float], np.ndarray]
+Kernel = MatrixFunction | Callable[[float, float], np.ndarray]
 # absolute and relative tolerance of the quadratures in dae_to_iae's right side
 QUAD_TOL = 1e-12
-
-
-def _vectorized(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """Function of float arguments or of (n,) arrays, from ``fn`` of (n,) arrays."""
-    def g(*args):
-        if all(np.ndim(a) == 0 for a in args):
-            return fn(*(np.array([a], dtype=float) for a in args))[0]
-        return fn(*np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args)))
-
-    g.vectorized = True
-    return g
-
-
-def on_arrays(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """``fn`` on (n,) arrays: as it is if it carries a true ``vectorized``
-    attribute (see :func:`_vectorized`), else called once per point."""
-    if getattr(fn, "vectorized", False):
-        return fn
-    return lambda *args: np.stack([fn(*map(float, point)) for point in zip(*args)])
 
 
 def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
@@ -110,22 +93,23 @@ def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
 
 
 def chain_step(A_i: MatrixFunction, k_i: Kernel,
-               tol: float = DEFAULT_RANK_TOL) -> tuple[MatrixFunction, Kernel]:
+               tol: float = DEFAULT_RANK_TOL) -> tuple[MatrixFunction, MatrixFunction]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
-    Both take a float t (and s) or (n,) arrays, and evaluate an array with
-    one stacked SVD for the projectors V_i at its points and one for those
-    at its stencil points.  k_{i+1} is :func:`_lift` of k_i with s held
-    fixed, the rule :func:`rhs_chain` applies to the right side.
+    Both are vectorized MatrixFunctions on A_i's domain, A_{i+1}(t) and
+    k_{i+1}(t, s), and evaluate an array with one stacked SVD for the
+    projectors V_i at its points and one for those at its stencil points.
+    k_{i+1} is :func:`_lift` of k_i with s held fixed, the rule
+    :func:`rhs_chain` applies to the right side.
     """
-    k_at = on_arrays(k_i)
+    k_i = per_point(k_i, A_i.domain, "kernel")
 
     def a_next(t: np.ndarray) -> np.ndarray:
         a = A_i(t)
-        return a + semi_inverse(a, tol).projector @ k_at(t, t)
+        return a + semi_inverse(a, tol).projector @ k_i(t, t)
 
     return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
-            _vectorized(_lift(A_i, k_at, tol)))
+            MatrixFunction(eval=_lift(A_i, k_i, tol), domain=A_i.domain, vectorized=True))
 
 
 @dataclass
@@ -138,7 +122,7 @@ class ChainLevel:
 
     level: int
     A: MatrixFunction
-    k: Kernel
+    k: MatrixFunction
     rank: Optional[int]
     det_sample: list
     tol: float = DEFAULT_RANK_TOL
@@ -220,7 +204,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise InvalidInputError("grid must be strictly increasing")
 
-    A_i, k_i = A, k
+    A_i, k_i = A, per_point(k, A.domain, "kernel")
     a_grid = A(grid)
     stacked = a_grid.ndim == 4
     n_samples = a_grid.shape[1] if stacked else 1
@@ -246,7 +230,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
         if all(rep is not None for rep in reports):
             break
         if level < nu_max:
-            k_grid = on_arrays(k_i)(grid, grid)
+            k_grid = k_i(grid, grid)
             A_i, k_i = chain_step(A_i, k_i, tol)
             a_grid = a_grid + inv.projector @ k_grid
     reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
@@ -259,18 +243,20 @@ def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
 
     F_0 = f and F_{i+1} = :func:`_lift` of F_i through level i's A_i, the
     update rule of the kernel: F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t).
-    Returns one function per level; each takes a float t or an (n,) array
-    of times and gives an (r,) vector or an (n, r) stack.  ``f`` is called
-    once per point, and nothing is memoized.
+    Returns one vectorized MatrixFunction per level, on level 0's domain:
+    an (r,) vector at a float t, an (n, r) stack at an (n,) array.  A
+    plain ``f`` is called once per point, and nothing is memoized.
     """
     if not levels:
         raise InvalidInputError("levels must be non-empty")
-    f_at = on_arrays(f)
+    domain = levels[0].A.domain
+    f = per_point(f, domain, "f")
     # values travel as (n, r, 1) columns, so V_i F_i is the kernel's product
-    columns = [lambda t: np.asarray(f_at(t), dtype=float).reshape(t.size, -1, 1)]
+    columns = [lambda t: f(t).reshape(t.size, -1, 1)]
     for lev in levels[:-1]:
         columns.append(_lift(lev.A, columns[-1], lev.tol))
-    return [_vectorized(lambda t, g=g: g(t)[..., 0]) for g in columns]
+    return [MatrixFunction(eval=lambda t, g=g: g(t)[..., 0], domain=domain, vectorized=True)
+            for g in columns]
 
 
 @dataclass
@@ -336,7 +322,7 @@ def consistency_check(levels, F_list, tol: float = 1e-6,
                              condition_number=cond, warnings=warnings)
 
 
-def linear_kernel(p, eta=None) -> Kernel:
+def linear_kernel(p, eta=None) -> MatrixFunction:
     """Kernel of the linear integral problem whose chain gives the index of p.
 
     * LinearDAE:        (t, s) ↦ B(s) − A′(s)
@@ -350,14 +336,16 @@ def linear_kernel(p, eta=None) -> Kernel:
     vectors; a LinearDAE ignores it.  A stack gives kernel values with a
     sample axis, shape (S, r, r), whose slice j is the kernel at eta[j].
 
-    The kernel takes floats or (n,) arrays of t and s, like a chain level.
-    An array call makes one Jacobian call on all its points (and samples),
-    through :func:`~daekit.problems.batch_jacobian`: the batch form is
-    tried once per kernel, checked against per-point calls at its two end
-    points, and a Jacobian that fails that try is called per point.
+    The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
+    chain level.  An array call makes one Jacobian call on all its points
+    (and samples), through :func:`~daekit.problems.batch_jacobian`: the
+    batch form is tried once per kernel, checked against per-point calls at
+    its two end points, and a Jacobian that fails that try is called per
+    point.
     """
     if isinstance(p, LinearDAE):
-        return _vectorized(lambda t, s: p.B(s) - matfn_derivative(p.A, s))
+        return MatrixFunction(eval=lambda t, s: p.B(s) - matfn_derivative(p.A, s),
+                              domain=p.A.domain, name="kernel", vectorized=True)
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError(f"no linear kernel for a {type(p).__name__}")
     if eta is None:
@@ -365,8 +353,7 @@ def linear_kernel(p, eta=None) -> Kernel:
     if isinstance(eta, TrajectorySample):
         at = eta
     elif callable(eta):
-        def at(s):
-            return np.array([eta(x) for x in map(float, s)], dtype=float)
+        at = per_point(eta, p.A.domain, "eta")
     else:
         v = np.asarray(eta, dtype=float)
 
@@ -390,7 +377,7 @@ def linear_kernel(p, eta=None) -> Kernel:
             k = k - matfn_derivative(p.A, s).reshape(col + (p.r, p.r))
         return k
 
-    return _vectorized(kernel)
+    return MatrixFunction(eval=kernel, domain=p.A.domain, name="kernel", vectorized=True)
 
 
 def dae_to_iae(p: LinearDAE) -> LinearIAE:

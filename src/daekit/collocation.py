@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton
-from .chain import on_arrays
+from .linalg import NEWTON_MAX_ITER, newton, per_point
 from .problems import LinearIAE, SemiNonlinearIAE, batch_jacobian, mesh_steps, probe_points
 
 
@@ -199,10 +198,10 @@ def _kernel_of(p):
     (r, M), κ returns (r, M) and ∂κ/∂y returns (r, r, M), each in one call
     of the user's function when it takes the batch."""
     if isinstance(p, LinearIAE):
-        k_on = on_arrays(p.k)
+        k = per_point(p.k, p.interval, "kernel")
 
         def k_at(t, s):
-            return np.moveaxis(k_on(np.full(s.shape, t), s), 0, -1)
+            return np.moveaxis(k(t, s), 0, -1)
 
         return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
                 (lambda t, s, y: k_at(t, s)), True)

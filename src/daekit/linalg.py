@@ -9,7 +9,8 @@ The matrix routines also take a stack (..., r, r) of matrices, in the style
 of a numpy gufunc, and the routines of t also take an array of times.  One
 stacked SVD costs little more than one small SVD, and each slice of a stack
 gets exactly the arithmetic of the single-matrix call, so the two forms
-agree bit for bit.
+agree bit for bit.  :class:`MatrixFunction` is the one float/array adapter
+for every function of time: coefficients, chain levels, kernels, right sides.
 """
 
 from __future__ import annotations
@@ -214,66 +215,59 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
 
 @dataclass
 class MatrixFunction:
-    """A time-dependent square matrix on a closed interval.
+    """A matrix (or vector) function of time on a closed interval.
 
     ``derivative`` is the analytic d/dt when available; otherwise
     :func:`matfn_derivative` falls back to finite differences.  A float t
-    gives the (r, r) matrix and an array of times the stack of shape
-    t.shape + (r, r).  ``eval`` is called once per time, unless
-    ``vectorized``: then it takes an (n,) array and returns the (n, r, r)
-    stack, a float t reaching it as a (1,) array; an ``eval`` that carries
-    a true ``vectorized`` attribute of its own also takes a float t as the
-    float.  A declared ``derivative`` is called the way ``eval`` is.
-    Nothing is memoized, so ``eval`` runs at every evaluation point.
+    gives the value, an array of times the stack along t.shape.  ``eval``
+    gets a float t once per time, or if ``vectorized`` the (n,) array of
+    times at once (a float t as a (1,) array) and returns the (n, ...)
+    stack.  Further arguments (a kernel's s) are broadcast with t and reach
+    ``eval`` the way t does.  A declared ``derivative`` is called the way
+    ``eval`` is.  Nothing is memoized.
     """
 
     eval: Callable
     domain: tuple[float, float] = (0.0, 1.0)
-    derivative: Optional[Callable[[float], np.ndarray]] = None
+    derivative: Optional[Callable] = None
     name: str = ""
     vectorized: bool = False
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t, *args) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
-        takes_float = not self.vectorized or getattr(self.eval, "vectorized", False)
-        if ts.ndim == 0 and takes_float:
-            return self._eval_checked(float(ts))
-        if self.vectorized:
-            m = self._eval_checked(ts.ravel())
-        else:
-            m = np.stack([self._eval_checked(x) for x in map(float, ts.ravel())])
-        return m.reshape(ts.shape + m.shape[1:])
-
-    def _eval_checked(self, t) -> np.ndarray:
-        """eval(t) as floats for a float or an (n,) array t inside the domain."""
-        t_min, t_max = (t, t) if isinstance(t, float) else (t.min(), t.max())
+        if args:
+            ts, *args = np.broadcast_arrays(ts, *(np.asarray(a, dtype=float) for a in args))
         lo, hi = self.domain
-        for bad, inside in ((t_min, t_min >= lo - 1e-9 * max(1.0, abs(lo))),
-                            (t_max, t_max <= hi + 1e-9 * max(1.0, abs(hi)))):
-            if not inside:
-                raise DomainError(f"t={bad} outside domain [{lo}, {hi}] "
-                                  f"of {self.name or 'matrix function'}")
-        m = np.asarray(self.eval(t), dtype=float)
-        if not np.isfinite(m).all():
-            raise InvalidInputError(f"non-finite matrix at t={t}")
-        return m
+        t_min, t_max = (ts.item(),) * 2 if ts.size == 1 else (ts.min(), ts.max())
+        if not lo - 1e-9 * max(1.0, abs(lo)) <= t_min <= t_max <= hi + 1e-9 * max(1.0, abs(hi)):
+            raise DomainError(f"t={t_min if t_min < lo else t_max} outside domain [{lo}, {hi}] "
+                              f"of {self.name or 'matrix function'}")
+        if self.vectorized:
+            m = np.asarray(self.eval(ts.ravel(), *[a.ravel() for a in args]), dtype=float)
+        else:
+            m = np.array(list(map(self.eval, ts.ravel().tolist(),
+                                  *[a.ravel().tolist() for a in args])), dtype=float)
+        if np.count_nonzero(np.isfinite(m)) < m.size:
+            raise InvalidInputError(f"non-finite {self.name or 'matrix function'} at t={t}")
+        return m.reshape(ts.shape + m.shape[1:])
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":
-        """The matrix ``m`` at every t: a float t returns ``m`` itself, an
-        (n,) array its read-only broadcast to (n, r, r)."""
+        """The matrix ``m`` at every t: read-only views of one read-only copy."""
+        m = np.array(m, dtype=float)
+
         def fixed(value: np.ndarray) -> Callable:
-            def at(t):
-                return value if isinstance(t, float) else \
-                    np.broadcast_to(value, t.shape + value.shape)
+            value.flags.writeable = False
+            one = value[None]       # a float t needs no broadcast
+            return lambda t: one if t.size == 1 else np.broadcast_to(value, t.shape + value.shape)
 
-            at.vectorized = True
-            return at
+        return MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
+                              name=name, vectorized=True)
 
-        m = np.asarray(m, dtype=float)
-        return MatrixFunction(eval=fixed(m), domain=domain,
-                              derivative=fixed(np.zeros_like(m)), name=name,
-                              vectorized=True)
+
+def per_point(fn: Callable, domain, name: str = "") -> MatrixFunction:
+    """``fn`` if a MatrixFunction, else ``fn`` of floats called once per point on ``domain``."""
+    return fn if isinstance(fn, MatrixFunction) else MatrixFunction(fn, domain, name=name)
 
 
 def matfn_derivative(f: MatrixFunction, t) -> np.ndarray:

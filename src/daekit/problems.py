@@ -130,6 +130,16 @@ def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
     return probe_grid
 
 
+def check_span(t, lo: float, hi: float) -> None:
+    """Raise ExtrapolationError unless every time in ``t`` lies in [lo, hi],
+    give or take 1e-9 relative to the span's magnitude."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+    inside = (lo - slack <= t) & (t <= hi + slack)
+    if not inside.all():
+        raise ExtrapolationError(f"t={t[np.argmin(inside)]} outside trajectory span [{lo}, {hi}]")
+
+
 @dataclass
 class TrajectorySample:
     """Sampled trajectory with linear interpolation between samples."""
@@ -163,11 +173,7 @@ class TrajectorySample:
         ts = np.asarray(t, dtype=float)
         t = ts.reshape(-1)
         lo, hi = self.span
-        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        inside = (lo - slack <= t) & (t <= hi + slack)
-        if not inside.all():
-            raise ExtrapolationError(
-                f"t={t[np.argmin(inside)]} outside trajectory span [{lo}, {hi}]")
+        check_span(t, lo, hi)
         t = np.minimum(np.maximum(t, lo), hi)
         if self.times.size == 1:
             vals = np.repeat(self.values, t.size, axis=0)

@@ -5,6 +5,7 @@ import pytest
 
 from daekit import (
     DaeSolveConfig,
+    ExtrapolationError,
     InvalidInputError,
     MatrixFunction,
     SemiNonlinearDAE,
@@ -96,6 +97,16 @@ def test_residual_of_numerical_solution_scales_with_h():
         p, solve_dae(p, DaeSolveConfig(h=5e-4), interval=(0.5, 1.0)), probe))
     assert r_h <= 5e-3
     assert r_h / r_half >= 1.5
+
+
+def test_solution_refuses_to_extrapolate_its_spline():
+    sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-2), interval=(0.5, 1.0))
+    ts = np.array([0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(sol(ts), sol.interpolant()(ts))
+    sol(1.0 + 1e-10)            # within the slack TrajectorySample allows
+    for t in (5.0, 0.4, np.array([0.6, 1.01])):
+        with pytest.raises(ExtrapolationError, match="outside"):
+            sol(t)
 
 
 def test_residual_probe_must_stay_inside_solved_span():
@@ -196,15 +207,12 @@ def test_interval_must_fit_the_step():
 
 
 def test_config_validation():
-    for bad in [dict(h=0.0), dict(h=1e-2, order=3),
-                dict(h=1e-2, newton_tol=0.0), dict(h=1e-2, max_halvings=-1)]:
+    for bad in [dict(h=0.0), dict(h=1e-2, order=3)]:
         with pytest.raises(InvalidInputError):
             DaeSolveConfig(**bad).validate()
 
 
-@pytest.mark.parametrize("bad", [dict(h=np.nan), dict(h=np.inf),
-                                 dict(h=1e-2, newton_tol=np.nan)],
-                         ids=["h-nan", "h-inf", "newton-tol-nan"])
+@pytest.mark.parametrize("bad", [dict(h=np.nan), dict(h=np.inf)], ids=["h-nan", "h-inf"])
 def test_config_rejects_non_finite_settings(bad):
     with pytest.raises(InvalidInputError, match="finite"):
         DaeSolveConfig(**bad).validate()

@@ -263,6 +263,38 @@ def test_chain_levels_take_a_scalar_s_with_an_array_t():
     assert a1(grid).shape == (5, 2, 2)
 
 
+def test_a_kernel_or_f_marked_vectorized_is_still_called_per_point():
+    seen = []
+
+    def k(t, s):
+        seen.append((type(t), type(s)))
+        return K_SWAP
+
+    def f(t):
+        seen.append((type(t),))
+        return np.array([np.sin(t), 1.0])
+
+    k.vectorized = f.vectorized = True
+    a = MatrixFunction.constant(A_SING)
+    grid = np.linspace(0.0, 1.0, 5)
+    rep = rank_degree_index(a, k, grid=grid)
+    assert rep.nu == 2
+    fns = rhs_chain(f, rep.levels)
+    assert fns[2](grid).shape == (5, 2)
+    assert seen and set(seen) <= {(float, float), (float,)}
+    assert (float,) in seen
+
+
+def test_chain_levels_kernels_and_rhs_are_matrix_functions():
+    rep = rank_degree_index(*_const_pair())
+    assert all(isinstance(lev.k, MatrixFunction) for lev in rep.levels)
+    assert all(lev.A.vectorized and lev.k.vectorized for lev in rep.levels[1:])
+    assert not rep.levels[0].k.vectorized
+    fns = rhs_chain(lambda t: np.zeros(2), rep.levels)
+    assert all(isinstance(fn, MatrixFunction) and fn.domain == (0.0, 1.0) for fn in fns)
+    assert isinstance(linear_kernel(example("ex32"), np.array([1.0, 0.5])), MatrixFunction)
+
+
 # --- rhs_chain ------------------------------------------------------------
 
 def test_rhs_chain_zero_propagates():

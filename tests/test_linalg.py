@@ -9,12 +9,13 @@ from daekit import (
     DomainError,
     InvalidInputError,
     MatrixFunction,
+    example,
     fd_derivative,
     matfn_derivative,
     numerical_rank,
     semi_inverse,
 )
-from daekit.linalg import newton
+from daekit.linalg import newton, per_point
 from helpers import random_fixed_rank
 
 
@@ -294,18 +295,68 @@ def test_a_vectorized_eval_gets_a_float_t_as_a_one_point_array():
     assert _bits(matfn_derivative(f, ts)) == _bits([np.eye(2)] * 4)
 
 
-def test_an_eval_marked_vectorized_gets_a_float_t_as_the_float():
+def test_only_the_vectorized_field_decides_how_eval_is_called():
+    # an attribute on the function itself changes nothing
     seen = []
 
     def ev(t):
-        seen.append(np.shape(t))
+        seen.append(type(t))
         return _wiggle(t)
 
     ev.vectorized = True
-    f = MatrixFunction(eval=ev, domain=(0.0, 1.0), vectorized=True)
+    f = MatrixFunction(eval=ev, domain=(0.0, 1.0))
     f(0.25)
     f(np.linspace(0.0, 1.0, 4))
-    assert seen == [(), (4,)]
+    assert seen == [float] * 5
+
+
+def test_further_arguments_are_broadcast_with_t_and_passed_along():
+    seen = []
+
+    def ev(t, s):
+        seen.append((type(t), type(s)))
+        return np.array([[t, s], [s * t, 1.0]])
+
+    f = MatrixFunction(eval=ev, domain=(0.0, 1.0))
+    vec = MatrixFunction(eval=lambda t, s: np.stack([ev(*p) for p in zip(t, s)]),
+                         domain=(0.0, 1.0), vectorized=True)
+    ts = np.linspace(0.0, 1.0, 5)
+    want = np.stack([ev(t, 0.3) for t in ts])
+    seen.clear()
+    assert _bits(f(ts, 0.3)) == _bits(want)
+    assert seen == [(float, float)] * ts.size
+    assert _bits(f(0.4, ts)) == _bits([ev(0.4, s) for s in ts])
+    assert _bits(vec(ts, 0.3)) == _bits(want)
+    assert _bits(vec(0.4, 0.3)) == _bits(ev(0.4, 0.3))
+    with pytest.raises(DomainError):
+        f(1.5, 0.3)
+
+
+def test_writing_into_a_constant_value_raises_and_changes_nothing():
+    a = example("ex34").A
+    before = a(1.5).copy()
+    for value in (a(1.5), a(np.array([1.2, 1.5])), matfn_derivative(a, 1.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            value[..., 1, 1] = 5.0
+    assert _bits(a(1.5)) == _bits(before)
+    assert _bits(a(np.array([1.2, 1.5]))) == _bits([before, before])
+    assert _bits(matfn_derivative(a, 1.5)) == _bits(np.zeros((2, 2)))
+
+
+def test_a_constant_keeps_its_own_copy_of_m():
+    m = np.array([[2.0, 1.0], [0.0, 3.0]])
+    f = MatrixFunction.constant(m, domain=(0.0, 1.0))
+    m[0, 0] = 7.0
+    assert _bits(f(0.5)) == _bits([[2.0, 1.0], [0.0, 3.0]])
+    assert _bits(f(np.array([0.5]))) == _bits([[[2.0, 1.0], [0.0, 3.0]]])
+
+
+def test_per_point_wraps_a_plain_callable_and_keeps_a_matrix_function():
+    f = MatrixFunction.constant(np.eye(2))
+    assert per_point(f, (5.0, 6.0)) is f
+    g = per_point(_wiggle, (0.0, 1.0), "g")
+    assert (g.domain, g.name, g.vectorized) == ((0.0, 1.0), "g", False)
+    assert _bits(g(0.25)) == _bits(_wiggle(0.25))
 
 
 def test_matrix_function_evaluates_at_every_call():
