@@ -22,14 +22,16 @@ it happens rather than discovered from the blown-up error afterwards.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
 from .linalg import NEWTON_MAX_ITER, newton
 from .problems import SemiNonlinearDAE, check_span, mesh_steps, probe_points
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 WARN_THRESHOLD = 1e-2
@@ -87,6 +89,8 @@ class SolveResult:
         if self._spline is None:
             if self.times.size < 2:
                 raise InvalidInputError("need at least two accepted points")
+            # imported at first use: importing scipy triples daekit's start-up
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self.times, self.values, axis=0,
                                        bc_type="natural")
         return self._spline

@@ -48,7 +48,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InconsistentChainError, InvalidInputError
 from .linalg import (
@@ -394,6 +393,8 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
     def rhs(t: float) -> np.ndarray:
         got = cache.get(t)
         if got is None:
+            # imported at first use: importing scipy triples daekit's start-up
+            from scipy.integrate import quad
             got = np.array([
                 quad(lambda s, i=i: float(np.atleast_1d(p.f(s))[i]),
                      p.t_start, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]

@@ -348,7 +348,7 @@ def _scalar_oracle_order():
     for h in hs:
         sol, _ = solve_iae(p, CollocationConfig(c=(0.0, 0.7, 0.9), h=h))
         ts = sol.collocation_times()
-        errs.append(max(abs(sol(t)[0] - np.exp(-t)) for t in ts))
+        errs.append(np.abs(sol(ts)[:, 0] - np.exp(-ts)).max())
     return {"h_values": list(hs), "max_errors": [float(e) for e in errs],
             "order": _order_fit(hs, errs)}
 

@@ -284,7 +284,13 @@ class _GaussHistory:
         return kappa(t_eval, self.s[:m], self.u[:, :m]) @ self.w[:m]
 
 
-def _consistent_start(p, a: float):
+def _rhs_of(p):
+    """f as (n,) times -> (n, r) values, per point; a non-finite value raises."""
+    f = per_point(p.f, p.interval, "f")
+    return lambda t: f(t).reshape(np.size(t), p.r)
+
+
+def _consistent_start(p, a: float, f_a: np.ndarray):
     """Initial value at a: the exact solution when known, else least squares.
 
     The least-squares fallback only recovers what A(a)y = f(a) determines;
@@ -293,8 +299,7 @@ def _consistent_start(p, a: float):
     """
     if getattr(p, "exact", None) is not None:
         return np.atleast_1d(np.asarray(p.exact(a), dtype=float)), None
-    y, *_ = np.linalg.lstsq(p.A(a), np.atleast_1d(np.asarray(p.f(a), dtype=float)),
-                            rcond=None)
+    y, *_ = np.linalg.lstsq(p.A(a), f_a, rcond=None)
     return y, ("initial value at t=%g taken as least-squares solution of "
                "A(a) y = f(a); kernel-of-A components are a guess" % a)
 
@@ -323,7 +328,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     n_eq = sch.eq_taus.size        # equations per interval = free nodes per interval
     r = p.r
 
-    y_start, start_warning = _consistent_start(p, a)
+    f = _rhs_of(p)
+    f_a = f(a)[0]
+    y_start, start_warning = _consistent_start(p, a, f_a)
     if y_start.shape != (r,):
         raise InvalidInputError("initial value has wrong dimension")
 
@@ -337,7 +344,6 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
                    "newton_max_iter": NEWTON_MAX_ITER},
     }
     # the data themselves must satisfy the equation at t = a
-    f_a = np.atleast_1d(np.asarray(p.f(a), dtype=float))
     start_defect = float(np.linalg.norm(p.A(a) @ y_start - f_a))
     diag["start_consistency"] = start_defect
     if start_defect > 1e-8 * (1.0 + float(np.linalg.norm(f_a))):
@@ -353,7 +359,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         t_n = a + n * cfg.h
         t_eq = t_n + sch.eq_taus * cfg.h
         a_eq = p.A(t_eq)  # (n_eq, r, r)
-        f_eq = np.array([np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_eq])
+        f_eq = f(t_eq)
         hist = np.array([history.integral(kappa, t, n) for t in t_eq])
         s_part = t_n + sch.part_tau * cfg.h      # (n_eq, q)
         # κ_y sees the Gauss points of every equation at once: t, s of shape (n_eq q,)
@@ -421,7 +427,6 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     for idx in np.flatnonzero(tau_t > 0.0):
         acc[idx] = acc[idx] + kappa(float(t_probe[idx]), t_n[idx] + tau[idx] * sol.h,
                                     u_part[idx].T) @ w[idx]
-    f = np.array([np.atleast_1d(np.asarray(p.f(t), dtype=float)) for t in t_probe.tolist()])
-    res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - f
+    res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - _rhs_of(p)(t_probe)
     # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
     return np.array([float(np.linalg.norm(x)) for x in res])

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import EvaluationError, ExtrapolationError, InvalidInputError
 from .linalg import MatrixFunction, fd_derivative, semi_inverse
@@ -337,6 +336,8 @@ def verify_exact(p: Problem, grid) -> float:
         elif isinstance(p, LinearDAE):
             res = p.A(t) @ _exact_derivative(p, t) + p.B(t) @ y - _vec(p.f(t), p.r)
         elif isinstance(p, (SemiNonlinearIAE, LinearIAE)):
+            # imported at first use: importing scipy triples daekit's start-up
+            from scipy.integrate import quad
             if isinstance(p, SemiNonlinearIAE):
                 def integrand(s):
                     return _vec(p.kappa(t, s, _vec(exact(s), p.r)), p.r)

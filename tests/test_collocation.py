@@ -344,6 +344,28 @@ def test_residual_of_injected_exact_solution():
     assert np.max(np.abs(r)) <= 1e-7
 
 
+# --- a non-finite right side is invalid input, not a breakdown ---------------
+
+def nan_at_one_half(p):
+    """p with f NaN at t = 1.5 alone, a right end of the h = 0.125 mesh on [1, 2]."""
+    f = p.f
+    p.f = lambda t: np.full(p.r, np.nan) if t == 1.5 else f(t)
+    return p
+
+
+def test_a_non_finite_f_is_refused_by_the_solver():
+    with pytest.raises(InvalidInputError, match="non-finite f"):
+        solve_iae(nan_at_one_half(example("ex34")), CollocationConfig(h=0.125))
+
+
+def test_a_non_finite_f_is_refused_by_the_residual():
+    sol, _ = solve_iae(example("ex34"), CollocationConfig(h=0.125))
+    p = nan_at_one_half(example("ex34"))
+    assert np.all(np.isfinite(residual(p, sol, [1.25, 1.75])))
+    with pytest.raises(InvalidInputError, match="non-finite f"):
+        residual(p, sol, [1.25, 1.5, 1.75])
+
+
 # --- solution object, determinism, validation --------------------------------
 
 def test_solver_is_deterministic():
