@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton
-from .problems import SemiNonlinearDAE, check_span, mesh_steps, probe_points
+from .errors import ExtrapolationError, InvalidInputError
+from .linalg import NEWTON_MAX_ITER, check_span, newton
+from .problems import SemiNonlinearDAE, mesh_steps, probe_points
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -96,8 +96,9 @@ class SolveResult:
         return self._spline
 
     def __call__(self, t):
-        """Spline value at t, which must lie in the solved span."""
-        check_span(t, float(self.times[0]), float(self.times[-1]))
+        """Spline value at t in the solved span (else ExtrapolationError)."""
+        check_span(t, float(self.times[0]), float(self.times[-1]), "the solution",
+                   ExtrapolationError)
         return self.interpolant()(t)
 
     def to_dict(self) -> dict:
@@ -165,15 +166,16 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     The initial value is the problem's y0 when the interval starts at
     t_start, otherwise the exact solution at a (recorded in diagnostics);
     it must satisfy the algebraic rows.  Order 2 starts with one BDF1 step
-    and extrapolates the Newton guess from the two previous points.
+    and extrapolates the Newton guess from the two previous points.  The
+    interval must have a < b and lie in the problem's (``check_span``).
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
         raise InvalidInputError("solve_dae expects a SemiNonlinearDAE")
     a, b = p.interval if interval is None else (float(interval[0]), float(interval[1]))
-    lo, hi = p.interval
-    if not (lo - 1e-9 <= a < b <= hi + 1e-9):
-        raise InvalidInputError(f"interval [{a}, {b}] outside problem domain [{lo}, {hi}]")
+    check_span((a, b), *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
+    if not a < b:
+        raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
     n_steps = mesh_steps(a, b, cfg.h)
 
     if abs(a - p.t_start) <= 1e-12 and p.y0 is not None:

@@ -53,6 +53,7 @@ from .errors import InconsistentChainError, InvalidInputError
 from .linalg import (
     DEFAULT_RANK_TOL,
     MatrixFunction,
+    check_grid,
     fd_derivative,
     matfn_derivative,
     numerical_rank,
@@ -181,10 +182,10 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     grid aborts the chain with a non-constant-rank status; exceeding
     ``nu_max`` levels reports that instead of guessing.
 
-    The default grid is 33 uniform points over A's domain.  A level's grid
-    values are built from those of the level below, A_{i+1} = A_i + V_i
-    k_i(t, t), so no level is evaluated on the grid twice; one stacked SVD
-    per level gives both its ranks and the projector V_i of that update.
+    The grid (``check_grid``) defaults to 33 uniform points over A's domain.
+    A level's grid values are built from those of the level below, A_{i+1}
+    = A_i + V_i k_i(t, t), so no level is evaluated on the grid twice; one
+    stacked SVD per level gives its ranks and the projector V_i of that update.
 
     A and k may carry a sample axis (module docstring): A(grid) of shape
     (n, S, r, r) and kernel values of shape (S, r, r).  The level loop then
@@ -195,13 +196,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     """
     if nu_max < 1:
         raise InvalidInputError("nu_max must be at least 1")
-    if grid is None:
-        grid = np.linspace(A.domain[0], A.domain[1], 33)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be non-empty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise InvalidInputError("grid must be strictly increasing")
+    grid = check_grid(np.linspace(*A.domain, 33) if grid is None else grid, 1)
 
     A_i, k_i = A, per_point(k, A.domain, "kernel")
     a_grid = A(grid)

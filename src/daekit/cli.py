@@ -28,7 +28,7 @@ from .collocation import CollocationConfig, residual as iae_residual, solve_iae
 from .errors import (DaekitError, InconsistentChainError, InvalidInputError,
                      ProblemFileError)
 from .export import dumps, write_json, write_solution_csv
-from .linalg import MatrixFunction
+from .linalg import MatrixFunction, check_span
 from .probfile import load_problem
 from .problems import (LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE,
                        TrajectorySample)
@@ -442,6 +442,8 @@ def main(argv=None) -> int:
             if not (a < b and np.isfinite([a, b]).all()):
                 raise InvalidInputError(
                     f"--interval needs two finite numbers A < B, got {a:g} {b:g}")
+            check_span((a, b), *p.interval, f"problem {args.problem} (--interval {a:g} {b:g})",
+                       InvalidInputError)
         interval = tuple(args.interval) if args.interval else p.interval
         return on_problem[args.command](args, p, interval)
     except ProblemFileError as exc:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton, per_point
+from .linalg import NEWTON_MAX_ITER, check_span, newton, per_point
 from .problems import LinearIAE, SemiNonlinearIAE, batch_jacobian, mesh_steps, probe_points
 
 
@@ -144,17 +144,12 @@ class PiecewiseSolution:
     def __call__(self, t) -> np.ndarray:
         """Value (r,) at a float t, or the (n, r) values at an (n,) array of
         times; a float goes through the array arithmetic, so each row
-        equals its float call bit for bit."""
+        equals its float call bit for bit.  Outside the span: InvalidInputError."""
         if self.n_intervals == 0:
             raise InvalidInputError("empty solution")
-        ts = np.asarray(t, dtype=float)
-        t = ts.reshape(-1)
         lo, hi = self.t_start, self.t_end
-        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        inside = (lo - slack <= t) & (t <= hi + slack)
-        if not inside.all():
-            raise InvalidInputError(
-                f"t={t[np.argmin(inside)]} outside solved span [{lo}, {hi}]")
+        ts = check_span(t, lo, hi, "the solution", InvalidInputError)
+        t = ts.reshape(-1)
         n = self.interval_of(t)
         tau = np.minimum(np.maximum((t - (lo + n * self.h)) / self.h, 0.0), 1.0)
         # a (1, n_nodes) @ (n_nodes, r) product per time, so no row's
@@ -309,7 +304,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
     Diagnostics carry per-step Newton iterations, final residual norms and
     Newton-matrix condition numbers, plus a failure record if a step did
-    not converge (the solution then covers only the completed steps).
+    not converge (the solution then covers only the completed steps).  The
+    interval must start at t_start and end in the problem's (``check_span``).
     """
     cfg.validate()
     kappa, kappa_jac, linear = _kernel_of(p)
@@ -317,8 +313,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     if abs(a - p.t_start) > 1e-12:
         raise InvalidInputError(
             f"solve must start at the integral origin t_start={p.t_start}, got {a}")
-    if not a < b <= p.T + 1e-9:
-        raise InvalidInputError(f"bad interval [{a}, {b}] for problem on [{p.t_start}, {p.T}]")
+    check_span(b, *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
+    if not a < b:
+        raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
     n_steps = mesh_steps(a, b, cfg.h)
 
     c = np.asarray(cfg.c, dtype=float)

@@ -144,6 +144,29 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     return None, max_iter, res, jac
 
 
+def check_span(t, lo: float, hi: float, what: str, error: type = DomainError) -> np.ndarray:
+    """``t`` (a float or an array) as a float array, checked to lie in the span
+    [lo − 1e-9·max(1, |lo|), hi + 1e-9·max(1, |hi|)] of ``what`` (NaN never
+    does), else ``error``: the one span rule of the package."""
+    ts = np.asarray(t, dtype=float)
+    # the ends as initial values, so that an empty t passes
+    t0, t1 = (ts.item(),) * 2 if ts.size == 1 else (ts.min(initial=lo), ts.max(initial=hi))
+    if not lo - 1e-9 * max(1.0, abs(lo)) <= t0 <= t1 <= hi + 1e-9 * max(1.0, abs(hi)):
+        raise error(f"t={t0 if t0 < lo else t1} outside the span [{lo}, {hi}] of {what}")
+    return ts
+
+
+def check_grid(grid, min_size: int, what: str = "grid") -> np.ndarray:
+    """``grid`` as a 1-D, finite, strictly increasing float array of at least
+    ``min_size`` points, else InvalidInputError: the one grid rule of the package."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_size or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) <= 0):
+        raise InvalidInputError(f"{what} must be 1-D, finite and strictly increasing, "
+                                f"with at least {min_size} point(s)")
+    return grid
+
+
 def default_fd_step(t):
     """Default step for 4th-order differentiation stencils at ``t`` (a time or an array)."""
     return 1e-4 * np.maximum(1.0, np.abs(t))
@@ -153,10 +176,10 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
                   lo: float = -np.inf, hi: float = np.inf, args: tuple = ()) -> np.ndarray:
     """4th-order finite-difference derivative of an array-valued function of t.
 
-    Uses the central 5-point stencil where the domain allows, one-sided
-    4th-order stencils near ``lo``/``hi``.  The step shrinks if the domain
-    window is too narrow for the stencil.  ``fn`` is called as
-    ``fn(tau, *args)``.
+    t must lie in [lo, hi] (:func:`check_span`).  Uses the central 5-point
+    stencil where the domain allows, one-sided 4th-order stencils near
+    ``lo``/``hi``; the step shrinks if the domain window is too narrow for
+    the stencil.  ``fn`` is called as ``fn(tau, *args)``.
 
     For a float ``t``, ``fn`` is called once per stencil point.  For an
     (n,) array ``t``, it is called once, on the (m,) array of every stencil
@@ -165,15 +188,12 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
     match the points.  Each t keeps its own step and stencil kind, so the
     (n, ...) result equals the loop of float calls bit for bit.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = check_span(t, lo, hi, "the function differenced")
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts)
     steps = default_fd_step(ts) if step is None else np.full(ts.shape, float(step))
     if np.any(steps <= 0):
         raise InvalidInputError("step must be positive")
-    outside = ~((lo - 1e-12 <= ts) & (ts <= hi + 1e-12))
-    if np.any(outside):
-        raise DomainError(f"t={ts[np.argmax(outside)]} outside [{lo}, {hi}]")
 
     width = hi - lo
     if np.isfinite(width):
@@ -215,7 +235,7 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
 
 @dataclass
 class MatrixFunction:
-    """A matrix (or vector) function of time on a closed interval.
+    """A matrix (or vector) function of time on the closed interval ``domain`` (:func:`check_span`).
 
     ``derivative`` is the analytic d/dt when available; otherwise
     :func:`matfn_derivative` falls back to finite differences.  A float t
@@ -234,14 +254,10 @@ class MatrixFunction:
     vectorized: bool = False
 
     def __call__(self, t, *args) -> np.ndarray:
-        ts = np.asarray(t, dtype=float)
+        lo, hi = self.domain
+        ts = check_span(t, lo, hi, self.name or "a matrix function")
         if args:
             ts, *args = np.broadcast_arrays(ts, *(np.asarray(a, dtype=float) for a in args))
-        lo, hi = self.domain
-        t_min, t_max = (ts.item(),) * 2 if ts.size == 1 else (ts.min(), ts.max())
-        if not lo - 1e-9 * max(1.0, abs(lo)) <= t_min <= t_max <= hi + 1e-9 * max(1.0, abs(hi)):
-            raise DomainError(f"t={t_min if t_min < lo else t_max} outside domain [{lo}, {hi}] "
-                              f"of {self.name or 'matrix function'}")
         if self.vectorized:
             m = np.asarray(self.eval(ts.ravel(), *[a.ravel() for a in args]), dtype=float)
         else:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ExtrapolationError, InvalidInputError
-from .linalg import MatrixFunction, fd_derivative, semi_inverse
+from .linalg import MatrixFunction, check_grid, check_span, fd_derivative, semi_inverse
 
 
 def _vec(x, r=None):
@@ -122,37 +122,25 @@ def mesh_steps(a: float, b: float, h: float) -> int:
 
 
 def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
-    """The probe grid as an array, checked to lie inside the solved span [lo, hi]."""
-    probe_grid = np.asarray(probe_grid, dtype=float)
-    if probe_grid.size == 0 or probe_grid.min() < lo - 1e-9 or probe_grid.max() > hi + 1e-9:
-        raise InvalidInputError(f"probe grid must lie inside the solved span [{lo}, {hi}]")
+    """The probe grid as a non-empty array inside the solved span [lo, hi] (``check_span``)."""
+    probe_grid = check_span(probe_grid, lo, hi, "the solution (probe grid)", InvalidInputError)
+    if probe_grid.size == 0:
+        raise InvalidInputError("probe grid must be non-empty")
     return probe_grid
-
-
-def check_span(t, lo: float, hi: float) -> None:
-    """Raise ExtrapolationError unless every time in ``t`` lies in [lo, hi],
-    give or take 1e-9 relative to the span's magnitude."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-    inside = (lo - slack <= t) & (t <= hi + slack)
-    if not inside.all():
-        raise ExtrapolationError(f"t={t[np.argmin(inside)]} outside trajectory span [{lo}, {hi}]")
 
 
 @dataclass
 class TrajectorySample:
-    """Sampled trajectory with linear interpolation between samples."""
+    """Sampled trajectory, linear between its times (a ``check_grid`` grid), on their span only."""
 
     times: np.ndarray
     values: np.ndarray  # shape (len(times), r)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_grid(self.times, 1, "trajectory times")
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.values.shape[0] != self.times.size:
             raise InvalidInputError("times and values disagree in length")
-        if self.times.size < 1 or np.any(np.diff(self.times) <= 0):
-            raise InvalidInputError("times must be strictly increasing and non-empty")
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("trajectory values must be finite")
 
@@ -169,11 +157,9 @@ class TrajectorySample:
     def __call__(self, t) -> np.ndarray:
         """Value (r,) at a float t, or the (n, r) values at an (n,) array of
         times, each row with the arithmetic of its float call."""
-        ts = np.asarray(t, dtype=float)
-        t = ts.reshape(-1)
         lo, hi = self.span
-        check_span(t, lo, hi)
-        t = np.minimum(np.maximum(t, lo), hi)
+        ts = check_span(t, lo, hi, "the trajectory", ExtrapolationError)
+        t = np.minimum(np.maximum(ts.reshape(-1), lo), hi)
         if self.times.size == 1:
             vals = np.repeat(self.values, t.size, axis=0)
         else:

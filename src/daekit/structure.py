@@ -43,7 +43,7 @@ import numpy as np
 
 from .chain import IndexReport, chain_step, linear_kernel, rank_degree_index
 from .errors import ClassificationUnreliableError, DomainError, InvalidInputError
-from .linalg import DEFAULT_RANK_TOL, MatrixFunction
+from .linalg import DEFAULT_RANK_TOL, MatrixFunction, check_grid, check_span
 from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
@@ -251,8 +251,9 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     bisecting jumps of the pointwise index itself.  Dependent form holds
     exactly when critical points were found inside the interval.
 
-    Raises ClassificationUnreliableError when the pointwise index is
-    undefined at more than 20% of the grid points.
+    The grid (``check_grid``, default 21 points) must lie in the problem's
+    interval and traj's span.  Raises ClassificationUnreliableError when the
+    pointwise index is undefined at more than 20% of the grid points.
     """
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError("classification applies to semi-nonlinear problems")
@@ -260,11 +261,8 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         raise InvalidInputError("eps must be finite and positive and n_perturb non-negative")
 
     a0, b0 = p.interval
-    if grid is None:
-        grid = np.linspace(a0, b0, 21)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise InvalidInputError("grid must be increasing with at least two points")
+    grid = check_grid(np.linspace(a0, b0, 21) if grid is None else grid, 2)
+    check_span(grid, a0, b0, f"problem {p.name!r} (grid)", InvalidInputError)
     a, b = float(grid[0]), float(grid[-1])
 
     if traj is None:
@@ -273,6 +271,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
             traj = TrajectorySample.from_function(p.exact, ts)
         else:
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
+    check_span(grid, *traj.span, "the trajectory (grid)", InvalidInputError)
 
     centre = [pointwise_index(p, traj, float(t), tol=tol, nu_max=nu_max, full_output=True)
               for t in grid]

@@ -12,6 +12,7 @@ from daekit import (
     SemiNonlinearDAE,
     SemiNonlinearIAE,
     dae_to_iae,
+    example,
     load_problem,
     solve_dae,
     verify_exact,
@@ -307,12 +308,18 @@ def test_non_finite_or_unparsable_settings_exit_1(tmp_path, capsys, argv, messag
     ("analyze", "ex34"), ("classify", "ex34"),
     ("solve-dae", "ex32"), ("solve-iae", "ex34"),
 ])
-@pytest.mark.parametrize("interval", [("nan", "2"), ("2", "1"), ("1", "1")],
-                         ids=["nan", "reversed", "equal"])
-def test_bad_interval_exits_1(tmp_path, capsys, command, problem, interval):
+@pytest.mark.parametrize("interval, message", [
+    (("nan", "2"), "--interval needs two finite numbers A < B"),
+    (("2", "1"), "--interval needs two finite numbers A < B"),
+    (("1", "1"), "--interval needs two finite numbers A < B"),
+    # ex34 lives on [1, 2], ex32 on [0, 2]: the message names both intervals
+    (("0.5", "2.5"), "outside the span [{lo}, {hi}] of problem {problem} (--interval 0.5 2.5)"),
+], ids=["nan", "reversed", "equal", "outside"])
+def test_bad_interval_exits_1(tmp_path, capsys, command, problem, interval, message):
     assert main([command, "--problem", problem, "--interval", *interval,
                  "--out", str(tmp_path / "run")]) == 1
-    assert "--interval needs two finite numbers A < B" in capsys.readouterr().err
+    lo, hi = example(problem).interval
+    assert message.format(lo=lo, hi=hi, problem=problem) in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
