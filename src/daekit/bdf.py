@@ -22,16 +22,13 @@ it happens rather than discovered from the blown-up error afterwards.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ExtrapolationError, InvalidInputError
+from .errors import DomainError, ExtrapolationError, InvalidInputError
 from .linalg import NEWTON_MAX_ITER, check_span, newton
 from .problems import SemiNonlinearDAE, mesh_steps, probe_points
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 
 WARN_THRESHOLD = 1e-2
@@ -69,6 +66,9 @@ class SolveResult:
 
     ``failure`` is None on a complete run; otherwise a record of where and
     why stepping stopped (times/values then cover only the solved span).
+    Called at a time or an array of times on that span (``check_span``,
+    accepted times clamped to it), it gives the natural cubic spline
+    through the accepted points.
     """
 
     times: np.ndarray
@@ -79,27 +79,47 @@ class SolveResult:
     failure: Optional[dict]
     config: DaeSolveConfig
     initial_defect: float = 0.0
-    _spline: object = field(default=None, repr=False, compare=False)
+    # the spline's second derivatives at the accepted points, set on first use
+    _spline: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
         return self.failure is None
 
-    def interpolant(self) -> CubicSpline:
-        if self._spline is None:
-            if self.times.size < 2:
-                raise InvalidInputError("need at least two accepted points")
-            # imported at first use: importing scipy triples daekit's start-up
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.times, self.values, axis=0,
-                                       bc_type="natural")
-        return self._spline
+    def _spline_at(self, t):
+        """The spline's values and first derivatives at t, clamped to the span."""
+        x, y = self.times, self.values
+        t = np.clip(check_span(t, float(x[0]), float(x[-1]), "the solution",
+                               ExtrapolationError), x[0], x[-1])
+        if x.size < 2:
+            raise InvalidInputError("need at least two accepted points")
+        m = self._spline
+        if m is None:
+            # second derivatives m, zero at the ends, from the tridiagonal system
+            # h_{i-1} m_{i-1} + 2(h_{i-1} + h_i) m_i + h_i m_{i+1} = 6(d_i − d_{i-1})
+            # (d_i the slope on interval i), by one Thomas sweep each way
+            h = np.diff(x)
+            rhs = 6.0 * np.diff(np.diff(y, axis=0) / h[:, None], axis=0)
+            diag = 2.0 * (h[:-1] + h[1:])
+            for i in range(1, diag.size):
+                w = h[i] / diag[i - 1]
+                diag[i] -= w * h[i]
+                rhs[i] -= w * rhs[i - 1]
+            m = np.zeros_like(y)
+            for i in range(diag.size - 1, -1, -1):
+                m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
+            self._spline = m
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        dx = (x[i + 1] - x[i])[..., None]
+        a, b = (x[i + 1] - t)[..., None] / dx, (t - x[i])[..., None] / dx
+        m0, m1, y0, y1 = m[i], m[i + 1], y[i], y[i + 1]
+        value = a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * dx**2 / 6
+        slope = (y1 - y0) / dx + ((1 - 3 * a**2) * m0 + (3 * b**2 - 1) * m1) * dx / 6
+        return value, slope
 
     def __call__(self, t):
         """Spline value at t in the solved span (else ExtrapolationError)."""
-        check_span(t, float(self.times[0]), float(self.times[-1]), "the solution",
-                   ExtrapolationError)
-        return self.interpolant()(t)
+        return self._spline_at(t)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -164,10 +184,11 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     """March A(t)y′ + F(t,y) = f from a to b on the fixed mesh a + n·h.
 
     The initial value is the problem's y0 when the interval starts at
-    t_start, otherwise the exact solution at a (recorded in diagnostics);
-    it must satisfy the algebraic rows.  Order 2 starts with one BDF1 step
-    and extrapolates the Newton guess from the two previous points.  The
-    interval must have a < b and lie in the problem's (``check_span``).
+    t_start (``check_span``), otherwise the exact solution at a (recorded
+    in diagnostics); it must satisfy the algebraic rows.  Order 2 starts
+    with one BDF1 step and extrapolates the Newton guess from the two
+    previous points.  The interval must have a < b and lie in the
+    problem's (``check_span``).
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
@@ -178,8 +199,13 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
         raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
     n_steps = mesh_steps(a, b, cfg.h)
 
-    if abs(a - p.t_start) <= 1e-12 and p.y0 is not None:
-        y0 = np.array(p.y0, dtype=float)
+    try:
+        check_span(a, p.t_start, p.t_start, "the start t_start of the problem's y0")
+        y0 = p.y0
+    except DomainError:
+        y0 = None
+    if y0 is not None:
+        y0 = np.array(y0, dtype=float)
     elif p.exact is not None:
         y0 = np.atleast_1d(np.asarray(p.exact(a), dtype=float))
     else:
@@ -247,14 +273,11 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
     """
     lo, hi = float(sol.times[0]), float(sol.times[-1])
     probe_grid = probe_points(probe_grid, lo, hi)
-    spline = sol.interpolant()
-    dspline = spline.derivative()
+    values, slopes = sol._spline_at(probe_grid)
     out = np.empty(probe_grid.size)
-    for i, t in enumerate(probe_grid):
-        t = float(min(max(t, lo), hi))
-        y = np.atleast_1d(spline(t))
-        res = (p.A(t) @ np.atleast_1d(dspline(t))
-               + np.atleast_1d(np.asarray(p.F(t, y), dtype=float))
+    for i, t in enumerate(np.clip(probe_grid, lo, hi).tolist()):
+        res = (p.A(t) @ slopes[i]
+               + np.atleast_1d(np.asarray(p.F(t, values[i]), dtype=float))
                - np.atleast_1d(np.asarray(p.f(t), dtype=float)))
         out[i] = float(np.linalg.norm(res))
     return out

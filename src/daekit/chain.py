@@ -58,6 +58,7 @@ from .linalg import (
     matfn_derivative,
     numerical_rank,
     per_point,
+    quadrature,
     semi_inverse,
 )
 from .problems import (
@@ -382,20 +383,14 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
     ∫ f(s) ds; the kernel alone determines the index.
     """
     # the F chain's nested stencils revisit times: without this memo the
-    # index-4 Hessenberg consistency check takes 4,564 quad calls, not 92
+    # index-4 Hessenberg consistency check makes 4,564 right-side evaluations, not 92
     cache: dict[float, np.ndarray] = {}
 
     def rhs(t: float) -> np.ndarray:
         got = cache.get(t)
         if got is None:
-            # imported at first use: importing scipy triples daekit's start-up
-            from scipy.integrate import quad
-            got = np.array([
-                quad(lambda s, i=i: float(np.atleast_1d(p.f(s))[i]),
-                     p.t_start, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
-                for i in range(p.r)
-            ])
-            cache[t] = got
+            got = cache[t] = quadrature(lambda s: np.atleast_1d(p.f(s)), p.t_start, t,
+                                        QUAD_TOL)
         return got
 
     return LinearIAE(A=p.A, k=linear_kernel(p), f=rhs, r=p.r, T=p.T,
@@ -420,13 +415,12 @@ def hessenberg_index(diag_jacobians, grid, tol: float = DEFAULT_RANK_TOL) -> Hes
     ``diag_jacobians`` are the ν corner Jacobian blocks (functions of t,
     all square of one size) whose product must stay invertible along the
     trajectory.  Invertibility is tested as condition number below 1/tol
-    at every grid point; the first failure is reported with its location.
+    at every point of ``grid`` (a :func:`check_grid` grid); the first
+    failure is reported with its location.
     """
     if not diag_jacobians:
         raise InvalidInputError("need at least one diagonal block")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be non-empty")
+    grid = check_grid(grid, 1)
     nu = len(diag_jacobians)
     worst = 1.0
     for t in grid:

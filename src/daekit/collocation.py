@@ -310,9 +310,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     cfg.validate()
     kappa, kappa_jac, linear = _kernel_of(p)
     a, b = p.interval if interval is None else (float(interval[0]), float(interval[1]))
-    if abs(a - p.t_start) > 1e-12:
-        raise InvalidInputError(
-            f"solve must start at the integral origin t_start={p.t_start}, got {a}")
+    check_span(a, p.t_start, p.t_start, "the integral origin t_start, where a solve must start",
+               InvalidInputError)
     check_span(b, *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
     if not a < b:
         raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
@@ -357,7 +356,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         t_eq = t_n + sch.eq_taus * cfg.h
         a_eq = p.A(t_eq)  # (n_eq, r, r)
         f_eq = f(t_eq)
-        hist = np.array([history.integral(kappa, t, n) for t in t_eq])
+        # a history that overflows is a Newton failure below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            hist = np.array([history.integral(kappa, t, n) for t in t_eq])
         s_part = t_n + sch.part_tau * cfg.h      # (n_eq, q)
         # κ_y sees the Gauss points of every equation at once: t, s of shape (n_eq q,)
         t_all, s_all = np.repeat(t_eq, QUAD_ORDER), s_part.ravel()

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, EvaluationError, InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -142,6 +142,34 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
         if affine or np.linalg.norm(delta) <= tol * (1.0 + x_norm):
             return x, it, res, jac
     return None, max_iter, res, jac
+
+
+# the most panels :func:`quadrature` doubles to before it gives up
+QUAD_MAX_PANELS = 1024
+
+
+def quadrature(fn: Callable, a: float, b: float, tol: float) -> np.ndarray:
+    """∫ fn(s) ds over [a, b] of an array-valued ``fn`` of a float s.
+
+    Composite 8-point Gauss–Legendre on 1, 2, 4, ... equal panels, until two
+    successive estimates agree to tol·max(1, |I|) in every component; the
+    finer one is returned.  A non-finite value of ``fn``, or no agreement
+    within ``QUAD_MAX_PANELS`` panels, raises EvaluationError.
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    prev, panels = None, 1
+    while panels <= QUAD_MAX_PANELS:
+        left, half = np.linspace(a, b, panels + 1)[:-1], 0.5 * (b - a) / panels
+        vals = np.array([fn(s) for s in (left[:, None] + half * (x + 1.0)).ravel().tolist()],
+                        dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError(f"non-finite integrand on [{a}, {b}]")
+        est = np.tensordot(half * np.tile(w, panels), vals, axes=1)
+        if prev is not None and np.all(np.abs(est - prev) <= tol * np.maximum(1.0, np.abs(est))):
+            return est
+        prev, panels = est, 2 * panels
+    raise EvaluationError(f"quadrature on [{a}, {b}] did not settle to {tol} "
+                          f"within {QUAD_MAX_PANELS} panels")
 
 
 def check_span(t, lo: float, hi: float, what: str, error: type = DomainError) -> np.ndarray:

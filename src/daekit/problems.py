@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ExtrapolationError, InvalidInputError
-from .linalg import MatrixFunction, check_grid, check_span, fd_derivative, semi_inverse
+from .linalg import (MatrixFunction, check_grid, check_span, fd_derivative, quadrature,
+                     semi_inverse)
 
 
 def _vec(x, r=None):
@@ -307,8 +308,8 @@ def verify_exact(p: Problem, grid) -> float:
 
     Substitutes the exact solution into the defining equation: derivatives
     are analytic when registered (finite differences otherwise), integrals
-    use adaptive quadrature with tolerance ``VERIFY_QUAD_TOL``.  Guards
-    against transcription slips in problem definitions.
+    use :func:`~daekit.linalg.quadrature` with tolerance ``VERIFY_QUAD_TOL``.
+    Guards against transcription slips in problem definitions.
     """
     exact = getattr(p, "exact", None)
     if exact is None:
@@ -322,19 +323,13 @@ def verify_exact(p: Problem, grid) -> float:
         elif isinstance(p, LinearDAE):
             res = p.A(t) @ _exact_derivative(p, t) + p.B(t) @ y - _vec(p.f(t), p.r)
         elif isinstance(p, (SemiNonlinearIAE, LinearIAE)):
-            # imported at first use: importing scipy triples daekit's start-up
-            from scipy.integrate import quad
             if isinstance(p, SemiNonlinearIAE):
                 def integrand(s):
                     return _vec(p.kappa(t, s, _vec(exact(s), p.r)), p.r)
             else:
                 def integrand(s):
                     return p.k(t, s) @ _vec(exact(s), p.r)
-            integ = np.array([
-                quad(lambda s, i=i: float(integrand(s)[i]), p.t_start, t,
-                     epsabs=VERIFY_QUAD_TOL, epsrel=VERIFY_QUAD_TOL, limit=200)[0]
-                for i in range(p.r)
-            ])
+            integ = quadrature(integrand, p.t_start, t, VERIFY_QUAD_TOL)
             res = p.A(t) @ y + integ - _vec(p.f(t), p.r)
         else:
             raise InvalidInputError(f"unsupported problem type {type(p)}")

@@ -101,12 +101,29 @@ def test_residual_of_numerical_solution_scales_with_h():
 
 def test_solution_refuses_to_extrapolate_its_spline():
     sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-2), interval=(0.5, 1.0))
-    ts = np.array([0.5, 0.75, 1.0])
-    np.testing.assert_array_equal(sol(ts), sol.interpolant()(ts))
-    sol(1.0 + 1e-10)            # within the slack TrajectorySample allows
+    np.testing.assert_array_equal(sol(sol.times), sol.values)
+    # within the slack of check_span, clamped to the end as TrajectorySample does
+    np.testing.assert_array_equal(sol(1.0 + 1e-10), sol(1.0))
+    np.testing.assert_array_equal(sol(1.0 + 1e-9), sol.values[-1])
     for t in (5.0, 0.4, np.array([0.6, 1.01])):
         with pytest.raises(ExtrapolationError, match="outside"):
             sol(t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 50, 2001])
+def test_solution_spline_agrees_with_scipy_natural_cubic_spline(n):
+    cubic_spline = pytest.importorskip("scipy.interpolate").CubicSpline
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(0.2, 1.8, n)) / n     # non-uniform steps
+    values = np.column_stack([np.sin(7.0 * times), np.exp(times) - 2.0 * times ** 2])
+    sol = SolveResult(times=times, values=values, newton_iters=[], monitor_warnings=[],
+                      halvings=[], failure=None, config=DaeSolveConfig(h=1.0 / n))
+    t = np.linspace(times[0], times[-1], 4 * n + 1)
+    want = cubic_spline(times, values, axis=0, bc_type="natural")
+    bound = 1e-12 * np.max(np.abs(values))
+    np.testing.assert_allclose(sol(t), want(t), rtol=0.0, atol=bound)
+    _, slopes = sol._spline_at(t)
+    np.testing.assert_allclose(slopes, want(t, 1), rtol=0.0, atol=bound)
 
 
 def test_residual_probe_must_stay_inside_solved_span():
@@ -190,6 +207,17 @@ def test_solution_is_callable_between_nodes():
 def test_interval_start_needs_a_value():
     with pytest.raises(InvalidInputError):
         solve_dae(example("ex31"), DaeSolveConfig(h=1e-2), interval=(0.2, 0.8))
+
+
+def test_y0_holds_at_a_start_within_the_span_slack_of_t_start():
+    # one ulp above t_start = 1e5 (1.5e-11) lies inside check_span's slack;
+    # y' + y = 0 has no exact solution registered to start from instead
+    p = SemiNonlinearDAE(A=MatrixFunction.constant(np.eye(1), domain=(1e5, 1e5 + 1.0)),
+                         F=lambda t, y: y, f=lambda t: np.zeros(1), r=1, T=1e5 + 1.0,
+                         t_start=1e5, y0=np.ones(1), F_y=lambda t, y: np.eye(1))
+    sol = solve_dae(p, DaeSolveConfig(h=0.25), interval=(np.nextafter(1e5, np.inf), 1e5 + 1.0))
+    assert sol.success
+    np.testing.assert_array_equal(sol.values[0], [1.0])
 
 
 def test_inconsistent_initial_value_is_rejected():

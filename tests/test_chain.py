@@ -687,3 +687,6 @@ def test_hessenberg_validates_input():
     with pytest.raises(InvalidInputError):
         hessenberg_index([lambda t: np.eye(2), lambda t: np.eye(3)],
                          np.linspace(0.0, 1.0, 5))
+    for grid in ([0.0, np.nan, 1.0], [1.0, 0.5], [[0.0, 1.0]], []):
+        with pytest.raises(InvalidInputError, match="grid"):
+            hessenberg_index([lambda t: np.eye(1)], grid)

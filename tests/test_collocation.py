@@ -278,6 +278,18 @@ def test_a_diverged_interval_records_an_infinite_residual_without_a_warning(with
     assert diag["residual_norms"][-1] == np.inf
 
 
+def test_an_overflowing_history_integral_is_a_failure_record():
+    # interval 7 converges to |u| ~ 2.6e5, so exp(y2) in κ overflows in the
+    # next interval's history integral: its first residual is non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol, diag = solve_iae(example("ex34"),
+                              CollocationConfig(c=(0.3, 0.8), h=0.0125, newton_tol=1e-10))
+    assert diag["failure"]["step"] == sol.n_intervals == 8
+    assert diag["newton_iters"][-1] == 1
+    assert diag["residual_norms"][-1] == np.inf
+
+
 # --- index-2 system with a growing solution ---------------------------------
 
 def test_growing_solution_completes_accurately():
@@ -427,6 +439,16 @@ def test_solution_rejects_points_outside_span():
 def test_interval_must_start_at_the_problem_origin():
     with pytest.raises(InvalidInputError):
         solve_iae(example("ex34"), CollocationConfig(), interval=(1.3, 2.0))
+
+
+def test_a_start_within_the_span_slack_of_the_origin_is_accepted():
+    # one ulp above t_start = 1e5 (1.5e-11) lies inside check_span's slack
+    p = LinearIAE(A=MatrixFunction.constant(np.eye(1), domain=(1e5, 1e5 + 1.0)),
+                  k=lambda t, s: np.eye(1), f=lambda t: np.ones(1), r=1,
+                  T=1e5 + 1.0, t_start=1e5)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.25),
+                          interval=(np.nextafter(1e5, np.inf), 1e5 + 1.0))
+    assert diag["failure"] is None and sol.n_intervals == 4
 
 
 @pytest.mark.parametrize("b", [np.nan, 1.0, 0.5, 2.5])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from daekit import (
     DomainError,
+    EvaluationError,
     InvalidInputError,
     MatrixFunction,
     example,
@@ -15,7 +16,7 @@ from daekit import (
     numerical_rank,
     semi_inverse,
 )
-from daekit.linalg import newton, per_point
+from daekit.linalg import newton, per_point, quadrature
 from helpers import random_fixed_rank
 
 
@@ -398,3 +399,26 @@ def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_
         assert jac is None
     else:
         assert jac.shape == (1, 1)
+
+
+# --- quadrature -----------------------------------------------------------------
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 2.0), (0.3, 0.30001), (-2.0, 3.0),
+                                  (1.0, 0.5)])
+def test_quadrature_agrees_with_scipy_quad(a, b):
+    quad = pytest.importorskip("scipy.integrate").quad
+    fns = [np.sin, lambda s: np.exp(-s * s), lambda s: 1.0 / (1.0 + s * s),
+           lambda s: np.cos(5.0 * s) * s ** 3]
+    got = quadrature(lambda s: np.array([fn(s) for fn in fns]), a, b, 1e-12)
+    want = [quad(fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0] for fn in fns]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fn, match", [
+    (lambda s: np.array([1.0, np.nan if s > 0.5 else 0.0]), "non-finite"),
+    # a jump inside a panel: the estimates never settle to 1e-12
+    (lambda s: np.array([float(s > 1.0 / 3.0)]), "panels"),
+], ids=["nan", "panel-cap"])
+def test_quadrature_raises_evaluation_error(fn, match):
+    with pytest.raises(EvaluationError, match=match):
+        quadrature(fn, 0.0, 1.0, 1e-12)
