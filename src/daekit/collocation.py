@@ -421,10 +421,13 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     tau_t = (t_probe - t_n) / sol.h
     tau, w, basis = sch.partial_rule(tau_t)
     u_part = basis @ sol.nodal_values[n_probe]  # (P, q, r)
-    acc = np.array([history.integral(kappa, t, n) for t, n in zip(t_probe.tolist(), n_probe)])
-    for idx in np.flatnonzero(tau_t > 0.0):
-        acc[idx] = acc[idx] + kappa(float(t_probe[idx]), t_n[idx] + tau[idx] * sol.h,
-                                    u_part[idx].T) @ w[idx]
-    res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - _rhs_of(p)(t_probe)
-    # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
-    return np.array([float(np.linalg.norm(x)) for x in res])
+    # an overflowing κ makes an inf residual, not a warning, as in solve_iae
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.array([history.integral(kappa, t, n)
+                        for t, n in zip(t_probe.tolist(), n_probe)])
+        for idx in np.flatnonzero(tau_t > 0.0):
+            acc[idx] = acc[idx] + kappa(float(t_probe[idx]), t_n[idx] + tau[idx] * sol.h,
+                                        u_part[idx].T) @ w[idx]
+        res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - _rhs_of(p)(t_probe)
+        # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
+        return np.array([float(np.linalg.norm(x)) for x in res])

@@ -15,6 +15,7 @@ for every function of time: coefficients, chain levels, kernels, right sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -121,26 +122,27 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     """
     x = np.array(x0, dtype=float)
     res = jac = None
-    for it in range(1, max_iter + 1):
-        # overflow while probing a divergent iterate is expected; the
-        # finiteness checks turn it into a clean non-convergence
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow while probing a divergent iterate is expected; the
+    # finiteness checks turn it into a clean non-convergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
             res = residual(x)
-            if not np.all(np.isfinite(res)):
+            if not np.isfinite(res).all():
                 return None, it, res, None
             jac = jacobian(x)
-            if not np.all(np.isfinite(jac)):
+            if not np.isfinite(jac).all():
                 return None, it, res, jac
             try:
                 delta = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
                 return None, it, res, jac
             x = x + delta
-            x_norm = np.linalg.norm(x)
-        if not np.isfinite(x_norm):
-            return None, it, res, jac
-        if affine or np.linalg.norm(delta) <= tol * (1.0 + x_norm):
-            return x, it, res, jac
+            # sqrt(v·v) is what np.linalg.norm computes for a 1-D v, to the bit
+            x_norm = math.sqrt(x.dot(x))
+            if not math.isfinite(x_norm):
+                return None, it, res, jac
+            if affine or math.sqrt(delta.dot(delta)) <= tol * (1.0 + x_norm):
+                return x, it, res, jac
     return None, max_iter, res, jac
 
 

@@ -10,6 +10,9 @@ Also here: the integrated form of the ex33 problem (its differential row
 integrated from 0, its algebraic row accumulated), which gives a
 semi-nonlinear integral equation with a known exact solution and a
 closed-form right-hand side.
+
+And a reference Newton loop (one errstate per iteration, norms from
+``np.linalg.norm``) that ``linalg.newton`` must match bit for bit.
 """
 
 from fractions import Fraction
@@ -192,3 +195,32 @@ def random_fixed_rank(rng, r, rank, scale_span=(1e-2, 1e2)):
     lo, hi = np.log10(scale_span[0]), np.log10(scale_span[1])
     s = 10.0 ** rng.uniform(lo, hi, size=rank)
     return (u[:, :rank] * s) @ v[:, :rank].T
+
+
+# --- reference Newton loop ------------------------------------------------
+
+def reference_newton(residual, jacobian, x0, tol, max_iter, affine=False):
+    """``linalg.newton``'s iteration, exits and stopping test, written plainly."""
+    x = np.array(x0, dtype=float)
+    res = jac = None
+    for it in range(1, max_iter + 1):
+        # overflow while probing a divergent iterate is expected; the
+        # finiteness checks turn it into a clean non-convergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residual(x)
+            if not np.all(np.isfinite(res)):
+                return None, it, res, None
+            jac = jacobian(x)
+            if not np.all(np.isfinite(jac)):
+                return None, it, res, jac
+            try:
+                delta = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                return None, it, res, jac
+            x = x + delta
+            x_norm = np.linalg.norm(x)
+        if not np.isfinite(x_norm):
+            return None, it, res, jac
+        if affine or np.linalg.norm(delta) <= tol * (1.0 + x_norm):
+            return x, it, res, jac
+    return None, max_iter, res, jac

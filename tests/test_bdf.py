@@ -1,5 +1,7 @@
 """Fixed-step BDF solver: convergence, algebraic rows, monitor, failure data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ from daekit import (
     example,
     solve_dae,
 )
+from daekit.bdf import MAX_HALVINGS, NEWTON_TOL
+from daekit.linalg import NEWTON_MAX_ITER
+from daekit.problems import mesh_steps
+from helpers import reference_newton
 
 HALF_PI = np.pi / 2.0
 HS = [4e-3, 2e-3, 1e-3, 5e-4]
@@ -193,6 +199,86 @@ def test_unstable_interval_truncates_with_failure_record():
     assert not sol.success
     assert 1.9 <= sol.failure["t"] <= 2.0
     assert len(sol.times) > 1500
+
+
+# --- the step loop against its per-step reference ------------------------------
+
+def _reference_solve(p, h, order, interval):
+    """solve_dae's trajectory computed plainly: A(t) evaluated at every step
+    and substep, c·A and A·d formed again in every Newton iteration."""
+    def step(t_new, c, d, guess):
+        a = p.A(t_new)
+        fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
+        y, it, _, _ = reference_newton(
+            lambda y: c * (a @ y) - a @ d
+            + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv,
+            lambda y: c * a + p.jacobian(t_new, y), guess, NEWTON_TOL, NEWTON_MAX_ITER)
+        return y, it
+
+    lo, hi = interval
+    y_n = np.array(p.y0 if lo == p.t_start else p.exact(lo), dtype=float)
+    y_nm1, times, values, iters, halvings, failure = None, [lo], [y_n], [], [], None
+    for k in range(mesh_steps(lo, hi, h)):
+        t_n, t_new = lo + k * h, lo + (k + 1) * h
+        if order == 2 and y_nm1 is not None:
+            c, d, guess = 1.5 / h, (4.0 * y_n - y_nm1) / (2.0 * h), 2.0 * y_n - y_nm1
+        else:
+            c, d, guess = 1.0 / h, y_n / h, y_n if y_nm1 is None else 2.0 * y_n - y_nm1
+        y_new, its = step(t_new, c, d, guess)
+        if y_new is None:
+            for m in [2 ** i for i in range(1, MAX_HALVINGS + 1)]:
+                sub_h, y, t, total, ok = h / m, y_n, t_n, 0, True
+                for i in range(m):
+                    y_next, more = step(t + sub_h, 1.0 / sub_h, y / sub_h, y)
+                    total += more
+                    if y_next is None:
+                        ok = False
+                        break
+                    y, t = y_next, t_n + (i + 1) * sub_h
+                halvings.append({"step": k, "t": t_n, "h_tried": sub_h, "substeps": m,
+                                 "newton_iters": total, "converged": ok})
+                if ok:
+                    y_new, its = y, its + total
+                    break
+        iters.append(its)
+        if y_new is None:
+            failure = {"t": t_new, "step": k, "reason": "Newton iteration did not converge "
+                                                        f"(after {MAX_HALVINGS} local halvings)"}
+            break
+        times.append(t_new)
+        values.append(y_new)
+        y_nm1, y_n = y_n, y_new
+    return np.array(times), np.array(values), iters, halvings, failure
+
+
+def _ex33_with_exponential_a():
+    # ex33's F and f behind A(t) = diag(e^t, 0), evaluated one float at a time
+    return dataclasses.replace(example("ex33"), A=MatrixFunction(
+        eval=lambda t: np.diag([np.exp(t), 0.0]), domain=(0.0, 2.0), name="A"))
+
+
+@pytest.mark.parametrize("make, interval, order", [
+    (lambda: example("ex33"), (0.0, 1.0), 1),
+    (lambda: example("ex33"), (0.0, 1.0), 2),
+    # three halvings, all failing, then the failure record at t = 1.675
+    (lambda: example("ex32"), (1.0, 2.0), 1),
+    (_ex33_with_exponential_a, (0.0, 1.0), 2),
+], ids=["ex33-bdf1", "ex33-bdf2", "ex32-breakdown", "per-point-A"])
+def test_solve_dae_matches_the_per_step_reference_bit_for_bit(make, interval, order):
+    sol = solve_dae(make(), DaeSolveConfig(h=1e-3, order=order), interval=interval)
+    times, values, iters, halvings, failure = _reference_solve(make(), 1e-3, order, interval)
+    assert sol.times.tobytes() == times.tobytes()
+    assert sol.values.tobytes() == values.tobytes()
+    assert (sol.newton_iters, sol.halvings, sol.failure) == (iters, halvings, failure)
+
+
+def test_a_per_point_a_is_evaluated_once_per_mesh_point():
+    p, calls = _ex33_with_exponential_a(), []
+    a_of = p.A.eval
+    p.A = MatrixFunction(eval=lambda t: calls.append(t) or a_of(t), domain=p.A.domain)
+    sol = solve_dae(p, DaeSolveConfig(h=1e-2), interval=(0.0, 1.0))
+    # the start (the consistency check), then each of the 100 mesh points once
+    assert calls == sol.times.tolist()
 
 
 # --- interpolant, intervals, validation ------------------------------------

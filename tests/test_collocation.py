@@ -290,6 +290,21 @@ def test_an_overflowing_history_integral_is_a_failure_record():
     assert diag["residual_norms"][-1] == np.inf
 
 
+def test_residual_of_an_overflowing_history_is_inf_without_a_warning():
+    # the accepted solution reaches |u| ~ 2.6e5 on its last interval, so κ's
+    # exp(y2) overflows in the history integral behind the last probe
+    p = example("ex34")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol, _ = solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.0125, newton_tol=1e-10))
+    assert sol.n_intervals == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = residual(p, sol, np.linspace(1.0, sol.t_end, 5))
+    assert np.all(np.isfinite(res[:-1])) and res[0] <= 1e-12
+    assert res[-1] == np.inf
+
+
 # --- index-2 system with a growing solution ---------------------------------
 
 def test_growing_solution_completes_accurately():

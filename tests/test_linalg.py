@@ -17,7 +17,7 @@ from daekit import (
     semi_inverse,
 )
 from daekit.linalg import newton, per_point, quadrature
-from helpers import random_fixed_rank
+from helpers import random_fixed_rank, reference_newton
 
 
 def test_numerical_rank_zero_matrix():
@@ -389,6 +389,8 @@ def _no_jacobian(x):
         "overflowing-iterate"])
 def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_iters):
     x, iters, res, jac = newton(residual, jacobian, x0, 1e-12, max_iter, affine=affine)
+    _assert_same_newton((x, iters, res, jac),
+                        reference_newton(residual, jacobian, x0, 1e-12, max_iter, affine))
     assert iters == want_iters
     if want_x is None:
         assert x is None
@@ -399,6 +401,34 @@ def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_
         assert jac is None
     else:
         assert jac.shape == (1, 1)
+
+
+def _assert_same_newton(got, want):
+    """The same (x, iterations, residual, Jacobian), byte for byte."""
+    x, iters, res, jac = got
+    assert iters == want[1]
+    for g, w in zip((x, res, jac), (want[0], want[2], want[3])):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.shape == w.shape and _bits(g) == _bits(w)
+
+
+@given(st.integers(min_value=1, max_value=3), st.data(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_newton_matches_the_reference_loop_bit_for_bit(r, data, affine):
+    # x + a·sin(x) = b: smooth, with a singular or nearly singular Jacobian
+    # wherever 1 + a·cos(x) vanishes, so every exit is reachable
+    vec = st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=r, max_size=r)
+    a, b, x0 = (np.array(data.draw(vec)) for _ in range(3))
+
+    def residual(x):
+        return x + a * np.sin(x) - b
+
+    def jacobian(x):
+        return np.eye(r) + np.diag(a * np.cos(x))
+
+    _assert_same_newton(newton(residual, jacobian, x0, 1e-12, 25, affine=affine),
+                        reference_newton(residual, jacobian, x0, 1e-12, 25, affine))
 
 
 # --- quadrature -----------------------------------------------------------------
