@@ -13,14 +13,6 @@ is the expected observation.  The solver first retries the step with up to
 attempt; if those fail too, it returns the trajectory computed so far with
 a failure record attached.
 
-A(t) is evaluated once per solve, on the whole mesh a + n·h, and each step
-takes its matrix from that stack; halving substeps evaluate A at their own
-times.  The stack costs one (r, r) matrix per step for a non-constant A and
-nothing for a constant one (``MatrixFunction.constant`` gives read-only
-views of one matrix).  A vectorized A gets the mesh in one call.  A must
-be defined on the whole mesh: one that fails at a mesh point raises before
-the first step, even past where a Newton failure would stop the run.
-
 A monitor evaluates the problem's critical conditions at every accepted
 point and warns whenever |g| drops below ``WARN_THRESHOLD`` or g changes
 sign, so a solution component drifting into a critical set is flagged as
@@ -149,10 +141,10 @@ class SolveResult:
         }
 
 
-def _newton(p: SemiNonlinearDAE, t_new: float, a: np.ndarray, c: float, d: np.ndarray,
+def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
             y_guess: np.ndarray):
-    """Solve c·A·y − A·d + F(t,y) = f(t) at t = t_new, A = A(t_new) given, by
-    Newton; (y, iters) or (None, iters)."""
+    """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters)."""
+    a = p.A(t_new)
     ad, ca = a @ d, c * a
     fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
     y, it, _, _ = newton(
@@ -163,7 +155,7 @@ def _newton(p: SemiNonlinearDAE, t_new: float, a: np.ndarray, c: float, d: np.nd
 
 
 def _bdf1(p, t_n, y_n, h):
-    return _newton(p, t_n + h, p.A(t_n + h), 1.0 / h, y_n / h, y_n)
+    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n)
 
 
 def _halved(p, t_n, y_n, h, records, step_index):
@@ -237,9 +229,6 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
 
     y_n = y0
     y_nm1 = None
-    # A on the whole mesh in one call (views of one matrix for a constant A);
-    # each mesh time rounds as t_new below does
-    a_mesh = p.A(a + np.arange(1, n_steps + 1) * cfg.h)
     for step in range(n_steps):
         t_n = a + step * cfg.h
         t_new = a + (step + 1) * cfg.h
@@ -251,7 +240,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             c = 1.0 / cfg.h
             d = y_n / cfg.h
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
-        y_new, its = _newton(p, t_new, a_mesh[step], c, d, guess)
+        y_new, its = _newton(p, t_new, c, d, guess)
         if y_new is None:
             y_new, more = _halved(p, t_n, y_n, cfg.h, halvings, step)
             its += more
