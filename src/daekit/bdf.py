@@ -159,7 +159,12 @@ def _bdf1(p, t_n, y_n, h):
 
 
 def _halved(p, t_n, y_n, h, records, step_index):
-    """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... ."""
+    """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... .
+
+    Returns (y, iters) or (None, iters), iters the Newton iterations of
+    every halving tried, failed ones included.
+    """
+    spent = 0
     for halving in range(1, MAX_HALVINGS + 1):
         m = 2 ** halving
         sub_h = h / m
@@ -176,9 +181,10 @@ def _halved(p, t_n, y_n, h, records, step_index):
         records.append({"step": step_index, "t": t_n, "h_tried": sub_h,
                         "substeps": m, "newton_iters": total_iters,
                         "converged": ok})
+        spent += total_iters
         if ok:
-            return y, total_iters
-    return None, 0
+            return y, spent
+    return None, spent
 
 
 def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveResult:

@@ -35,11 +35,13 @@ that level again.  The one memo left is :func:`dae_to_iae`'s, on the
 quadratures of its right side.
 
 A chain may also carry a sample axis: a kernel linearized at an (S, r)
-stack of η's has values (S, r, r), and a level 0 repeated along the same
-axis makes every level's values (n, S, r, r).  One chain then serves all
-S samples with one stacked SVD per level and per stencil, and
-:func:`rank_degree_index` reads per-sample ranks, ν and determinants from
-it; each sample's numbers equal those of its own chain bit for bit.
+stack of η's has values (S, r, r), and level 0, shared by all samples,
+has values (n, 1, r, r) that numpy's matmul broadcasts against them, so
+every level above has values (n, S, r, r).  One chain then serves all
+S samples with one stacked SVD per level and per stencil, level 0's
+taken once per point, and :func:`rank_degree_index` reads per-sample
+ranks, ν and determinants from it; each sample's numbers equal those of
+its own chain bit for bit.
 """
 
 from __future__ import annotations
@@ -189,11 +191,12 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     stacked SVD per level gives its ranks and the projector V_i of that update.
 
     A and k may carry a sample axis (module docstring): A(grid) of shape
-    (n, S, r, r) and kernel values of shape (S, r, r).  The level loop then
-    runs until every sample has stopped and returns the list of S reports,
-    report j equal to sample j's own except that its levels hold the
-    shared A and k (sample j of A_i(t) is A_i(t)[..., j, :, :]).  Without
-    the axis it returns one report: the S = 1 case.
+    (n, S, r, r) or (n, 1, r, r) and kernel values of shape (S, r, r), S
+    read from the kernel.  The level loop then runs until every sample has
+    stopped and returns the list of S reports, report j equal to sample j's
+    own except that its levels hold the shared A and k (sample j of A_i(t)
+    is A_i(t)[..., j, :, :], or [..., 0, :, :] on an axis of size 1).
+    Without the axis it returns one report: the S = 1 case.
     """
     if nu_max < 1:
         raise InvalidInputError("nu_max must be at least 1")
@@ -202,13 +205,16 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     A_i, k_i = A, per_point(k, A.domain, "kernel")
     a_grid = A(grid)
     stacked = a_grid.ndim == 4
-    n_samples = a_grid.shape[1] if stacked else 1
+    # a stacked chain's S is the kernel's: A may have a sample axis of size 1
+    k_grid = k_i(grid, grid) if stacked else None
+    n_samples = k_grid.shape[1] if stacked else 1
     levels: list = [[] for _ in range(n_samples)]
     reports: list = [None] * n_samples
     for level in range(nu_max + 1):
         inv = semi_inverse(a_grid, tol)
-        ranks = inv.rank.reshape(grid.size, n_samples)
-        dets = np.linalg.det(a_grid).reshape(grid.size, n_samples)
+        shape = (grid.size, n_samples)
+        ranks = np.broadcast_to(inv.rank.reshape(grid.size, -1), shape)
+        dets = np.broadcast_to(np.linalg.det(a_grid).reshape(grid.size, -1), shape)
         for j in range(n_samples):
             if reports[j] is not None:
                 continue
@@ -225,9 +231,10 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
         if all(rep is not None for rep in reports):
             break
         if level < nu_max:
-            k_grid = k_i(grid, grid)
+            if k_grid is None:
+                k_grid = k_i(grid, grid)
             A_i, k_i = chain_step(A_i, k_i, tol)
-            a_grid = a_grid + inv.projector @ k_grid
+            a_grid, k_grid = a_grid + inv.projector @ k_grid, None
     reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
                if rep is None else rep for rep, lev in zip(reports, levels)]
     return reports if stacked else reports[0]

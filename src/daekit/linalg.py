@@ -208,8 +208,10 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
 
     t must lie in [lo, hi] (:func:`check_span`).  Uses the central 5-point
     stencil where the domain allows, one-sided 4th-order stencils near
-    ``lo``/``hi``; the step shrinks if the domain window is too narrow for
-    the stencil.  ``fn`` is called as ``fn(tau, *args)``.
+    ``lo``/``hi``; the step shrinks to a quarter of the domain if the
+    domain is too narrow for the stencil, and a t that still fits no
+    stencil takes the one-sided one toward the farther end, with step a
+    quarter of the distance to it.  ``fn`` is called as ``fn(tau, *args)``.
 
     For a float ``t``, ``fn`` is called once per stencil point.  For an
     (n,) array ``t``, it is called once, on the (m,) array of every stencil
@@ -235,9 +237,14 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
     backward = ~central & ~forward & (ts - 4.0 * steps >= lo)
     stuck = ~(central | forward | backward)
     if np.any(stuck):
-        j = int(np.argmax(stuck))
-        raise DomainError(
-            f"domain [{lo}, {hi}] too narrow for a stencil of step {steps[j]} at t={ts[j]}")
+        # a t that fits none of them takes the one-sided stencil reaching the farther end
+        up, down = hi - ts, ts - lo
+        steps = np.where(stuck, np.maximum(up, down) / 4.0, steps)
+        forward |= stuck & (up >= down)
+        backward |= stuck & (up < down)
+        if np.any(steps[stuck] <= 0.0):
+            j = int(np.argmax(stuck))
+            raise DomainError(f"domain [{lo}, {hi}] too narrow for a stencil at t={ts[j]}")
 
     # the stencil points kind by kind, offset-major within a kind
     groups = [(_STENCILS[kind], np.flatnonzero(mask))

@@ -29,8 +29,11 @@ problems.
 At each grid point the ball samples go through one
 :func:`frozen_index_report` call on their (S, r) stack of η's: one chain
 whose level values carry a sample axis, (n, S, r, r), gives every
-sample's ν, and its A_ν at t gives all S determinants in one stacked
-``det``.  The centre keeps its own chain through :func:`pointwise_index`.
+sample's ν; level 0 has a sample axis of size 1, as A does not depend
+on η.  The determinants of A_ν at t are read from the ``det_sample`` the
+chain stored when t is a window node and every sample reached level ν,
+and otherwise come from its A_ν at t in one stacked ``det``.  The centre
+keeps its own chain through :func:`pointwise_index`.
 """
 
 from __future__ import annotations
@@ -93,17 +96,17 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
 
     An (S, r) stack of η's gives the list of S reports from one chain with
     a sample axis (see :func:`~daekit.chain.rank_degree_index`): level 0 is
-    A repeated S times, and each report equals the single-η report of its
-    sample except that its levels hold the shared chain.
+    A with a sample axis of size 1, which broadcasts against the kernel's
+    S, and each report equals the single-η report of its sample except
+    that its levels hold the shared chain.
     """
     lo, hi = _window(p, traj, t)
     grid = np.linspace(lo, hi, WINDOW_POINTS)
     eta = np.asarray(eta, dtype=float)
     a_loc = _restrict(p.A, lo, hi)
     if eta.ndim == 2:
-        a_loc = MatrixFunction(
-            eval=lambda ts, a=a_loc: np.repeat(a(ts)[:, None], len(eta), axis=1),
-            domain=(lo, hi), vectorized=True)
+        a_loc = MatrixFunction(eval=lambda ts, a=a_loc: a(ts)[:, None],
+                               domain=(lo, hi), vectorized=True)
     return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max, tol=tol)
 
 
@@ -127,14 +130,23 @@ def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunc
     return A_i
 
 
-def _final_det(report: IndexReport, nu: int, t: float, tol: float):
-    """det A_ν(t) from the chain a report built, stepped past the level where it stopped.
+def _final_det(reports: list, nu: int, t: float, tol: float) -> np.ndarray:
+    """det A_ν(t) of each report's sample: the (S,) determinants of S
+    reports that share one chain (a single report is S = 1).
 
-    A report of a chain with a sample axis gives the (S,) determinants of
-    all its samples from one stacked ``det``.
+    When every report reached level ν and t is a node of their grid, the
+    determinants are read from the level's ``det_sample``.  Otherwise the
+    chain of the longest report is stepped past the level where it stopped
+    and evaluated at t, all samples in one stacked ``det``.
     """
-    lev = report.levels[min(nu, len(report.levels) - 1)]
-    return np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t))
+    node = np.flatnonzero(reports[0].grid == t)
+    if node.size and all(len(rep.levels) > nu for rep in reports):
+        return np.array([rep.levels[nu].det_sample[node[0]][1] for rep in reports])
+    longest = max(reports, key=lambda rep: len(rep.levels))
+    lev = longest.levels[min(nu, len(longest.levels) - 1)]
+    det = np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t))
+    # a level 0 of a stacked chain has one sample for all
+    return np.broadcast_to(det, (len(reports),))
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
@@ -299,14 +311,12 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
         etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
-        dets = [_final_det(centre_rep, nu_ref, t, tol)]
+        dets = list(_final_det([centre_rep], nu_ref, t, tol))
         if etas:
             reps = frozen_index_report(p, etas, t, traj, tol=tol, nu_max=nu_max)
             if any(rep.nu != nu_ref for rep in reps):
                 nu_flip = True
-            # every report holds the shared chain; the longest holds most of it
-            dets.extend(_final_det(max(reps, key=lambda rep: len(rep.levels)),
-                                   nu_ref, t, tol))
+            dets.extend(_final_det(reps, nu_ref, t, tol))
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
                       for eta in [center, *etas]]
         if _sign_flip(dets):

@@ -182,6 +182,14 @@ def test_newton_failure_is_reported_not_raised(crossing_run):
     assert not any(rec["converged"] for rec in sol.halvings)
 
 
+def test_a_failed_step_counts_the_iterations_of_its_failed_halvings(crossing_run):
+    # the step's own Newton solve stops at the iteration cap, then each of
+    # the three halvings fails in turn
+    sol = crossing_run
+    assert [rec["newton_iters"] for rec in sol.halvings] == [25, 35, 51]
+    assert sol.newton_iters[-1] == NEWTON_MAX_ITER + 25 + 35 + 51
+
+
 def test_error_blows_up_where_the_monitor_warned(crossing_run):
     sol = crossing_run
     p = example("ex32")
@@ -226,6 +234,7 @@ def _reference_solve(p, h, order, interval):
             c, d, guess = 1.0 / h, y_n / h, y_n if y_nm1 is None else 2.0 * y_n - y_nm1
         y_new, its = step(t_new, c, d, guess)
         if y_new is None:
+            # every halving's iterations count, failed ones included
             for m in [2 ** i for i in range(1, MAX_HALVINGS + 1)]:
                 sub_h, y, t, total, ok = h / m, y_n, t_n, 0, True
                 for i in range(m):
@@ -237,8 +246,9 @@ def _reference_solve(p, h, order, interval):
                     y, t = y_next, t_n + (i + 1) * sub_h
                 halvings.append({"step": k, "t": t_n, "h_tried": sub_h, "substeps": m,
                                  "newton_iters": total, "converged": ok})
+                its += total
                 if ok:
-                    y_new, its = y, its + total
+                    y_new = y
                     break
         iters.append(its)
         if y_new is None:

@@ -172,6 +172,21 @@ def test_fd_derivative_endpoint_stencils_are_fourth_order():
         np.testing.assert_allclose(got, [np.exp(t)], rtol=1e-9)
 
 
+def test_fd_derivative_inside_a_domain_too_narrow_for_a_stencil():
+    # on (0, 1e-4) a stencil of step width/4 fits only at 0, 5e-5 and 1e-4;
+    # between them the one-sided stencil reaches the farther end
+    f = MatrixFunction(eval=lambda t: np.array([[np.sin(1e4 * t)]]), domain=(0.0, 1e-4))
+    ts = np.array([0.0, 2e-5, 5e-5, 9e-5, 1e-4])
+    got = matfn_derivative(f, ts)[:, 0, 0]
+    np.testing.assert_allclose(got[[1, 3]], 1e4 * np.cos(1e4 * ts[[1, 3]]), rtol=1e-3)
+    assert _bits(got) == _bits([matfn_derivative(f, float(t))[0, 0] for t in ts])
+    # the points that fit a stencil keep its step
+    assert _bits(got[[0, 2, 4]]) == _bits(
+        fd_derivative(f.__call__, ts[[0, 2, 4]], step=2.5e-5, lo=0.0, hi=1e-4)[:, 0, 0])
+    with pytest.raises(DomainError):
+        fd_derivative(lambda t: np.array([t]), 0.0, lo=0.0, hi=0.0)
+
+
 def test_fd_derivative_outside_domain():
     with pytest.raises(DomainError):
         fd_derivative(lambda t: np.array([t]), 2.0, lo=0.0, hi=1.0)

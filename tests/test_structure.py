@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daekit import (
     ClassificationUnreliableError,
@@ -211,13 +213,58 @@ def test_stacked_report_equals_single_reports_near_the_critical_point(make, nu_m
     assert [(rep.nu, rep.status.kind) for rep in reports] == outcomes
     assert [float_bits(rep.to_dict()) for rep in reports] == \
         [float_bits(rep.to_dict()) for rep in singles]
-    # every sample's det A_ν(π/2) from one stacked det, for each ν that
-    # classify may compare against
-    longest = max(reports, key=lambda rep: len(rep.levels))
-    for nu in (1, 2):
-        dets = daekit.structure._final_det(longest, nu, HALF_PI, 1e-10)
-        assert dets.tobytes() == np.array(
-            [daekit.structure._final_det(rep, nu, HALF_PI, 1e-10) for rep in singles]).tobytes()
+    # every sample's det A_ν(t), for each ν that classify may compare
+    # against, at π/2 and at a window node, where it is read from det_sample
+    for t in (HALF_PI, float(reports[0].grid[3])):
+        for nu in (1, 2):
+            dets = daekit.structure._final_det(reports, nu, t, 1e-10)
+            assert dets.tobytes() == np.concatenate(
+                [daekit.structure._final_det([rep], nu, t, 1e-10) for rep in singles]).tobytes()
+
+
+@given(name=st.sampled_from(["ex32", "ex34"]), t=st.floats(1.1, 1.9),
+       n_samples=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), nu=st.integers(0, 3),
+       where=st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)))
+@settings(max_examples=30, deadline=None)
+def test_final_det_is_the_determinant_of_the_blind_chain(name, t, n_samples, seed, nu, where):
+    # an integer `where` is a window node, a float a time between the ends
+    import daekit.structure
+
+    p = example(name)
+    tr = exact_traj(p)
+    etas = tr(t) + np.random.default_rng(seed).uniform(-0.1, 0.1, size=(n_samples, p.r))
+    reports = frozen_index_report(p, etas, t, tr)
+    grid = reports[0].grid
+    at = float(grid[where] if isinstance(where, int) else grid[0] + where * (grid[-1] - grid[0]))
+    lev = reports[0].levels[0]
+    want = np.linalg.det(daekit.structure._blind_chain(lev.A, lev.k, nu, 1e-10)(at))
+    assert daekit.structure._final_det(reports, nu, at, 1e-10).tobytes() == \
+        np.broadcast_to(want, (n_samples,)).tobytes()
+
+
+def test_level_0_of_a_stacked_chain_is_not_repeated_across_samples(monkeypatch):
+    # level 0 is A for every sample: repeated 8 times, 520 matrices reached
+    # semi_inverse for this report, 329 of them level-0 copies
+    import daekit.chain
+
+    p = example("ex34")
+    tr = exact_traj(p)
+    etas = tr(1.5) + np.random.default_rng(3).uniform(-0.1, 0.1, size=(8, 2))
+    a0 = p.A(1.5)
+    counts, level0_samples = [], []
+    semi_inverse = daekit.chain.semi_inverse
+
+    def counted(m, tol):
+        counts.append(int(np.prod(m.shape[:-2])))
+        if np.all(m == a0):
+            level0_samples.append(m.shape[-3])
+        return semi_inverse(m, tol)
+
+    monkeypatch.setattr(daekit.chain, "semi_inverse", counted)
+    reports = frozen_index_report(p, etas, 1.5, tr)
+    assert [rep.nu for rep in reports] == [2] * 8
+    assert sum(counts) <= 191
+    assert level0_samples and all(n == 1 for n in level0_samples)
 
 
 def test_stacked_report_equals_single_reports_along_a_growing_solution():
