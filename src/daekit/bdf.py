@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ExtrapolationError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .linalg import NEWTON_MAX_ITER, check_span, newton
-from .problems import SemiNonlinearDAE, mesh_steps, probe_points
+from .problems import SemiNonlinearDAE, Trajectory, mesh_steps, probe_points
 
 
 WARN_THRESHOLD = 1e-2
@@ -61,14 +61,13 @@ class MonitorWarning:
 
 
 @dataclass
-class SolveResult:
+class SolveResult(Trajectory):
     """Accepted trajectory plus per-step diagnostics.
 
     ``failure`` is None on a complete run; otherwise a record of where and
     why stepping stopped (times/values then cover only the solved span).
-    Called at a time or an array of times on that span (``check_span``,
-    accepted times clamped to it), it gives the natural cubic spline
-    through the accepted points.
+    As a :class:`~daekit.problems.Trajectory` on the span of its accepted
+    times it gives the natural cubic spline through the accepted points.
     """
 
     times: np.ndarray
@@ -86,11 +85,9 @@ class SolveResult:
     def success(self) -> bool:
         return self.failure is None
 
-    def _spline_at(self, t):
-        """The spline's values and first derivatives at t, clamped to the span."""
+    def _spline_at(self, t: np.ndarray):
+        """The spline's values and first derivatives at times t inside the span."""
         x, y = self.times, self.values
-        t = np.clip(check_span(t, float(x[0]), float(x[-1]), "the solution",
-                               ExtrapolationError), x[0], x[-1])
         if x.size < 2:
             raise InvalidInputError("need at least two accepted points")
         m = self._spline
@@ -117,8 +114,7 @@ class SolveResult:
         slope = (y1 - y0) / dx + ((1 - 3 * a**2) * m0 + (3 * b**2 - 1) * m1) * dx / 6
         return value, slope
 
-    def __call__(self, t):
-        """Spline value at t in the solved span (else ExtrapolationError)."""
+    def _at(self, t: np.ndarray) -> np.ndarray:
         return self._spline_at(t)[0]
 
     def to_dict(self) -> dict:
@@ -278,11 +274,11 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
     through the accepted points, so even an exact trajectory shows the
     interpolation-differentiation floor rather than zero.
     """
-    lo, hi = float(sol.times[0]), float(sol.times[-1])
-    probe_grid = probe_points(probe_grid, lo, hi)
+    lo, hi = sol.span
+    probe_grid = np.clip(probe_points(probe_grid, lo, hi), lo, hi)
     values, slopes = sol._spline_at(probe_grid)
     out = np.empty(probe_grid.size)
-    for i, t in enumerate(np.clip(probe_grid, lo, hi).tolist()):
+    for i, t in enumerate(probe_grid.tolist()):
         res = (p.A(t) @ slopes[i]
                + np.atleast_1d(np.asarray(p.F(t, values[i]), dtype=float))
                - np.atleast_1d(np.asarray(p.f(t), dtype=float)))

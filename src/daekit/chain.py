@@ -68,7 +68,7 @@ from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
-    TrajectorySample,
+    Trajectory,
     batch_jacobian,
 )
 
@@ -333,10 +333,10 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
 
     A DAE is integrated by parts over [t_start, t] first, which is where
     −A′ comes from; A′ uses the declared derivative when present.  ``eta``
-    is the trajectory to linearize along (a :class:`TrajectorySample` or
-    any callable of s), a fixed vector, or an (S, r) stack of fixed
-    vectors; a LinearDAE ignores it.  A stack gives kernel values with a
-    sample axis, shape (S, r, r), whose slice j is the kernel at eta[j].
+    is the :class:`~daekit.problems.Trajectory` to linearize along, a fixed
+    vector, or an (S, r) stack of fixed vectors; a LinearDAE ignores it.  A
+    stack gives kernel values with a sample axis, shape (S, r, r), whose
+    slice j is the kernel at eta[j].
 
     The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
     chain level.  An array call makes one Jacobian call on all its points
@@ -352,10 +352,8 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
         raise InvalidInputError(f"no linear kernel for a {type(p).__name__}")
     if eta is None:
         raise InvalidInputError("a semi-nonlinear problem needs eta to linearize along")
-    if isinstance(eta, TrajectorySample):
+    if isinstance(eta, Trajectory):
         at = eta
-    elif callable(eta):
-        at = per_point(eta, p.A.domain, "eta")
     else:
         v = np.asarray(eta, dtype=float)
 

@@ -217,11 +217,6 @@ def _cmd_solve_dae(args, p, interval) -> int:
     return 0
 
 
-def _values_at(sol, times) -> np.ndarray:
-    """A collocation solution at ``times``, one row each: (0, r) when no interval completed."""
-    return sol(times) if times.size else np.empty((0, sol.r))
-
-
 def _cmd_solve_iae(args, p, interval) -> int:
     if not isinstance(p, (LinearIAE, SemiNonlinearIAE)):
         print("solve-iae needs an integral problem; use solve-dae", file=sys.stderr)
@@ -229,7 +224,7 @@ def _cmd_solve_iae(args, p, interval) -> int:
     cfg = CollocationConfig(c=args.c, h=args.h)
     sol, diag = solve_iae(p, cfg, interval=interval)
     times = sol.collocation_times()
-    values = _values_at(sol, times)
+    values = sol(times)
     if times.size:
         diag["max_residual_at_collocation"] = float(
             iae_residual(p, sol, times).max())
@@ -325,8 +320,7 @@ def _fig2():
     warn_near = first_warn is not None and abs(first_warn - HALF_PI) <= 0.05
     crits = []
     if times.size >= 2:
-        traj = TrajectorySample(times=times, values=sol.values)
-        crits = [t for t, _ in detect_critical_points(traj, p.critical_conditions)]
+        crits = [t for t, _ in detect_critical_points(sol, p.critical_conditions)]
     breakdown = (not sol.success) or grew
     summary = {
         "problem": "ex32", "interval": list(interval), "h": 1e-3, "solver": "bdf1",
@@ -358,7 +352,7 @@ def _colloc_run(name, h):
     sol, diag = solve_iae(p, CollocationConfig(c=(0.0, 0.7, 0.9), h=h),
                           interval=(1.0, 2.0))
     times = sol.collocation_times()
-    values = _values_at(sol, times)
+    values = sol(times)
     errs = _errors_on(times, values, p.exact) if times.size else np.array([])
     return p, sol, diag, times, values, errs
 

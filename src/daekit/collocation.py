@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import NEWTON_MAX_ITER, check_span, newton, per_point
-from .problems import LinearIAE, SemiNonlinearIAE, batch_jacobian, mesh_steps, probe_points
+from .problems import (LinearIAE, SemiNonlinearIAE, Trajectory, batch_jacobian, mesh_steps,
+                       probe_points)
 
 
 QUAD_ORDER = 8
@@ -99,12 +100,13 @@ def _lagrange_weights(nodes: np.ndarray, tau) -> np.ndarray:
 
 
 @dataclass
-class PiecewiseSolution:
+class PiecewiseSolution(Trajectory):
     """Continuous piecewise polynomial: values at local nodes per interval.
 
     ``tau_nodes`` always contains 0 and, when the collocation parameters do
     not reach it, the right endpoint 1; adjacent intervals share the joint
-    value, so evaluation is continuous across the mesh.
+    value, so evaluation is continuous across the mesh.  As a
+    :class:`~daekit.problems.Trajectory` its knot ``times`` are the mesh.
     """
 
     t_start: float
@@ -129,8 +131,12 @@ class PiecewiseSolution:
         return self.nodal_values.shape[2]
 
     @property
-    def mesh(self) -> np.ndarray:
+    def times(self) -> np.ndarray:
         return self.t_start + self.h * np.arange(self.n_intervals + 1)
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return self.t_start, self.t_end
 
     @property
     def t_end(self) -> float:
@@ -141,21 +147,14 @@ class PiecewiseSolution:
         n = np.floor((np.asarray(t, dtype=float) - self.t_start) / self.h).astype(int)
         return np.minimum(np.maximum(n, 0), self.n_intervals - 1)
 
-    def __call__(self, t) -> np.ndarray:
-        """Value (r,) at a float t, or the (n, r) values at an (n,) array of
-        times; a float goes through the array arithmetic, so each row
-        equals its float call bit for bit.  Outside the span: InvalidInputError."""
-        if self.n_intervals == 0:
+    def _at(self, t: np.ndarray) -> np.ndarray:
+        if self.n_intervals == 0 and t.size:
             raise InvalidInputError("empty solution")
-        lo, hi = self.t_start, self.t_end
-        ts = check_span(t, lo, hi, "the solution", InvalidInputError)
-        t = ts.reshape(-1)
         n = self.interval_of(t)
-        tau = np.minimum(np.maximum((t - (lo + n * self.h)) / self.h, 0.0), 1.0)
+        tau = np.minimum(np.maximum((t - (self.t_start + n * self.h)) / self.h, 0.0), 1.0)
         # a (1, n_nodes) @ (n_nodes, r) product per time, so no row's
         # arithmetic depends on the other times
-        vals = _lagrange_weights(self.tau_nodes, tau)[:, None, :] @ self.nodal_values[n]
-        return vals.reshape(ts.shape + (self.r,))
+        return (_lagrange_weights(self.tau_nodes, tau)[:, None, :] @ self.nodal_values[n])[:, 0]
 
     def collocation_times(self) -> np.ndarray:
         ts = self.t_start + self.h * np.arange(self.n_intervals)[:, None] + self.h * self.c[None, :]

@@ -130,9 +130,28 @@ def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
     return probe_grid
 
 
+class Trajectory:
+    """A function of time on the span of its knot ``times``: the one trajectory rule.
+
+    A float t gives the value (r,), an (n,) array the (n, r) values, each row with
+    its float call's arithmetic.  A time outside the span (``check_span``) raises
+    ExtrapolationError; an accepted one is clamped to it, where a subclass's
+    ``_at`` evaluates the (n,) clamped times."""
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return float(self.times[0]), float(self.times[-1])
+
+    def __call__(self, t) -> np.ndarray:
+        lo, hi = self.span
+        ts = check_span(t, lo, hi, "the trajectory", ExtrapolationError)
+        vals = self._at(np.minimum(np.maximum(ts.reshape(-1), lo), hi))
+        return vals.reshape(ts.shape + vals.shape[1:])
+
+
 @dataclass
-class TrajectorySample:
-    """Sampled trajectory, linear between its times (a ``check_grid`` grid), on their span only."""
+class TrajectorySample(Trajectory):
+    """Sampled trajectory, linear between its times (a ``check_grid`` grid)."""
 
     times: np.ndarray
     values: np.ndarray  # shape (len(times), r)
@@ -145,31 +164,20 @@ class TrajectorySample:
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("trajectory values must be finite")
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
     @staticmethod
     def from_function(fn: Callable[[float], np.ndarray], times) -> "TrajectorySample":
         times = np.asarray(times, dtype=float)
         vals = np.array([_vec(fn(t)) for t in times])
         return TrajectorySample(times=times, values=vals)
 
-    def __call__(self, t) -> np.ndarray:
-        """Value (r,) at a float t, or the (n, r) values at an (n,) array of
-        times, each row with the arithmetic of its float call."""
-        lo, hi = self.span
-        ts = check_span(t, lo, hi, "the trajectory", ExtrapolationError)
-        t = np.minimum(np.maximum(ts.reshape(-1), lo), hi)
+    def _at(self, t: np.ndarray) -> np.ndarray:
         if self.times.size == 1:
-            vals = np.repeat(self.values, t.size, axis=0)
-        else:
-            # t >= times[0] after the clamp, so i >= 0
-            i = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
-            t0, t1 = self.times[i], self.times[i + 1]
-            w = ((t - t0) / (t1 - t0))[:, None]
-            vals = (1.0 - w) * self.values[i] + w * self.values[i + 1]
-        return vals.reshape(ts.shape + vals.shape[1:])
+            return np.repeat(self.values, t.size, axis=0)
+        # t >= times[0] after the clamp, so i >= 0
+        i = np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
+        t0, t1 = self.times[i], self.times[i + 1]
+        w = ((t - t0) / (t1 - t0))[:, None]
+        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
 @dataclass

@@ -51,6 +51,7 @@ from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
+    Trajectory,
     TrajectorySample,
 )
 
@@ -61,14 +62,17 @@ WINDOW_POINTS = 9
 # time resolution of every bisection for a sign change of a critical
 # condition or of the final chain determinant
 TIME_TOL = 1e-6
+# |g| below this at a knot time counts as a touch of a critical condition
+VALUE_TOL = 1e-8
+# the highest chain level a pointwise index may reach, rank_degree_index's cap
+NU_MAX = 4
 
 
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
     return replace(mf, domain=(float(lo), float(hi)))
 
 
-def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE,
-                  traj: TrajectorySample) -> LinearIAE:
+def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE, traj: Trajectory) -> LinearIAE:
     """Linear IAE of the error equation along ``traj``, kernel from :func:`linear_kernel`.
 
     For an IAE the kernel is (t,s) ↦ κ_y(t, s, traj(s)); for a DAE it is the
@@ -80,7 +84,7 @@ def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE,
                      name=f"{p.name}-linearized" if p.name else "")
 
 
-def _window(p, traj: TrajectorySample, t: float):
+def _window(p, traj: Trajectory, t: float):
     a = max(p.interval[0], traj.span[0])
     b = min(p.interval[1], traj.span[1])
     lo, hi = max(a, t - WINDOW), min(b, t + WINDOW)
@@ -90,8 +94,8 @@ def _window(p, traj: TrajectorySample, t: float):
     return lo, hi
 
 
-def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
-                        tol: float = DEFAULT_RANK_TOL, nu_max: int = 4) -> IndexReport | list:
+def frozen_index_report(p, eta, t: float, traj: Trajectory,
+                        nu_max: int = NU_MAX) -> IndexReport | list:
     """Chain report for the linearization frozen at ``eta``, on a window around t.
 
     An (S, r) stack of η's gives the list of S reports from one chain with
@@ -107,11 +111,10 @@ def frozen_index_report(p, eta, t: float, traj: TrajectorySample,
     if eta.ndim == 2:
         a_loc = MatrixFunction(eval=lambda ts, a=a_loc: a(ts)[:, None],
                                domain=(lo, hi), vectorized=True)
-    return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max, tol=tol)
+    return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max)
 
 
-def pointwise_index(p, traj: TrajectorySample, t: float, tol: float = DEFAULT_RANK_TOL,
-                    nu_max: int = 4, full_output: bool = False):
+def pointwise_index(p, traj: Trajectory, t: float, full_output: bool = False):
     """Index of the linearization frozen at traj(t), or None if the chain fails.
 
     None means the constant-rank hypothesis broke or the level cap was hit
@@ -119,7 +122,7 @@ def pointwise_index(p, traj: TrajectorySample, t: float, tol: float = DEFAULT_RA
     not an error.  With ``full_output`` the result is (ν, report), the
     report being the :func:`frozen_index_report` that ν was read from.
     """
-    report = frozen_index_report(p, traj(t), t, traj, tol=tol, nu_max=nu_max)
+    report = frozen_index_report(p, traj(t), t, traj)
     return (report.nu, report) if full_output else report.nu
 
 
@@ -174,13 +177,12 @@ def _cluster(times: Sequence[float], tol: float) -> list:
     return out
 
 
-def detect_critical_points(traj: TrajectorySample, conditions,
-                           refine: bool = True, interval=None,
-                           value_tol: float = 1e-8) -> list:
+def detect_critical_points(traj: Trajectory, conditions, refine: bool = True,
+                           interval=None) -> list:
     """Times where a condition g(t, traj(t)) crosses or touches zero.
 
-    Scans the trajectory's own sample times (clipped to ``interval``) for
-    sign changes and for |g| dipping below ``value_tol``; with ``refine``
+    Scans the trajectory's knot times (clipped to ``interval``) for
+    sign changes and for |g| dipping below ``VALUE_TOL``; with ``refine``
     each sign change is bisected on the interpolant down to ``TIME_TOL``.
     Returns (time, condition_index) pairs sorted by time.
     """
@@ -191,7 +193,7 @@ def detect_critical_points(traj: TrajectorySample, conditions,
     ts = np.unique(np.concatenate([[a], ts, [b]]))
     hits: list[tuple[float, int]] = []
     for cid, cond in enumerate(conditions):
-        gs = np.array([float(cond(t, traj(t))) for t in ts])
+        gs = np.array([float(cond(t, y)) for t, y in zip(ts, traj(ts))])
         found: list[float] = []
         for j in range(ts.size - 1):
             if gs[j] == 0.0:
@@ -205,7 +207,7 @@ def detect_critical_points(traj: TrajectorySample, conditions,
         if gs[-1] == 0.0:
             found.append(float(ts[-1]))
         for j in range(ts.size):
-            if 0.0 < abs(gs[j]) < value_tol:
+            if 0.0 < abs(gs[j]) < VALUE_TOL:
                 found.append(float(ts[j]))
         hits.extend((t, cid) for t in _cluster(found, 2.0 * TIME_TOL))
     return sorted(hits)
@@ -250,11 +252,12 @@ def _sign_flip(values, floor_rel: float = 1e-12) -> bool:
     return bool(np.min(vals) < -floor and np.max(vals) > floor)
 
 
-def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
-             n_perturb: int = 8, grid=None, seed: int = 0,
-             tol: float = DEFAULT_RANK_TOL, nu_max: int = 4) -> IndexProfile:
-    """Structure/form classification of a semi-nonlinear problem.
+def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
+             n_perturb: int = 8, grid=None, seed: int = 0) -> IndexProfile:
+    """Structure/form classification of a semi-nonlinear problem along ``traj``.
 
+    ``traj`` is any :class:`~daekit.problems.Trajectory`, a solve's result
+    included; by default ``p.exact`` (else y ≡ 0) sampled on the grid's span.
     For each grid point the pointwise index is computed at the trajectory
     and at ``n_perturb`` uniform draws from the eps-ball around it; the
     evidence listed in the module docstring decides well vs free structure.
@@ -285,8 +288,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
     check_span(grid, *traj.span, "the trajectory (grid)", InvalidInputError)
 
-    centre = [pointwise_index(p, traj, float(t), tol=tol, nu_max=nu_max, full_output=True)
-              for t in grid]
+    centre = [pointwise_index(p, traj, float(t), full_output=True) for t in grid]
     nu_at = [nu for nu, _ in centre]
     defined = [n for n in nu_at if n is not None]
     undefined_fraction = 1.0 - len(defined) / len(nu_at)
@@ -311,12 +313,12 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
         etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
-        dets = list(_final_det([centre_rep], nu_ref, t, tol))
+        dets = list(_final_det([centre_rep], nu_ref, t, DEFAULT_RANK_TOL))
         if etas:
-            reps = frozen_index_report(p, etas, t, traj, tol=tol, nu_max=nu_max)
+            reps = frozen_index_report(p, etas, t, traj)
             if any(rep.nu != nu_ref for rep in reps):
                 nu_flip = True
-            dets.extend(_final_det(reps, nu_ref, t, tol))
+            dets.extend(_final_det(reps, nu_ref, t, DEFAULT_RANK_TOL))
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
                       for eta in [center, *etas]]
         if _sign_flip(dets):
@@ -340,7 +342,7 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
     if conditions:
         crit.extend(t for t, _ in detect_critical_points(
             traj, conditions, refine=True, interval=(a, b)))
-    a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref, tol)
+    a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref, DEFAULT_RANK_TOL)
     traj_dets = np.linalg.det(a_ref(grid))
     floor = 1e-12 * max(1.0, float(np.max(np.abs(traj_dets))))
     for j in range(grid.size - 1):
@@ -357,8 +359,8 @@ def classify(p, traj: Optional[TrajectorySample] = None, eps: float = 0.1,
         if any(lo_t <= c <= hi_t for c in crit):
             continue
         crit.append(_bisect_zero(
-            lambda tt: 1.0 if pointwise_index(p, traj, tt, tol=tol, nu_max=nu_max) == n0
-            else -1.0, lo_t, hi_t, 1.0, 1e-3))
+            lambda tt: 1.0 if pointwise_index(p, traj, tt) == n0 else -1.0,
+            lo_t, hi_t, 1.0, 1e-3))
 
     crit = _cluster([c for c in crit if a <= c <= b], 2e-3)
     if crit:

@@ -128,6 +128,8 @@ def test_solution_spline_agrees_with_scipy_natural_cubic_spline(n):
     want = cubic_spline(times, values, axis=0, bc_type="natural")
     bound = 1e-12 * np.max(np.abs(values))
     np.testing.assert_allclose(sol(t), want(t), rtol=0.0, atol=bound)
+    # each row of an array call is its float call, bit for bit
+    assert sol(t[::7]).tobytes() == np.stack([sol(float(x)) for x in t[::7]]).tobytes()
     _, slopes = sol._spline_at(t)
     np.testing.assert_allclose(slopes, want(t, 1), rtol=0.0, atol=bound)
 

@@ -8,6 +8,7 @@ import pytest
 
 from daekit import (
     CollocationConfig,
+    ExtrapolationError,
     InvalidInputError,
     LinearIAE,
     MatrixFunction,
@@ -404,7 +405,7 @@ def test_solver_is_deterministic():
 
 def test_solution_is_continuous_at_mesh_points():
     sol, _ = solve_iae(example("ex34"), CollocationConfig())
-    for m in sol.mesh[1:-1]:
+    for m in sol.times[1:-1]:
         jump = np.max(np.abs(sol(m - 1e-13) - sol(m + 1e-13)))
         assert jump <= 1e-10
 
@@ -431,21 +432,21 @@ def test_lagrange_weights_on_an_array_are_the_scalar_products_bit_for_bit(nodes)
 
 def test_solution_on_an_array_of_times_gives_the_float_calls_row_by_row():
     sol, _ = solve_iae(example("ex34"), CollocationConfig(h=0.05), interval=(1.0, 1.5))
-    times = np.concatenate([np.linspace(1.0, 1.5, 37), sol.mesh, sol.mesh[1:-1] - 1e-13,
-                            sol.mesh[1:-1] + 1e-13, [1.0 - 1e-12, 1.5 + 1e-12]])
+    times = np.concatenate([np.linspace(1.0, 1.5, 37), sol.times, sol.times[1:-1] - 1e-13,
+                            sol.times[1:-1] + 1e-13, [1.0 - 1e-12, 1.5 + 1e-12]])
     values = sol(times)
     assert values.shape == (times.size, 2)
     for t, row in zip(times, values):
         assert sol(float(t)).shape == (2,)
         assert sol(float(t)).tobytes() == row.tobytes()
     assert sol(np.array([[1.1, 1.2]])).shape == (1, 2, 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ExtrapolationError):
         sol(np.array([1.2, 0.9]))
 
 
 def test_solution_rejects_points_outside_span():
     sol, _ = solve_iae(example("ex34"), CollocationConfig())
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ExtrapolationError):
         sol(0.9)
     with pytest.raises(InvalidInputError):
         residual(example("ex34"), sol, np.array([0.9, 1.5]))

@@ -81,14 +81,18 @@ def test_every_function_of_time_applies_one_span_rule(lo, rel_width, at_hi, offs
     t = end + offset * 1e-9 * max(1.0, abs(end))
     # half the slack either way is inside; twice it is inside only inward
     inside = abs(offset) == 0.5 or (offset < 0) == at_hi
-    accepted = {}
+    accepted, errors = {}, {}
     for name, site in sites.items():
         try:
             site(t)
             accepted[name] = True
-        except (DomainError, InvalidInputError):
+        except (DomainError, InvalidInputError) as exc:
             accepted[name] = False
+            errors[name] = type(exc)
     assert accepted == dict.fromkeys(sites, inside)
+    # one trajectory rule, one exception
+    trajectories = ("TrajectorySample", "PiecewiseSolution", "SolveResult")
+    assert {errors.get(name) for name in trajectories} == {None if inside else ExtrapolationError}
 
 
 @pytest.mark.parametrize("call", [

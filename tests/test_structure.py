@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from daekit import (
     ClassificationUnreliableError,
+    CollocationConfig,
+    DaeSolveConfig,
     InvalidInputError,
     MatrixFunction,
     SemiNonlinearDAE,
@@ -19,6 +21,8 @@ from daekit import (
     linearize_iae,
     numerical_rank,
     pointwise_index,
+    solve_dae,
+    solve_iae,
 )
 from helpers import exact_traj, float_bits
 
@@ -351,6 +355,18 @@ def test_detect_critical_points_without_a_sign_change_between_samples(y1, t_hit)
     assert detect_critical_points(traj, (lambda t, y: y[0],)) == [(t_hit, 0)]
 
 
+def _ex32_bdf1():
+    # BDF1 passes the critical point π/2 and stops at t = 1.675
+    return solve_dae(example("ex32"), DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+
+
+def test_detect_critical_points_along_a_bdf_solution():
+    p = example("ex32")
+    crits = detect_critical_points(_ex32_bdf1(), p.critical_conditions)
+    assert [cid for _, cid in crits] == [0]
+    assert abs(crits[0][0] - HALF_PI) <= 1e-5
+
+
 def test_detect_critical_points_requires_conditions():
     p = example("ex32")
     with pytest.raises(InvalidInputError):
@@ -407,6 +423,27 @@ def test_classify_dependent_iff_critical_points():
         prof = classify(p, traj=tr, eps=eps, grid=grid, seed=0)
         dependent = prof.classification == "free-structure-dependent"
         assert dependent == bool(prof.critical_points)
+
+
+def test_classify_along_a_bdf_solution():
+    sol = _ex32_bdf1()
+    prof = classify(example("ex32"), traj=sol, grid=np.linspace(1.0, sol.times[-1], 21))
+    assert (prof.classification, prof.nu) == ("free-structure-dependent", 1)
+    assert len(prof.critical_points) == 1
+    assert abs(prof.critical_points[0] - HALF_PI) <= 1e-5
+
+
+@pytest.mark.parametrize("name, classification", [
+    ("ex34", "well-structure"),
+    # the computed branch leaves the exact one at π/2, and with it the
+    # critical point: the index depends on the solution followed
+    ("ex35", "free-structure-independent"),
+])
+def test_classify_along_a_collocation_solution(name, classification):
+    p = example(name)
+    sol, _ = solve_iae(p, CollocationConfig(h=0.025, newton_tol=1e-10))
+    prof = classify(p, traj=sol)
+    assert (prof.classification, prof.nu) == (classification, 2)
 
 
 def test_classify_stable_under_trajectory_resampling():
