@@ -75,10 +75,11 @@ from .problems import (
 Kernel = MatrixFunction | Callable[[float, float], np.ndarray]
 # absolute and relative tolerance of the quadratures in dae_to_iae's right side
 QUAD_TOL = 1e-12
+# the largest compatibility defect consistency_check passes
+CONSISTENCY_TOL = 1e-6
 
 
-def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
-          tol: float) -> Callable[..., np.ndarray]:
+def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     """The update rule g_{i+1}(t, *args) = ∂/∂t[V_i(t) g(t, *args)] + g(t, *args).
 
     ``g`` and the result take (n,) arrays of t and of each argument, which
@@ -87,7 +88,7 @@ def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
     lo, hi = A_i.domain
 
     def projected(tau: np.ndarray, *args) -> np.ndarray:
-        return semi_inverse(A_i(tau), tol).projector @ g(tau, *args)
+        return semi_inverse(A_i(tau)).projector @ g(tau, *args)
 
     def lifted(t: np.ndarray, *args) -> np.ndarray:
         return fd_derivative(projected, t, lo=lo, hi=hi, args=args) + g(t, *args)
@@ -95,8 +96,7 @@ def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray],
     return lifted
 
 
-def chain_step(A_i: MatrixFunction, k_i: Kernel,
-               tol: float = DEFAULT_RANK_TOL) -> tuple[MatrixFunction, MatrixFunction]:
+def chain_step(A_i: MatrixFunction, k_i: Kernel) -> tuple[MatrixFunction, MatrixFunction]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
     Both are vectorized MatrixFunctions on A_i's domain, A_{i+1}(t) and
@@ -109,26 +109,27 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel,
 
     def a_next(t: np.ndarray) -> np.ndarray:
         a = A_i(t)
-        return a + semi_inverse(a, tol).projector @ k_i(t, t)
+        return a + semi_inverse(a).projector @ k_i(t, t)
 
     return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
-            MatrixFunction(eval=_lift(A_i, k_i, tol), domain=A_i.domain, vectorized=True))
+            MatrixFunction(eval=_lift(A_i, k_i), domain=A_i.domain, vectorized=True))
 
 
 @dataclass
 class ChainLevel:
-    """Level i of the chain: the pair (A_i, k_i) plus rank/determinant data.
+    """Level i of the chain: the pair (A_i, k_i), the rank of A_i on the
+    report's grid (None if it varies there) and ``det``, the (n,) array of
+    det A_i on that grid.
 
     In a chain with a sample axis, A and k are shared by all samples and
-    ``rank`` and ``det_sample`` are the report's own sample's.
+    ``rank`` and ``det`` are the report's own sample's.
     """
 
     level: int
     A: MatrixFunction
     k: MatrixFunction
     rank: Optional[int]
-    det_sample: list
-    tol: float = DEFAULT_RANK_TOL
+    det: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,27 +158,26 @@ class IndexReport:
     levels: list
     grid: np.ndarray
     status: ChainStatus
-    tol: float
 
     def to_dict(self) -> dict:
         return {
             "nu": self.nu,
             "status": str(self.status),
-            "tol": self.tol,
+            "tol": DEFAULT_RANK_TOL,
             "grid": [float(t) for t in self.grid],
             "levels": [
                 {
                     "level": lev.level,
                     "rank": lev.rank,
-                    "det_sample": [[float(t), float(d)] for t, d in lev.det_sample],
+                    "det_sample": [[float(t), float(d)] for t, d in zip(self.grid, lev.det)],
                 }
                 for lev in self.levels
             ],
         }
 
 
-def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
-                      tol: float = DEFAULT_RANK_TOL) -> IndexReport | list:
+def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None,
+                      nu_max: int = 4) -> IndexReport | list:
     """Iterate the chain until A_ν is nonsingular everywhere on the grid.
 
     Singularity is tested as numerical rank deficiency (never via literal
@@ -211,31 +211,30 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None, nu_max: int = 4,
     levels: list = [[] for _ in range(n_samples)]
     reports: list = [None] * n_samples
     for level in range(nu_max + 1):
-        inv = semi_inverse(a_grid, tol)
+        inv = semi_inverse(a_grid)
         shape = (grid.size, n_samples)
         ranks = np.broadcast_to(inv.rank.reshape(grid.size, -1), shape)
         dets = np.broadcast_to(np.linalg.det(a_grid).reshape(grid.size, -1), shape)
         for j in range(n_samples):
             if reports[j] is not None:
                 continue
-            det_sample = [(float(t), float(d)) for t, d in zip(grid, dets[:, j])]
             varies = ranks[:, j] != ranks[0, j]
             rank_j = None if np.any(varies) else int(ranks[0, j])
-            levels[j].append(ChainLevel(level, A_i, k_i, rank_j, det_sample, tol))
+            levels[j].append(ChainLevel(level, A_i, k_i, rank_j, dets[:, j]))
             if rank_j is None:
                 t_bad = float(grid[int(np.argmax(varies))])
                 reports[j] = IndexReport(None, levels[j], grid,
-                                         ChainStatus("non-constant-rank", level, t_bad), tol)
+                                         ChainStatus("non-constant-rank", level, t_bad))
             elif rank_j == a_grid.shape[-1]:
-                reports[j] = IndexReport(level, levels[j], grid, ChainStatus("ok"), tol)
+                reports[j] = IndexReport(level, levels[j], grid, ChainStatus("ok"))
         if all(rep is not None for rep in reports):
             break
         if level < nu_max:
             if k_grid is None:
                 k_grid = k_i(grid, grid)
-            A_i, k_i = chain_step(A_i, k_i, tol)
+            A_i, k_i = chain_step(A_i, k_i)
             a_grid, k_grid = a_grid + inv.projector @ k_grid, None
-    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max), tol)
+    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max))
                if rep is None else rep for rep, lev in zip(reports, levels)]
     return reports if stacked else reports[0]
 
@@ -256,7 +255,7 @@ def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
     # values travel as (n, r, 1) columns, so V_i F_i is the kernel's product
     columns = [lambda t: f(t).reshape(t.size, -1, 1)]
     for lev in levels[:-1]:
-        columns.append(_lift(lev.A, columns[-1], lev.tol))
+        columns.append(_lift(lev.A, columns[-1]))
     return [MatrixFunction(eval=lambda t, g=g: g(t)[..., 0], domain=domain, vectorized=True)
             for g in columns]
 
@@ -266,8 +265,8 @@ class ConsistencyReport:
     """Initial-data compatibility across chain levels at t0.
 
     Condition i measures ‖A_i(t0)·A_ν(t0)^{-1}·F_ν(t0) − F_i(t0)‖; all must
-    vanish (within tol) for the reduced second-kind system to share its
-    solution with the original one.
+    vanish (within ``tol``, the ``CONSISTENCY_TOL`` used) for the reduced
+    second-kind system to share its solution with the original one.
     """
 
     t0: float
@@ -275,7 +274,6 @@ class ConsistencyReport:
     passes: list
     tol: float
     condition_number: float
-    warnings: list
 
     @property
     def ok(self) -> bool:
@@ -285,33 +283,25 @@ class ConsistencyReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def consistency_check(levels, F_list, tol: float = 1e-6,
-                      t0: Optional[float] = None) -> ConsistencyReport:
+def consistency_check(levels, F_list, t0: Optional[float] = None) -> ConsistencyReport:
     """Check the start-point compatibility conditions of a completed chain.
 
     Requires ν ≥ 1 levels of reduction and the matching rhs chain.  A
-    numerically singular A_ν(t0) is an error; an ill-conditioned one only
-    produces a warning (the conditions are then poorly determined).  Both
-    judge A_ν(t0) by the rank tolerance that built the chain.
+    numerically singular A_ν(t0) (:func:`~daekit.linalg.numerical_rank`)
+    is an error.  A full-rank one has condition number below
+    1/``DEFAULT_RANK_TOL``, so no second conditioning test follows.
     """
     nu = len(levels) - 1
     if nu < 1:
         raise InvalidInputError("need at least one reduction level")
     if len(F_list) < nu + 1:
         raise InvalidInputError(f"need {nu + 1} rhs functions, got {len(F_list)}")
-    A_nu, rank_tol = levels[-1].A, levels[-1].tol
+    A_nu = levels[-1].A
     t0 = float(A_nu.domain[0]) if t0 is None else float(t0)
     m = A_nu(t0)
-    r = m.shape[0]
-    if numerical_rank(m, rank_tol) < r:
+    if numerical_rank(m) < m.shape[0]:
         raise InconsistentChainError(
             f"final chain matrix is numerically singular at t0={t0}")
-    cond = float(np.linalg.cond(m))
-    warnings = []
-    if cond > 1.0 / max(rank_tol, np.finfo(float).tiny):
-        warnings.append(
-            f"final chain matrix ill-conditioned at t0={t0}: cond={cond:.3e}; "
-            "defects below are unreliable")
     x = np.linalg.solve(m, np.atleast_1d(np.asarray(F_list[nu](t0), dtype=float)))
     defects, passes = [], []
     for i in range(nu):
@@ -319,9 +309,9 @@ def consistency_check(levels, F_list, tol: float = 1e-6,
         rhs = np.atleast_1d(np.asarray(F_list[i](t0), dtype=float))
         d = float(np.linalg.norm(lhs - rhs))
         defects.append(d)
-        passes.append(d <= tol)
-    return ConsistencyReport(t0=t0, defects=defects, passes=passes, tol=tol,
-                             condition_number=cond, warnings=warnings)
+        passes.append(d <= CONSISTENCY_TOL)
+    return ConsistencyReport(t0=t0, defects=defects, passes=passes, tol=CONSISTENCY_TOL,
+                             condition_number=float(np.linalg.cond(m)))
 
 
 def linear_kernel(p, eta=None) -> MatrixFunction:
@@ -414,14 +404,16 @@ class HessenbergResult:
         return asdict(self)
 
 
-def hessenberg_index(diag_jacobians, grid, tol: float = DEFAULT_RANK_TOL) -> HessenbergResult:
+def hessenberg_index(diag_jacobians, grid) -> HessenbergResult:
     """Structural index check for block lower-Hessenberg kernels.
 
     ``diag_jacobians`` are the ν corner Jacobian blocks (functions of t,
     all square of one size) whose product must stay invertible along the
-    trajectory.  Invertibility is tested as condition number below 1/tol
-    at every point of ``grid`` (a :func:`check_grid` grid); the first
-    failure is reported with its location.
+    trajectory.  Invertibility is tested as full numerical rank
+    (:func:`~daekit.linalg.numerical_rank`, which bounds the condition
+    number by 1/``DEFAULT_RANK_TOL``) at every point of ``grid`` (a
+    :func:`check_grid` grid); the first failure is reported with its
+    location.  ``worst_condition`` is the largest condition number seen.
     """
     if not diag_jacobians:
         raise InvalidInputError("need at least one diagonal block")
@@ -437,10 +429,7 @@ def hessenberg_index(diag_jacobians, grid, tol: float = DEFAULT_RANK_TOL) -> Hes
         prod = blocks[0]
         for b in blocks[1:]:
             prod = prod @ b
-        if numerical_rank(prod, tol) < shape[0]:
+        if numerical_rank(prod) < shape[0]:
             return HessenbergResult(False, nu, float(t), float(np.inf))
-        cond = float(np.linalg.cond(prod))
-        worst = max(worst, cond)
-        if cond > 1.0 / tol:
-            return HessenbergResult(False, nu, float(t), worst)
+        worst = max(worst, float(np.linalg.cond(prod)))
     return HessenbergResult(True, nu, None, worst)

@@ -143,15 +143,23 @@ class PiecewiseSolution(Trajectory):
         return self.t_start + self.h * self.n_intervals
 
     def interval_of(self, t) -> np.ndarray:
-        """Index of the interval holding each time in the array t."""
-        n = np.floor((np.asarray(t, dtype=float) - self.t_start) / self.h).astype(int)
+        """Index of the interval holding each time in the array t.  A mesh
+        time t_start + m·h (as ``times`` computes it) is in interval m, also
+        where (t − t_start)/h rounds below m; t_end is in the last one."""
+        t = np.asarray(t, dtype=float)
+        x = (t - self.t_start) / self.h
+        m = np.rint(x)
+        n = np.where(t == self.t_start + m * self.h, m, np.floor(x)).astype(int)
         return np.minimum(np.maximum(n, 0), self.n_intervals - 1)
 
     def _at(self, t: np.ndarray) -> np.ndarray:
         if self.n_intervals == 0 and t.size:
             raise InvalidInputError("empty solution")
+        # a mesh time reads its stored node: interval m at τ = 0, or the last
+        # interval at τ = 1 at t_end
         n = self.interval_of(t)
         tau = np.minimum(np.maximum((t - (self.t_start + n * self.h)) / self.h, 0.0), 1.0)
+        tau[t == self.t_end] = 1.0
         # a (1, n_nodes) @ (n_nodes, r) product per time, so no row's
         # arithmetic depends on the other times
         return (_lagrange_weights(self.tau_nodes, tau)[:, None, :] @ self.nodal_values[n])[:, 0]

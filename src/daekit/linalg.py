@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, InvalidInputError
 
+# the relative singular-value threshold of every rank decision (:func:`_kept`)
 DEFAULT_RANK_TOL = 1e-10
 
 # 4th-order finite-difference stencils: offsets (in units of the step) and
@@ -47,22 +48,21 @@ def _check_square_finite(m):
     return m
 
 
-def _kept(s: np.ndarray, tol: float) -> np.ndarray:
-    """Singular values above ``tol`` times the largest of their matrix (none if it is 0)."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    return s > tol * s[..., :1]
+def _kept(s: np.ndarray) -> np.ndarray:
+    """Singular values above ``DEFAULT_RANK_TOL`` times the largest of their
+    matrix (none if it is 0): the one rank decision of the package."""
+    return s > DEFAULT_RANK_TOL * s[..., :1]
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
-    """Number of singular values above ``tol * sigma_max``.
+def numerical_rank(m):
+    """Number of singular values above ``DEFAULT_RANK_TOL * sigma_max``.
 
-    The zero matrix has rank 0; ``tol`` is relative to the largest singular
-    value, so scaling the matrix does not change the answer.  A stack
-    (..., r, r) gives an integer array of shape (...).
+    The zero matrix has rank 0; the tolerance is relative to the largest
+    singular value, so scaling the matrix does not change the answer.  A
+    stack (..., r, r) gives an integer array of shape (...).
     """
     m = _check_square_finite(m)
-    rank = np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False), tol), axis=-1)
+    rank = np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False)), axis=-1)
     return int(rank) if m.ndim == 2 else rank
 
 
@@ -73,17 +73,17 @@ class SemiInverseResult:
     ``projector`` is V = E - A A⁻, the left annihilator of A: V A = 0.  It
     extracts the rows of an equation system in which A carries no information
     (the purely algebraic directions).  For a stack of matrices every field
-    but ``tol_used`` is stacked too (``rank`` is then an integer array).
+    is stacked too (``rank`` is then an integer array).
     """
 
     a_minus: np.ndarray
     rank: int | np.ndarray
     projector: np.ndarray
-    tol_used: float
 
 
-def semi_inverse(m, tol: float = DEFAULT_RANK_TOL) -> SemiInverseResult:
-    """Moore-Penrose pseudoinverse with singular values below ``tol * sigma_max`` dropped.
+def semi_inverse(m) -> SemiInverseResult:
+    """Moore-Penrose pseudoinverse with singular values below
+    ``DEFAULT_RANK_TOL * sigma_max`` dropped.
 
     Returns the pseudoinverse, the retained rank, and the projector
     V = E - A A⁻.  The truncation keeps the result stable when A is
@@ -92,14 +92,14 @@ def semi_inverse(m, tol: float = DEFAULT_RANK_TOL) -> SemiInverseResult:
     """
     m = _check_square_finite(m)
     u, s, vh = np.linalg.svd(m)
-    keep = _kept(s, tol)
+    keep = _kept(s)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     a_minus = (np.swapaxes(vh, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
     projector = np.eye(m.shape[-1]) - m @ a_minus
     rank = np.count_nonzero(keep, axis=-1)
     return SemiInverseResult(a_minus=a_minus, rank=int(rank) if m.ndim == 2 else rank,
-                             projector=projector, tol_used=tol)
+                             projector=projector)
 
 
 # iteration cap of :func:`newton`, shared by the BDF and collocation solvers

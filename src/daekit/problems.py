@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ExtrapolationError, InvalidInputError
-from .linalg import (MatrixFunction, check_grid, check_span, fd_derivative, quadrature,
+from .linalg import (MatrixFunction, check_grid, check_span, matfn_derivative, quadrature,
                      semi_inverse)
 
 
@@ -304,18 +304,12 @@ class SemiNonlinearDAE:
 Problem = LinearIAE | LinearDAE | SemiNonlinearIAE | SemiNonlinearDAE
 
 
-def _exact_derivative(p, t: float) -> np.ndarray:
-    if getattr(p, "exact_derivative", None) is not None:
-        return _vec(p.exact_derivative(t))
-    lo, hi = p.interval
-    return fd_derivative(lambda tt: _vec(p.exact(tt)), t, lo=lo, hi=hi)
-
-
 def verify_exact(p: Problem, grid) -> float:
     """Max residual norm of the registered exact solution over ``grid``.
 
     Substitutes the exact solution into the defining equation: derivatives
-    are analytic when registered (finite differences otherwise), integrals
+    come from :func:`~daekit.linalg.matfn_derivative`, analytic when
+    registered (finite differences otherwise), integrals
     use :func:`~daekit.linalg.quadrature` with tolerance ``VERIFY_QUAD_TOL``.
     Guards against transcription slips in problem definitions.
     """
@@ -323,13 +317,16 @@ def verify_exact(p: Problem, grid) -> float:
     if exact is None:
         raise InvalidInputError(f"problem {getattr(p, 'name', '')!r} has no exact solution")
     grid = np.asarray(grid, dtype=float)
+    declared = getattr(p, "exact_derivative", None)
+    y_fn = MatrixFunction(eval=lambda t: _vec(exact(t)), domain=p.interval, name="exact",
+                          derivative=None if declared is None else lambda t: _vec(declared(t)))
     worst = 0.0
     for t in grid:
         y = _vec(exact(t), p.r)
         if isinstance(p, SemiNonlinearDAE):
-            res = p.A(t) @ _exact_derivative(p, t) + _vec(p.F(t, y), p.r) - _vec(p.f(t), p.r)
+            res = p.A(t) @ matfn_derivative(y_fn, t) + _vec(p.F(t, y), p.r) - _vec(p.f(t), p.r)
         elif isinstance(p, LinearDAE):
-            res = p.A(t) @ _exact_derivative(p, t) + p.B(t) @ y - _vec(p.f(t), p.r)
+            res = p.A(t) @ matfn_derivative(y_fn, t) + p.B(t) @ y - _vec(p.f(t), p.r)
         elif isinstance(p, (SemiNonlinearIAE, LinearIAE)):
             if isinstance(p, SemiNonlinearIAE):
                 def integrand(s):

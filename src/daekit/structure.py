@@ -30,7 +30,7 @@ At each grid point the ball samples go through one
 :func:`frozen_index_report` call on their (S, r) stack of η's: one chain
 whose level values carry a sample axis, (n, S, r, r), gives every
 sample's ν; level 0 has a sample axis of size 1, as A does not depend
-on η.  The determinants of A_ν at t are read from the ``det_sample`` the
+on η.  The determinants of A_ν at t are read from the ``det`` the
 chain stored when t is a window node and every sample reached level ν,
 and otherwise come from its A_ν at t in one stacked ``det``.  The centre
 keeps its own chain through :func:`pointwise_index`.
@@ -45,8 +45,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .chain import IndexReport, chain_step, linear_kernel, rank_degree_index
-from .errors import ClassificationUnreliableError, DomainError, InvalidInputError
-from .linalg import DEFAULT_RANK_TOL, MatrixFunction, check_grid, check_span
+from .errors import (ClassificationUnreliableError, DomainError, ExtrapolationError,
+                     InvalidInputError)
+from .linalg import MatrixFunction, check_grid, check_span
 from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
@@ -78,9 +79,17 @@ def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE, traj: Trajectory) -> L
     For an IAE the kernel is (t,s) ↦ κ_y(t, s, traj(s)); for a DAE it is the
     integrated linearization (t,s) ↦ F_y(s, traj(s)) − A′(s).  The
     right-hand side is irrelevant for index analysis and is set to zero.
+    A, the kernel and the interval are those of the overlap of the
+    problem's interval and traj's span, so the chain's stencils stay
+    where the trajectory is; a trajectory that misses the interval raises
+    ExtrapolationError.
     """
-    return LinearIAE(A=p.A, k=linear_kernel(p, traj), f=lambda t: np.zeros(p.r),
-                     r=p.r, T=p.T, t_start=p.t_start,
+    lo, hi = max(p.t_start, traj.span[0]), min(p.T, traj.span[1])
+    if lo >= hi:
+        raise ExtrapolationError(f"the trajectory's span {traj.span} does not overlap "
+                                 f"the problem's interval {p.interval}")
+    return LinearIAE(A=_restrict(p.A, lo, hi), k=_restrict(linear_kernel(p, traj), lo, hi),
+                     f=lambda t: np.zeros(p.r), r=p.r, T=hi, t_start=lo,
                      name=f"{p.name}-linearized" if p.name else "")
 
 
@@ -126,28 +135,28 @@ def pointwise_index(p, traj: Trajectory, t: float, full_output: bool = False):
     return (report.nu, report) if full_output else report.nu
 
 
-def _blind_chain(A_i: MatrixFunction, k_i, steps: int, tol: float) -> MatrixFunction:
+def _blind_chain(A_i: MatrixFunction, k_i, steps: int) -> MatrixFunction:
     """A_{i+steps} of the chain from (A_i, k_i), built without rank gating."""
     for _ in range(steps):
-        A_i, k_i = chain_step(A_i, k_i, tol)
+        A_i, k_i = chain_step(A_i, k_i)
     return A_i
 
 
-def _final_det(reports: list, nu: int, t: float, tol: float) -> np.ndarray:
+def _final_det(reports: list, nu: int, t: float) -> np.ndarray:
     """det A_ν(t) of each report's sample: the (S,) determinants of S
     reports that share one chain (a single report is S = 1).
 
     When every report reached level ν and t is a node of their grid, the
-    determinants are read from the level's ``det_sample``.  Otherwise the
+    determinants are read from the level's ``det``.  Otherwise the
     chain of the longest report is stepped past the level where it stopped
     and evaluated at t, all samples in one stacked ``det``.
     """
     node = np.flatnonzero(reports[0].grid == t)
     if node.size and all(len(rep.levels) > nu for rep in reports):
-        return np.array([rep.levels[nu].det_sample[node[0]][1] for rep in reports])
+        return np.array([rep.levels[nu].det[node[0]] for rep in reports])
     longest = max(reports, key=lambda rep: len(rep.levels))
     lev = longest.levels[min(nu, len(longest.levels) - 1)]
-    det = np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level, tol)(t))
+    det = np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level)(t))
     # a level 0 of a stacked chain has one sample for all
     return np.broadcast_to(det, (len(reports),))
 
@@ -313,12 +322,12 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
         etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
-        dets = list(_final_det([centre_rep], nu_ref, t, DEFAULT_RANK_TOL))
+        dets = list(_final_det([centre_rep], nu_ref, t))
         if etas:
             reps = frozen_index_report(p, etas, t, traj)
             if any(rep.nu != nu_ref for rep in reps):
                 nu_flip = True
-            dets.extend(_final_det(reps, nu_ref, t, DEFAULT_RANK_TOL))
+            dets.extend(_final_det(reps, nu_ref, t))
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
                       for eta in [center, *etas]]
         if _sign_flip(dets):
@@ -342,7 +351,7 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     if conditions:
         crit.extend(t for t, _ in detect_critical_points(
             traj, conditions, refine=True, interval=(a, b)))
-    a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref, DEFAULT_RANK_TOL)
+    a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref)
     traj_dets = np.linalg.det(a_ref(grid))
     floor = 1e-12 * max(1.0, float(np.max(np.abs(traj_dets))))
     for j in range(grid.size - 1):

@@ -79,6 +79,23 @@ def test_oracle_pinv_satisfies_penrose_conditions():
 
 # --- chain_step -----------------------------------------------------------
 
+@pytest.mark.parametrize("call", [
+    lambda: semi_inverse(np.eye(2), tol=1e-10),
+    lambda: numerical_rank(np.eye(2), tol=1e-10),
+    lambda: chain_step(*_const_pair(), tol=1e-10),
+    lambda: rank_degree_index(*_const_pair(), tol=1e-10),
+    lambda: hessenberg_index([lambda t: np.eye(2)], [0.0], tol=1e-10),
+    lambda: consistency_check(rank_degree_index(*_const_pair()).levels,
+                              [lambda t: np.zeros(2)] * 3, tol=1e-6),
+], ids=["semi_inverse", "numerical_rank", "chain_step", "rank_degree_index",
+        "hessenberg_index", "consistency_check"])
+def test_no_rank_or_consistency_tolerance_is_a_parameter(call):
+    # every rank decision uses linalg.DEFAULT_RANK_TOL, every consistency
+    # verdict chain.CONSISTENCY_TOL
+    with pytest.raises(TypeError, match="tol"):
+        call()
+
+
 def test_chain_step_constant_pair_first_level():
     a0, k0 = _const_pair()
     a1, k1 = chain_step(a0, k0)
@@ -230,12 +247,11 @@ def test_levels_on_a_grid_equal_point_by_point_evaluation(pair, nu):
     for lev in rep.levels[1:]:
         whole = lev.A(grid)
         assert whole.tobytes() == np.stack([lev.A(t) for t in grid]).tobytes()
-        dets = np.array([d for _, d in lev.det_sample])
-        assert dets.tobytes() == np.linalg.det(whole).tobytes()
+        assert lev.det.tobytes() == np.linalg.det(whole).tobytes()
         assert lev.k(grid, s).tobytes() == \
             np.stack([lev.k(t, u) for t, u in zip(grid, s)]).tobytes()
-        assert semi_inverse(lev.A(grid), lev.tol).projector.tobytes() == \
-            np.stack([semi_inverse(lev.A(t), lev.tol).projector for t in grid]).tobytes()
+        assert semi_inverse(lev.A(grid)).projector.tobytes() == \
+            np.stack([semi_inverse(lev.A(t)).projector for t in grid]).tobytes()
 
 
 def test_a_sample_axis_gives_each_sample_the_report_of_its_own_chain():
@@ -396,7 +412,7 @@ def test_consistency_zero_rhs_passes():
 def test_consistency_constructed_system_passes():
     rep, induced_f = _linearized_ex34_with_induced_f()
     fns = rhs_chain(induced_f, rep.levels)
-    report = consistency_check(rep.levels, fns, tol=1e-6, t0=1.0)
+    report = consistency_check(rep.levels, fns, t0=1.0)
     assert report.ok
     assert max(report.defects) <= 1e-6
 
@@ -406,7 +422,7 @@ def test_consistency_detects_perturbed_start_data():
     rep, induced_f = _linearized_ex34_with_induced_f()
     shift = np.array([0.0, 1.0])
     fns = rhs_chain(lambda t: induced_f(t) + shift, rep.levels)
-    report = consistency_check(rep.levels, fns, tol=1e-6, t0=1.0)
+    report = consistency_check(rep.levels, fns, t0=1.0)
     assert not report.ok
     assert max(report.defects) > 1e-2
 

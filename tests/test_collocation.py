@@ -444,6 +444,25 @@ def test_solution_on_an_array_of_times_gives_the_float_calls_row_by_row():
         sol(np.array([1.2, 0.9]))
 
 
+@pytest.mark.parametrize("c", [(0.0, 0.7, 0.9), (0.3, 0.8)], ids=["c0-node-1", "no-node-1"])
+def test_solution_at_mesh_times_reads_the_stored_nodes(c):
+    # (t − t_start)/h can round below its whole number, which once put a
+    # mesh time in the interval before it at τ just under 1.  The run at
+    # c = (0.3, 0.8) stops after 7 intervals; the ones it kept serve.
+    sol, _ = solve_iae(example("ex34"), CollocationConfig(c=c, h=0.025, newton_tol=1e-10),
+                       interval=(1.0, 2.0))
+    assert sol.n_intervals >= 7
+    # the residual places its probes with the same rule
+    assert sol.interval_of(sol.times[:-1]).tolist() == list(range(sol.n_intervals))
+    assert sol(sol.times[:-1]).tobytes() == sol.nodal_values[:, 0].tobytes()
+    right_end = collocation._lagrange_weights(sol.tau_nodes, np.ones(1)) @ sol.nodal_values[-1]
+    assert sol(sol.t_end).tobytes() == right_end[0].tobytes()
+    if c[0] == 0.0:
+        assert sol(sol.t_end).tobytes() == sol.nodal_values[-1, -1].tobytes()
+    for t in sol.times:
+        assert sol(float(t)).tobytes() == sol(np.array([t]))[0].tobytes()
+
+
 def test_solution_rejects_points_outside_span():
     sol, _ = solve_iae(example("ex34"), CollocationConfig())
     with pytest.raises(ExtrapolationError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daekit import (
+    DEFAULT_RANK_TOL,
     DomainError,
     EvaluationError,
     InvalidInputError,
@@ -21,15 +22,15 @@ from helpers import random_fixed_rank, reference_newton
 
 
 def test_numerical_rank_zero_matrix():
-    assert numerical_rank(np.zeros((2, 2)), tol=1e-10) == 0
+    assert numerical_rank(np.zeros((2, 2))) == 0
 
 
 def test_numerical_rank_identity():
-    assert numerical_rank(np.eye(3), tol=1e-10) == 3
+    assert numerical_rank(np.eye(3)) == 3
 
 
 def test_numerical_rank_singular_leading_matrix():
-    assert numerical_rank(np.array([[1.0, 0.0], [0.0, 0.0]]), tol=1e-10) == 1
+    assert numerical_rank(np.array([[1.0, 0.0], [0.0, 0.0]])) == 1
 
 
 def test_numerical_rank_rejects_bad_input():
@@ -37,8 +38,26 @@ def test_numerical_rank_rejects_bad_input():
         numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
         numerical_rank(np.zeros((2, 3)))
-    with pytest.raises(InvalidInputError):
-        numerical_rank(np.eye(2), tol=0.0)
+
+
+@given(r=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1),
+       rel=st.lists(st.floats(min_value=-4e-6, max_value=4e-6), min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_full_numerical_rank_bounds_the_condition_number(r, seed, rel):
+    # σ_min/σ_max within 4e-6 (relative) of DEFAULT_RANK_TOL, either side:
+    # full rank means σ_min > tol·σ_max, so cond ≤ 1/tol, and no separate
+    # conditioning test after a rank test can fire
+    rng = np.random.default_rng(seed)
+    stack = []
+    for d in rel:
+        u, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        s = np.sort(10.0 ** rng.uniform(-10.0, 0.0, size=r))[::-1]
+        s[0], s[-1] = 1.0, DEFAULT_RANK_TOL * (1.0 + d) if r > 1 else 1.0
+        stack.append((u * s) @ v.T)
+    stack = np.array(stack)
+    full = numerical_rank(stack) == r
+    assert np.all(np.linalg.cond(stack[full]) <= 1.0 / DEFAULT_RANK_TOL)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6), st.integers(min_value=0, max_value=4))
@@ -81,7 +100,7 @@ def _check_semi_inverse_contract(m, res):
     assert np.linalg.norm(m @ res.a_minus @ m - m, "fro") <= 1e-10 * scale
     assert np.linalg.norm(res.projector @ m, "fro") <= 1e-10 * scale
     assert np.linalg.norm(res.projector @ res.projector - res.projector, "fro") \
-        <= 10.0 * res.tol_used
+        <= 10.0 * DEFAULT_RANK_TOL
 
 
 @pytest.mark.parametrize("r", range(1, 7))

@@ -9,6 +9,7 @@ from daekit import (
     ClassificationUnreliableError,
     CollocationConfig,
     DaeSolveConfig,
+    ExtrapolationError,
     InvalidInputError,
     MatrixFunction,
     SemiNonlinearDAE,
@@ -21,6 +22,7 @@ from daekit import (
     linearize_iae,
     numerical_rank,
     pointwise_index,
+    rank_degree_index,
     solve_dae,
     solve_iae,
 )
@@ -42,7 +44,8 @@ def traj_through(p, a, b, t_extra=None, n=201):
 def test_linearize_iae_of_dae_jacobian_along_exact_solution():
     p = example("ex32")
     lin = linearize_iae(p, exact_traj(p, 0.5, 1.0, 101))
-    assert lin.A is p.A
+    assert lin.interval == lin.A.domain == lin.k.domain == (0.5, 1.0)
+    assert lin.A(0.7).tobytes() == p.A(0.7).tobytes()
     # A is constant, so the kernel is F_y(s, traj(s)) whatever t is
     want = np.array([[-2.0 * np.cos(0.5), -np.exp(0.5)],
                      [-0.5, -np.cos(0.5)]])
@@ -218,12 +221,12 @@ def test_stacked_report_equals_single_reports_near_the_critical_point(make, nu_m
     assert [float_bits(rep.to_dict()) for rep in reports] == \
         [float_bits(rep.to_dict()) for rep in singles]
     # every sample's det A_ν(t), for each ν that classify may compare
-    # against, at π/2 and at a window node, where it is read from det_sample
+    # against, at π/2 and at a window node, where it is read from det
     for t in (HALF_PI, float(reports[0].grid[3])):
         for nu in (1, 2):
-            dets = daekit.structure._final_det(reports, nu, t, 1e-10)
+            dets = daekit.structure._final_det(reports, nu, t)
             assert dets.tobytes() == np.concatenate(
-                [daekit.structure._final_det([rep], nu, t, 1e-10) for rep in singles]).tobytes()
+                [daekit.structure._final_det([rep], nu, t) for rep in singles]).tobytes()
 
 
 @given(name=st.sampled_from(["ex32", "ex34"]), t=st.floats(1.1, 1.9),
@@ -241,8 +244,8 @@ def test_final_det_is_the_determinant_of_the_blind_chain(name, t, n_samples, see
     grid = reports[0].grid
     at = float(grid[where] if isinstance(where, int) else grid[0] + where * (grid[-1] - grid[0]))
     lev = reports[0].levels[0]
-    want = np.linalg.det(daekit.structure._blind_chain(lev.A, lev.k, nu, 1e-10)(at))
-    assert daekit.structure._final_det(reports, nu, at, 1e-10).tobytes() == \
+    want = np.linalg.det(daekit.structure._blind_chain(lev.A, lev.k, nu)(at))
+    assert daekit.structure._final_det(reports, nu, at).tobytes() == \
         np.broadcast_to(want, (n_samples,)).tobytes()
 
 
@@ -258,11 +261,11 @@ def test_level_0_of_a_stacked_chain_is_not_repeated_across_samples(monkeypatch):
     counts, level0_samples = [], []
     semi_inverse = daekit.chain.semi_inverse
 
-    def counted(m, tol):
+    def counted(m):
         counts.append(int(np.prod(m.shape[:-2])))
         if np.all(m == a0):
             level0_samples.append(m.shape[-3])
-        return semi_inverse(m, tol)
+        return semi_inverse(m)
 
     monkeypatch.setattr(daekit.chain, "semi_inverse", counted)
     reports = frozen_index_report(p, etas, 1.5, tr)
@@ -309,8 +312,7 @@ def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
     for lev in rep.levels:
         whole = lev.A(rep.grid)
         assert numerical_rank(whole).tolist() == [lev.rank] * rep.grid.size
-        assert np.array([d for _, d in lev.det_sample]).tobytes() == \
-            np.linalg.det(whole).tobytes()
+        assert lev.det.tobytes() == np.linalg.det(whole).tobytes()
 
 
 # --- critical point detection ---------------------------------------------
@@ -365,6 +367,24 @@ def test_detect_critical_points_along_a_bdf_solution():
     crits = detect_critical_points(_ex32_bdf1(), p.critical_conditions)
     assert [cid for _, cid in crits] == [0]
     assert abs(crits[0][0] - HALF_PI) <= 1e-5
+
+
+@pytest.mark.parametrize("traj", [lambda: exact_traj(example("ex32"), 0.5, 1.0), _ex32_bdf1],
+                         ids=["exact-on-0.5-1", "bdf1-on-1-2"])
+def test_linearization_along_a_partial_trajectory_has_its_span(traj):
+    # ex32 lives on [0, 2]; the BDF1 solve from t = 1 stops at t = 1.675
+    traj = traj()
+    lin = linearize_iae(example("ex32"), traj)
+    assert lin.A.domain == lin.k.domain == lin.interval == traj.span
+    report = rank_degree_index(lin.A, lin.k)
+    assert (report.nu, report.status.kind) == (1, "ok")
+
+
+@pytest.mark.parametrize("a, b", [(2.5, 3.0), (2.0, 2.5)], ids=["beyond", "touching"])
+def test_linearization_along_a_trajectory_off_the_interval_raises(a, b):
+    # ex32 lives on [0, 2]; no overlap leaves nothing to linearize on
+    with pytest.raises(ExtrapolationError, match="does not overlap"):
+        linearize_iae(example("ex32"), TrajectorySample(np.linspace(a, b, 5), np.zeros((5, 2))))
 
 
 def test_detect_critical_points_requires_conditions():
