@@ -375,8 +375,14 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
 
     Integrating by parts over [t_start, t] gives the kernel
     (t, s) ↦ B(s) − A′(s) of :func:`linear_kernel` and right side
-    ∫ f(s) ds; the kernel alone determines the index.
+    A(t_start)·y(t_start) + ∫ f(s) ds, with y(t_start) from ``y0``, else
+    from ``exact``; a problem with neither keeps ∫ f(s) ds alone.  The
+    kernel alone determines the index.
     """
+    y_start = p.y0
+    if y_start is None and p.exact is not None:
+        y_start = p.exact(p.t_start)
+    start = None if y_start is None else p.A(p.t_start) @ np.reshape(y_start, p.r)
     # the F chain's nested stencils revisit times: without this memo the
     # index-4 Hessenberg consistency check makes 4,564 right-side evaluations, not 92
     cache: dict[float, np.ndarray] = {}
@@ -384,8 +390,10 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
     def rhs(t: float) -> np.ndarray:
         got = cache.get(t)
         if got is None:
-            got = cache[t] = quadrature(lambda s: np.atleast_1d(p.f(s)), p.t_start, t,
-                                        QUAD_TOL)
+            got = quadrature(lambda s: np.atleast_1d(p.f(s)), p.t_start, t, QUAD_TOL)
+            if start is not None:
+                got = start + got
+            cache[t] = got
         return got
 
     return LinearIAE(A=p.A, k=linear_kernel(p), f=rhs, r=p.r, T=p.T,

@@ -26,18 +26,23 @@ interval, which is the standard continuous scheme for second-kind systems.
 
 History and partial integrals use one Gauss-Legendre rule of ``QUAD_ORDER``
 points, in the solver and in :func:`residual` alike, applied to the
-interval interpolants.  κ is vectorised over quadrature points (see
-SemiNonlinearIAE), so each integral is one κ call: the history integral
-covers the solution stored at the Gauss nodes of every completed interval,
-and each Newton iteration makes one call per equation, at that equation's
-scalar t.  The Newton matrix of an interval is one dense (n_eq r)² system,
-built in one piece from one κ_y call per Newton iteration on the Gauss
-points of every equation, with t of shape (M,) (each equation's time
-repeated over its points).  κ_y is tried in that batch form (and checked
-against per-point calls) once per solve, and one that fails the try is
-called per Gauss point (:func:`~daekit.problems.batch_jacobian`).  A κ
-with no κ_y is differenced in the same call, so it sees that (M,) t, and
-falls back to per-point calls when it cannot take it.  Newton failures
+interval interpolants.  κ is vectorised over quadrature points, with t of
+shape (M,) aligned with s (see SemiNonlinearIAE), so κ is called once per
+collocation stage: each Newton residual is one call on the Gauss points of
+every equation of the interval, with each equation's time repeated over
+its points; each interval's history integral is one call covering the
+solution stored at the Gauss nodes of every completed interval, for all
+equations at once; :func:`residual` makes one partial-interval call for
+all its probes, and one history call per batch of probes whose histories
+hold as many points as the solver's largest history call.  Each equation (or probe) keeps its own product with its
+weights, so the values are those of one call per equation.  The Newton
+matrix of an interval is one dense (n_eq r)² system, built in one piece
+from one κ_y call per Newton iteration on those same points.  κ_y is tried
+in that batch form (and checked against per-point calls) once per solve,
+and one that fails the try is called per Gauss point
+(:func:`~daekit.problems.batch_jacobian`).  A κ with no κ_y is differenced
+in one call on all 2r perturbed copies of those points
+(:func:`~daekit.problems.fd_jacobian`).  Newton failures
 are recorded, not raised: a solve that stops converging after an index
 change is the phenomenon of interest, and the partial solution up to
 that step is returned with the failure record.
@@ -169,8 +174,8 @@ class PiecewiseSolution(Trajectory):
         return ts.ravel()
 
 
-_CONTRACT = ("κ must be vectorised: κ(t, s, y) with s of shape (M,) and y of shape "
-             "(r, M), components on axis 0, returns shape (r, M)")
+_CONTRACT = ("κ must be vectorised: κ(t, s, y) with t and s of shape (M,) and y of "
+             "shape (r, M), components on axis 0, returns shape (r, M)")
 
 
 def _checked_kappa(kappa, r: int):
@@ -278,12 +283,31 @@ class _GaussHistory:
         q = self.basis.shape[0]
         self.u[:, n * q:(n + 1) * q] = (self.basis @ values).T
 
-    def integral(self, kappa, t_eval: float, n: int) -> np.ndarray:
-        """∫ over the first n intervals of κ(t_eval, s, u(s)) ds, in one κ call."""
-        m = n * self.basis.shape[0]
-        if m == 0:
-            return np.zeros(self.u.shape[0])
-        return kappa(t_eval, self.s[:m], self.u[:, :m]) @ self.w[:m]
+    def integral(self, kappa, t_eval: np.ndarray, n) -> np.ndarray:
+        """∫ over the first n[i] intervals of κ(t_eval[i], s, u(s)) ds at every
+        time t_eval[i] (n a sequence of ints), shape (len(t_eval), r), in one
+        κ call over every time's Gauss points; a product per time."""
+        m = [j * self.basis.shape[0] for j in n]
+        out = np.zeros((len(m), self.u.shape[0]))
+        if not any(m):
+            return out
+        # each time's prefix of the stored points, one after the other
+        k = kappa(np.repeat(t_eval, m), np.concatenate([self.s[:j] for j in m]),
+                  np.concatenate([self.u[:, :j] for j in m], axis=1))
+        end = 0
+        for i, j in enumerate(m):
+            out[i] = k[:, end:end + j] @ self.w[:j]
+            end += j
+        return out
+
+
+def _partial_integrals(kappa, t: np.ndarray, s: np.ndarray, u: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+    """∫ of κ over each row's Gauss rule, (P, r), in one κ call: row i has
+    points s[i q:(i + 1) q] at time t[i q] (t and s of shape (P q,)), u of
+    shape (r, P q) and weights w[i] (w of shape (P, q)); a product per row."""
+    k = kappa(t, s, u).reshape(u.shape[0], *w.shape).transpose(1, 0, 2)
+    return (k @ w[:, :, None])[..., 0]
 
 
 def _rhs_of(p):
@@ -365,25 +389,25 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         f_eq = f(t_eq)
         # a history that overflows is a Newton failure below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            hist = np.array([history.integral(kappa, t, n) for t in t_eq])
-        s_part = t_n + sch.part_tau * cfg.h      # (n_eq, q)
-        # κ_y sees the Gauss points of every equation at once: t, s of shape (n_eq q,)
-        t_all, s_all = np.repeat(t_eq, QUAD_ORDER), s_part.ravel()
+            hist = history.integral(kappa, t_eq, [n] * n_eq)
+        # κ and κ_y see the Gauss points of every equation at once: t, s of
+        # shape (n_eq q,), each equation's time repeated over its points
+        t_all = np.repeat(t_eq, QUAD_ORDER)
+        s_all = (t_n + sch.part_tau * cfg.h).ravel()
 
-        u_s = None  # (n_eq, q, r) at the latest residual's iterate
+        u_s = None  # (r, n_eq q) at the latest residual's iterate
         def res_of(x):
             nonlocal u_s
             u_all = np.vstack([left_value[None, :], x.reshape(n_eq, r)])  # (n_nodes, r)
-            u_s = sch.part_basis @ u_all
-            k_int = np.array([kappa(t_eq[i], s_part[i], u_s[i].T) @ sch.part_w[i]
-                              for i in range(n_eq)])
+            u_s = (sch.part_basis @ u_all).reshape(-1, r).T
+            k_int = _partial_integrals(kappa, t_all, s_all, u_s, sch.part_w)
             # equation positions line up with nodes[1:]
             return (np.einsum("eab,eb->ea", a_eq, u_all[1:]) + hist + k_int - f_eq).ravel()
 
         def jac_of(x):
             # block (i, j) = Σ_g w_ig ℓ_j(τ_ig) ∂κ/∂y(s_ig) over the free nodes j,
             # plus A(t_eq[i]) where node j carries equation i
-            k_y = kappa_jac(t_all, s_all, u_s.reshape(-1, r).T).reshape(r, r, n_eq, -1)
+            k_y = kappa_jac(t_all, s_all, u_s).reshape(r, r, n_eq, -1)
             jac = np.einsum("egj,abeg->eajb", sch.part_wbasis[:, :, 1:], k_y)
             jac[eqs, :, eqs, :] += a_eq
             return jac.reshape(n_eq * r, n_eq * r)
@@ -430,11 +454,19 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     u_part = basis @ sol.nodal_values[n_probe]  # (P, q, r)
     # an overflowing κ makes an inf residual, not a warning, as in solve_iae
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.array([history.integral(kappa, t, n)
-                        for t, n in zip(t_probe.tolist(), n_probe)])
-        for idx in np.flatnonzero(tau_t > 0.0):
-            acc[idx] = acc[idx] + kappa(float(t_probe[idx]), t_n[idx] + tau[idx] * sol.h,
-                                        u_part[idx].T) @ w[idx]
+        # a κ call covers the histories of as many probes as hold the points
+        # of the solver's own history call (n_eq N q), plus one probe's: all
+        # P probes in one call would hold O(P N) points
+        batch = sch.eq_taus.size * history.s.size
+        cuts = np.flatnonzero(np.diff(np.cumsum(n_probe) * QUAD_ORDER // batch)) + 1
+        acc = np.concatenate([history.integral(kappa, t, n.tolist()) for t, n in
+                              zip(np.split(t_probe, cuts), np.split(n_probe, cuts))])
+        part = np.flatnonzero(tau_t > 0.0)
+        if part.size:
+            acc[part] = acc[part] + _partial_integrals(
+                kappa, np.repeat(t_probe[part], QUAD_ORDER),
+                (t_n[part, None] + tau[part] * sol.h).ravel(),
+                u_part[part].reshape(-1, sol.r).T, w[part])
         res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - _rhs_of(p)(t_probe)
         # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
         return np.array([float(np.linalg.norm(x)) for x in res])

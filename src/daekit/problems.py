@@ -39,29 +39,35 @@ MAX_STEPS = 10**6
 BATCH_CHECK_RTOL = 4 * np.finfo(float).eps
 
 
-def fd_jacobian(g: Callable[[float, np.ndarray], np.ndarray], t: float,
-                y: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of y ↦ g(t, y).
+def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """Central-difference Jacobian of y ↦ g(t, ..., y) at args = (t, ..., y).
 
-    Column j perturbs y_j by ±JACOBIAN_STEP·max(1, |y_j|).  A y of shape
-    (r, M) holds M points, components on axis 0, and g takes them all in one
-    call; the result then has shape (n, r, M), one Jacobian per point on the
-    last axis.
+    Column j perturbs y_j by ±JACOBIAN_STEP·max(1, |y_j|).  A y of shape (r,)
+    takes two calls of g per column.  A y of shape (r, M) holds M points,
+    components on axis 0: g then gets all 2r perturbed copies in one call, y
+    of shape (r, 2r·M) with every (M,) argument before it (t, a kernel's s)
+    tiled to match, and the result has shape (n, r, M), one Jacobian per
+    point on the last axis with the arithmetic of its per-point call.
     """
+    *lead, y = args
     y = np.array(y, dtype=float, ndmin=1)
-    cols = []
-    for j in range(y.shape[0]):
-        h = JACOBIAN_STEP * np.maximum(1.0, np.abs(y[j]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += h
-        ym[j] -= h
-        gp = _vec(g(t, yp))
-        gm = _vec(g(t, ym))
-        if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-            raise EvaluationError(f"non-finite function value while differencing at t={t}")
-        cols.append((gp - gm) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    r = y.shape[0]
+    h = JACOBIAN_STEP * np.maximum(1.0, np.abs(y))
+    # copies[:, j, 0] and copies[:, j, 1] are y with y_j moved by +h_j and -h_j
+    copies = np.broadcast_to(y[:, None, None], (r, r, 2) + y.shape[1:]).copy()
+    cols = np.arange(r)
+    copies[cols, cols, 0] += h
+    copies[cols, cols, 1] -= h
+    if y.ndim == 1:
+        out = np.moveaxis(np.array([[_vec(g(*lead, copies[:, j, k].copy())) for k in (0, 1)]
+                                    for j in range(r)]), -1, 0)  # (n, r, 2)
+    else:
+        tiled = [a if np.ndim(a) == 0 else np.tile(a, 2 * r) for a in lead]
+        out = np.asarray(g(*tiled, copies.reshape(r, -1)), dtype=float)
+        out = out.reshape(-1, r, 2, y.shape[1]).swapaxes(2, 3)  # (n, r, M, 2)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"non-finite function value while differencing at t={args[0]}")
+    return (out[..., 0] - out[..., 1]) / (2.0 * h)
 
 
 def batch_jacobian(jac: Callable[..., np.ndarray], r: int) -> Callable[..., np.ndarray]:
@@ -221,21 +227,23 @@ class LinearDAE:
 class SemiNonlinearIAE:
     """A(t) y(t) + ∫_{t_start}^t κ(t,s,y(s)) ds = f(t).
 
-    κ is vectorised over quadrature points: ``kappa(t, s, y)`` with scalar t,
-    s of shape (M,) and y of shape (r, M) (components on axis 0, as in
-    scipy's ``solve_ivp(vectorized=True)``) returns shape (r, M).  A scalar
-    s with y of shape (r,) returns shape (r,).  ``solve_iae`` and
-    ``residual`` make one batched κ call per equation and raise
-    InvalidInputError when the first one fails or has the wrong shape.
-    ``kappa_y`` may take the same batch, with t a scalar or of shape (M,),
-    and return (r, r, M); its per-point form (scalars, y of shape (r,), an
-    (r, r) result) must still work.  Callers go through
-    :func:`batch_jacobian`, which tries the batch form once, checks it
-    against per-point calls and falls back to those.
+    κ is vectorised over quadrature points: ``kappa(t, s, y)`` with t and s
+    of shape (M,) (one time per point) and y of shape (r, M) (components on
+    axis 0, as in scipy's ``solve_ivp(vectorized=True)``) returns shape
+    (r, M); a scalar t stands for the same t at every point.  Scalars t and
+    s with y of shape (r,) return shape (r,).  ``solve_iae`` makes one
+    batched κ call per Newton residual, per history integral and per
+    differenced Jacobian, ``residual`` one for the partial intervals of
+    all its probes and one per batch of their histories, and both raise
+    InvalidInputError when the first call fails or has the wrong shape.
+    ``kappa_y`` may take the same batch and return (r, r, M); its per-point
+    form (scalars, y of shape (r,), an (r, r) result) must still work.
+    Callers go through :func:`batch_jacobian`, which tries the batch form
+    once, checks it against per-point calls and falls back to those.
     """
 
     A: MatrixFunction
-    kappa: Callable[[float, float, np.ndarray], np.ndarray]
+    kappa: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     f: Callable[[float], np.ndarray]
     r: int
     T: float
@@ -251,10 +259,10 @@ class SemiNonlinearIAE:
 
     def kappa_jacobian(self, t, s, y: np.ndarray) -> np.ndarray:
         """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r) at scalars
-        and y (r,); (r, r, M) at s (M,) and y (r, M) if κ_y (or κ) takes the
-        batch.  :func:`batch_jacobian` adds the per-point fallback."""
+        and y (r,); (r, r, M) at t, s (M,) and y (r, M) if κ_y (or κ) takes
+        the batch.  :func:`batch_jacobian` adds the per-point fallback."""
         if self.kappa_y is None:
-            return fd_jacobian(lambda _t, yy: self.kappa(t, s, yy), t, y)
+            return fd_jacobian(self.kappa, t, s, y)
         return np.asarray(self.kappa_y(t, s, y), dtype=float)
 
 

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from daekit import (
     ChainLevel,
+    CollocationConfig,
     InconsistentChainError,
     InvalidInputError,
     LinearDAE,
@@ -30,6 +31,8 @@ from daekit import (
     semi_inverse,
     available,
     SemiNonlinearIAE,
+    solve_iae,
+    verify_exact,
 )
 from daekit.chain import linear_kernel
 from daekit.collocation import _kernel_of
@@ -463,6 +466,29 @@ def test_dae_to_iae_rhs_is_integral_of_f():
     q = dae_to_iae(_linear_dae(A_SING, K_SWAP))
     np.testing.assert_allclose(q.f(0.5), [1.0 - np.cos(0.5), 0.125], atol=1e-10)
     np.testing.assert_allclose(q.f(0.0), [0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("from_y0", [True, False], ids=["y0", "exact"])
+def test_dae_to_iae_rhs_carries_the_initial_term(from_y0):
+    # y1' + y1 = 0, y2 = y1 from y(0) = (1, 1); with f = 0, a right side of
+    # ∫ f alone would make y = 0 the IAE's solution
+    exact = lambda t: np.array([np.exp(-t), np.exp(-t)])  # noqa: E731
+    p = LinearDAE(A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)),
+                  B=MatrixFunction.constant(np.array([[1.0, 0.0], [-1.0, 1.0]]),
+                                            domain=(0.0, 1.0)),
+                  f=lambda t: np.zeros(2), y0=np.array([1.0, 1.0]) if from_y0 else None,
+                  r=2, T=1.0, exact=exact)
+    q = dae_to_iae(p)
+    np.testing.assert_array_equal(q.f(0.5), [1.0, 0.0])
+    grid = np.linspace(0.0, 1.0, 21)
+    assert verify_exact(q, grid) <= 10.0 * verify_exact(p, grid)
+    sol, diag = solve_iae(q, CollocationConfig(h=0.05))
+    assert diag["failure"] is None and not diag["warnings"]
+    np.testing.assert_allclose(sol(1.0), exact(1.0), rtol=1e-6)
+    # y0 is the start, where exact only stands in for it
+    if from_y0:
+        p.exact = lambda t: np.array([2.0, 2.0])
+        np.testing.assert_array_equal(dae_to_iae(p).f(0.5), [1.0, 0.0])
 
 
 def test_dae_to_iae_kernel_subtracts_leading_derivative():

@@ -149,6 +149,22 @@ def test_the_stacked_newton_system_is_the_per_equation_one(monkeypatch, make, c)
     np.testing.assert_allclose(jac, want_jac, rtol=0.0, atol=1e-14 * np.abs(want_jac).max())
 
 
+def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one(monkeypatch):
+    # one κ call on every equation's Gauss points, each with its own t, and
+    # one product per equation: the same bits as one call per equation
+    p = scalar_nonlinear_second_kind()
+    builtin, ts = p.kappa, []
+    cfg = CollocationConfig(h=0.05)
+    p.kappa = lambda t, s, y: ts.append(t) or builtin(t, s, y)
+    x, res, _ = first_interval_system(monkeypatch, p, cfg)
+    p.kappa = builtin
+    want_res, _ = per_equation_system(p, cfg, x)
+    np.testing.assert_array_equal(res, want_res)
+    # the first call is that residual's: each equation's time over its points
+    t_eq = cfg.h * np.array([0.7, 0.9, 1.0])
+    np.testing.assert_array_equal(ts[0], np.repeat(t_eq, QUAD_ORDER))
+
+
 def test_kappa_y_is_called_once_per_newton_iteration():
     # plus the two per-point calls that check the one batch try of a solve
     p = example("ex34")
@@ -160,23 +176,25 @@ def test_kappa_y_is_called_once_per_newton_iteration():
     assert calls.count((2,)) == 2
 
 
-def test_a_kappa_of_scalar_t_alone_is_differenced_per_point():
-    # without κ_y the Jacobian differences κ on the batch, whose t has shape
-    # (M,); float(t) refuses it once, and every later call goes per point
-    p, q = example("ex34"), example("ex34")
-    t_shapes = []
-
-    def kappa(t, s, y):
-        t_shapes.append(np.shape(t))
-        return p.kappa(t, s, y) * (float(t) / float(t))
-
-    q.kappa, q.kappa_y = kappa, None
-    cfg = CollocationConfig(h=0.05)
-    want, _ = solve_iae(p, cfg, interval=(1.0, 2.0))
-    got, diag = solve_iae(q, cfg, interval=(1.0, 2.0))
-    assert diag["failure"] is None
-    np.testing.assert_allclose(got.nodal_values, want.nodal_values, rtol=0.0, atol=1e-12)
-    assert [shape for shape in t_shapes if shape != ()] == [(3 * QUAD_ORDER,)]
+@pytest.mark.parametrize("with_kappa_y", [True, False], ids=["kappa_y", "differenced"])
+def test_kappa_is_called_once_per_collocation_stage(with_kappa_y):
+    # one call per Newton residual on the Gauss points of the 3 equations,
+    # one per history integral from the second interval on (interval n's
+    # covers n intervals' Gauss points for each equation) and, without κ_y,
+    # one per Jacobian on all 2r = 4 perturbed copies of the residual's
+    # points, plus the 2r calls at each of the 2 points that check its batch try
+    p = example("ex34")
+    if not with_kappa_y:
+        p.kappa_y = None
+    builtin, t_shapes = p.kappa, []
+    p.kappa = lambda t, s, y: t_shapes.append(np.shape(t)) or builtin(t, s, y)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.05), interval=(1.0, 1.15))
+    assert diag["failure"] is None and sol.n_intervals == 3
+    iters = sum(diag["newton_iters"])
+    want = [(3 * QUAD_ORDER,)] * iters + [(3 * n * QUAD_ORDER,) for n in (1, 2)]
+    if not with_kappa_y:
+        want += [(4 * 3 * QUAD_ORDER,)] * iters + [()] * 2 * 4
+    assert sorted(t_shapes) == sorted(want)
 
 
 def test_scalar_second_kind_order_at_least_two():
@@ -187,6 +205,24 @@ def test_scalar_second_kind_order_at_least_two():
         errs.append(sup_error(p, sol, 0.0, 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 2.0
+
+
+def test_residual_makes_one_kappa_call_per_batch_of_probes():
+    # one call for the partial intervals of all probes, and one per batch of
+    # histories of at most the solver's largest history call (3 equations ×
+    # 10 intervals of Gauss points) plus one probe's; each probe's residual
+    # keeps the bits of a residual at that probe alone
+    p = example("ex34")
+    sol, _ = solve_iae(p, CollocationConfig(h=0.05), interval=(1.0, 1.5))
+    probes = sol.collocation_times()
+    builtin, sizes = p.kappa, []
+    p.kappa = lambda t, s, y: sizes.append(np.size(s)) or builtin(t, s, y)
+    got = residual(p, sol, probes)
+    assert sizes[-1] == 20 * QUAD_ORDER  # the 20 probes inside an interval
+    assert len(sizes) <= 6 and max(sizes[:-1]) <= (3 + 1) * 10 * QUAD_ORDER
+    p.kappa = builtin
+    want = np.concatenate([residual(p, sol, [t]) for t in probes])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_residual_vanishes_at_collocation_points():
@@ -220,11 +256,14 @@ def test_linear_iae_closed_forms(k, exact):
     lambda t, s, y: np.array([math.exp(y[0])]),
     lambda t, s, y: np.array([float(y[0])]),
     lambda t, s, y: np.array([1.0]),
-], ids=["math.exp", "float", "wrong-shape"])
+    lambda t, s, y: y[:1] * math.exp(1.0 - t),
+    lambda t, s, y: y[:1] * (float(t) / float(t)),
+], ids=["math.exp", "float", "wrong-shape", "math.exp-of-t", "float-of-t"])
 def test_non_vectorised_kappa_is_rejected_with_the_contract(kappa):
+    # t has one entry per point too, so a κ of a scalar t alone is refused
     p = scalar_second_kind()
     p.kappa = kappa
-    with pytest.raises(InvalidInputError, match="vectorised"):
+    with pytest.raises(InvalidInputError, match=r"vectorised: κ\(t, s, y\) with t and s of shape"):
         solve_iae(p, CollocationConfig(h=0.1))
 
 

@@ -45,22 +45,35 @@ def test_fd_jacobian_on_shared_dae_rows():
 def test_fd_jacobian_on_shared_kernel_rows():
     # d/dy of ((y1^2+2) y2 + e^{y2}, y1^2) at (0, 1)
     p = example("ex34")
-    jac = fd_jacobian(lambda t, y: p.kappa(t, 0.0, y), 1.5, np.array([0.0, 1.0]))
+    jac = fd_jacobian(p.kappa, 1.5, 0.0, np.array([0.0, 1.0]))
     np.testing.assert_allclose(jac, [[0.0, 2.0 + np.e], [0.0, 0.0]], atol=1e-6)
 
 
+def kappa_of_t_and_s(t, s, y):
+    return np.array([np.sin(t * y[0]) + s * y[1] ** 2, np.exp(y[0] - s) * t])
+
+
 def test_fd_jacobian_on_a_batch_matches_the_pointwise_loop():
-    # y of shape (r, M): one Jacobian per point on the last axis, the same
-    # arithmetic as differencing each point on its own
-    p = example("ex34")
+    # y of shape (r, M): one Jacobian per point on the last axis, from one
+    # call of g on all 2r perturbed copies (t and s tiled to match), with the
+    # arithmetic of differencing each point on its own, two calls per column
     rng = np.random.default_rng(7)
     s = rng.uniform(1.0, 2.0, size=9)
     y = rng.uniform(-2.0, 2.0, size=(2, 9))
-    batch = fd_jacobian(lambda t, yy: p.kappa(t, s, yy), 1.5, y)
-    assert batch.shape == (2, 2, 9)
-    for g in range(9):
-        want = fd_jacobian(lambda t, yy: p.kappa(t, s[g], yy), 1.5, y[:, g])
-        np.testing.assert_array_equal(batch[:, :, g], want)
+    for t, t_shape in ((1.5, ()), (np.linspace(1.0, 2.0, 9), (36,))):
+        shapes = []
+
+        def g(tt, ss, yy):
+            shapes.append((np.shape(tt), np.shape(ss), np.shape(yy)))
+            return kappa_of_t_and_s(tt, ss, yy)
+
+        batch = fd_jacobian(g, t, s, y)
+        assert batch.shape == (2, 2, 9)
+        assert shapes == [(t_shape, (36,), (2, 36))]
+        t_at = np.broadcast_to(t, s.shape)
+        for j in range(9):
+            want = fd_jacobian(kappa_of_t_and_s, float(t_at[j]), s[j], y[:, j])
+            np.testing.assert_array_equal(batch[:, :, j], want)
 
 
 @pytest.mark.parametrize("name", ["ex31", "ex32", "ex33"])
@@ -82,7 +95,7 @@ def test_analytic_jacobians_match_finite_differences_iae(name):
         s = rng.uniform(p.t_start, t)
         y = rng.uniform(-2.0, 2.0, size=p.r)
         got = p.kappa_y(t, s, y)
-        want = fd_jacobian(lambda tt, yy: p.kappa(t, s, yy), t, y)
+        want = fd_jacobian(p.kappa, t, s, y)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
