@@ -50,6 +50,7 @@ that step is returned with the failure record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,19 @@ def _lagrange_weights(nodes: np.ndarray, tau) -> np.ndarray:
     """Values of the Lagrange basis polynomials for ``nodes`` at ``tau``:
     shape (m,) at a float, tau.shape + (m,) at an array.  Basis j is the
     product over l != j of (tau - nodes[l]) / (nodes[j] - nodes[l]), taken
-    in increasing l for every tau, so an array entry equals its float call."""
+    left to right in increasing l from the l = j factor 1.0.  A float is
+    worked out in scalar arithmetic with the same operations, so an array
+    entry equals its float call bit for bit."""
+    if isinstance(tau, float):
+        xs = nodes.tolist()
+        out = []
+        for j, xj in enumerate(xs):
+            w = 1.0
+            for l, xl in enumerate(xs):
+                if l != j:
+                    w *= (tau - xl) / (xj - xl)
+            out.append(w)
+        return np.array(out)
     m = nodes.size
     denom = nodes[:, None] - nodes  # (j, l)
     denom.flat[::m + 1] = 1.0
@@ -112,6 +125,9 @@ class PiecewiseSolution(Trajectory):
     not reach it, the right endpoint 1; adjacent intervals share the joint
     value, so evaluation is continuous across the mesh.  As a
     :class:`~daekit.problems.Trajectory` its knot ``times`` are the mesh.
+    One time is evaluated in scalar arithmetic, with the operations of the
+    array path in their order, so it gives the same bits as that time's row
+    of an array call at a fraction of the cost.
     """
 
     t_start: float
@@ -121,6 +137,11 @@ class PiecewiseSolution(Trajectory):
     nodal_values: np.ndarray  # shape (N, n_nodes, r)
 
     def __post_init__(self):
+        self.t_start, self.h = float(self.t_start), float(self.h)
+        if not math.isfinite(self.t_start):
+            raise InvalidInputError("t_start must be finite")
+        if not 0.0 < self.h < math.inf:
+            raise InvalidInputError("h must be finite and positive")
         self.c = np.asarray(self.c, dtype=float)
         self.tau_nodes = np.asarray(self.tau_nodes, dtype=float)
         self.nodal_values = np.asarray(self.nodal_values, dtype=float)
@@ -147,10 +168,17 @@ class PiecewiseSolution(Trajectory):
     def t_end(self) -> float:
         return self.t_start + self.h * self.n_intervals
 
-    def interval_of(self, t) -> np.ndarray:
-        """Index of the interval holding each time in the array t.  A mesh
-        time t_start + m·h (as ``times`` computes it) is in interval m, also
-        where (t − t_start)/h rounds below m; t_end is in the last one."""
+    def interval_of(self, t):
+        """Index of the interval holding the time t: an int at a float, an int
+        array at an array.  A mesh time t_start + m·h (as ``times`` computes
+        it) is in interval m, also where (t − t_start)/h rounds below m; t_end
+        is in the last one.  A float is worked out in scalar arithmetic
+        (``round`` halves to even, as ``np.rint`` does), bit for bit."""
+        if isinstance(t, float):
+            x = (t - self.t_start) / self.h
+            m = round(x)
+            n = m if t == self.t_start + m * self.h else math.floor(x)
+            return min(max(n, 0), self.n_intervals - 1)
         t = np.asarray(t, dtype=float)
         x = (t - self.t_start) / self.h
         m = np.rint(x)
@@ -162,12 +190,24 @@ class PiecewiseSolution(Trajectory):
             raise InvalidInputError("empty solution")
         # a mesh time reads its stored node: interval m at τ = 0, or the last
         # interval at τ = 1 at t_end
-        n = self.interval_of(t)
-        tau = np.minimum(np.maximum((t - (self.t_start + n * self.h)) / self.h, 0.0), 1.0)
-        tau[t == self.t_end] = 1.0
+        if t.size == 1:
+            # one time on floats: on a tie max(0.0, ·) and min(1.0, ·) give
+            # the bound, as np.maximum and np.minimum do
+            t = t.item()
+            n = self.interval_of(t)
+            tau = 1.0 if t == self.t_end else \
+                min(1.0, max(0.0, (t - (self.t_start + n * self.h)) / self.h))
+            weights = _lagrange_weights(self.tau_nodes, tau)[None]
+            values = self.nodal_values[n:n + 1]
+        else:
+            n = self.interval_of(t)
+            tau = np.minimum(np.maximum((t - (self.t_start + n * self.h)) / self.h, 0.0), 1.0)
+            tau[t == self.t_end] = 1.0
+            weights = _lagrange_weights(self.tau_nodes, tau)
+            values = self.nodal_values[n]
         # a (1, n_nodes) @ (n_nodes, r) product per time, so no row's
         # arithmetic depends on the other times
-        return (_lagrange_weights(self.tau_nodes, tau)[:, None, :] @ self.nodal_values[n])[:, 0]
+        return (weights[:, None, :] @ values)[:, 0]
 
     def collocation_times(self) -> np.ndarray:
         ts = self.t_start + self.h * np.arange(self.n_intervals)[:, None] + self.h * self.c[None, :]
@@ -396,9 +436,11 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         s_all = (t_n + sch.part_tau * cfg.h).ravel()
 
         u_s = None  # (r, n_eq q) at the latest residual's iterate
+        u_all = np.empty((n_nodes, r))  # the left value, then the iterate's free nodes
+        u_all[0] = left_value
         def res_of(x):
             nonlocal u_s
-            u_all = np.vstack([left_value[None, :], x.reshape(n_eq, r)])  # (n_nodes, r)
+            u_all[1:] = x.reshape(n_eq, r)
             u_s = (sch.part_basis @ u_all).reshape(-1, r).T
             k_int = _partial_integrals(kappa, t_all, s_all, u_s, sch.part_w)
             # equation positions line up with nodes[1:]

@@ -469,18 +469,59 @@ def test_lagrange_weights_on_an_array_are_the_scalar_products_bit_for_bit(nodes)
         assert collocation._lagrange_weights(nodes, float(tau)).tobytes() == row.tobytes()
 
 
-def test_solution_on_an_array_of_times_gives_the_float_calls_row_by_row():
-    sol, _ = solve_iae(example("ex34"), CollocationConfig(h=0.05), interval=(1.0, 1.5))
-    times = np.concatenate([np.linspace(1.0, 1.5, 37), sol.times, sol.times[1:-1] - 1e-13,
-                            sol.times[1:-1] + 1e-13, [1.0 - 1e-12, 1.5 + 1e-12]])
+def _random_solution(c, n_intervals=10, seed=7):
+    # random nodal values: what is under test is the evaluation, not the solve
+    nodes = CollocationConfig(c=c).tau_nodes()
+    values = np.random.default_rng(seed).standard_normal((n_intervals, nodes.size, 2))
+    return PiecewiseSolution(t_start=1.0, h=0.05, c=c, tau_nodes=nodes, nodal_values=values)
+
+
+@pytest.mark.parametrize("c", [(0.0, 0.7, 0.9), (0.3, 0.8), (0.0, 0.5, 1.0)],
+                         ids=["1-appended", "0-prepended", "nodes-are-c"])
+def test_solution_on_an_array_of_times_gives_the_float_calls_row_by_row(c):
+    sol = _random_solution(c)
+    lo, hi = sol.span
+    times = np.concatenate([np.random.default_rng(11).uniform(lo, hi, 200), sol.times,
+                            sol.times - 1e-13, sol.times + 1e-13, sol.collocation_times(),
+                            [hi, lo - 1e-12, hi + 1e-12]])
     values = sol(times)
     assert values.shape == (times.size, 2)
     for t, row in zip(times, values):
-        assert sol(float(t)).shape == (2,)
-        assert sol(float(t)).tobytes() == row.tobytes()
+        value = sol(float(t))
+        assert value.shape == (2,)
+        assert value.tobytes() == row.tobytes()
     assert sol(np.array([[1.1, 1.2]])).shape == (1, 2, 2)
     with pytest.raises(ExtrapolationError):
         sol(np.array([1.2, 0.9]))
+
+
+def test_a_float_call_is_worked_out_on_floats(monkeypatch):
+    sol = _random_solution((0.0, 0.7, 0.9))
+    seen = []
+    interval_of, weights = PiecewiseSolution.interval_of, collocation._lagrange_weights
+    monkeypatch.setattr(PiecewiseSolution, "interval_of",
+                        lambda self, t: seen.append(t) or interval_of(self, t))
+    monkeypatch.setattr(collocation, "_lagrange_weights",
+                        lambda nodes, tau: seen.append(tau) or weights(nodes, tau))
+    sol(1.2345)
+    assert [type(x) for x in seen] == [float, float]
+
+
+def test_an_empty_solution_refuses_a_float_call():
+    sol = _random_solution((0.0, 0.7, 0.9), n_intervals=0)
+    with pytest.raises(InvalidInputError, match="empty solution"):
+        sol(1.0)
+    assert sol(np.array([])).shape == (0, 2)
+
+
+@pytest.mark.parametrize("t_start, h", [(0.0, 0.0), (0.0, np.inf), (0.0, -0.1), (0.0, np.nan),
+                                        (np.inf, 0.1), (np.nan, 0.1)],
+                         ids=["h-zero", "h-inf", "h-negative", "h-nan", "t-start-inf",
+                              "t-start-nan"])
+def test_solution_refuses_a_step_or_start_it_cannot_evaluate(t_start, h):
+    with pytest.raises(InvalidInputError):
+        PiecewiseSolution(t_start=t_start, h=h, c=(0.0,), tau_nodes=(0.0, 1.0),
+                          nodal_values=np.zeros((2, 2, 1)))
 
 
 @pytest.mark.parametrize("c", [(0.0, 0.7, 0.9), (0.3, 0.8)], ids=["c0-node-1", "no-node-1"])
