@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .linalg import NEWTON_MAX_ITER, check_span, newton
+from .linalg import NEWTON_MAX_ITER, check_span, newton, norm2
 from .problems import SemiNonlinearDAE, Trajectory, mesh_steps, probe_points
 
 
@@ -214,7 +214,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     else:
         raise InvalidInputError("no initial value available at the interval start")
     defect = p.consistency_defect(a, y0)
-    if defect > 1e-6 * (1.0 + float(np.linalg.norm(np.atleast_1d(p.f(a))))):
+    if defect > 1e-6 * (1.0 + norm2(p.f(a))):
         raise InvalidInputError(
             f"initial value violates the algebraic rows at t={a}: defect {defect:.3e}")
 
@@ -282,5 +282,5 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
         res = (p.A(t) @ slopes[i]
                + np.atleast_1d(np.asarray(p.F(t, values[i]), dtype=float))
                - np.atleast_1d(np.asarray(p.f(t), dtype=float)))
-        out[i] = float(np.linalg.norm(res))
+        out[i] = norm2(res)
     return out

@@ -58,6 +58,7 @@ from .linalg import (
     check_grid,
     fd_derivative,
     matfn_derivative,
+    norm2,
     numerical_rank,
     per_point,
     quadrature,
@@ -307,7 +308,7 @@ def consistency_check(levels, F_list, t0: Optional[float] = None) -> Consistency
     for i in range(nu):
         lhs = levels[i].A(t0) @ x
         rhs = np.atleast_1d(np.asarray(F_list[i](t0), dtype=float))
-        d = float(np.linalg.norm(lhs - rhs))
+        d = norm2(lhs - rhs)
         defects.append(d)
         passes.append(d <= CONSISTENCY_TOL)
     return ConsistencyReport(t0=t0, defects=defects, passes=passes, tol=CONSISTENCY_TOL,

@@ -28,7 +28,7 @@ from .collocation import CollocationConfig, residual as iae_residual, solve_iae
 from .errors import (DaekitError, InconsistentChainError, InvalidInputError,
                      ProblemFileError)
 from .export import dumps, write_json, write_solution_csv
-from .linalg import MatrixFunction, check_span
+from .linalg import MatrixFunction, check_span, norm2
 from .probfile import load_problem
 from .problems import (LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE,
                        TrajectorySample)
@@ -237,8 +237,7 @@ def _cmd_solve_iae(args, p, interval) -> int:
 # --- figure experiments ------------------------------------------------
 
 def _errors_on(times, values, exact) -> np.ndarray:
-    return np.array([np.linalg.norm(values[i] - exact(t))
-                     for i, t in enumerate(times)])
+    return np.array([norm2(values[i] - exact(t)) for i, t in enumerate(times.tolist())])
 
 
 def _order_fit(hs, errs) -> float:

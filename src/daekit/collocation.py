@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, check_span, newton, per_point
+from .linalg import NEWTON_MAX_ITER, check_span, newton, norm2, per_point
 from .problems import (LinearIAE, SemiNonlinearIAE, Trajectory, batch_jacobian, mesh_steps,
                        probe_points)
 
@@ -411,9 +411,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
                    "newton_max_iter": NEWTON_MAX_ITER},
     }
     # the data themselves must satisfy the equation at t = a
-    start_defect = float(np.linalg.norm(p.A(a) @ y_start - f_a))
+    start_defect = norm2(p.A(a) @ y_start - f_a)
     diag["start_consistency"] = start_defect
-    if start_defect > 1e-8 * (1.0 + float(np.linalg.norm(f_a))):
+    if start_defect > 1e-8 * (1.0 + norm2(f_a)):
         diag["warnings"].append(
             f"initial data violate A(a)y = f(a) by {start_defect:.3e}")
 
@@ -460,7 +460,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
                                          cfg.newton_tol, NEWTON_MAX_ITER, affine=linear)
         diag["newton_iters"].append(iters)
         with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
-            diag["residual_norms"].append(float(np.linalg.norm(res)))
+            diag["residual_norms"].append(norm2(res))
         diag["condition_numbers"].append(np.inf if u_free is None else float(np.linalg.cond(jac)))
         if u_free is None:
             diag["failure"] = {"step": n, "t": t_n,
@@ -511,4 +511,4 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
                 u_part[part].reshape(-1, sol.r).T, w[part])
         res = (p.A(t_probe) @ sol(t_probe)[:, :, None])[..., 0] + acc - _rhs_of(p)(t_probe)
         # row by row: np.linalg.norm(res, axis=1) rounds some rows differently
-        return np.array([float(np.linalg.norm(x)) for x in res])
+        return np.array([norm2(x) for x in res])

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import norm2
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -29,11 +31,11 @@ def solution_table(times, values, exact=None):
     if exact is not None:
         header += [f"exact{i+1}" for i in range(r)] + ["error"]
     rows = []
-    for i, t in enumerate(times):
-        row = [t] + list(values[i])
+    for i, t in enumerate(times.tolist()):
+        row = [t] + values[i].tolist()
         if exact is not None:
             ex = np.atleast_1d(np.asarray(exact(t), dtype=float))
-            row += list(ex) + [float(np.linalg.norm(values[i] - ex))]
+            row += ex.tolist() + [norm2(values[i] - ex)]
         rows.append(row)
     return header, rows
 

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+# the LAPACK gesv gufunc that np.linalg.solve wraps: called directly, it gives
+# the same bits without the wrapper's fixed cost, which dominates 2×2 solves
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import DomainError, EvaluationError, InvalidInputError
 
@@ -102,6 +105,14 @@ def semi_inverse(m) -> SemiInverseResult:
                              projector=projector)
 
 
+def norm2(v) -> float:
+    """Euclidean norm of ``v`` raveled, as ``math.sqrt(v·v)``: what
+    ``np.linalg.norm`` computes for a real v, to the bit, without its
+    wrapper.  An overflowing dot gives inf (and numpy's overflow warning)."""
+    v = np.asarray(v, dtype=float).ravel("K")
+    return math.sqrt(v.dot(v))
+
+
 # iteration cap of :func:`newton`, shared by the BDF and collocation solvers
 NEWTON_MAX_ITER = 25
 
@@ -115,15 +126,16 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     and only if that residual is finite, so a Jacobian may reuse what its
     residual computed.  Stops when ‖δ‖ ≤ tol·(1 + ‖x‖), or after the first
     step when ``affine``.  Returns (x, iterations, last residual, last
-    Jacobian); x is None after a non-finite residual, Jacobian or iterate
-    (an iterate whose norm overflows counts as non-finite: the test above
-    would pass for any δ), a singular Jacobian, or ``max_iter`` iterations
-    without convergence.
+    Jacobian); x is None after a non-finite residual, Jacobian or iterate,
+    or ``max_iter`` iterations without convergence.  An iterate whose norm
+    overflows counts as non-finite (the test above would pass for any δ),
+    and so does the NaN step of an exactly singular Jacobian.
     """
     x = np.array(x0, dtype=float)
     res = jac = None
-    # overflow while probing a divergent iterate is expected; the
-    # finiteness checks turn it into a clean non-convergence
+    # overflow while probing a divergent iterate is expected, and so is the
+    # invalid flag of a singular solve (its step is NaN); the finiteness
+    # checks turn both into a clean non-convergence
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             res = residual(x)
@@ -132,12 +144,10 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
             jac = jacobian(x)
             if not np.isfinite(jac).all():
                 return None, it, res, jac
-            try:
-                delta = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                return None, it, res, jac
+            delta = _gesv(jac, -res, signature="dd->d")
             x = x + delta
-            # sqrt(v·v) is what np.linalg.norm computes for a 1-D v, to the bit
+            # norm2 written out: its asarray and ravel would add measurably
+            # to the two norms of every iteration
             x_norm = math.sqrt(x.dot(x))
             if not math.isfinite(x_norm):
                 return None, it, res, jac

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ExtrapolationError, InvalidInputError
-from .linalg import (MatrixFunction, check_grid, check_span, matfn_derivative, quadrature,
-                     semi_inverse)
+from .linalg import (MatrixFunction, check_grid, check_span, matfn_derivative, norm2,
+                     quadrature, semi_inverse)
 
 
 def _vec(x, r=None):
@@ -306,7 +306,7 @@ class SemiNonlinearDAE:
         if y is None:
             raise InvalidInputError("no initial value to check")
         v = semi_inverse(self.A(t)).projector
-        return float(np.linalg.norm(v @ (_vec(self.F(t, _vec(y, self.r))) - _vec(self.f(t)))))
+        return norm2(v @ (_vec(self.F(t, _vec(y, self.r))) - _vec(self.f(t))))
 
 
 Problem = LinearIAE | LinearDAE | SemiNonlinearIAE | SemiNonlinearDAE
@@ -346,5 +346,5 @@ def verify_exact(p: Problem, grid) -> float:
             res = p.A(t) @ y + integ - _vec(p.f(t), p.r)
         else:
             raise InvalidInputError(f"unsupported problem type {type(p)}")
-        worst = max(worst, float(np.linalg.norm(res)))
+        worst = max(worst, norm2(res))
     return worst

@@ -47,7 +47,7 @@ import numpy as np
 from .chain import IndexReport, chain_step, linear_kernel, rank_degree_index
 from .errors import (ClassificationUnreliableError, DomainError, ExtrapolationError,
                      InvalidInputError)
-from .linalg import MatrixFunction, check_grid, check_span
+from .linalg import MatrixFunction, check_grid, check_span, norm2
 from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
@@ -244,10 +244,10 @@ class IndexProfile:
 
 def _ball_sample(rng: np.random.Generator, center: np.ndarray, eps: float) -> np.ndarray:
     direction = rng.normal(size=center.size)
-    norm = np.linalg.norm(direction)
+    norm = norm2(direction)
     if norm == 0.0:
         direction = np.ones_like(center)
-        norm = np.linalg.norm(direction)
+        norm = norm2(direction)
     radius = eps * rng.uniform() ** (1.0 / center.size)
     return center + radius * direction / norm
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from daekit import (
+    CollocationConfig,
+    DaeSolveConfig,
     LinearDAE,
     LinearIAE,
     ProblemFileError,
@@ -14,7 +16,9 @@ from daekit import (
     dae_to_iae,
     example,
     load_problem,
+    solution_table,
     solve_dae,
+    solve_iae,
     verify_exact,
 )
 from daekit import cli
@@ -461,3 +465,31 @@ def test_reproduce_solves_each_bdf_step_size_once(tmp_path, capsys, monkeypatch,
     assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert steps == [4e-3, 2e-3, 1e-3, 5e-4]
+
+
+def _ex32_bdf_rows():
+    sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    return sol.times, sol.values
+
+
+def _ex34_collocation_rows():
+    sol, _ = solve_iae(example("ex34"), CollocationConfig(c=(0.0, 0.7, 0.9), h=0.025))
+    times = sol.collocation_times()
+    return times, sol(times)
+
+
+@pytest.mark.parametrize("make, name", [(_ex32_bdf_rows, "ex32"), (_ex34_collocation_rows, "ex34")],
+                         ids=["ex32-bdf", "ex34-collocation"])
+def test_error_rows_are_the_np_linalg_norm_rows_bit_for_bit(make, name):
+    times, values = make()
+    exact = example(name).exact
+    want_errs = [np.linalg.norm(values[i] - exact(t)) for i, t in enumerate(times)]
+    want_rows = []
+    for i, t in enumerate(times):
+        ex = np.atleast_1d(np.asarray(exact(t), dtype=float))
+        want_rows.append([t] + list(values[i]) + list(ex) + [np.linalg.norm(values[i] - ex)])
+    assert len(want_rows) > 100
+    got_errs = cli._errors_on(times, values, exact)
+    assert np.asarray(got_errs).tobytes() == np.asarray(want_errs, dtype=float).tobytes()
+    _, rows = solution_table(times, values, exact)
+    assert np.asarray(rows).tobytes() == np.asarray(want_rows, dtype=float).tobytes()

@@ -1,5 +1,7 @@
 """Matrix utilities: numerical rank, semi-inverse, finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from daekit import (
     DEFAULT_RANK_TOL,
+    CollocationConfig,
+    DaeSolveConfig,
     DomainError,
     EvaluationError,
     InvalidInputError,
@@ -16,8 +20,11 @@ from daekit import (
     matfn_derivative,
     numerical_rank,
     semi_inverse,
+    solve_dae,
+    solve_iae,
 )
-from daekit.linalg import newton, per_point, quadrature
+from daekit import bdf, collocation
+from daekit.linalg import newton, norm2, per_point, quadrature
 from helpers import random_fixed_rank, reference_newton
 
 
@@ -463,6 +470,70 @@ def test_newton_matches_the_reference_loop_bit_for_bit(r, data, affine):
 
     _assert_same_newton(newton(residual, jacobian, x0, 1e-12, 25, affine=affine),
                         reference_newton(residual, jacobian, x0, 1e-12, 25, affine))
+
+
+@pytest.mark.parametrize("jac", [
+    np.zeros((2, 2)),
+    np.outer([1.0, 2.0], [3.0, -1.0]),
+    np.array([[1.0, 0.0], [2.0, 0.0]]),
+    np.zeros((3, 3)),
+    np.outer([1.0, -2.0, 0.5], [2.0, 1.0, 3.0]),
+    np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 1.0]]),
+], ids=["zero-2", "rank1-2", "zero-column-2", "zero-3", "rank1-3", "zero-column-3"])
+def test_newton_exits_at_once_on_an_exactly_singular_jacobian(jac):
+    # the solve gives a NaN step, a non-finite iterate: the record of a
+    # singular Jacobian, and no warning from the solve's invalid flag
+    def residual(x):
+        return x - 1.0
+
+    x0 = np.zeros(jac.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = newton(residual, lambda x: jac, x0, 1e-12, 25)
+    _assert_same_newton(got, reference_newton(residual, lambda x: jac, x0, 1e-12, 25))
+    assert got[0] is None and got[1] == 1
+
+
+@pytest.mark.parametrize("module, run", [
+    (bdf, lambda: solve_dae(example("ex32"), DaeSolveConfig(h=1e-3))),
+    (collocation, lambda: solve_iae(example("ex34"), CollocationConfig(h=0.025))),
+], ids=["solve_dae-ex32", "solve_iae-ex34"])
+def test_solvers_step_without_np_linalg_solve(module, run, monkeypatch):
+    # the reference loop steps with np.linalg.solve; newton calls LAPACK's
+    # gesv directly and must give the same bits
+    with monkeypatch.context() as m:
+        m.setattr(module, "newton", reference_newton)
+        want = run()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    got = run()
+    if module is bdf:
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.newton_iters, got.halvings, got.failure) == \
+            (want.newton_iters, want.halvings, want.failure)
+    else:
+        assert got[0].nodal_values.tobytes() == want[0].nodal_values.tobytes()
+        assert got[1] == want[1]
+
+
+def test_norm2_is_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = []
+    for scale in (1e-300, 1e-160, 1e-10, 1.0, 1e10, 1e160, 1e200):
+        cases += [scale * rng.normal(size=n) for n in (0, 1, 2, 3, 8)]
+        m = scale * rng.normal(size=(3, 4))
+        cases += [m, m.T, np.asfortranarray(m)]
+    cases += [np.array(v) for v in ([1.0, np.nan], [np.inf, 2.0], [-np.inf, 1.0],
+                                    [np.inf, -np.inf], [np.nan, np.inf], [[np.inf, 0.5]])]
+    # 1e160² and 1e200² overflow the dot to inf, as in np.linalg.norm
+    with np.errstate(over="ignore"):
+        for v in cases:
+            assert _bits(norm2(v)) == _bits(np.linalg.norm(v))
+        assert norm2(1e200 * np.ones(2)) == np.inf
 
 
 # --- quadrature -----------------------------------------------------------------
