@@ -34,12 +34,10 @@ from .chain import (
     ChainLevel,
     ChainStatus,
     ConsistencyReport,
-    HessenbergResult,
     IndexReport,
     chain_step,
     consistency_check,
     dae_to_iae,
-    hessenberg_index,
     rank_degree_index,
     rhs_chain,
 )
@@ -93,12 +91,10 @@ __all__ = [
     "ChainLevel",
     "ChainStatus",
     "ConsistencyReport",
-    "HessenbergResult",
     "IndexReport",
     "chain_step",
     "consistency_check",
     "dae_to_iae",
-    "hessenberg_index",
     "rank_degree_index",
     "rhs_chain",
     "IndexProfile",

@@ -150,10 +150,6 @@ def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
     return y, it
 
 
-def _bdf1(p, t_n, y_n, h):
-    return _newton(p, t_n + h, 1.0 / h, y_n / h, y_n)
-
-
 def _halved(p, t_n, y_n, h, records, step_index):
     """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... .
 
@@ -168,7 +164,7 @@ def _halved(p, t_n, y_n, h, records, step_index):
         total_iters = 0
         ok = True
         for i in range(m):
-            y_next, its = _bdf1(p, t, y, sub_h)
+            y_next, its = _newton(p, t + sub_h, 1.0 / sub_h, y / sub_h, y)
             total_iters += its
             if y_next is None:
                 ok = False

@@ -401,44 +401,3 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
                      t_start=p.t_start, name=f"{p.name}-as-iae" if p.name else "",
                      exact=p.exact)
 
-
-@dataclass
-class HessenbergResult:
-    confirmed: bool
-    nu: int
-    violated_at: Optional[float]
-    worst_condition: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def hessenberg_index(diag_jacobians, grid) -> HessenbergResult:
-    """Structural index check for block lower-Hessenberg kernels.
-
-    ``diag_jacobians`` are the ν corner Jacobian blocks (functions of t,
-    all square of one size) whose product must stay invertible along the
-    trajectory.  Invertibility is tested as full numerical rank
-    (:func:`~daekit.linalg.numerical_rank`, which bounds the condition
-    number by 1/``DEFAULT_RANK_TOL``) at every point of ``grid`` (a
-    :func:`check_grid` grid); the first failure is reported with its
-    location.  ``worst_condition`` is the largest condition number seen.
-    """
-    if not diag_jacobians:
-        raise InvalidInputError("need at least one diagonal block")
-    grid = check_grid(grid, 1)
-    nu = len(diag_jacobians)
-    worst = 1.0
-    for t in grid:
-        blocks = [np.atleast_2d(np.asarray(j(t), dtype=float)) for j in diag_jacobians]
-        shape = blocks[0].shape
-        if shape[0] != shape[1] or any(b.shape != shape for b in blocks):
-            raise InvalidInputError(
-                "diagonal blocks must all be square and of equal size")
-        prod = blocks[0]
-        for b in blocks[1:]:
-            prod = prod @ b
-        if numerical_rank(prod) < shape[0]:
-            return HessenbergResult(False, nu, float(t), float(np.inf))
-        worst = max(worst, float(np.linalg.cond(prod)))
-    return HessenbergResult(True, nu, None, worst)

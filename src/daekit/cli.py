@@ -96,11 +96,7 @@ def _resolve_problem(spec: str):
     if spec in examples.available():
         return examples.example(spec)
     path = Path(spec)
-    if path.suffix == ".json" or path.exists():
-        if not path.exists():
-            return None
-        return load_problem(path)
-    return None
+    return load_problem(path) if path.exists() else None
 
 
 def _out_stem(args, default: str) -> Path:

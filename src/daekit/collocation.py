@@ -71,22 +71,25 @@ class CollocationConfig:
     newton_tol: float = 1e-12
 
     def validate(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.size < 1 or np.any(np.diff(c) <= 0) or not np.all((0 <= c) & (c <= 1)):
-            raise InvalidInputError(
-                "collocation parameters must be distinct, increasing, inside [0, 1]")
+        _tau_nodes(self.c)
         if not 0 < self.h < np.inf:
             raise InvalidInputError("h must be finite and positive")
         if not 0 < self.newton_tol < np.inf:
             raise InvalidInputError("newton_tol must be finite and positive")
 
-    def tau_nodes(self) -> np.ndarray:
-        """Interpolation nodes on [0, 1]: the collocation parameters plus
-        whichever interval endpoint they do not already contain."""
-        c = np.asarray(self.c, dtype=float)
-        if c[0] == 0.0:
-            return np.append(c, 1.0) if c[-1] < 1.0 else c
-        return np.concatenate(([0.0], c))
+
+def _tau_nodes(c) -> np.ndarray:
+    """Interpolation nodes on [0, 1] of the collocation parameters c: c plus
+    whichever interval endpoint it does not already contain.  The one node
+    rule; c must be a non-empty, strictly increasing sequence inside [0, 1]."""
+    c = np.array(c, dtype=float)
+    if c.ndim != 1 or c.size < 1 or not np.all(np.diff(c) > 0) \
+            or not np.all((0 <= c) & (c <= 1)):
+        raise InvalidInputError(
+            "collocation parameters must be distinct, increasing, inside [0, 1]")
+    if c[0] == 0.0:
+        return np.append(c, 1.0) if c[-1] < 1.0 else c
+    return np.concatenate(([0.0], c))
 
 
 def _lagrange_weights(nodes: np.ndarray, tau) -> np.ndarray:
@@ -121,8 +124,9 @@ def _lagrange_weights(nodes: np.ndarray, tau) -> np.ndarray:
 class PiecewiseSolution(Trajectory):
     """Continuous piecewise polynomial: values at local nodes per interval.
 
-    ``tau_nodes`` always contains 0 and, when the collocation parameters do
-    not reach it, the right endpoint 1; adjacent intervals share the joint
+    ``tau_nodes`` is derived from ``c`` (:func:`_tau_nodes`): it always
+    contains 0 and, when the collocation parameters do not reach it, the
+    right endpoint 1; adjacent intervals share the joint
     value, so evaluation is continuous across the mesh.  As a
     :class:`~daekit.problems.Trajectory` its knot ``times`` are the mesh.
     One time is evaluated in scalar arithmetic, with the operations of the
@@ -133,8 +137,8 @@ class PiecewiseSolution(Trajectory):
     t_start: float
     h: float
     c: np.ndarray
-    tau_nodes: np.ndarray
     nodal_values: np.ndarray  # shape (N, n_nodes, r)
+    tau_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.t_start, self.h = float(self.t_start), float(self.h)
@@ -142,8 +146,8 @@ class PiecewiseSolution(Trajectory):
             raise InvalidInputError("t_start must be finite")
         if not 0.0 < self.h < math.inf:
             raise InvalidInputError("h must be finite and positive")
-        self.c = np.asarray(self.c, dtype=float)
-        self.tau_nodes = np.asarray(self.tau_nodes, dtype=float)
+        self.tau_nodes = _tau_nodes(self.c)
+        self.c = np.array(self.c, dtype=float)
         self.nodal_values = np.asarray(self.nodal_values, dtype=float)
         if self.nodal_values.ndim != 3 or self.nodal_values.shape[1] != self.tau_nodes.size:
             raise InvalidInputError("nodal_values must have shape (N, n_nodes, r)")
@@ -288,14 +292,13 @@ class _Scheme:
         return tau, self.h * tau_end * self.hist_w, _lagrange_weights(self.nodes, tau)
 
 
-def _build_scheme(c: np.ndarray, nodes: np.ndarray, h: float) -> _Scheme:
-    # equations owned by an interval: its collocation points with tau > 0,
-    # plus the right-end closure when c starts at 0 (that closing equation
-    # is the next interval's tau = 0 collocation equation)
-    if c[0] == 0.0:
-        eq_taus = np.append(c[1:], 1.0) if nodes[-1] == 1.0 and c[-1] < 1.0 else c[1:]
-    else:
-        eq_taus = c.copy()
+def _build_scheme(c, h: float) -> _Scheme:
+    # equations owned by an interval, one per free node: its collocation
+    # points with tau > 0, plus the right-end closure when c starts at 0
+    # (that closing equation is the next interval's tau = 0 collocation
+    # equation)
+    nodes = _tau_nodes(c)
+    eq_taus = nodes[1:]
     x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
     hist_tau = 0.5 * (x + 1.0)
     return _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
@@ -388,9 +391,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
     n_steps = mesh_steps(a, b, cfg.h)
 
-    c = np.asarray(cfg.c, dtype=float)
-    nodes = cfg.tau_nodes()
-    sch = _build_scheme(c, nodes, cfg.h)
+    sch = _build_scheme(cfg.c, cfg.h)
+    nodes = sch.nodes
     n_nodes = nodes.size
     n_eq = sch.eq_taus.size        # equations per interval = free nodes per interval
     r = p.r
@@ -406,7 +408,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         "newton_iters": [], "residual_norms": [], "condition_numbers": [],
         "failure": None,
         "warnings": [start_warning] if start_warning else [],
-        "config": {"c": [float(x) for x in c], "h": cfg.h,
+        "config": {"c": [float(x) for x in cfg.c], "h": cfg.h,
                    "quad_order": QUAD_ORDER, "newton_tol": cfg.newton_tol,
                    "newton_max_iter": NEWTON_MAX_ITER},
     }
@@ -472,16 +474,17 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         left_value = values[n, -1] if nodes[-1] == 1.0 else end_weights @ values[n]
         completed = n + 1
 
-    sol = PiecewiseSolution(t_start=a, h=cfg.h, c=c.copy(), tau_nodes=nodes.copy(),
-                            nodal_values=values[:completed].copy())
+    sol = PiecewiseSolution(t_start=a, h=cfg.h, c=cfg.c, nodal_values=values[:completed].copy())
     return sol, diag
 
 
 def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     """Defining-equation residual norms at probe points, using the solver's
     batched Gauss quadrature."""
+    if sol.n_intervals == 0:
+        raise InvalidInputError("empty solution")
     kappa, _, _ = _kernel_of(p)
-    sch = _build_scheme(sol.c, sol.tau_nodes, sol.h)
+    sch = _build_scheme(sol.c, sol.h)
     lo, hi = sol.t_start, sol.t_end
     probe_grid = probe_points(probe_grid, lo, hi)
     history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .linalg import norm2
 
 
@@ -25,7 +26,7 @@ def solution_table(times, values, exact=None):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != times.size:
-        raise ValueError("values must have one row per time")
+        raise InvalidInputError("values must have one row per time")
     r = values.shape[1]
     header = ["t"] + [f"y{i+1}" for i in range(r)]
     if exact is not None:

@@ -67,6 +67,9 @@ TIME_TOL = 1e-6
 VALUE_TOL = 1e-8
 # the highest chain level a pointwise index may reach, rank_degree_index's cap
 NU_MAX = 4
+# a determinant counts as negative or positive only beyond this many times
+# the largest |det| compared (at least 1)
+DET_FLOOR = 1e-12
 
 
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
@@ -186,13 +189,12 @@ def _cluster(times: Sequence[float], tol: float) -> list:
     return out
 
 
-def detect_critical_points(traj: Trajectory, conditions, refine: bool = True,
-                           interval=None) -> list:
+def detect_critical_points(traj: Trajectory, conditions, interval=None) -> list:
     """Times where a condition g(t, traj(t)) crosses or touches zero.
 
     Scans the trajectory's knot times (clipped to ``interval``) for
-    sign changes and for |g| dipping below ``VALUE_TOL``; with ``refine``
-    each sign change is bisected on the interpolant down to ``TIME_TOL``.
+    sign changes and for |g| dipping below ``VALUE_TOL``; each sign change
+    is bisected on the interpolant down to ``TIME_TOL``.
     Returns (time, condition_index) pairs sorted by time.
     """
     if not conditions:
@@ -208,11 +210,8 @@ def detect_critical_points(traj: Trajectory, conditions, refine: bool = True,
             if gs[j] == 0.0:
                 found.append(float(ts[j]))
             elif gs[j] * gs[j + 1] < 0.0:
-                if refine:
-                    found.append(_bisect_zero(lambda tt: float(cond(tt, traj(tt))),
-                                              float(ts[j]), float(ts[j + 1]), gs[j]))
-                else:
-                    found.append(float(0.5 * (ts[j] + ts[j + 1])))
+                found.append(_bisect_zero(lambda tt: float(cond(tt, traj(tt))),
+                                          float(ts[j]), float(ts[j + 1]), gs[j]))
         if gs[-1] == 0.0:
             found.append(float(ts[-1]))
         for j in range(ts.size):
@@ -252,12 +251,12 @@ def _ball_sample(rng: np.random.Generator, center: np.ndarray, eps: float) -> np
     return center + radius * direction / norm
 
 
-def _sign_flip(values, floor_rel: float = 1e-12) -> bool:
+def _sign_flip(values) -> bool:
     vals = np.asarray(values, dtype=float)
     scale = np.max(np.abs(vals)) if vals.size else 0.0
     if scale == 0.0:
         return False
-    floor = floor_rel * max(1.0, scale)
+    floor = DET_FLOOR * max(1.0, scale)
     return bool(np.min(vals) < -floor and np.max(vals) > floor)
 
 
@@ -349,11 +348,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     # critical points along the trajectory
     crit: list[float] = []
     if conditions:
-        crit.extend(t for t, _ in detect_critical_points(
-            traj, conditions, refine=True, interval=(a, b)))
+        crit.extend(t for t, _ in detect_critical_points(traj, conditions, interval=(a, b)))
     a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref)
     traj_dets = np.linalg.det(a_ref(grid))
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(traj_dets))))
+    floor = DET_FLOOR * max(1.0, float(np.max(np.abs(traj_dets))))
     for j in range(grid.size - 1):
         d0, d1 = traj_dets[j], traj_dets[j + 1]
         if (d0 < -floor and d1 > floor) or (d0 > floor and d1 < -floor):

@@ -21,7 +21,6 @@ from daekit import (
     chain_step,
     consistency_check,
     dae_to_iae,
-    hessenberg_index,
     linearize_iae,
     matfn_derivative,
     rank_degree_index,
@@ -87,11 +86,10 @@ def test_oracle_pinv_satisfies_penrose_conditions():
     lambda: numerical_rank(np.eye(2), tol=1e-10),
     lambda: chain_step(*_const_pair(), tol=1e-10),
     lambda: rank_degree_index(*_const_pair(), tol=1e-10),
-    lambda: hessenberg_index([lambda t: np.eye(2)], [0.0], tol=1e-10),
     lambda: consistency_check(rank_degree_index(*_const_pair()).levels,
                               [lambda t: np.zeros(2)] * 3, tol=1e-6),
 ], ids=["semi_inverse", "numerical_rank", "chain_step", "rank_degree_index",
-        "hessenberg_index", "consistency_check"])
+        "consistency_check"])
 def test_no_rank_or_consistency_tolerance_is_a_parameter(call):
     # every rank decision uses linalg.DEFAULT_RANK_TOL, every consistency
     # verdict chain.CONSISTENCY_TOL
@@ -694,41 +692,3 @@ def test_second_kind_systems_have_index_zero():
                   f=lambda t: np.zeros(2), y0=None, r=2, T=1.0)
     q = dae_to_iae(p)
     assert rank_degree_index(q.A, q.k).nu == 0
-
-
-# --- hessenberg_index -----------------------------------------------------
-
-def test_hessenberg_identity_blocks_confirmed():
-    res = hessenberg_index([lambda t: np.eye(1), lambda t: np.eye(1)],
-                           np.linspace(0.0, 1.0, 11))
-    assert res.confirmed
-    assert res.nu == 2
-    assert res.violated_at is None
-
-
-def test_hessenberg_singular_block_violated_at_zero():
-    res = hessenberg_index([lambda t: np.array([[t]]), lambda t: np.eye(1)],
-                           np.linspace(0.0, 1.0, 11))
-    assert not res.confirmed
-    assert res.violated_at == 0.0
-
-
-def test_hessenberg_view_of_integral_example():
-    # corner Jacobian blocks of the ex34 kernel along (e^t, t)
-    blocks = [lambda t: np.array([[2.0 * np.exp(t)]]),
-              lambda t: np.array([[(np.exp(2.0 * t) + 2.0) + np.exp(t)]])]
-    res = hessenberg_index(blocks, np.linspace(1.0, 2.0, 21))
-    assert res.confirmed
-    assert res.nu == 2
-    assert np.isfinite(res.worst_condition)
-
-
-def test_hessenberg_validates_input():
-    with pytest.raises(InvalidInputError):
-        hessenberg_index([], np.linspace(0.0, 1.0, 5))
-    with pytest.raises(InvalidInputError):
-        hessenberg_index([lambda t: np.eye(2), lambda t: np.eye(3)],
-                         np.linspace(0.0, 1.0, 5))
-    for grid in ([0.0, np.nan, 1.0], [1.0, 0.5], [[0.0, 1.0]], []):
-        with pytest.raises(InvalidInputError, match="grid"):
-            hessenberg_index([lambda t: np.eye(1)], grid)

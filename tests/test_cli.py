@@ -8,6 +8,7 @@ import pytest
 from daekit import (
     CollocationConfig,
     DaeSolveConfig,
+    InvalidInputError,
     LinearDAE,
     LinearIAE,
     ProblemFileError,
@@ -20,6 +21,7 @@ from daekit import (
     solve_dae,
     solve_iae,
     verify_exact,
+    write_solution_csv,
 )
 from daekit import cli
 from daekit.cli import main
@@ -493,3 +495,13 @@ def test_error_rows_are_the_np_linalg_norm_rows_bit_for_bit(make, name):
     assert np.asarray(got_errs).tobytes() == np.asarray(want_errs, dtype=float).tobytes()
     _, rows = solution_table(times, values, exact)
     assert np.asarray(rows).tobytes() == np.asarray(want_rows, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("values", [np.zeros((2, 1)), np.zeros(3)], ids=["rows", "ndim"])
+def test_a_table_whose_values_do_not_match_its_times_is_invalid_input(values, tmp_path):
+    times = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(InvalidInputError, match="one row per time"):
+        solution_table(times, values)
+    with pytest.raises(InvalidInputError, match="one row per time"):
+        write_solution_csv(tmp_path / "out.csv", times, values)
+    assert not (tmp_path / "out.csv").exists()

@@ -96,7 +96,7 @@ def first_interval_system(monkeypatch, p, cfg):
 def per_equation_system(p, cfg, x):
     """The first interval's residual and Newton matrix, one equation at a
     time, with per-point κ_y calls: the solver's own Gauss rule written out."""
-    nodes = cfg.tau_nodes()
+    nodes = collocation._tau_nodes(cfg.c)
     c = np.asarray(cfg.c)
     eq_taus = np.append(c[1:], 1.0) if c[0] == 0.0 else c
     xg, wg = np.polynomial.legendre.leggauss(QUAD_ORDER)
@@ -399,14 +399,13 @@ def test_residual_of_injected_exact_solution():
     p = ex33_as_integral_equation()
     assert verify_exact(p, np.linspace(0.0, 2.0, 51)) <= 1e-8
     cfg = CollocationConfig()
-    tau = tuple(cfg.tau_nodes())
+    tau = collocation._tau_nodes(cfg.c)
     n_steps = int(round((p.T - p.t_start) / cfg.h))
     nodal = np.empty((n_steps, len(tau), p.r))
     for n in range(n_steps):
         for j, tj in enumerate(tau):
             nodal[n, j] = p.exact(p.t_start + (n + tj) * cfg.h)
-    inj = PiecewiseSolution(t_start=p.t_start, h=cfg.h, c=tuple(cfg.c),
-                            tau_nodes=tau, nodal_values=nodal)
+    inj = PiecewiseSolution(t_start=p.t_start, h=cfg.h, c=tuple(cfg.c), nodal_values=nodal)
     r = residual(p, inj, np.linspace(0.0, 2.0, 161))
     assert np.max(np.abs(r)) <= 1e-7
 
@@ -471,9 +470,9 @@ def test_lagrange_weights_on_an_array_are_the_scalar_products_bit_for_bit(nodes)
 
 def _random_solution(c, n_intervals=10, seed=7):
     # random nodal values: what is under test is the evaluation, not the solve
-    nodes = CollocationConfig(c=c).tau_nodes()
-    values = np.random.default_rng(seed).standard_normal((n_intervals, nodes.size, 2))
-    return PiecewiseSolution(t_start=1.0, h=0.05, c=c, tau_nodes=nodes, nodal_values=values)
+    n_nodes = collocation._tau_nodes(c).size
+    values = np.random.default_rng(seed).standard_normal((n_intervals, n_nodes, 2))
+    return PiecewiseSolution(t_start=1.0, h=0.05, c=c, nodal_values=values)
 
 
 @pytest.mark.parametrize("c", [(0.0, 0.7, 0.9), (0.3, 0.8), (0.0, 0.5, 1.0)],
@@ -514,14 +513,48 @@ def test_an_empty_solution_refuses_a_float_call():
     assert sol(np.array([])).shape == (0, 2)
 
 
-@pytest.mark.parametrize("t_start, h", [(0.0, 0.0), (0.0, np.inf), (0.0, -0.1), (0.0, np.nan),
-                                        (np.inf, 0.1), (np.nan, 0.1)],
-                         ids=["h-zero", "h-inf", "h-negative", "h-nan", "t-start-inf",
-                              "t-start-nan"])
-def test_solution_refuses_a_step_or_start_it_cannot_evaluate(t_start, h):
+def test_residual_of_an_empty_solution_is_refused_as_the_solution_is():
+    # κ = −exp(50y) blows up in the first interval, so the solve keeps none
+    p = SemiNonlinearIAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+                         kappa=lambda t, s, y: -np.exp(50.0 * y),
+                         f=lambda t: np.array([0.5]), r=1, T=1.0)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.5))
+    assert sol.n_intervals == 0 and diag["failure"]["step"] == 0
+    with pytest.raises(InvalidInputError, match="empty solution"):
+        residual(p, sol, [0.0])
+
+
+@pytest.mark.parametrize("t_start, h, c", [
+    (0.0, 0.0, (0.0,)), (0.0, np.inf, (0.0,)), (0.0, -0.1, (0.0,)), (0.0, np.nan, (0.0,)),
+    (np.inf, 0.1, (0.0,)), (np.nan, 0.1, (0.0,)),
+    (0.0, 0.1, ()), (0.0, 0.1, (0.5, 0.2)), (0.0, 0.1, (0.0, np.nan)), (0.0, 0.1, (0.5, 1.5)),
+    (0.0, 0.1, (-0.5, 0.5)),
+], ids=["h-zero", "h-inf", "h-negative", "h-nan", "t-start-inf", "t-start-nan",
+        "c-empty", "c-decreasing", "c-nan", "c-above-1", "c-below-0"])
+def test_solution_refuses_a_step_or_start_it_cannot_evaluate(t_start, h, c):
     with pytest.raises(InvalidInputError):
-        PiecewiseSolution(t_start=t_start, h=h, c=(0.0,), tau_nodes=(0.0, 1.0),
-                          nodal_values=np.zeros((2, 2, 1)))
+        PiecewiseSolution(t_start=t_start, h=h, c=c, nodal_values=np.zeros((2, 2, 1)))
+
+
+@pytest.mark.parametrize("c, nodes", [
+    ((0.0, 0.7, 0.9), (0.0, 0.7, 0.9, 1.0)),
+    ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)),
+    ((0.3, 0.8), (0.0, 0.3, 0.8)),
+], ids=["starts-at-0", "ends-at-1", "starts-above-0"])
+def test_a_solution_takes_its_nodes_from_c_as_the_solver_does(c, nodes, monkeypatch):
+    seen = []
+    build = collocation._build_scheme
+
+    def spy(c, h):
+        sch = build(c, h)
+        seen.append(sch.nodes)
+        return sch
+
+    monkeypatch.setattr(collocation, "_build_scheme", spy)
+    sol, _ = solve_iae(example("ex34"), CollocationConfig(c=c, h=0.05, newton_tol=1e-10),
+                       interval=(1.0, 1.1))
+    assert sol.n_intervals == 2
+    assert seen[0].tolist() == sol.tau_nodes.tolist() == list(nodes)
 
 
 @pytest.mark.parametrize("c", [(0.0, 0.7, 0.9), (0.3, 0.8)], ids=["c0-node-1", "no-node-1"])

@@ -53,8 +53,7 @@ def test_coefficient_and_trajectory_share_one_span():
 
 def _span_sites(lo: float, width: float):
     """Every function of time, each on the span [lo, lo + width] as float arithmetic gives it."""
-    sol = PiecewiseSolution(t_start=lo, h=width, c=[0.0], tau_nodes=[0.0, 1.0],
-                            nodal_values=np.zeros((1, 2, 1)))
+    sol = PiecewiseSolution(t_start=lo, h=width, c=[0.0], nodal_values=np.zeros((1, 2, 1)))
     hi = sol.t_end
     f = MatrixFunction(lambda t: np.array([[t]]), domain=(lo, hi))
     bdf = SolveResult(times=np.array([lo, hi]), values=np.zeros((2, 1)), newton_iters=[],

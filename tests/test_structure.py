@@ -12,6 +12,7 @@ from daekit import (
     ExtrapolationError,
     InvalidInputError,
     MatrixFunction,
+    PiecewiseSolution,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
     TrajectorySample,
@@ -327,12 +328,16 @@ def test_detect_critical_points_finds_cosine_zero():
     assert abs(t_crit - HALF_PI) <= 1e-6
 
 
-def test_detect_critical_points_unrefined_stays_on_grid():
-    p = example("ex32")
-    crits = detect_critical_points(exact_traj(p, 1.0, 2.0),
-                                   p.critical_conditions, refine=False)
-    assert len(crits) == 1
-    assert abs(crits[0][0] - HALF_PI) <= 5e-3
+@pytest.mark.parametrize("call", [
+    lambda: detect_critical_points(exact_traj(example("ex32"), 1.0, 2.0),
+                                   example("ex32").critical_conditions, refine=False),
+    lambda: PiecewiseSolution(t_start=0.0, h=0.5, c=(0.0,), tau_nodes=(0.0, 1.0),
+                              nodal_values=np.zeros((2, 2, 1))),
+], ids=["detect_critical_points-refine", "PiecewiseSolution-tau_nodes"])
+def test_inputs_the_code_derives_are_not_parameters(call):
+    # a sign change is always bisected, and a solution's nodes follow from its c
+    with pytest.raises(TypeError, match="refine|tau_nodes"):
+        call()
 
 
 def test_detect_critical_points_constant_condition_is_empty():
