@@ -67,7 +67,8 @@ class SolveResult(Trajectory):
     ``failure`` is None on a complete run; otherwise a record of where and
     why stepping stopped (times/values then cover only the solved span).
     As a :class:`~daekit.problems.Trajectory` on the span of its accepted
-    times it gives the natural cubic spline through the accepted points.
+    times it gives the natural cubic spline through the accepted points,
+    or the one accepted value of a solve that stopped at its first step.
     """
 
     times: np.ndarray
@@ -79,7 +80,7 @@ class SolveResult(Trajectory):
     config: DaeSolveConfig
     initial_defect: float = 0.0
     # the spline's second derivatives at the accepted points, set on first use
-    _spline: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _spline: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -89,7 +90,7 @@ class SolveResult(Trajectory):
         """The spline's values and first derivatives at times t inside the span."""
         x, y = self.times, self.values
         if x.size < 2:
-            raise InvalidInputError("need at least two accepted points")
+            raise InvalidInputError("need at least two accepted points for a slope")
         m = self._spline
         if m is None:
             # second derivatives m, zero at the ends, from the tridiagonal system
@@ -115,6 +116,8 @@ class SolveResult(Trajectory):
         return value, slope
 
     def _at(self, t: np.ndarray) -> np.ndarray:
+        if self.times.size == 1:
+            return np.repeat(self.values, t.size, axis=0)
         return self._spline_at(t)[0]
 
     def to_dict(self) -> dict:
@@ -268,10 +271,11 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
 
     The solution derivative comes from differentiating the cubic spline
     through the accepted points, so even an exact trajectory shows the
-    interpolation-differentiation floor rather than zero.
+    interpolation-differentiation floor rather than zero.  A solution of
+    one accepted point has no slope and raises InvalidInputError.
     """
     lo, hi = sol.span
-    probe_grid = np.clip(probe_points(probe_grid, lo, hi), lo, hi)
+    probe_grid = probe_points(probe_grid, lo, hi)
     values, slopes = sol._spline_at(probe_grid)
     out = np.empty(probe_grid.size)
     for i, t in enumerate(probe_grid.tolist()):

@@ -16,9 +16,9 @@ one update rule, g_{i+1} = d/dt[V_i g_i] + g_i, applied in one place
 (:func:`_lift`).
 
 Derivatives fall back to 4th-order finite differences.  Each nesting level
-divides roundoff by the step (1e-4 by default), so roughly four digits are
-lost per level; chains past level 4 need analytic derivatives to be
-trustworthy, hence the default cap nu_max = 4.
+divides roundoff by the step (1e-4), so roughly four digits are lost per
+level; chains past level 4 need analytic derivatives to be trustworthy,
+hence the cap ``NU_MAX = 4``.
 
 The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
 F_{i+1} are vectorized MatrixFunctions of a float t (and s) or of (n,)
@@ -78,6 +78,9 @@ Kernel = MatrixFunction | Callable[[float, float], np.ndarray]
 QUAD_TOL = 1e-12
 # the largest compatibility defect consistency_check passes
 CONSISTENCY_TOL = 1e-6
+# the highest level rank_degree_index builds: finite differences nested
+# deeper than this leave no trustworthy digits
+NU_MAX = 4
 
 
 def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -177,14 +180,13 @@ class IndexReport:
         }
 
 
-def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None,
-                      nu_max: int = 4) -> IndexReport | list:
+def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | list:
     """Iterate the chain until A_ν is nonsingular everywhere on the grid.
 
     Singularity is tested as numerical rank deficiency (never via literal
     determinants, which underflow).  Any level whose rank varies across the
     grid aborts the chain with a non-constant-rank status; exceeding
-    ``nu_max`` levels reports that instead of guessing.
+    ``NU_MAX`` levels reports that instead of guessing.
 
     The grid (``check_grid``) defaults to 33 uniform points over A's domain.
     A level's grid values are built from those of the level below, A_{i+1}
@@ -199,8 +201,6 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None,
     is A_i(t)[..., j, :, :], or [..., 0, :, :] on an axis of size 1).
     Without the axis it returns one report: the S = 1 case.
     """
-    if nu_max < 1:
-        raise InvalidInputError("nu_max must be at least 1")
     grid = check_grid(np.linspace(*A.domain, 33) if grid is None else grid, 1)
 
     A_i, k_i = A, per_point(k, A.domain, "kernel")
@@ -211,7 +211,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None,
     n_samples = k_grid.shape[1] if stacked else 1
     levels: list = [[] for _ in range(n_samples)]
     reports: list = [None] * n_samples
-    for level in range(nu_max + 1):
+    for level in range(NU_MAX + 1):
         inv = semi_inverse(a_grid)
         shape = (grid.size, n_samples)
         ranks = np.broadcast_to(inv.rank.reshape(grid.size, -1), shape)
@@ -230,12 +230,12 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None,
                 reports[j] = IndexReport(level, levels[j], grid, ChainStatus("ok"))
         if all(rep is not None for rep in reports):
             break
-        if level < nu_max:
+        if level < NU_MAX:
             if k_grid is None:
                 k_grid = k_i(grid, grid)
             A_i, k_i = chain_step(A_i, k_i)
             a_grid, k_grid = a_grid + inv.projector @ k_grid, None
-    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", nu_max))
+    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", NU_MAX))
                if rep is None else rep for rep, lev in zip(reports, levels)]
     return reports if stacked else reports[0]
 

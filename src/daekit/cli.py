@@ -307,9 +307,7 @@ def _fig2():
     warn_ts = [w.t for w in sol.monitor_warnings]
     first_warn = min(warn_ts) if warn_ts else None
     warn_near = first_warn is not None and abs(first_warn - HALF_PI) <= 0.05
-    crits = []
-    if times.size >= 2:
-        crits = [t for t, _ in detect_critical_points(sol, p.critical_conditions)]
+    crits = [t for t, _ in detect_critical_points(sol, p.critical_conditions)]
     breakdown = (not sol.success) or grew
     summary = {
         "problem": "ex32", "interval": list(interval), "h": 1e-3, "solver": "bdf1",

@@ -486,11 +486,10 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     kappa, _, _ = _kernel_of(p)
     sch = _build_scheme(sol.c, sol.h)
     lo, hi = sol.t_start, sol.t_end
-    probe_grid = probe_points(probe_grid, lo, hi)
+    t_probe = probe_points(probe_grid, lo, hi)
     history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)
     for n in range(sol.n_intervals):
         history.store(n, sol.nodal_values[n])
-    t_probe = np.minimum(np.maximum(probe_grid, lo), hi)
     n_probe = sol.interval_of(t_probe)
     t_n = lo + n_probe * sol.h
     # partial piece of the current interval, [t_n, t], at every probe

@@ -207,21 +207,21 @@ def check_grid(grid, min_size: int, what: str = "grid") -> np.ndarray:
     return grid
 
 
-def default_fd_step(t):
-    """Default step for 4th-order differentiation stencils at ``t`` (a time or an array)."""
-    return 1e-4 * np.maximum(1.0, np.abs(t))
+# the step of fd_derivative's stencils at t is FD_STEP·max(1, |t|)
+FD_STEP = 1e-4
 
 
-def fd_derivative(fn: Callable, t, step: Optional[float] = None,
-                  lo: float = -np.inf, hi: float = np.inf, args: tuple = ()) -> np.ndarray:
+def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
+                  args: tuple = ()) -> np.ndarray:
     """4th-order finite-difference derivative of an array-valued function of t.
 
-    t must lie in [lo, hi] (:func:`check_span`).  Uses the central 5-point
-    stencil where the domain allows, one-sided 4th-order stencils near
-    ``lo``/``hi``; the step shrinks to a quarter of the domain if the
-    domain is too narrow for the stencil, and a t that still fits no
-    stencil takes the one-sided one toward the farther end, with step a
-    quarter of the distance to it.  ``fn`` is called as ``fn(tau, *args)``.
+    t must lie in [lo, hi] (:func:`check_span`), and the step at t is
+    ``FD_STEP``·max(1, |t|).  Uses the central 5-point stencil where the
+    domain allows, one-sided 4th-order stencils near ``lo``/``hi``; the
+    step shrinks to a quarter of the domain if the domain is too narrow
+    for the stencil, and a t that still fits no stencil takes the
+    one-sided one toward the farther end, with step a quarter of the
+    distance to it.  ``fn`` is called as ``fn(tau, *args)``.
 
     For a float ``t``, ``fn`` is called once per stencil point.  For an
     (n,) array ``t``, it is called once, on the (m,) array of every stencil
@@ -233,9 +233,7 @@ def fd_derivative(fn: Callable, t, step: Optional[float] = None,
     ts = check_span(t, lo, hi, "the function differenced")
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts)
-    steps = default_fd_step(ts) if step is None else np.full(ts.shape, float(step))
-    if np.any(steps <= 0):
-        raise InvalidInputError("step must be positive")
+    steps = FD_STEP * np.maximum(1.0, np.abs(ts))
 
     width = hi - lo
     if np.isfinite(width):

@@ -40,6 +40,13 @@ def _require(data: dict, key: str, path):
     return data[key]
 
 
+def _number(value, what, path) -> float:
+    # a JSON true/false is no number, as in compile_expression
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFileError(f"{path}: {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _compile_matrix(entries, variables, what, path):
     if not isinstance(entries, list) or not entries or \
             not all(isinstance(row, list) for row in entries):
@@ -86,8 +93,8 @@ def load_problem(path):
     kind = _require(data, "kind", path)
     if kind not in _KINDS:
         raise ProblemFileError(f"{path}: kind must be one of {', '.join(_KINDS)}")
-    t_start = float(_require(data, "t_start", path))
-    t_end = float(_require(data, "T", path))
+    t_start = _number(_require(data, "t_start", path), "t_start", path)
+    t_end = _number(_require(data, "T", path), "T", path)
     if not t_end > t_start:
         raise ProblemFileError(f"{path}: need T > t_start")
     name = data.get("name", path.stem)
@@ -97,23 +104,22 @@ def load_problem(path):
     y_vars = tuple(f"y{i+1}" for i in range(r))
     f_fn = _compile_vector(_require(data, "f", path), ("t",), "f", r, path)
 
-    y0 = None
-    if data.get("y0") is not None:
-        y0 = np.asarray(data["y0"], dtype=float)
-        if y0.shape != (r,):
-            raise ProblemFileError(f"{path}: y0 must have {r} entries")
+    y0 = data.get("y0")
+    if y0 is not None:
+        if not isinstance(y0, list) or len(y0) != r:
+            raise ProblemFileError(f"{path}: y0 must be a list of {r} numbers")
+        y0 = np.array([_number(v, "y0", path) for v in y0])
 
     exact = None
     if data.get("exact") is not None:
         exact = _compile_vector(data["exact"], ("t",), "exact", r, path)
 
-    conditions = ()
-    if data.get("critical_conditions"):
-        compiled = [compile_expression(e, ("t",) + y_vars)
-                    for e in data["critical_conditions"]]
-        conditions = tuple(
-            (lambda t, y, fn=fn: float(fn(t, *np.asarray(y, dtype=float))))
-            for fn in compiled)
+    entries = data.get("critical_conditions") or []
+    if not isinstance(entries, list):
+        raise ProblemFileError(f"{path}: critical_conditions must be a list")
+    compiled = [compile_expression(e, ("t",) + y_vars) for e in entries]
+    conditions = tuple((lambda t, y, fn=fn: float(fn(t, *np.asarray(y, dtype=float))))
+                       for fn in compiled)
 
     if kind == "linear-iae":
         k_eval, rk = _compile_matrix(_require(data, "k", path), ("t", "s"), "k", path)

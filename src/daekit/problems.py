@@ -129,11 +129,12 @@ def mesh_steps(a: float, b: float, h: float) -> int:
 
 
 def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
-    """The probe grid as a non-empty array inside the solved span [lo, hi] (``check_span``)."""
+    """The probe grid as a non-empty array inside the solved span [lo, hi]
+    (``check_span``), each probe clamped to [lo, hi]."""
     probe_grid = check_span(probe_grid, lo, hi, "the solution (probe grid)", InvalidInputError)
     if probe_grid.size == 0:
         raise InvalidInputError("probe grid must be non-empty")
-    return probe_grid
+    return np.clip(probe_grid, lo, hi)
 
 
 class Trajectory:
@@ -186,8 +187,16 @@ class TrajectorySample(Trajectory):
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
+class _OnInterval:
+    """A problem's working interval [t_start, T], the one rule of its four classes."""
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        return (self.t_start, self.T)
+
+
 @dataclass
-class LinearIAE:
+class LinearIAE(_OnInterval):
     """A(t) y(t) + ∫_{t_start}^t k(t,s) y(s) ds = f(t)."""
 
     A: MatrixFunction
@@ -199,13 +208,9 @@ class LinearIAE:
     name: str = ""
     exact: Optional[Callable[[float], np.ndarray]] = None
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.t_start, self.T)
-
 
 @dataclass
-class LinearDAE:
+class LinearDAE(_OnInterval):
     """A(t) y'(t) + B(t) y(t) = f(t), y(t_start) = y0."""
 
     A: MatrixFunction
@@ -218,13 +223,9 @@ class LinearDAE:
     name: str = ""
     exact: Optional[Callable[[float], np.ndarray]] = None
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.t_start, self.T)
-
 
 @dataclass
-class SemiNonlinearIAE:
+class SemiNonlinearIAE(_OnInterval):
     """A(t) y(t) + ∫_{t_start}^t κ(t,s,y(s)) ds = f(t).
 
     κ is vectorised over quadrature points: ``kappa(t, s, y)`` with t and s
@@ -253,10 +254,6 @@ class SemiNonlinearIAE:
     critical_conditions: Sequence[Callable[[float, np.ndarray], float]] = field(default_factory=tuple)
     name: str = ""
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.t_start, self.T)
-
     def kappa_jacobian(self, t, s, y: np.ndarray) -> np.ndarray:
         """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r) at scalars
         and y (r,); (r, r, M) at t, s (M,) and y (r, M) if κ_y (or κ) takes
@@ -267,7 +264,7 @@ class SemiNonlinearIAE:
 
 
 @dataclass
-class SemiNonlinearDAE:
+class SemiNonlinearDAE(_OnInterval):
     """A(t) y'(t) + F(t, y(t)) = f(t), y(t_start) = y0."""
 
     A: MatrixFunction
@@ -283,10 +280,6 @@ class SemiNonlinearDAE:
     critical_conditions: Sequence[Callable[[float, np.ndarray], float]] = field(default_factory=tuple)
     name: str = ""
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.t_start, self.T)
-
     def jacobian(self, t, y: np.ndarray) -> np.ndarray:
         """∂F/∂y (F_y, else differences of F) in one call: (r, r) at a float t
         and y (r,); (r, r, M) at t (M,) and y (r, M) if F_y (or F) takes the
@@ -295,16 +288,12 @@ class SemiNonlinearDAE:
             return np.asarray(self.F_y(t, y), dtype=float)
         return fd_jacobian(self.F, t, y)
 
-    def consistency_defect(self, t: Optional[float] = None, y: Optional[np.ndarray] = None) -> float:
+    def consistency_defect(self, t: float, y: np.ndarray) -> float:
         """Norm of the algebraic rows of the equation at (t, y).
 
         The projector V of A(t) extracts the rows in which y' does not
         appear; a consistent initial value drives them to zero.
         """
-        t = self.t_start if t is None else t
-        y = self.y0 if y is None else y
-        if y is None:
-            raise InvalidInputError("no initial value to check")
         v = semi_inverse(self.A(t)).projector
         return norm2(v @ (_vec(self.F(t, _vec(y, self.r))) - _vec(self.f(t))))
 

@@ -65,8 +65,8 @@ WINDOW_POINTS = 9
 TIME_TOL = 1e-6
 # |g| below this at a knot time counts as a touch of a critical condition
 VALUE_TOL = 1e-8
-# the highest chain level a pointwise index may reach, rank_degree_index's cap
-NU_MAX = 4
+# the η's drawn from the eps-ball around each grid point of classify
+N_PERTURB = 8
 # a determinant counts as negative or positive only beyond this many times
 # the largest |det| compared (at least 1)
 DET_FLOOR = 1e-12
@@ -106,8 +106,7 @@ def _window(p, traj: Trajectory, t: float):
     return lo, hi
 
 
-def frozen_index_report(p, eta, t: float, traj: Trajectory,
-                        nu_max: int = NU_MAX) -> IndexReport | list:
+def frozen_index_report(p, eta, t: float, traj: Trajectory) -> IndexReport | list:
     """Chain report for the linearization frozen at ``eta``, on a window around t.
 
     An (S, r) stack of η's gives the list of S reports from one chain with
@@ -123,7 +122,7 @@ def frozen_index_report(p, eta, t: float, traj: Trajectory,
     if eta.ndim == 2:
         a_loc = MatrixFunction(eval=lambda ts, a=a_loc: a(ts)[:, None],
                                domain=(lo, hi), vectorized=True)
-    return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid, nu_max=nu_max)
+    return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid)
 
 
 def pointwise_index(p, traj: Trajectory, t: float, full_output: bool = False):
@@ -230,7 +229,7 @@ class IndexProfile:
     classification: str
     critical_points: list
     neighborhood_eps: float
-    samples_per_point: int
+    samples_per_point: int = N_PERTURB
     nu: Optional[int] = None
     window: float = WINDOW
     seed: int = 0
@@ -251,23 +250,22 @@ def _ball_sample(rng: np.random.Generator, center: np.ndarray, eps: float) -> np
     return center + radius * direction / norm
 
 
-def _sign_flip(values) -> bool:
-    vals = np.asarray(values, dtype=float)
-    scale = np.max(np.abs(vals)) if vals.size else 0.0
-    if scale == 0.0:
-        return False
-    floor = DET_FLOOR * max(1.0, scale)
-    return bool(np.min(vals) < -floor and np.max(vals) > floor)
+def _det_signs(dets) -> np.ndarray:
+    """The sign of each determinant, 0 unless beyond ``DET_FLOOR`` times
+    max(1, the largest |det| compared): classify's one sign test."""
+    dets = np.asarray(dets, dtype=float)
+    floor = DET_FLOOR * max(1.0, float(np.max(np.abs(dets))))
+    return np.sign(dets) * (np.abs(dets) > floor)
 
 
 def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
-             n_perturb: int = 8, grid=None, seed: int = 0) -> IndexProfile:
+             grid=None, seed: int = 0) -> IndexProfile:
     """Structure/form classification of a semi-nonlinear problem along ``traj``.
 
     ``traj`` is any :class:`~daekit.problems.Trajectory`, a solve's result
     included; by default ``p.exact`` (else y ≡ 0) sampled on the grid's span.
     For each grid point the pointwise index is computed at the trajectory
-    and at ``n_perturb`` uniform draws from the eps-ball around it; the
+    and at ``N_PERTURB`` uniform draws from the eps-ball around it; the
     evidence listed in the module docstring decides well vs free structure.
     Critical points along the trajectory come from declared conditions,
     from sign changes of the final chain determinant, and (fallback) from
@@ -280,8 +278,8 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     """
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError("classification applies to semi-nonlinear problems")
-    if not 0 < eps < np.inf or n_perturb < 0:
-        raise InvalidInputError("eps must be finite and positive and n_perturb non-negative")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be finite and positive")
 
     a0, b0 = p.interval
     grid = check_grid(np.linspace(a0, b0, 21) if grid is None else grid, 2)
@@ -320,17 +318,16 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     for t, (_, centre_rep) in zip(grid, centre):
         t = float(t)
         center = np.asarray(traj(t), dtype=float)
-        etas = [_ball_sample(rng, center, eps) for _ in range(n_perturb)]
-        dets = list(_final_det([centre_rep], nu_ref, t))
-        if etas:
-            reps = frozen_index_report(p, etas, t, traj)
-            if any(rep.nu != nu_ref for rep in reps):
-                nu_flip = True
-            dets.extend(_final_det(reps, nu_ref, t))
+        etas = [_ball_sample(rng, center, eps) for _ in range(N_PERTURB)]
+        reps = frozen_index_report(p, etas, t, traj)
+        if any(rep.nu != nu_ref for rep in reps):
+            nu_flip = True
+        signs = _det_signs(np.concatenate([_final_det([centre_rep], nu_ref, t),
+                                           _final_det(reps, nu_ref, t)]))
+        if signs.min() < 0.0 < signs.max():
+            det_flip = True
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
                       for eta in [center, *etas]]
-        if _sign_flip(dets):
-            det_flip = True
         for ci in range(len(conditions)):
             col = [row[ci] for row in cond_signs if row[ci] != 0.0]
             if col and (min(col) < 0.0 < max(col)):
@@ -351,12 +348,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
         crit.extend(t for t, _ in detect_critical_points(traj, conditions, interval=(a, b)))
     a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref)
     traj_dets = np.linalg.det(a_ref(grid))
-    floor = DET_FLOOR * max(1.0, float(np.max(np.abs(traj_dets))))
-    for j in range(grid.size - 1):
-        d0, d1 = traj_dets[j], traj_dets[j + 1]
-        if (d0 < -floor and d1 > floor) or (d0 > floor and d1 < -floor):
-            crit.append(_bisect_zero(lambda tt: float(np.linalg.det(a_ref(tt))),
-                                     float(grid[j]), float(grid[j + 1]), d0))
+    signs = _det_signs(traj_dets)
+    for j in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+        crit.append(_bisect_zero(lambda tt: float(np.linalg.det(a_ref(tt))),
+                                 float(grid[j]), float(grid[j + 1]), traj_dets[j]))
     # fallback: bisect jumps of the pointwise index itself
     for j in range(grid.size - 1):
         n0, n1 = nu_at[j], nu_at[j + 1]
@@ -383,6 +378,5 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
 
     return IndexProfile(times=list(map(float, grid)), nu_at=nu_at,
                         classification=classification, critical_points=crit,
-                        neighborhood_eps=eps, samples_per_point=n_perturb,
-                        nu=nu_ref, seed=seed,
+                        neighborhood_eps=eps, nu=nu_ref, seed=seed,
                         undefined_fraction=undefined_fraction, evidence=evidence)

@@ -16,7 +16,7 @@ from daekit import (
     example,
     solve_dae,
 )
-from daekit.bdf import MAX_HALVINGS, NEWTON_TOL
+from daekit.bdf import MAX_HALVINGS, NEWTON_TOL, WARN_THRESHOLD
 from daekit.linalg import NEWTON_MAX_ITER
 from daekit.problems import mesh_steps
 from helpers import reference_newton
@@ -200,6 +200,28 @@ def test_error_blows_up_where_the_monitor_warned(crossing_run):
         p, sol, np.linspace(1.55, sol.times[-1] - 1e-9, 40)))
     assert late / early >= 100.0
     assert min(w.t for w in sol.monitor_warnings) <= HALF_PI + 0.01
+
+
+def test_the_monitor_warns_at_the_start_point():
+    # ex32's condition y1 = 0 holds at π/2, 8e-5 after the start
+    sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-4), interval=(1.5707, 1.6))
+    first = sol.monitor_warnings[0]
+    assert (first.t, first.condition) == (1.5707, 0)
+    assert abs(first.value) < WARN_THRESHOLD
+
+
+def test_a_solve_that_stops_at_its_first_step_is_a_one_point_trajectory():
+    # y' = exp(60y) from y(0) = 0 blows up at t = 1/60: no step is accepted
+    p = SemiNonlinearDAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+                         F=lambda t, y: -np.exp(60.0 * y), f=lambda t: np.zeros(1),
+                         r=1, T=1.0, y0=np.zeros(1))
+    sol = solve_dae(p, DaeSolveConfig(h=0.5))
+    assert sol.failure["step"] == 0 and sol.times.tolist() == [0.0]
+    assert sol(0.0).tolist() == [0.0]
+    assert sol(np.zeros(3)).tolist() == [[0.0]] * 3
+    # the residual needs the slope that one point does not give
+    with pytest.raises(InvalidInputError, match="two accepted points"):
+        dae_residual(p, sol, [0.0])
 
 
 def test_unstable_interval_truncates_with_failure_record():

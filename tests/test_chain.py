@@ -179,8 +179,6 @@ def test_grid_validation():
         rank_degree_index(a, k, grid=np.array([]))
     with pytest.raises(InvalidInputError):
         rank_degree_index(a, k, grid=np.array([0.5, 0.2]))
-    with pytest.raises(InvalidInputError):
-        rank_degree_index(a, k, nu_max=0)
 
 
 def test_chain_determinism():

@@ -143,6 +143,23 @@ def test_problem_file_errors(tmp_path, mutate, what):
         load_problem(write_problem(tmp_path, data))
 
 
+RELAX = {"kind": "dae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+         "F": ["y1 - y2", "y2 - sin(t)"], "f": [0, 0], "y0": [1, 0]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_start", "zero"), ("T", None), ("T", True), ("y0", ["a", 0]), ("y0", [True, 0]),
+    ("y0", 1), ("critical_conditions", 5),
+], ids=["t_start-string", "T-null", "T-boolean", "y0-string-entry", "y0-boolean-entry",
+        "y0-not-a-list", "critical_conditions-not-a-list"])
+def test_a_malformed_field_is_a_problem_file_error(tmp_path, capsys, field, value):
+    path = write_problem(tmp_path, {**RELAX, field: value})
+    with pytest.raises(ProblemFileError, match=field):
+        load_problem(path)
+    assert main(["solve-dae", "--problem", str(path), "--h", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith("problem file error: ")
+
+
 def test_problem_file_must_exist_and_be_json(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(tmp_path / "nope.json")
@@ -409,11 +426,7 @@ def test_solve_iae_wrong_problem_kind_exits_1(capsys):
 
 
 def test_solve_dae_from_problem_file(tmp_path):
-    data = {"kind": "dae", "t_start": 0.0, "T": 1.0,
-            "A": [[1, 0], [0, 0]],
-            "F": ["y1 - y2", "y2 - sin(t)"],
-            "f": [0, 0], "y0": [1, 0]}
-    path = write_problem(tmp_path, data, name="relax.json")
+    path = write_problem(tmp_path, RELAX, name="relax.json")
     stem = tmp_path / "relax-out"
     assert main(["solve-dae", "--problem", str(path), "--h", "0.01",
                  "--out", str(stem)]) == 0

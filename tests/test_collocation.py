@@ -524,6 +524,16 @@ def test_residual_of_an_empty_solution_is_refused_as_the_solution_is():
         residual(p, sol, [0.0])
 
 
+def test_start_data_that_violate_the_equation_at_a_are_a_warning():
+    # A = diag(1, 0) and f = (1, 1): no y gives A(0)y = f(0), and the
+    # least-squares start y = (1, 0) misses the second row by 1
+    p = LinearIAE(A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)),
+                  k=lambda t, s: np.eye(2), f=lambda t: np.ones(2), r=2, T=1.0)
+    _, diag = solve_iae(p, CollocationConfig(h=0.5))
+    assert diag["start_consistency"] == 1.0
+    assert diag["warnings"][-1] == "initial data violate A(a)y = f(a) by 1.000e+00"
+
+
 @pytest.mark.parametrize("t_start, h, c", [
     (0.0, 0.0, (0.0,)), (0.0, np.inf, (0.0,)), (0.0, -0.1, (0.0,)), (0.0, np.nan, (0.0,)),
     (np.inf, 0.1, (0.0,)), (np.nan, 0.1, (0.0,)),

@@ -208,7 +208,7 @@ def test_fd_derivative_inside_a_domain_too_narrow_for_a_stencil():
     assert _bits(got) == _bits([matfn_derivative(f, float(t))[0, 0] for t in ts])
     # the points that fit a stencil keep its step
     assert _bits(got[[0, 2, 4]]) == _bits(
-        fd_derivative(f.__call__, ts[[0, 2, 4]], step=2.5e-5, lo=0.0, hi=1e-4)[:, 0, 0])
+        fd_derivative(f.__call__, ts[[0, 2, 4]], lo=0.0, hi=1e-4)[:, 0, 0])
     with pytest.raises(DomainError):
         fd_derivative(lambda t: np.array([t]), 0.0, lo=0.0, hi=0.0)
 
@@ -286,8 +286,8 @@ def test_fd_derivative_on_an_array_is_the_loop_of_float_calls():
     assert _bits(got) == _bits(want)
     # extra arguments travel with their t, through every stencil kind
     ss = np.linspace(-1.0, 1.0, ts.size)
-    got = fd_derivative(_wiggle, ts, step=1e-3, lo=0.0, hi=1.0, args=(ss,))
-    want = [fd_derivative(_wiggle, t, step=1e-3, lo=0.0, hi=1.0, args=(s,))
+    got = fd_derivative(_wiggle, ts, lo=0.0, hi=1.0, args=(ss,))
+    want = [fd_derivative(_wiggle, t, lo=0.0, hi=1.0, args=(s,))
             for t, s in zip(ts, ss)]
     assert _bits(got) == _bits(want)
 
@@ -419,6 +419,7 @@ def _no_jacobian(x):
     (lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x), [1.0], 25, False, np.sqrt(2.0), 5),
     (lambda x: x - 1.0, lambda x: np.zeros((1, 1)), [0.5], 25, False, None, 1),
     (lambda x: np.array([np.inf]), _no_jacobian, [0.5], 25, False, None, 1),
+    (lambda x: x - 1.0, lambda x: np.array([[np.nan]]), [0.5], 25, False, None, 1),
     # affine: the first step is taken as the answer, converged or not
     (lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x), [1.0], 25, True, 1.5, 1),
     # x^2 + 1 has no real root: the iterates wander until max_iter
@@ -426,8 +427,8 @@ def _no_jacobian(x):
     # the first step lands near -5e159: finite, but ‖x‖ overflows, and
     # ‖δ‖ ≤ tol·(1 + ‖x‖) would then accept it whatever δ is
     (lambda x: x ** 2 + 1.0, lambda x: np.diag(2.0 * x), [1e-160], 25, False, None, 1),
-], ids=["sqrt2", "singular-jacobian", "non-finite-residual", "affine-one-step", "no-root",
-        "overflowing-iterate"])
+], ids=["sqrt2", "singular-jacobian", "non-finite-residual", "non-finite-jacobian",
+        "affine-one-step", "no-root", "overflowing-iterate"])
 def test_newton_outcomes(residual, jacobian, x0, max_iter, affine, want_x, want_iters):
     x, iters, res, jac = newton(residual, jacobian, x0, 1e-12, max_iter, affine=affine)
     _assert_same_newton((x, iters, res, jac),

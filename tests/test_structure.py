@@ -9,6 +9,7 @@ from daekit import (
     ClassificationUnreliableError,
     CollocationConfig,
     DaeSolveConfig,
+    DomainError,
     ExtrapolationError,
     InvalidInputError,
     MatrixFunction,
@@ -155,8 +156,12 @@ def test_pointwise_index_full_output_returns_its_report():
     assert rep.to_dict() == frozen_index_report(p, tr(1.5), 1.5, tr).to_dict()
 
 
-def _classify_ex34_counting_chain_steps(monkeypatch, n_perturb):
-    """classify(ex34) on 6 points, and the number of chain_step calls it made."""
+def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch):
+    # classify(ex34) on 6 points, where ν = 2 everywhere: two chain steps per
+    # centre report, two per point for the stacked chain of its 8 samples,
+    # whose A_2 also gives their 8 determinants (a chain per sample made it
+    # 110), and two for the chain along the trajectory; the centre
+    # determinant reuses the centre report's A_2 instead of building it again
     import daekit.chain
     import daekit.structure
 
@@ -169,25 +174,19 @@ def _classify_ex34_counting_chain_steps(monkeypatch, n_perturb):
 
     monkeypatch.setattr(daekit.chain, "chain_step", counted)
     monkeypatch.setattr(daekit.structure, "chain_step", counted)
-    prof = classify(example("ex34"), n_perturb=n_perturb, grid=np.linspace(1.0, 2.0, 6))
-    return prof, len(steps)
-
-
-def test_classify_builds_each_centre_chain_once(monkeypatch):
-    # ex34 has ν = 2 everywhere: two chain steps per centre report and two
-    # for the chain along the trajectory; the centre determinant reuses
-    # the report's A_2 instead of building it again
-    prof, steps = _classify_ex34_counting_chain_steps(monkeypatch, n_perturb=0)
+    prof = classify(example("ex34"), grid=np.linspace(1.0, 2.0, 6))
     assert prof.nu_at == [2] * 6
-    assert steps == 2 * 6 + 2
-
-
-def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch):
-    # the 8 samples of a point add one stacked chain of two steps, whose A_2
-    # also gives their 8 determinants (a chain per sample made it 110)
-    prof, steps = _classify_ex34_counting_chain_steps(monkeypatch, n_perturb=8)
+    assert prof.samples_per_point == 8
     assert prof.classification == "well-structure"
-    assert steps == 2 * 6 + 2 * 6 + 2
+    assert len(steps) == 2 * 6 + 2 * 6 + 2
+
+
+def test_a_window_inside_a_too_short_trajectory_is_refused():
+    # a trajectory on [1, 1 + 1e-9] leaves the window around t = 1 no width
+    p = example("ex34")
+    traj = TrajectorySample.from_function(p.exact, [1.0, 1.0 + 1e-9])
+    with pytest.raises(DomainError, match="degenerate"):
+        frozen_index_report(p, traj(1.0), 1.0, traj)
 
 
 def _ex32_crossing_inside_the_window():
@@ -209,15 +208,17 @@ def _ex32_crossing_inside_the_window():
     (_ex32_crossing_inside_the_window, 4, [0.0, 0.2],
      [(None, "non-constant-rank"), (1, "ok")]),
 ], ids=["nu-1-and-2", "exceeded-max-level", "non-constant-rank"])
-def test_stacked_report_equals_single_reports_near_the_critical_point(make, nu_max, eta1,
-                                                                     outcomes):
+def test_stacked_report_equals_single_reports_near_the_critical_point(monkeypatch, make, nu_max,
+                                                                     eta1, outcomes):
+    import daekit.chain
     import daekit.structure
 
+    monkeypatch.setattr(daekit.chain, "NU_MAX", nu_max)
     p = make()
     tr = exact_traj(p)
     etas = [np.array([e, HALF_PI]) for e in eta1]
-    reports = frozen_index_report(p, etas, HALF_PI, tr, nu_max=nu_max)
-    singles = [frozen_index_report(p, eta, HALF_PI, tr, nu_max=nu_max) for eta in etas]
+    reports = frozen_index_report(p, etas, HALF_PI, tr)
+    singles = [frozen_index_report(p, eta, HALF_PI, tr) for eta in etas]
     assert [(rep.nu, rep.status.kind) for rep in reports] == outcomes
     assert [float_bits(rep.to_dict()) for rep in reports] == \
         [float_bits(rep.to_dict()) for rep in singles]
@@ -535,5 +536,3 @@ def test_classify_validates_input():
     tr = exact_traj(p, 0.5, 1.0)
     with pytest.raises(InvalidInputError):
         classify(p, traj=tr, eps=0.0, grid=np.linspace(0.5, 1.0, 5), seed=0)
-    with pytest.raises(InvalidInputError):
-        classify(p, traj=tr, n_perturb=-1, grid=np.linspace(0.5, 1.0, 5), seed=0)
