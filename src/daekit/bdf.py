@@ -187,10 +187,10 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
 
     The initial value is the problem's y0 when the interval starts at
     t_start (``check_span``), otherwise the exact solution at a (recorded
-    in diagnostics); it must satisfy the algebraic rows.  Order 2 starts
-    with one BDF1 step and extrapolates the Newton guess from the two
-    previous points.  The interval must have a < b and lie in the
-    problem's (``check_span``).
+    in diagnostics); it must be finite and satisfy the algebraic rows.
+    Order 2 starts with one BDF1 step and extrapolates the Newton guess
+    from the two previous points.  The interval must have a < b and lie
+    in the problem's (``check_span``).
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
@@ -212,6 +212,8 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
         y0 = np.atleast_1d(np.asarray(p.exact(a), dtype=float))
     else:
         raise InvalidInputError("no initial value available at the interval start")
+    if not np.isfinite(y0).all():
+        raise InvalidInputError(f"non-finite initial value at t={a}: {y0}")
     defect = p.consistency_defect(a, y0)
     if defect > 1e-6 * (1.0 + norm2(p.f(a))):
         raise InvalidInputError(

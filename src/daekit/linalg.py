@@ -320,7 +320,17 @@ class MatrixFunction:
         def fixed(value: np.ndarray) -> Callable:
             value.flags.writeable = False
             one = value[None]       # a float t needs no broadcast
-            return lambda t: one if t.size == 1 else np.broadcast_to(value, t.shape + value.shape)
+
+            def at(t, *s):
+                if t.size == 1:
+                    return one
+                stack = np.broadcast_to(value, t.shape + value.shape)
+                # a kernel's s (t's shape) is ignored; its stack is a fresh
+                # array, as a per-point kernel's is, because einsum rounds
+                # differently over a zero-stride view
+                return stack.copy() if s else stack
+
+            return at
 
         return MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
                               name=name, vectorized=True)

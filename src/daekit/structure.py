@@ -26,14 +26,14 @@ there).  The determinant argument assumes the lower chain levels keep
 their rank between the compared points, which holds for the built-in
 problems.
 
-At each grid point the ball samples go through one
-:func:`frozen_index_report` call on their (S, r) stack of η's: one chain
-whose level values carry a sample axis, (n, S, r, r), gives every
-sample's ν; level 0 has a sample axis of size 1, as A does not depend
-on η.  The determinants of A_ν at t are read from the ``det`` the
-chain stored when t is a window node and every sample reached level ν,
-and otherwise come from its A_ν at t in one stacked ``det``.  The centre
-keeps its own chain through :func:`pointwise_index`.
+At each grid point the centre traj(t) and its ball samples go through
+one chain: :func:`pointwise_index` with ``ball`` makes one
+:func:`frozen_index_report` call on the (1 + S, r) stack of η's, and
+that chain, whose level values carry a sample axis, (n, 1 + S, r, r),
+gives every η's ν; level 0 has a sample axis of size 1, as A does not
+depend on η.  The determinants of A_ν at t are read from the ``det``
+the chain stored when t is a window node and every η reached level ν,
+and otherwise come from its A_ν at t in one stacked ``det``.
 """
 
 from __future__ import annotations
@@ -125,16 +125,19 @@ def frozen_index_report(p, eta, t: float, traj: Trajectory) -> IndexReport | lis
     return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid)
 
 
-def pointwise_index(p, traj: Trajectory, t: float, full_output: bool = False):
+def pointwise_index(p, traj: Trajectory, t: float, ball=None):
     """Index of the linearization frozen at traj(t), or None if the chain fails.
 
     None means the constant-rank hypothesis broke or the level cap was hit
     inside the window; at actual transitions that is expected evidence,
-    not an error.  With ``full_output`` the result is (ν, report), the
-    report being the :func:`frozen_index_report` that ν was read from.
+    not an error.  With ``ball``, an (S, r) stack of η's (S may be 0), the
+    result is (ν, reports): the :func:`frozen_index_report` list of
+    [traj(t), *ball] from one chain, ν read from reports[0].
     """
-    report = frozen_index_report(p, traj(t), t, traj)
-    return (report.nu, report) if full_output else report.nu
+    if ball is None:
+        return frozen_index_report(p, traj(t), t, traj).nu
+    reports = frozen_index_report(p, np.vstack([traj(t), *ball]), t, traj)
+    return reports[0].nu, reports
 
 
 def _blind_chain(A_i: MatrixFunction, k_i, steps: int) -> MatrixFunction:
@@ -265,8 +268,9 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     ``traj`` is any :class:`~daekit.problems.Trajectory`, a solve's result
     included; by default ``p.exact`` (else y ≡ 0) sampled on the grid's span.
     For each grid point the pointwise index is computed at the trajectory
-    and at ``N_PERTURB`` uniform draws from the eps-ball around it; the
-    evidence listed in the module docstring decides well vs free structure.
+    and at ``N_PERTURB`` uniform draws from the eps-ball around it, all in
+    one chain (:func:`pointwise_index` with ``ball``); the evidence listed
+    in the module docstring decides well vs free structure.
     Critical points along the trajectory come from declared conditions,
     from sign changes of the final chain determinant, and (fallback) from
     bisecting jumps of the pointwise index itself.  Dependent form holds
@@ -274,7 +278,8 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
 
     The grid (``check_grid``, default 21 points) must lie in the problem's
     interval and traj's span.  Raises ClassificationUnreliableError when the
-    pointwise index is undefined at more than 20% of the grid points.
+    pointwise index is undefined at more than 20% of the grid points, at
+    the first grid point that takes the count past 20%.
     """
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError("classification applies to semi-nonlinear problems")
@@ -294,14 +299,24 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
     check_span(grid, *traj.span, "the trajectory (grid)", InvalidInputError)
 
-    centre = [pointwise_index(p, traj, float(t), full_output=True) for t in grid]
-    nu_at = [nu for nu, _ in centre]
-    defined = [n for n in nu_at if n is not None]
-    undefined_fraction = 1.0 - len(defined) / len(nu_at)
-    if undefined_fraction > 0.2:
-        raise ClassificationUnreliableError(
-            f"pointwise index undefined at {undefined_fraction:.0%} of grid points")
+    # the ball samples are drawn point by point in grid order; the undefined
+    # fraction only grows, so the refusal comes at the first point past 20%
+    rng = np.random.default_rng(seed)
+    nu_at, points = [], []
+    for t in grid:
+        t = float(t)
+        center = np.asarray(traj(t), dtype=float)
+        etas = [_ball_sample(rng, center, eps) for _ in range(N_PERTURB)]
+        nu, reports = pointwise_index(p, traj, t, ball=etas)
+        nu_at.append(nu)
+        points.append((t, center, etas, reports))
+        undefined_fraction = 1.0 - (grid.size - nu_at.count(None)) / grid.size
+        if undefined_fraction > 0.2:
+            raise ClassificationUnreliableError(
+                f"pointwise index undefined at {nu_at.count(None)} of {grid.size} "
+                f"grid points by t={t:g}: over 20%")
 
+    defined = [n for n in nu_at if n is not None]
     counts = Counter(defined)
     top = max(counts.values())
     nu_ref = min(v for v, c in counts.items() if c == top)
@@ -313,17 +328,11 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
         evidence.append("pointwise index varies along the trajectory")
 
     conditions = tuple(getattr(p, "critical_conditions", ()) or ())
-    rng = np.random.default_rng(seed)
     nu_flip = det_flip = cond_flip = False
-    for t, (_, centre_rep) in zip(grid, centre):
-        t = float(t)
-        center = np.asarray(traj(t), dtype=float)
-        etas = [_ball_sample(rng, center, eps) for _ in range(N_PERTURB)]
-        reps = frozen_index_report(p, etas, t, traj)
-        if any(rep.nu != nu_ref for rep in reps):
+    for t, center, etas, reports in points:
+        if any(rep.nu != nu_ref for rep in reports[1:]):
             nu_flip = True
-        signs = _det_signs(np.concatenate([_final_det([centre_rep], nu_ref, t),
-                                           _final_det(reps, nu_ref, t)]))
+        signs = _det_signs(_final_det(reports, nu_ref, t))
         if signs.min() < 0.0 < signs.max():
             det_flip = True
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]

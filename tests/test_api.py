@@ -54,7 +54,7 @@ SIGNATURES = {
     "detect_critical_points": "traj, conditions, interval=",
     "frozen_index_report": "p, eta, t, traj",
     "linearize_iae": "p, traj",
-    "pointwise_index": "p, traj, t, full_output=",
+    "pointwise_index": "p, traj, t, ball=",
     "DaeSolveConfig": "h, order=",
     "DaeSolveConfig.validate": "",
     "MonitorWarning": "t, condition, value",

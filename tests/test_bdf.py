@@ -350,6 +350,21 @@ def test_inconsistent_initial_value_is_rejected():
         solve_dae(bad, DaeSolveConfig(h=1e-2))
 
 
+@pytest.mark.parametrize("source", ["y0", "exact"])
+def test_a_non_finite_initial_value_is_rejected(source):
+    # a NaN start value has a NaN consistency defect, which no threshold
+    # test refuses: the solve must refuse the value itself
+    p = example("ex32")
+    if source == "y0":
+        p.y0 = np.array([np.nan, 0.0])
+        interval = None
+    else:
+        p.exact = lambda t: np.array([0.0, np.inf])
+        interval = (0.5, 1.0)
+    with pytest.raises(InvalidInputError, match="non-finite initial value"):
+        solve_dae(p, DaeSolveConfig(h=0.25), interval=interval)
+
+
 def test_interval_must_fit_the_step():
     with pytest.raises(InvalidInputError):
         solve_dae(example("ex32"), DaeSolveConfig(h=0.3), interval=(0.5, 1.0))

@@ -160,6 +160,15 @@ def test_a_malformed_field_is_a_problem_file_error(tmp_path, capsys, field, valu
     assert capsys.readouterr().err.startswith("problem file error: ")
 
 
+def test_a_non_finite_y0_is_refused_with_exit_1(tmp_path, capsys):
+    # Python's json reads the NaN literal, and the loader takes any float
+    path = write_problem(tmp_path, {**RELAX, "y0": [float("nan"), 0]})
+    assert main(["solve-dae", "--problem", str(path), "--h", "0.25",
+                 "--out", str(tmp_path / "nan")]) == 1
+    assert "non-finite initial value" in capsys.readouterr().err
+    assert not list(tmp_path.glob("nan*"))
+
+
 def test_problem_file_must_exist_and_be_json(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(tmp_path / "nope.json")

@@ -14,18 +14,20 @@ from daekit import (
     DomainError,
     EvaluationError,
     InvalidInputError,
+    LinearIAE,
     MatrixFunction,
     example,
     fd_derivative,
     matfn_derivative,
     numerical_rank,
+    rank_degree_index,
     semi_inverse,
     solve_dae,
     solve_iae,
 )
 from daekit import bdf, collocation
 from daekit.linalg import newton, norm2, per_point, quadrature
-from helpers import random_fixed_rank, reference_newton
+from helpers import float_bits, random_fixed_rank, reference_newton
 
 
 def test_numerical_rank_zero_matrix():
@@ -391,6 +393,21 @@ def test_a_constant_keeps_its_own_copy_of_m():
     m[0, 0] = 7.0
     assert _bits(f(0.5)) == _bits([[2.0, 1.0], [0.0, 3.0]])
     assert _bits(f(np.array([0.5]))) == _bits([[[2.0, 1.0], [0.0, 3.0]]])
+
+
+def test_a_constant_kernel_is_the_kernel_of_its_value():
+    # k(t, s) = m as MatrixFunction.constant(m), which ignores s, and as a
+    # plain function of (t, s): the same collocation and the same chain
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0))
+    out = []
+    for k in (MatrixFunction.constant(m, domain=(0.0, 1.0)), lambda t, s: m):
+        p = LinearIAE(A=a, k=k, f=lambda t: np.array([np.sin(t), t]), r=2, T=1.0)
+        sol, diag = solve_iae(p, CollocationConfig(h=0.1))
+        assert diag["failure"] is None
+        out.append((_bits(sol.nodal_values), float_bits(rank_degree_index(a, k).to_dict())))
+    assert out[0][1]["nu"] == 2
+    assert out[0] == out[1]
 
 
 def test_per_point_wraps_a_plain_callable_and_keeps_a_matrix_function():

@@ -148,37 +148,74 @@ def test_frozen_report_carries_chain_details():
     assert [lev.rank for lev in rep.levels] == [1, 1, 2]
 
 
-def test_pointwise_index_full_output_returns_its_report():
-    p = example("ex34")
-    tr = exact_traj(p)
-    nu, rep = pointwise_index(p, tr, 1.5, full_output=True)
-    assert nu == rep.nu == pointwise_index(p, tr, 1.5) == 2
-    assert rep.to_dict() == frozen_index_report(p, tr(1.5), 1.5, tr).to_dict()
+def test_pointwise_index_with_a_ball_runs_the_centre_in_the_ball_chain():
+    # traj(t) is sample 0 of one chain with the ball's η's: each report
+    # equals its single-η report, and an empty ball gives the centre's alone
+    p = example("ex32")
+    tr = traj_through(p, 1.0, 2.0, t_extra=HALF_PI)
+    centre = tr(HALF_PI)
+    ball = centre + np.array([[0.2, 0.0], [-0.3, 0.1], [0.0, -0.2]])
+    nu, reports = pointwise_index(p, tr, HALF_PI, ball=ball)
+    single = [frozen_index_report(p, eta, HALF_PI, tr) for eta in [centre, *ball]]
+    assert nu == reports[0].nu == pointwise_index(p, tr, HALF_PI) == 2
+    assert [rep.nu for rep in reports] == [2, 1, 1, 2]
+    assert [float_bits(rep.to_dict()) for rep in reports] == \
+        [float_bits(rep.to_dict()) for rep in single]
+    nu, reports = pointwise_index(p, tr, HALF_PI, ball=np.empty((0, p.r)))
+    assert nu == 2
+    assert [float_bits(rep.to_dict()) for rep in reports] == [float_bits(single[0].to_dict())]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch):
     # classify(ex34) on 6 points, where ν = 2 everywhere: two chain steps per
-    # centre report, two per point for the stacked chain of its 8 samples,
-    # whose A_2 also gives their 8 determinants (a chain per sample made it
-    # 110), and two for the chain along the trajectory; the centre
-    # determinant reuses the centre report's A_2 instead of building it again
+    # point for the one chain of its centre and 8 samples, whose A_2 also
+    # gives their 9 determinants (a chain per sample made it 110, a centre
+    # chain apart from the samples' 26), and two for the chain along the
+    # trajectory; each point's ν comes from one pointwise_index call
     import daekit.chain
     import daekit.structure
 
-    steps = []
-    original = daekit.chain.chain_step
-
-    def counted(*args, **kwargs):
-        steps.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(daekit.chain, "chain_step", counted)
-    monkeypatch.setattr(daekit.structure, "chain_step", counted)
+    calls = []
+    for module, name in [(daekit.chain, "chain_step"), (daekit.structure, "chain_step"),
+                         (daekit.structure, "pointwise_index"),
+                         (daekit.structure, "frozen_index_report"),
+                         (daekit.structure, "rank_degree_index")]:
+        _count_calls(monkeypatch, module, name, calls)
     prof = classify(example("ex34"), grid=np.linspace(1.0, 2.0, 6))
     assert prof.nu_at == [2] * 6
     assert prof.samples_per_point == 8
     assert prof.classification == "well-structure"
-    assert len(steps) == 2 * 6 + 2 * 6 + 2
+    assert calls.count("chain_step") == 2 * 6 + 2
+    assert calls.count("pointwise_index") == 6
+    assert calls.count("frozen_index_report") == 6
+    assert calls.count("rank_degree_index") == 6
+
+
+def test_classify_refuses_at_the_first_point_past_20_percent_undefined(monkeypatch):
+    # ν is undefined everywhere for A = 0 and F_y = 0: the refusal is sure
+    # once 5 of the 21 grid points are undefined, so no chain runs after that
+    import daekit.structure
+
+    bad = SemiNonlinearDAE(
+        A=MatrixFunction.constant(np.zeros((2, 2)), domain=(0.0, 1.0)),
+        F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=1.0, t_start=0.0,
+        F_y=lambda t, y: np.zeros((2, 2)))
+    flat = TrajectorySample(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
+    calls = []
+    _count_calls(monkeypatch, daekit.structure, "rank_degree_index", calls)
+    with pytest.raises(ClassificationUnreliableError, match="5 of 21 grid points by t=0.2"):
+        classify(bad, traj=flat)
+    assert len(calls) <= int(0.2 * 21) + 1
 
 
 def test_a_window_inside_a_too_short_trajectory_is_refused():
