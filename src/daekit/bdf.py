@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
-from .linalg import NEWTON_MAX_ITER, check_span, newton, norm2
-from .problems import SemiNonlinearDAE, Trajectory, mesh_steps, probe_points
+from .errors import InvalidInputError
+from .linalg import NEWTON_MAX_ITER, newton, norm2
+from .problems import SemiNonlinearDAE, Trajectory, probe_points, solve_span, start_value
 
 
 WARN_THRESHOLD = 1e-2
@@ -185,35 +185,19 @@ def _halved(p, t_n, y_n, h, records, step_index):
 def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveResult:
     """March A(t)y′ + F(t,y) = f from a to b on the fixed mesh a + n·h.
 
-    The initial value is the problem's y0 when the interval starts at
-    t_start (``check_span``), otherwise the exact solution at a (recorded
-    in diagnostics); it must be finite and satisfy the algebraic rows.
+    The interval and the initial value come from ``solve_span`` and
+    ``start_value`` (:mod:`~daekit.problems`): y0 at t_start, else the
+    exact solution at a; the value must satisfy the algebraic rows.
     Order 2 starts with one BDF1 step and extrapolates the Newton guess
-    from the two previous points.  The interval must have a < b and lie
-    in the problem's (``check_span``).
+    from the two previous points.
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
         raise InvalidInputError("solve_dae expects a SemiNonlinearDAE")
-    a, b = p.interval if interval is None else (float(interval[0]), float(interval[1]))
-    check_span((a, b), *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
-    if not a < b:
-        raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
-    n_steps = mesh_steps(a, b, cfg.h)
-
-    try:
-        check_span(a, p.t_start, p.t_start, "the start t_start of the problem's y0")
-        y0 = p.y0
-    except DomainError:
-        y0 = None
-    if y0 is not None:
-        y0 = np.array(y0, dtype=float)
-    elif p.exact is not None:
-        y0 = np.atleast_1d(np.asarray(p.exact(a), dtype=float))
-    else:
+    a, n_steps = solve_span(p, interval, cfg.h)
+    y0 = start_value(p, a)
+    if y0 is None:
         raise InvalidInputError("no initial value available at the interval start")
-    if not np.isfinite(y0).all():
-        raise InvalidInputError(f"non-finite initial value at t={a}: {y0}")
     defect = p.consistency_defect(a, y0)
     if defect > 1e-6 * (1.0 + norm2(p.f(a))):
         raise InvalidInputError(

@@ -71,6 +71,7 @@ from .problems import (
     SemiNonlinearIAE,
     Trajectory,
     batch_jacobian,
+    start_value,
 )
 
 Kernel = MatrixFunction | Callable[[float, float], np.ndarray]
@@ -266,14 +267,14 @@ class ConsistencyReport:
     """Initial-data compatibility across chain levels at t0.
 
     Condition i measures ‖A_i(t0)·A_ν(t0)^{-1}·F_ν(t0) − F_i(t0)‖; all must
-    vanish (within ``tol``, the ``CONSISTENCY_TOL`` used) for the reduced
-    second-kind system to share its solution with the original one.
+    vanish (within ``CONSISTENCY_TOL``, which ``to_dict`` reports as ``tol``)
+    for the reduced second-kind system to share its solution with the
+    original one.
     """
 
     t0: float
     defects: list
     passes: list
-    tol: float
     condition_number: float
 
     @property
@@ -281,7 +282,7 @@ class ConsistencyReport:
         return all(self.passes)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**asdict(self), "ok": self.ok, "tol": CONSISTENCY_TOL}
 
 
 def consistency_check(levels, F_list, t0: Optional[float] = None) -> ConsistencyReport:
@@ -311,7 +312,7 @@ def consistency_check(levels, F_list, t0: Optional[float] = None) -> Consistency
         d = norm2(lhs - rhs)
         defects.append(d)
         passes.append(d <= CONSISTENCY_TOL)
-    return ConsistencyReport(t0=t0, defects=defects, passes=passes, tol=CONSISTENCY_TOL,
+    return ConsistencyReport(t0=t0, defects=defects, passes=passes,
                              condition_number=float(np.linalg.cond(m)))
 
 
@@ -376,14 +377,12 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
 
     Integrating by parts over [t_start, t] gives the kernel
     (t, s) ↦ B(s) − A′(s) of :func:`linear_kernel` and right side
-    A(t_start)·y(t_start) + ∫ f(s) ds, with y(t_start) from ``y0``, else
-    from ``exact``; a problem with neither keeps ∫ f(s) ds alone.  The
-    kernel alone determines the index.
+    A(t_start)·y(t_start) + ∫ f(s) ds, with y(t_start) from
+    :func:`~daekit.problems.start_value`; a problem with no start value
+    keeps ∫ f(s) ds alone.  The kernel alone determines the index.
     """
-    y_start = p.y0
-    if y_start is None and p.exact is not None:
-        y_start = p.exact(p.t_start)
-    start = None if y_start is None else p.A(p.t_start) @ np.reshape(y_start, p.r)
+    y_start = start_value(p, p.t_start)
+    start = None if y_start is None else p.A(p.t_start) @ y_start
     # the F chain's nested stencils revisit times: without this memo the
     # index-4 Hessenberg consistency check makes 4,564 right-side evaluations, not 92
     cache: dict[float, np.ndarray] = {}

@@ -56,9 +56,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, check_span, newton, norm2, per_point
-from .problems import (LinearIAE, SemiNonlinearIAE, Trajectory, batch_jacobian, mesh_steps,
-                       probe_points)
+from .linalg import NEWTON_MAX_ITER, newton, norm2, per_point
+from .problems import (LinearIAE, SemiNonlinearIAE, Trajectory, batch_jacobian, probe_points,
+                       solve_span, start_value)
 
 
 QUAD_ORDER = 8
@@ -359,37 +359,20 @@ def _rhs_of(p):
     return lambda t: f(t).reshape(np.size(t), p.r)
 
 
-def _consistent_start(p, a: float, f_a: np.ndarray):
-    """Initial value at a: the exact solution when known, else least squares.
-
-    The least-squares fallback only recovers what A(a)y = f(a) determines;
-    components in ker A of higher-index problems are not recoverable from
-    the data alone, so a warning is attached.
-    """
-    if getattr(p, "exact", None) is not None:
-        return np.atleast_1d(np.asarray(p.exact(a), dtype=float)), None
-    y, *_ = np.linalg.lstsq(p.A(a), f_a, rcond=None)
-    return y, ("initial value at t=%g taken as least-squares solution of "
-               "A(a) y = f(a); kernel-of-A components are a guess" % a)
-
-
 def solve_iae(p, cfg: CollocationConfig, interval=None):
     """March the collocation scheme across the mesh; returns (solution, diagnostics).
 
     Diagnostics carry per-step Newton iterations, final residual norms and
     Newton-matrix condition numbers, plus a failure record if a step did
     not converge (the solution then covers only the completed steps).  The
-    interval must start at t_start and end in the problem's (``check_span``).
+    interval and the initial value come from ``solve_span`` and
+    ``start_value`` (:mod:`~daekit.problems`); without a start value the
+    solve starts from the least-squares solution of A(a)y = f(a), with a
+    warning.
     """
     cfg.validate()
     kappa, kappa_jac, linear = _kernel_of(p)
-    a, b = p.interval if interval is None else (float(interval[0]), float(interval[1]))
-    check_span(a, p.t_start, p.t_start, "the integral origin t_start, where a solve must start",
-               InvalidInputError)
-    check_span(b, *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
-    if not a < b:
-        raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
-    n_steps = mesh_steps(a, b, cfg.h)
+    a, n_steps = solve_span(p, interval, cfg.h)
 
     sch = _build_scheme(cfg.c, cfg.h)
     nodes = sch.nodes
@@ -399,15 +382,19 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
     f = _rhs_of(p)
     f_a = f(a)[0]
-    y_start, start_warning = _consistent_start(p, a, f_a)
-    if y_start.shape != (r,):
-        raise InvalidInputError("initial value has wrong dimension")
+    warnings = []
+    y_start = start_value(p, a)
+    if y_start is None:
+        # the one start guessed where the data give none
+        y_start = np.linalg.lstsq(p.A(a), f_a, rcond=None)[0]
+        warnings.append("initial value at t=%g taken as least-squares solution of "
+                        "A(a) y = f(a); kernel-of-A components are a guess" % a)
 
     values = np.zeros((n_steps, n_nodes, r))
     diag = {
         "newton_iters": [], "residual_norms": [], "condition_numbers": [],
         "failure": None,
-        "warnings": [start_warning] if start_warning else [],
+        "warnings": warnings,
         "config": {"c": [float(x) for x in cfg.c], "h": cfg.h,
                    "quad_order": QUAD_ORDER, "newton_tol": cfg.newton_tol,
                    "newton_max_iter": NEWTON_MAX_ITER},

@@ -17,6 +17,7 @@ that overflows gives ``inf`` with a RuntimeWarning, not an exception).
 from __future__ import annotations
 
 import ast
+import sys
 
 import numpy as np
 
@@ -65,11 +66,13 @@ def _validate(node: ast.AST, variables, source: str):
 def compile_expression(text, variables=("t",)):
     """Compile an expression string to a function of the given variables.
 
-    Numeric inputs are accepted directly and become constant functions, so
-    JSON files can mix numbers and strings in the same matrix.
+    Finite numeric inputs are accepted directly and become constant
+    functions, so JSON files can mix numbers and strings in the same matrix.
     """
     variables = tuple(variables)
     if isinstance(text, (int, float)) and not isinstance(text, bool):
+        if not abs(text) <= sys.float_info.max:  # NaN, ±inf, an int past the float range
+            raise ProblemFileError(f"a number entry must be finite, got {text!r}")
         value = float(text)
         fn = lambda *args: value  # noqa: E731
         fn.source = repr(value)

@@ -14,6 +14,10 @@ variables an entry may use depends on its role:
     critical_conditions  list of scalars in t, y1..yr (optional)
     y0       length-r list of numbers (optional, DAE kinds)
 
+Every number in a file (t_start, T, a y0 entry, a numeric entry of a
+matrix, vector or condition) must be finite: a JSON NaN or Infinity, or an
+integer past the float range, is a ProblemFileError naming its field.
+
 Required scalar fields: "kind" (one of linear-dae, linear-iae, dae, iae),
 "t_start", "T".  "name" is optional and defaults to the file stem.  The
 problem dimension r is inferred from A.
@@ -22,6 +26,7 @@ problem dimension r is inferred from A.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +46,21 @@ def _require(data: dict, key: str, path):
 
 
 def _number(value, what, path) -> float:
-    # a JSON true/false is no number, as in compile_expression
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(f"{path}: {what} must be a number, got {value!r}")
+    # a JSON true/false is no number, as in compile_expression; the bound is
+    # False for a JSON NaN or Infinity, which Python's json reads as floats,
+    # and for an integer past the float range, whose float() would raise
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ProblemFileError(f"{path}: {what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _compile(entry, variables, what, path):
+    """compile_expression(entry, variables), its error naming the field."""
+    try:
+        return compile_expression(entry, variables)
+    except ProblemFileError as exc:
+        raise ProblemFileError(f"{path}: {what}: {exc}") from None
 
 
 def _compile_matrix(entries, variables, what, path):
@@ -54,7 +70,7 @@ def _compile_matrix(entries, variables, what, path):
     rows = len(entries)
     if any(len(row) != rows for row in entries):
         raise ProblemFileError(f"{path}: {what} must be square")
-    fns = [[compile_expression(e, variables) for e in row] for row in entries]
+    fns = [[_compile(e, variables, what, path) for e in row] for row in entries]
 
     def evaluate(*args):
         return np.array([[fn(*args) for fn in row] for row in fns], dtype=float)
@@ -65,7 +81,7 @@ def _compile_matrix(entries, variables, what, path):
 def _compile_vector(entries, variables, what, r, path):
     if not isinstance(entries, list) or len(entries) != r:
         raise ProblemFileError(f"{path}: {what} must be a list of {r} entries")
-    fns = [compile_expression(e, variables) for e in entries]
+    fns = [_compile(e, variables, what, path) for e in entries]
 
     def evaluate(*args):
         # array arguments evaluate every entry elementwise; an entry that
@@ -85,7 +101,9 @@ def load_problem(path):
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, or the ValueError of an integer literal past
+    # Python's int-string digit limit
+    except ValueError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be a JSON object")
@@ -117,7 +135,7 @@ def load_problem(path):
     entries = data.get("critical_conditions") or []
     if not isinstance(entries, list):
         raise ProblemFileError(f"{path}: critical_conditions must be a list")
-    compiled = [compile_expression(e, ("t",) + y_vars) for e in entries]
+    compiled = [_compile(e, ("t",) + y_vars, "critical_conditions", path) for e in entries]
     conditions = tuple((lambda t, y, fn=fn: float(fn(t, *np.asarray(y, dtype=float))))
                        for fn in compiled)
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ExtrapolationError, InvalidInputError
+from .errors import DomainError, EvaluationError, ExtrapolationError, InvalidInputError
 from .linalg import (MatrixFunction, check_grid, check_span, matfn_derivative, norm2,
                      quadrature, semi_inverse)
 
@@ -299,6 +299,40 @@ class SemiNonlinearDAE(_OnInterval):
 
 
 Problem = LinearIAE | LinearDAE | SemiNonlinearIAE | SemiNonlinearDAE
+
+
+def solve_span(p: Problem, interval, h: float) -> tuple[float, int]:
+    """(a, n_steps) of a solve of p with step h over ``interval`` = [a, b],
+    by default the problem's: [a, b] must lie in the problem's interval
+    (``check_span``), with a < b and a whole number of steps
+    (:func:`mesh_steps`), and an IAE's solve must start at its integral
+    origin t_start."""
+    a, b = p.interval if interval is None else (float(interval[0]), float(interval[1]))
+    check_span((a, b), *p.interval, f"the problem: bad interval [{a}, {b}]", InvalidInputError)
+    if isinstance(p, (LinearIAE, SemiNonlinearIAE)):
+        check_span(a, p.t_start, p.t_start, "the integral origin t_start, where a solve must start",
+                   InvalidInputError)
+    if not a < b:
+        raise InvalidInputError(f"bad interval [{a}, {b}]: it needs a < b")
+    return a, mesh_steps(a, b, h)
+
+
+def start_value(p: Problem, a: float) -> Optional[np.ndarray]:
+    """The value a solve of p starts from at a: ``y0`` when a is t_start
+    (``check_span``) and p has one, else ``exact(a)``, else None.  A value
+    that is not a finite vector of length r raises InvalidInputError."""
+    try:
+        check_span(a, p.t_start, p.t_start, "the start t_start of the problem's y0")
+        y = getattr(p, "y0", None)
+    except DomainError:
+        y = None
+    if y is None and p.exact is not None:
+        y = p.exact(a)
+    if y is not None:
+        y = _vec(y, p.r)
+        if not np.isfinite(y).all():
+            raise InvalidInputError(f"non-finite initial value at t={a}: {y}")
+    return y
 
 
 def verify_exact(p: Problem, grid) -> float:

@@ -225,22 +225,23 @@ def detect_critical_points(traj: Trajectory, conditions, interval=None) -> list:
 
 @dataclass
 class IndexProfile:
-    """Pointwise index along a trajectory plus the structure/form verdict."""
+    """Pointwise index along a trajectory plus the structure/form verdict:
+    free structure exactly when ``evidence`` is non-empty.  ``to_dict`` adds
+    the constants ``N_PERTURB`` and ``WINDOW`` as ``samples_per_point`` and
+    ``window``."""
 
     times: list
     nu_at: list
     classification: str
     critical_points: list
     neighborhood_eps: float
-    samples_per_point: int = N_PERTURB
     nu: Optional[int] = None
-    window: float = WINDOW
     seed: int = 0
     undefined_fraction: float = 0.0
     evidence: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "samples_per_point": N_PERTURB, "window": WINDOW}
 
 
 def _ball_sample(rng: np.random.Generator, center: np.ndarray, eps: float) -> np.ndarray:
@@ -322,9 +323,7 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     nu_ref = min(v for v, c in counts.items() if c == top)
 
     evidence: list[str] = []
-    free = False
     if any(n != nu_ref for n in defined):
-        free = True
         evidence.append("pointwise index varies along the trajectory")
 
     conditions = tuple(getattr(p, "critical_conditions", ()) or ())
@@ -342,13 +341,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
             if col and (min(col) < 0.0 < max(col)):
                 cond_flip = True
     if nu_flip:
-        free = True
         evidence.append("pointwise index varies across sampled neighborhoods")
     if det_flip:
-        free = True
         evidence.append("final chain determinant changes sign across sampled neighborhoods")
     if cond_flip:
-        free = True
         evidence.append("a declared critical condition changes sign across sampled neighborhoods")
 
     # critical points along the trajectory
@@ -375,10 +371,9 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
 
     crit = _cluster([c for c in crit if a <= c <= b], 2e-3)
     if crit:
-        free = True
         evidence.append("critical points located along the trajectory")
 
-    if not free:
+    if not evidence:
         classification = "well-structure"
     elif crit:
         classification = "free-structure-dependent"

@@ -38,7 +38,7 @@ SIGNATURES = {
     "example": "name",
     "ChainLevel": "level, A, k, rank, det",
     "ChainStatus": "kind, level=, t=",
-    "ConsistencyReport": "t0, defects, passes, tol, condition_number",
+    "ConsistencyReport": "t0, defects, passes, condition_number",
     "ConsistencyReport.to_dict": "",
     "IndexReport": "nu, levels, grid, status",
     "IndexReport.to_dict": "",
@@ -48,7 +48,7 @@ SIGNATURES = {
     "rank_degree_index": "A, k, grid=",
     "rhs_chain": "f, levels",
     "IndexProfile": "times, nu_at, classification, critical_points, neighborhood_eps, "
-                    "samples_per_point=, nu=, window=, seed=, undefined_fraction=, evidence=",
+                    "nu=, seed=, undefined_fraction=, evidence=",
     "IndexProfile.to_dict": "",
     "classify": "p, traj=, eps=, grid=, seed=",
     "detect_critical_points": "traj, conditions, interval=",

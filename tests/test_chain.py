@@ -487,6 +487,16 @@ def test_dae_to_iae_rhs_carries_the_initial_term(from_y0):
         np.testing.assert_array_equal(dae_to_iae(p).f(0.5), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("y0, match", [
+    ([1.0, 0.0, 0.0], "length 2"), ([np.nan, 0.0], "non-finite initial value"),
+], ids=["wrong-length", "nan"])
+def test_dae_to_iae_refuses_a_start_that_is_no_finite_vector_of_length_r(y0, match):
+    p = _linear_dae(A_SING, K_SWAP)
+    p.y0 = np.array(y0)
+    with pytest.raises(InvalidInputError, match=match):
+        dae_to_iae(p)
+
+
 def test_dae_to_iae_kernel_subtracts_leading_derivative():
     a = MatrixFunction(eval=lambda t: np.array([[1.0, t], [0.0, 0.0]]),
                        domain=(0.0, 1.0))

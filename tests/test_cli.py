@@ -8,6 +8,7 @@ import pytest
 from daekit import (
     CollocationConfig,
     DaeSolveConfig,
+    InconsistentChainError,
     InvalidInputError,
     LinearDAE,
     LinearIAE,
@@ -147,11 +148,21 @@ RELAX = {"kind": "dae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
          "F": ["y1 - y2", "y2 - sin(t)"], "f": [0, 0], "y0": [1, 0]}
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("field, value", [
     ("t_start", "zero"), ("T", None), ("T", True), ("y0", ["a", 0]), ("y0", [True, 0]),
     ("y0", 1), ("critical_conditions", 5),
+    # Python's json reads the NaN and Infinity literals as floats
+    ("t_start", -INF), ("T", INF), ("A", [[1, 0], [0, NAN]]),
+    ("F", ["y1 - y2", INF]), ("f", [NAN, 0]), ("critical_conditions", [NAN]),
+    # an integer past the float range, which float() refuses with OverflowError
+    ("T", 10**400), ("f", [0, -10**400]),
 ], ids=["t_start-string", "T-null", "T-boolean", "y0-string-entry", "y0-boolean-entry",
-        "y0-not-a-list", "critical_conditions-not-a-list"])
+        "y0-not-a-list", "critical_conditions-not-a-list", "t_start-minus-infinity",
+        "T-infinity", "A-nan-entry", "F-infinity-entry", "f-nan-entry",
+        "critical_conditions-nan-entry", "T-huge-integer", "f-huge-integer-entry"])
 def test_a_malformed_field_is_a_problem_file_error(tmp_path, capsys, field, value):
     path = write_problem(tmp_path, {**RELAX, field: value})
     with pytest.raises(ProblemFileError, match=field):
@@ -161,11 +172,11 @@ def test_a_malformed_field_is_a_problem_file_error(tmp_path, capsys, field, valu
 
 
 def test_a_non_finite_y0_is_refused_with_exit_1(tmp_path, capsys):
-    # Python's json reads the NaN literal, and the loader takes any float
-    path = write_problem(tmp_path, {**RELAX, "y0": [float("nan"), 0]})
+    # Python's json reads the NaN literal; the loader refuses it
+    path = write_problem(tmp_path, {**RELAX, "y0": [NAN, 0]})
     assert main(["solve-dae", "--problem", str(path), "--h", "0.25",
                  "--out", str(tmp_path / "nan")]) == 1
-    assert "non-finite initial value" in capsys.readouterr().err
+    assert "y0 must be a finite number, got nan" in capsys.readouterr().err
     assert not list(tmp_path.glob("nan*"))
 
 
@@ -180,6 +191,10 @@ def test_problem_file_must_exist_and_be_json(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ProblemFileError):
         load_problem(arr)
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"T": 1' + "0" * 5000 + "}")
+    with pytest.raises(ProblemFileError, match="not valid JSON"):
+        load_problem(digits)
 
 
 def test_y0_shape_is_checked(tmp_path):
@@ -231,6 +246,21 @@ def test_analyze_json_format(tmp_path, capsys):
     assert main(["analyze", "--problem", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["nu"] == 2
+
+
+def test_analyze_reports_a_singular_final_chain_matrix_as_a_failed_check(monkeypatch, capsys):
+    # the chain reaches ν only where A_ν is nonsingular on its grid, t0
+    # included, so only a patch makes consistency_check raise here
+    def singular(levels, f_list, t0=None):
+        raise InconsistentChainError(f"final chain matrix is numerically singular at t0={t0}")
+
+    monkeypatch.setattr(cli, "consistency_check", singular)
+    assert main(["analyze", "--problem", "ex34"]) == 0
+    assert "consistency at t0=1: FAIL (final chain matrix is numerically singular at t0=1.0)" \
+        in capsys.readouterr().out
+    assert main(["analyze", "--problem", "ex34", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["consistency"] == {
+        "error": "final chain matrix is numerically singular at t0=1.0"}
 
 
 def test_analyze_linear_dae_problem_file(tmp_path, capsys):

@@ -599,6 +599,15 @@ def test_interval_must_start_at_the_problem_origin():
         solve_iae(example("ex34"), CollocationConfig(), interval=(1.3, 2.0))
 
 
+def test_a_non_finite_exact_start_is_refused():
+    # its start defect is NaN, which no threshold test flags: the solve
+    # must refuse the value itself, as solve_dae does
+    p = example("ex34")
+    p.exact = lambda t: np.array([np.nan, 1.0])
+    with pytest.raises(InvalidInputError, match="non-finite initial value"):
+        solve_iae(p, CollocationConfig())
+
+
 def test_a_start_within_the_span_slack_of_the_origin_is_accepted():
     # one ulp above t_start = 1e5 (1.5e-11) lies inside check_span's slack
     p = LinearIAE(A=MatrixFunction.constant(np.eye(1), domain=(1e5, 1e5 + 1.0)),

@@ -193,7 +193,7 @@ def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch)
         _count_calls(monkeypatch, module, name, calls)
     prof = classify(example("ex34"), grid=np.linspace(1.0, 2.0, 6))
     assert prof.nu_at == [2] * 6
-    assert prof.samples_per_point == 8
+    assert prof.to_dict()["samples_per_point"] == 8
     assert prof.classification == "well-structure"
     assert calls.count("chain_step") == 2 * 6 + 2
     assert calls.count("pointwise_index") == 6
