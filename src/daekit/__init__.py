@@ -43,13 +43,15 @@ from .chain import (
 )
 from .structure import (
     IndexProfile,
+    MonitorWarning,
     classify,
     detect_critical_points,
     frozen_index_report,
     linearize_iae,
+    monitor,
     pointwise_index,
 )
-from .bdf import DaeSolveConfig, MonitorWarning, SolveResult, dae_residual, solve_dae
+from .bdf import DaeSolveConfig, SolveResult, dae_residual, solve_dae
 from .collocation import (
     CollocationConfig,
     PiecewiseSolution,
@@ -98,13 +100,14 @@ __all__ = [
     "rank_degree_index",
     "rhs_chain",
     "IndexProfile",
+    "MonitorWarning",
     "classify",
     "detect_critical_points",
     "frozen_index_report",
     "linearize_iae",
+    "monitor",
     "pointwise_index",
     "DaeSolveConfig",
-    "MonitorWarning",
     "SolveResult",
     "dae_residual",
     "solve_dae",

@@ -11,27 +11,26 @@ Newton failures are data, not exceptions: near an index change divergence
 is the expected observation.  The solver first retries the step with up to
 ``MAX_HALVINGS`` local halvings (first-order substeps), recording each
 attempt; if those fail too, it returns the trajectory computed so far with
-a failure record attached.
+a failure record attached.  A non-finite right side f is no breakdown:
+it is refused with InvalidInputError at the start, and at a step whose
+Newton iteration fails.
 
-A monitor evaluates the problem's critical conditions at every accepted
-point and warns whenever |g| drops below ``WARN_THRESHOLD`` or g changes
-sign, so a solution component drifting into a critical set is flagged as
-it happens rather than discovered from the blown-up error afterwards.
+The solver reads no critical condition: the accepted trajectory is read
+by :func:`~daekit.structure.monitor` after the solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton, norm2
+from .linalg import NEWTON_MAX_ITER, newton, norm2, per_point
 from .problems import SemiNonlinearDAE, Trajectory, probe_points, solve_span, start_value
 
 
-WARN_THRESHOLD = 1e-2
 # Newton stopping tolerance of every step, and the most local halvings a
 # step whose Newton iteration fails is retried with
 NEWTON_TOL = 1e-10
@@ -50,16 +49,6 @@ class DaeSolveConfig:
             raise InvalidInputError("order must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class MonitorWarning:
-    t: float
-    condition: int
-    value: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
 class SolveResult(Trajectory):
     """Accepted trajectory plus per-step diagnostics.
@@ -74,7 +63,6 @@ class SolveResult(Trajectory):
     times: np.ndarray
     values: np.ndarray
     newton_iters: list
-    monitor_warnings: list
     halvings: list
     failure: Optional[dict]
     config: DaeSolveConfig
@@ -126,7 +114,6 @@ class SolveResult(Trajectory):
             "n_steps": int(self.times.size - 1),
             "t_span": [float(self.times[0]), float(self.times[-1])] if self.times.size else [],
             "newton_iters": [int(i) for i in self.newton_iters],
-            "monitor_warnings": [w.to_dict() for w in self.monitor_warnings],
             "halvings": list(self.halvings),
             "failure": self.failure,
             "initial_defect": self.initial_defect,
@@ -134,7 +121,6 @@ class SolveResult(Trajectory):
                 "h": self.config.h, "order": self.config.order,
                 "newton_tol": NEWTON_TOL,
                 "newton_max_iter": NEWTON_MAX_ITER,
-                "warn_threshold": WARN_THRESHOLD,
                 "max_halvings": MAX_HALVINGS,
             },
         }
@@ -187,9 +173,10 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
 
     The interval and the initial value come from ``solve_span`` and
     ``start_value`` (:mod:`~daekit.problems`): y0 at t_start, else the
-    exact solution at a; the value must satisfy the algebraic rows.
-    Order 2 starts with one BDF1 step and extrapolates the Newton guess
-    from the two previous points.
+    exact solution at a; the value must satisfy the algebraic rows.  A
+    non-finite f at a, or at a step whose Newton iteration fails, raises
+    InvalidInputError.  Order 2 starts with one BDF1 step and extrapolates
+    the Newton guess from the two previous points.
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
@@ -198,21 +185,18 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     y0 = start_value(p, a)
     if y0 is None:
         raise InvalidInputError("no initial value available at the interval start")
+    f = per_point(p.f, p.interval, "f")  # a non-finite value raises
+    f_a = f(a)
     defect = p.consistency_defect(a, y0)
-    if defect > 1e-6 * (1.0 + norm2(p.f(a))):
+    if defect > 1e-6 * (1.0 + norm2(f_a)):
         raise InvalidInputError(
             f"initial value violates the algebraic rows at t={a}: defect {defect:.3e}")
 
     times = [a]
     values = [y0]
     newton_iters: list[int] = []
-    warnings: list[MonitorWarning] = []
     halvings: list[dict] = []
     failure = None
-    prev_g = [float(g(a, y0)) for g in p.critical_conditions]
-    for cid, gv in enumerate(prev_g):
-        if abs(gv) < WARN_THRESHOLD:
-            warnings.append(MonitorWarning(a, cid, gv))
 
     y_n = y0
     y_nm1 = None
@@ -229,6 +213,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
         y_new, its = _newton(p, t_new, c, d, guess)
         if y_new is None:
+            f(t_new)  # a non-finite f is refused, not retried
             y_new, more = _halved(p, t_n, y_n, cfg.h, halvings, step)
             its += more
         newton_iters.append(its)
@@ -237,19 +222,13 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
                        "reason": "Newton iteration did not converge "
                                  f"(after {MAX_HALVINGS} local halvings)"}
             break
-        for cid, g in enumerate(p.critical_conditions):
-            gv = float(g(t_new, y_new))
-            if abs(gv) < WARN_THRESHOLD or prev_g[cid] * gv < 0.0:
-                warnings.append(MonitorWarning(t_new, cid, gv))
-            prev_g[cid] = gv
         times.append(t_new)
         values.append(y_new)
         y_nm1, y_n = y_n, y_new
 
     return SolveResult(times=np.array(times), values=np.array(values),
-                       newton_iters=newton_iters, monitor_warnings=warnings,
-                       halvings=halvings, failure=failure, config=cfg,
-                       initial_defect=defect)
+                       newton_iters=newton_iters, halvings=halvings, failure=failure,
+                       config=cfg, initial_defect=defect)
 
 
 def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarray:

@@ -32,7 +32,7 @@ from .linalg import MatrixFunction, check_span, norm2
 from .probfile import load_problem
 from .problems import (LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE,
                        TrajectorySample)
-from .structure import classify, detect_critical_points, linearize_iae
+from .structure import WARN_THRESHOLD, classify, detect_critical_points, linearize_iae, monitor
 
 HALF_PI = float(np.pi / 2)
 
@@ -189,6 +189,12 @@ def _cmd_classify(args, p, interval) -> int:
     return 0
 
 
+def _monitor_keys(traj, conditions) -> dict:
+    """The diagnostics keys of :func:`monitor` on a solve's trajectory."""
+    return {"monitor_warnings": [w.to_dict() for w in monitor(traj, conditions)],
+            "warn_threshold": WARN_THRESHOLD}
+
+
 def _cmd_solve_dae(args, p, interval) -> int:
     if not isinstance(p, SemiNonlinearDAE):
         print("solve-dae needs a differential problem; use solve-iae", file=sys.stderr)
@@ -198,7 +204,7 @@ def _cmd_solve_dae(args, p, interval) -> int:
     stem = _out_stem(args, f"{Path(args.problem).stem}-solve-dae")
     csv_path = write_solution_csv(stem.with_suffix(".csv"), sol.times, sol.values,
                                   exact=getattr(p, "exact", None))
-    diag = sol.to_dict()
+    diag = {**sol.to_dict(), **_monitor_keys(sol, p.critical_conditions)}
     json_path = write_json(stem.parent / (stem.name + ".diagnostics.json"), diag)
     text = (f"solved {args.problem} on [{sol.times[0]:g}, {sol.times[-1]:g}] "
             f"({'complete' if sol.success else 'stopped early'}); "
@@ -218,6 +224,8 @@ def _cmd_solve_iae(args, p, interval) -> int:
     if times.size:
         diag["max_residual_at_collocation"] = float(
             iae_residual(p, sol, times).max())
+    # a linear problem has no conditions; an empty solution no value to read
+    diag.update(_monitor_keys(sol, getattr(p, "critical_conditions", ()) if times.size else ()))
     stem = _out_stem(args, f"{Path(args.problem).stem}-solve-iae")
     csv_path = write_solution_csv(stem.with_suffix(".csv"), times, values,
                                   exact=getattr(p, "exact", None))
@@ -304,7 +312,7 @@ def _fig2():
     sol = solve_dae(p, DaeSolveConfig(h=1e-3, order=1), interval=interval)
     times = sol.times
     split, grew = _error_split(times, _errors_on(times, sol.values, p.exact))
-    warn_ts = [w.t for w in sol.monitor_warnings]
+    warn_ts = [w.t for w in monitor(sol, p.critical_conditions)]
     first_warn = min(warn_ts) if warn_ts else None
     warn_near = first_warn is not None and abs(first_warn - HALF_PI) <= 0.05
     crits = [t for t, _ in detect_critical_points(sol, p.critical_conditions)]

@@ -252,7 +252,8 @@ def _kernel_of(p):
         k = per_point(p.k, p.interval, "kernel")
 
         def k_at(t, s):
-            return np.moveaxis(k(t, s), 0, -1)
+            # contiguous values: einsum rounds by memory layout
+            return np.moveaxis(np.ascontiguousarray(k(t, s)), 0, -1)
 
         return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
                 (lambda t, s, y: k_at(t, s)), True)
@@ -362,9 +363,12 @@ def _rhs_of(p):
 def solve_iae(p, cfg: CollocationConfig, interval=None):
     """March the collocation scheme across the mesh; returns (solution, diagnostics).
 
-    Diagnostics carry per-step Newton iterations, final residual norms and
+    Diagnostics carry per-step Newton iterations, residual norms and
     Newton-matrix condition numbers, plus a failure record if a step did
-    not converge (the solution then covers only the completed steps).  The
+    not converge (the solution then covers only the completed steps).  A
+    linear problem's residual norm is that of the accepted value; a
+    nonlinear entry is the residual at the iterate before the accepted
+    step, whose Newton step met ``newton_tol``.  The
     interval and the initial value come from ``solve_span`` and
     ``start_value`` (:mod:`~daekit.problems`); without a start value the
     solve starts from the least-squares solution of A(a)y = f(a), with a
@@ -447,6 +451,8 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         # forward unchanged (first interval: the consistent start value)
         u_free, iters, res, jac = newton(res_of, jac_of, np.tile(left_value, n_eq),
                                          cfg.newton_tol, NEWTON_MAX_ITER, affine=linear)
+        if linear and u_free is not None:
+            res = res_of(u_free)  # the accepted value's, not its start guess's
         diag["newton_iters"].append(iters)
         with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
             diag["residual_norms"].append(norm2(res))

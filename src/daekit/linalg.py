@@ -324,11 +324,8 @@ class MatrixFunction:
             def at(t, *s):
                 if t.size == 1:
                     return one
-                stack = np.broadcast_to(value, t.shape + value.shape)
-                # a kernel's s (t's shape) is ignored; its stack is a fresh
-                # array, as a per-point kernel's is, because einsum rounds
-                # differently over a zero-stride view
-                return stack.copy() if s else stack
+                # a kernel's s (t's shape) is ignored
+                return np.broadcast_to(value, t.shape + value.shape)
 
             return at
 

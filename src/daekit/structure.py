@@ -34,6 +34,12 @@ gives every η's ν; level 0 has a sample axis of size 1, as A does not
 depend on η.  The determinants of A_ν at t are read from the ``det``
 the chain stored when t is a window node and every η reached level ν,
 and otherwise come from its A_ν at t in one stacked ``det``.
+
+Along any trajectory, a solve's included, :func:`detect_critical_points`
+locates where a declared condition g(t, y) crosses or touches zero, and
+:func:`monitor` warns at every knot where |g| drops below
+``WARN_THRESHOLD`` or g changes sign: the one critical-condition monitor,
+read after a solve of either solver rather than kept inside its loop.
 """
 
 from __future__ import annotations
@@ -65,11 +71,25 @@ WINDOW_POINTS = 9
 TIME_TOL = 1e-6
 # |g| below this at a knot time counts as a touch of a critical condition
 VALUE_TOL = 1e-8
+# |g| below this at a knot time is a monitor warning
+WARN_THRESHOLD = 1e-2
 # the η's drawn from the eps-ball around each grid point of classify
 N_PERTURB = 8
 # a determinant counts as negative or positive only beyond this many times
 # the largest |det| compared (at least 1)
 DET_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class MonitorWarning:
+    """A critical condition near zero or changing sign at a knot (:func:`monitor`)."""
+
+    t: float
+    condition: int
+    value: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _restrict(mf: MatrixFunction, lo: float, hi: float) -> MatrixFunction:
@@ -195,8 +215,8 @@ def detect_critical_points(traj: Trajectory, conditions, interval=None) -> list:
     """Times where a condition g(t, traj(t)) crosses or touches zero.
 
     Scans the trajectory's knot times (clipped to ``interval``) for
-    sign changes and for |g| dipping below ``VALUE_TOL``; each sign change
-    is bisected on the interpolant down to ``TIME_TOL``.
+    |g| below ``VALUE_TOL`` and for sign changes, each bisected on the
+    interpolant down to ``TIME_TOL``.
     Returns (time, condition_index) pairs sorted by time.
     """
     if not conditions:
@@ -207,20 +227,37 @@ def detect_critical_points(traj: Trajectory, conditions, interval=None) -> list:
     hits: list[tuple[float, int]] = []
     for cid, cond in enumerate(conditions):
         gs = np.array([float(cond(t, y)) for t, y in zip(ts, traj(ts))])
-        found: list[float] = []
-        for j in range(ts.size - 1):
-            if gs[j] == 0.0:
-                found.append(float(ts[j]))
-            elif gs[j] * gs[j + 1] < 0.0:
-                found.append(_bisect_zero(lambda tt: float(cond(tt, traj(tt))),
-                                          float(ts[j]), float(ts[j + 1]), gs[j]))
-        if gs[-1] == 0.0:
-            found.append(float(ts[-1]))
-        for j in range(ts.size):
-            if 0.0 < abs(gs[j]) < VALUE_TOL:
-                found.append(float(ts[j]))
+        found = ts[np.abs(gs) < VALUE_TOL].tolist()
+        for j in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
+            found.append(_bisect_zero(lambda tt: float(cond(tt, traj(tt))),
+                                      float(ts[j]), float(ts[j + 1]), gs[j]))
         hits.extend((t, cid) for t in _cluster(found, 2.0 * TIME_TOL))
     return sorted(hits)
+
+
+def monitor(traj: Trajectory, conditions) -> list:
+    """Warnings of the critical conditions g(t, traj(t)) at the knot times.
+
+    At each of ``traj.times``, in time order and then condition by
+    condition, a :class:`MonitorWarning` records g when |g| <
+    ``WARN_THRESHOLD`` or when g changed sign since the previous knot, so
+    a trajectory drifting into a critical set is flagged where it comes
+    close, crossing or not.  A solve's trajectory gives its accepted values
+    at its knots, and the monitor never steers a step, so reading it after
+    the solve gives the warnings of a watch kept during it.  No conditions
+    (a linear problem has none) give no warnings, without evaluating traj.
+    """
+    if not conditions:
+        return []
+    # 0·g < 0 never holds, so the first knot warns only near zero
+    warnings, prev = [], [0.0] * len(conditions)
+    for t, y in zip(traj.times.tolist(), traj(traj.times)):
+        for cid, cond in enumerate(conditions):
+            g = float(cond(t, y))
+            if abs(g) < WARN_THRESHOLD or prev[cid] * g < 0.0:
+                warnings.append(MonitorWarning(t, cid, g))
+            prev[cid] = g
+    return warnings
 
 
 @dataclass

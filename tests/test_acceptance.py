@@ -25,6 +25,7 @@ from daekit import (
     consistency_check,
     dae_to_iae,
     example,
+    monitor,
     pointwise_index,
     rank_degree_index,
     rhs_chain,
@@ -176,7 +177,7 @@ def test_criterion_05_bdf1_accuracy_and_first_order_convergence():
 def test_criterion_06_monitor_flags_breakdown_at_the_crossing():
     p = example("ex32")
     sol = solve_dae(p, DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
-    warn_ts = [w.t for w in sol.monitor_warnings]
+    warn_ts = [w.t for w in monitor(sol, p.critical_conditions)]
     flagged = bool(warn_ts) and abs(min(warn_ts) - HALF_PI) <= 0.05
     newton_failed_after = (sol.failure is not None
                            and sol.failure["t"] > HALF_PI)

@@ -54,13 +54,13 @@ SIGNATURES = {
     "detect_critical_points": "traj, conditions, interval=",
     "frozen_index_report": "p, eta, t, traj",
     "linearize_iae": "p, traj",
+    "monitor": "traj, conditions",
     "pointwise_index": "p, traj, t, ball=",
     "DaeSolveConfig": "h, order=",
     "DaeSolveConfig.validate": "",
     "MonitorWarning": "t, condition, value",
     "MonitorWarning.to_dict": "",
-    "SolveResult": "times, values, newton_iters, monitor_warnings, halvings, failure, config, "
-                   "initial_defect=",
+    "SolveResult": "times, values, newton_iters, halvings, failure, config, initial_defect=",
     "SolveResult.to_dict": "",
     "dae_residual": "p, sol, probe_grid",
     "solve_dae": "p, cfg, interval=",

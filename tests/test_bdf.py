@@ -14,9 +14,11 @@ from daekit import (
     SolveResult,
     dae_residual,
     example,
+    monitor,
     solve_dae,
 )
-from daekit.bdf import MAX_HALVINGS, NEWTON_TOL, WARN_THRESHOLD
+from daekit.bdf import MAX_HALVINGS, NEWTON_TOL
+from daekit.structure import WARN_THRESHOLD
 from daekit.linalg import NEWTON_MAX_ITER
 from daekit.problems import mesh_steps
 from helpers import reference_newton
@@ -87,8 +89,7 @@ def test_residual_of_injected_exact_solution_is_small():
     p = example("ex33")
     grid = np.linspace(0.0, 2.0, 201)
     vals = np.array([p.exact(t) for t in grid])
-    inj = SolveResult(times=grid, values=vals, newton_iters=[],
-                      monitor_warnings=[], halvings=[], failure=None,
+    inj = SolveResult(times=grid, values=vals, newton_iters=[], halvings=[], failure=None,
                       config=DaeSolveConfig(h=1e-2), initial_defect=0.0)
     r = np.max(dae_residual(p, inj, np.linspace(0.1, 1.9, 99)))
     assert r <= 1e-6
@@ -122,8 +123,8 @@ def test_solution_spline_agrees_with_scipy_natural_cubic_spline(n):
     rng = np.random.default_rng(n)
     times = np.cumsum(rng.uniform(0.2, 1.8, n)) / n     # non-uniform steps
     values = np.column_stack([np.sin(7.0 * times), np.exp(times) - 2.0 * times ** 2])
-    sol = SolveResult(times=times, values=values, newton_iters=[], monitor_warnings=[],
-                      halvings=[], failure=None, config=DaeSolveConfig(h=1.0 / n))
+    sol = SolveResult(times=times, values=values, newton_iters=[], halvings=[], failure=None,
+                      config=DaeSolveConfig(h=1.0 / n))
     t = np.linspace(times[0], times[-1], 4 * n + 1)
     want = cubic_spline(times, values, axis=0, bc_type="natural")
     bound = 1e-12 * np.max(np.abs(values))
@@ -149,10 +150,14 @@ def crossing_run():
                      interval=(1.0, 2.0))
 
 
+def _warnings(sol):
+    return monitor(sol, example("ex32").critical_conditions)
+
+
 def test_monitor_warns_before_the_condition_crosses(crossing_run):
     sol = crossing_run
-    assert sol.monitor_warnings
-    first = sol.monitor_warnings[0]
+    assert _warnings(sol)
+    first = _warnings(sol)[0]
     assert first.condition == 0
     assert abs(first.t - HALF_PI) <= 0.05
     assert abs(first.value) <= 1e-2
@@ -161,7 +166,7 @@ def test_monitor_warns_before_the_condition_crosses(crossing_run):
 def test_monitor_warnings_cover_sign_changes(crossing_run):
     sol = crossing_run
     vals = np.asarray(sol.values)
-    warn_times = [w.t for w in sol.monitor_warnings]
+    warn_times = [w.t for w in _warnings(sol)]
     changes = 0
     for i in range(len(sol.times) - 1):
         if vals[i][0] * vals[i + 1][0] < 0.0:
@@ -199,13 +204,13 @@ def test_error_blows_up_where_the_monitor_warned(crossing_run):
     late = np.max(dae_residual(
         p, sol, np.linspace(1.55, sol.times[-1] - 1e-9, 40)))
     assert late / early >= 100.0
-    assert min(w.t for w in sol.monitor_warnings) <= HALF_PI + 0.01
+    assert min(w.t for w in _warnings(sol)) <= HALF_PI + 0.01
 
 
 def test_the_monitor_warns_at_the_start_point():
     # ex32's condition y1 = 0 holds at π/2, 8e-5 after the start
     sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-4), interval=(1.5707, 1.6))
-    first = sol.monitor_warnings[0]
+    first = _warnings(sol)[0]
     assert (first.t, first.condition) == (1.5707, 0)
     assert abs(first.value) < WARN_THRESHOLD
 
@@ -363,6 +368,19 @@ def test_a_non_finite_initial_value_is_rejected(source):
         interval = (0.5, 1.0)
     with pytest.raises(InvalidInputError, match="non-finite initial value"):
         solve_dae(p, DaeSolveConfig(h=0.25), interval=interval)
+
+
+def test_a_non_finite_f_is_refused_not_reported_as_a_breakdown():
+    # f = inf from t = 0.5 on: the step to 0.5 fails, and the solve names
+    # the right side instead of recording a Newton failure
+    p = example("ex33")
+    f = p.f
+    p.f = lambda t: f(t) if t < 0.5 else np.array([np.inf, 0.0])
+    with pytest.raises(InvalidInputError, match=r"non-finite f at t=0\.5$"):
+        solve_dae(p, DaeSolveConfig(h=0.1))
+    p.f = lambda t: np.array([np.inf, 0.0])
+    with pytest.raises(InvalidInputError, match=r"non-finite f at t=0\.0$"):
+        solve_dae(p, DaeSolveConfig(h=0.1))
 
 
 def test_interval_must_fit_the_step():

@@ -180,6 +180,15 @@ def test_a_non_finite_y0_is_refused_with_exit_1(tmp_path, capsys):
     assert not list(tmp_path.glob("nan*"))
 
 
+def test_a_non_finite_f_at_the_start_is_refused_with_exit_1(tmp_path, capsys):
+    # 1e400 is an expression that evaluates to inf, not a JSON number
+    path = write_problem(tmp_path, {**RELAX, "f": ["1e400", 0]})
+    assert main(["solve-dae", "--problem", str(path), "--h", "0.25",
+                 "--out", str(tmp_path / "inf")]) == 1
+    assert "non-finite f at t=0.0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("inf*"))
+
+
 def test_problem_file_must_exist_and_be_json(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(tmp_path / "nope.json")
@@ -404,6 +413,30 @@ def test_solve_iae_writes_artifacts(tmp_path):
     diag = json.loads((tmp_path / "colloc.diagnostics.json").read_text())
     assert diag["failure"] is None
     assert diag["max_residual_at_collocation"] <= 1e-8
+
+
+def test_both_solves_write_the_monitors_warnings(tmp_path):
+    assert main(["solve-dae", "--problem", "ex32", "--interval", "1", "2",
+                 "--out", str(tmp_path / "dae")]) == 0
+    diag = json.loads((tmp_path / "dae.diagnostics.json").read_text())
+    warned = [w["t"] for w in diag["monitor_warnings"]]
+    assert (len(warned), warned[0], warned[-1]) == (20, 1.561, 1.58)
+    assert diag["warn_threshold"] == 0.01 and "warn_threshold" not in diag["config"]
+    assert main(["solve-iae", "--problem", "ex35", "--out", str(tmp_path / "iae")]) == 0
+    diag = json.loads((tmp_path / "iae.diagnostics.json").read_text())
+    assert [(w["t"], w["condition"]) for w in diag["monitor_warnings"]] == [(1.5750000000000002, 0)]
+
+
+def test_a_solve_iae_whose_first_interval_fails_writes_no_warning(tmp_path, capsys):
+    # κ = −exp(50y) blows up in the first interval: the solution is empty
+    data = {"kind": "iae", "t_start": 0.0, "T": 1.0, "A": [[1]], "kappa": ["-exp(50*y1)"],
+            "f": [0.5], "critical_conditions": ["y1"]}
+    path = write_problem(tmp_path, data)
+    assert main(["solve-iae", "--problem", str(path), "--h", "0.5",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "over 0 intervals (stopped early)" in capsys.readouterr().out
+    diag = json.loads((tmp_path / "run.diagnostics.json").read_text())
+    assert diag["failure"]["step"] == 0 and diag["monitor_warnings"] == []
 
 
 def test_solve_iae_breakdown_from_problem_file_exits_0(tmp_path, capsys):

@@ -524,6 +524,16 @@ def test_residual_of_an_empty_solution_is_refused_as_the_solution_is():
         residual(p, sol, [0.0])
 
 
+def test_an_affine_interval_records_the_residual_of_its_accepted_value():
+    # y + ∫ y = 1: one Newton step solves each interval of a linear problem
+    p = LinearIAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+                  k=lambda t, s: np.eye(1), f=lambda t: np.ones(1), r=1, T=1.0)
+    sol, diag = solve_iae(p, CollocationConfig(h=0.1))
+    assert diag["newton_iters"] == [1] * 10
+    assert max(diag["residual_norms"]) <= 1e-14
+    assert residual(p, sol, sol.collocation_times()).max() <= 1e-14
+
+
 def test_start_data_that_violate_the_equation_at_a_are_a_warning():
     # A = diag(1, 0) and f = (1, 1): no y gives A(0)y = f(0), and the
     # least-squares start y = (1, 0) misses the second row by 1

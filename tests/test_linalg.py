@@ -410,6 +410,20 @@ def test_a_constant_kernel_is_the_kernel_of_its_value():
     assert out[0] == out[1]
 
 
+def test_a_vectorized_view_kernel_gives_the_per_point_kernels_values():
+    # a user's kernel returning a zero-stride view of one matrix, against
+    # the same matrix per point: the nodal values agree bit for bit
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    view = MatrixFunction(eval=lambda t, s: np.broadcast_to(m, t.shape + m.shape),
+                          domain=(0.0, 1.0), vectorized=True)
+    out = []
+    for k in (view, lambda t, s: m):
+        p = LinearIAE(A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)), k=k,
+                      f=lambda t: np.array([np.sin(t), t]), r=2, T=1.0)
+        out.append(_bits(solve_iae(p, CollocationConfig(h=0.1))[0].nodal_values))
+    assert out[0] == out[1]
+
+
 def test_per_point_wraps_a_plain_callable_and_keeps_a_matrix_function():
     f = MatrixFunction.constant(np.eye(2))
     assert per_point(f, (5.0, 6.0)) is f

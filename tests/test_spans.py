@@ -57,8 +57,7 @@ def _span_sites(lo: float, width: float):
     hi = sol.t_end
     f = MatrixFunction(lambda t: np.array([[t]]), domain=(lo, hi))
     bdf = SolveResult(times=np.array([lo, hi]), values=np.zeros((2, 1)), newton_iters=[],
-                      monitor_warnings=[], halvings=[], failure=None,
-                      config=DaeSolveConfig(h=width))
+                      halvings=[], failure=None, config=DaeSolveConfig(h=width))
     sites = {
         "MatrixFunction": f,
         "matfn_derivative": lambda t: matfn_derivative(f, t),

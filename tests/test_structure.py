@@ -22,12 +22,14 @@ from daekit import (
     example,
     frozen_index_report,
     linearize_iae,
+    monitor,
     numerical_rank,
     pointwise_index,
     rank_degree_index,
     solve_dae,
     solve_iae,
 )
+from daekit.structure import WARN_THRESHOLD
 from helpers import exact_traj, float_bits
 
 HALF_PI = np.pi / 2.0
@@ -434,6 +436,91 @@ def test_detect_critical_points_requires_conditions():
     p = example("ex32")
     with pytest.raises(InvalidInputError):
         detect_critical_points(exact_traj(p, 1.0, 2.0), ())
+
+
+# --- the critical-condition monitor ---------------------------------------
+
+Y1 = (lambda t, y: y[0],)
+
+
+def _reference_monitor(times, values, conditions):
+    """The monitor's rule written out over stored (time, value) pairs."""
+    out, prev = [], None
+    for t, y in zip(times, values):
+        gs = [float(g(t, y)) for g in conditions]
+        for cid, g in enumerate(gs):
+            if abs(g) < WARN_THRESHOLD or (prev is not None and prev[cid] * g < 0.0):
+                out.append((t, cid, g))
+        prev = gs
+    return out
+
+
+def _warned(traj, conditions):
+    return [(w.t, w.condition, w.value) for w in monitor(traj, conditions)]
+
+
+def test_monitor_warns_near_zero_and_where_the_sign_changed():
+    # near zero at t = 0 and 3; from 0.5 to -0.5 at t = 2 without coming near
+    traj = TrajectorySample(times=np.arange(5.0), values=np.c_[[5e-3, 0.5, -0.5, -5e-3, -1.0]])
+    assert _warned(traj, Y1) == [(0.0, 0, 5e-3), (2.0, 0, -0.5), (3.0, 0, -5e-3)]
+    assert [w.to_dict() for w in monitor(traj, Y1)][1] == {"t": 2.0, "condition": 0,
+                                                           "value": -0.5}
+
+
+def test_monitor_on_a_bdf_solve_reads_its_accepted_values():
+    sol = _ex32_bdf1()
+    got = _warned(sol, example("ex32").critical_conditions)
+    assert got == _reference_monitor(sol.times.tolist(), sol.values,
+                                      example("ex32").critical_conditions)
+    # 20 warnings around π/2, from t = 1.561 to 1.58
+    assert (len(got), got[0][0], got[-1][0]) == (20, 1.561, 1.58)
+
+
+def test_monitor_on_a_solve_that_stops_at_its_first_step():
+    # y' = exp(60y) from y(0) = 0 blows up at t = 1/60: no step is accepted
+    p = SemiNonlinearDAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+                         F=lambda t, y: -np.exp(60.0 * y), f=lambda t: np.zeros(1),
+                         r=1, T=1.0, y0=np.zeros(1))
+    sol = solve_dae(p, DaeSolveConfig(h=0.5))
+    assert sol.times.tolist() == [0.0]
+    assert _warned(sol, Y1) == [(0.0, 0, 0.0)]
+
+
+def test_monitor_on_a_collocation_solve_reads_its_mesh_nodes():
+    p = example("ex35")
+    sol, _ = solve_iae(p, CollocationConfig(h=0.025))
+    # interval n starts at its node 0; t_end is the last interval's node 1
+    mesh_values = np.vstack([sol.nodal_values[:, 0], sol.nodal_values[-1:, -1]])
+    assert _warned(sol, p.critical_conditions) == _reference_monitor(
+        sol.times.tolist(), mesh_values, p.critical_conditions)
+
+
+def test_monitor_without_conditions_reads_no_value():
+    empty = PiecewiseSolution(t_start=1.0, h=0.5, c=(0.0, 0.5), nodal_values=np.zeros((0, 3, 1)))
+    assert monitor(empty, ()) == []
+    with pytest.raises(InvalidInputError, match="empty solution"):
+        monitor(empty, Y1)
+
+
+def test_monitor_warns_time_by_time_then_condition_by_condition():
+    # two conditions near zero at the same knots around π/2
+    sol = _ex32_bdf1()
+    conditions = (lambda t, y: y[0], lambda t, y: y[0] - 5e-3 * t)
+    got = _warned(sol, conditions)
+    assert got == _reference_monitor(sol.times.tolist(), sol.values, conditions)
+    assert {cid for _, cid, _ in got} == {0, 1}
+    assert [(t, cid) for t, cid, _ in got] == sorted((t, cid) for t, cid, _ in got)
+
+
+@pytest.mark.parametrize("h", [0.025, 0.0125])
+def test_collocation_warns_within_2h_of_the_crossing_on_ex35_only(h):
+    # ex35 touches y1 = 0 near π/2 and goes on along the reflected branch;
+    # ex34's y1 stays above 2.7
+    cfg = CollocationConfig(c=(0.0, 0.7, 0.9), h=h)
+    ex35, ex34 = example("ex35"), example("ex34")
+    warned = [w.t for w in monitor(solve_iae(ex35, cfg)[0], ex35.critical_conditions)]
+    assert warned and all(abs(t - HALF_PI) <= 2.0 * h for t in warned)
+    assert monitor(solve_iae(ex34, cfg)[0], ex34.critical_conditions) == []
 
 
 # --- classification -------------------------------------------------------
