@@ -12,8 +12,8 @@ is the expected observation.  The solver first retries the step with up to
 ``MAX_HALVINGS`` local halvings (first-order substeps), recording each
 attempt; if those fail too, it returns the trajectory computed so far with
 a failure record attached.  A non-finite right side f is no breakdown:
-it is refused with InvalidInputError at the start, and at a step whose
-Newton iteration fails.
+it is refused with InvalidInputError at every step and substep, as
+``solve_iae`` refuses it, and so is a non-finite F at the start.
 
 The solver reads no critical condition: the accepted trajectory is read
 by :func:`~daekit.structure.monitor` after the solve.
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton, norm2, per_point
+from .linalg import NEWTON_MAX_ITER, MatrixFunction, newton, norm2, per_point
 from .problems import SemiNonlinearDAE, Trajectory, probe_points, solve_span, start_value
 
 
@@ -126,20 +126,26 @@ class SolveResult(Trajectory):
         }
 
 
-def _newton(p: SemiNonlinearDAE, t_new: float, c: float, d: np.ndarray,
+def _newton(p: SemiNonlinearDAE, f: MatrixFunction, t_new: float, c: float, d: np.ndarray,
             y_guess: np.ndarray):
-    """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters)."""
+    """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters).
+
+    ``f`` is the solve's per-point right side, so a non-finite f(t) raises
+    InvalidInputError before any iteration.  F and a declared F_y are
+    called directly (``p.jacobian`` differences F otherwise), and their
+    values enter the arithmetic as returned: numpy's operators convert a
+    list or a scalar to the floats ``asarray`` would give.
+    """
     a = p.A(t_new)
     ad, ca = a @ d, c * a
-    fv = np.atleast_1d(np.asarray(p.f(t_new), dtype=float))
-    y, it, _, _ = newton(
-        lambda y: c * (a @ y) - ad
-        + np.atleast_1d(np.asarray(p.F(t_new, y), dtype=float)) - fv,
-        lambda y: ca + p.jacobian(t_new, y), y_guess, NEWTON_TOL, NEWTON_MAX_ITER)
+    fv = f(t_new)
+    F, jac = p.F, p.jacobian if p.F_y is None else p.F_y
+    y, it, _, _ = newton(lambda y: c * (a @ y) - ad + F(t_new, y) - fv,
+                         lambda y: ca + jac(t_new, y), y_guess, NEWTON_TOL, NEWTON_MAX_ITER)
     return y, it
 
 
-def _halved(p, t_n, y_n, h, records, step_index):
+def _halved(p, f, t_n, y_n, h, records, step_index):
     """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... .
 
     Returns (y, iters) or (None, iters), iters the Newton iterations of
@@ -153,7 +159,7 @@ def _halved(p, t_n, y_n, h, records, step_index):
         total_iters = 0
         ok = True
         for i in range(m):
-            y_next, its = _newton(p, t + sub_h, 1.0 / sub_h, y / sub_h, y)
+            y_next, its = _newton(p, f, t + sub_h, 1.0 / sub_h, y / sub_h, y)
             total_iters += its
             if y_next is None:
                 ok = False
@@ -174,7 +180,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     The interval and the initial value come from ``solve_span`` and
     ``start_value`` (:mod:`~daekit.problems`): y0 at t_start, else the
     exact solution at a; the value must satisfy the algebraic rows.  A
-    non-finite f at a, or at a step whose Newton iteration fails, raises
+    non-finite f at a step or substep, or a non-finite F at a, raises
     InvalidInputError.  Order 2 starts with one BDF1 step and extrapolates
     the Newton guess from the two previous points.
     """
@@ -188,7 +194,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     f = per_point(p.f, p.interval, "f")  # a non-finite value raises
     f_a = f(a)
     defect = p.consistency_defect(a, y0)
-    if defect > 1e-6 * (1.0 + norm2(f_a)):
+    if not defect <= 1e-6 * (1.0 + norm2(f_a)):  # a NaN defect fails too
         raise InvalidInputError(
             f"initial value violates the algebraic rows at t={a}: defect {defect:.3e}")
 
@@ -211,10 +217,9 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             c = 1.0 / cfg.h
             d = y_n / cfg.h
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
-        y_new, its = _newton(p, t_new, c, d, guess)
+        y_new, its = _newton(p, f, t_new, c, d, guess)
         if y_new is None:
-            f(t_new)  # a non-finite f is refused, not retried
-            y_new, more = _halved(p, t_n, y_n, cfg.h, halvings, step)
+            y_new, more = _halved(p, f, t_n, y_n, cfg.h, halvings, step)
             its += more
         newton_iters.append(its)
         if y_new is None:

@@ -331,8 +331,7 @@ def _fig2():
 
 def _scalar_oracle_order():
     one = MatrixFunction.constant(np.array([[1.0]]), domain=(0.0, 1.0), name="I1")
-    p = LinearIAE(A=one, k=lambda t, s: np.array([[1.0]]),
-                  f=lambda t: np.array([1.0]), r=1, T=1.0, name="scalar-second-kind")
+    p = LinearIAE(A=one, k=one, f=lambda t: np.array([1.0]), r=1, T=1.0, name="scalar-second-kind")
     hs, errs = (0.1, 0.05), []
     for h in hs:
         sol, _ = solve_iae(p, CollocationConfig(c=(0.0, 0.7, 0.9), h=h))

@@ -113,6 +113,15 @@ def norm2(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()``'s verdict without numpy's Python ``_all``
+    wrapper.  A finite v·v means every entry is finite (no square is
+    negative, so nothing cancels); only a NaN, an inf or an overflowing
+    dot (entries past 1e154) takes the exact test.  ``np.vdot`` raises no
+    floating-point warning, so large finite entries pass silently."""
+    return math.isfinite(np.vdot(v, v)) or np.count_nonzero(np.isfinite(v)) == v.size
+
+
 # iteration cap of :func:`newton`, shared by the BDF and collocation solvers
 NEWTON_MAX_ITER = 25
 
@@ -139,19 +148,20 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             res = residual(x)
-            if not np.isfinite(res).all():
+            if not all_finite(res):
                 return None, it, res, None
             jac = jacobian(x)
-            if not np.isfinite(jac).all():
+            if not all_finite(jac):
                 return None, it, res, jac
-            delta = _gesv(jac, -res, signature="dd->d")
-            x = x + delta
+            # −δ: gesv's arithmetic is odd in its right side, bit for bit
+            step = _gesv(jac, res, signature="dd->d")
+            x = x - step
             # norm2 written out: its asarray and ravel would add measurably
             # to the two norms of every iteration
             x_norm = math.sqrt(x.dot(x))
             if not math.isfinite(x_norm):
                 return None, it, res, jac
-            if affine or math.sqrt(delta.dot(delta)) <= tol * (1.0 + x_norm):
+            if affine or math.sqrt(step.dot(step)) <= tol * (1.0 + x_norm):
                 return x, it, res, jac
     return None, max_iter, res, jac
 
@@ -184,13 +194,18 @@ def quadrature(fn: Callable, a: float, b: float, tol: float) -> np.ndarray:
                           f"within {QUAD_MAX_PANELS} panels")
 
 
-def check_span(t, lo: float, hi: float, what: str, error: type = DomainError) -> np.ndarray:
-    """``t`` (a float or an array) as a float array, checked to lie in the span
-    [lo − 1e-9·max(1, |lo|), hi + 1e-9·max(1, |hi|)] of ``what`` (NaN never
-    does), else ``error``: the one span rule of the package."""
-    ts = np.asarray(t, dtype=float)
-    # the ends as initial values, so that an empty t passes
-    t0, t1 = (ts.item(),) * 2 if ts.size == 1 else (ts.min(initial=lo), ts.max(initial=hi))
+def check_span(t, lo: float, hi: float, what: str, error: type = DomainError):
+    """``t`` checked to lie in the span [lo − 1e-9·max(1, |lo|),
+    hi + 1e-9·max(1, |hi|)] of ``what`` (NaN never does), else ``error``:
+    the one span rule of the package.  A float t (``np.float64`` too) comes
+    back as a Python float and builds no array; anything else as a float
+    array."""
+    if isinstance(t, float):
+        ts = t0 = t1 = float(t)
+    else:
+        ts = np.asarray(t, dtype=float)
+        # the ends as initial values, so that an empty t passes
+        t0, t1 = (ts.item(),) * 2 if ts.size == 1 else (ts.min(initial=lo), ts.max(initial=hi))
     if not lo - 1e-9 * max(1.0, abs(lo)) <= t0 <= t1 <= hi + 1e-9 * max(1.0, abs(hi)):
         raise error(f"t={t0 if t0 < lo else t1} outside the span [{lo}, {hi}] of {what}")
     return ts
@@ -230,7 +245,7 @@ def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
     match the points.  Each t keeps its own step and stencil kind, so the
     (n, ...) result equals the loop of float calls bit for bit.
     """
-    ts = check_span(t, lo, hi, "the function differenced")
+    ts = np.asarray(check_span(t, lo, hi, "the function differenced"))
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts)
     steps = FD_STEP * np.maximum(1.0, np.abs(ts))
@@ -301,16 +316,26 @@ class MatrixFunction:
     def __call__(self, t, *args) -> np.ndarray:
         lo, hi = self.domain
         ts = check_span(t, lo, hi, self.name or "a matrix function")
-        if args:
-            ts, *args = np.broadcast_arrays(ts, *(np.asarray(a, dtype=float) for a in args))
-        if self.vectorized:
-            m = np.asarray(self.eval(ts.ravel(), *[a.ravel() for a in args]), dtype=float)
+        if isinstance(ts, float) and not args:
+            # one time: the array path's call of eval and its value, without
+            # the arrays of t around them
+            if self.vectorized:
+                m = np.asarray(self.eval(np.array([ts])), dtype=float)
+                m = m.reshape(m.shape[1:])
+            else:
+                m = np.array(self.eval(ts), dtype=float)
         else:
-            m = np.array(list(map(self.eval, ts.ravel().tolist(),
-                                  *[a.ravel().tolist() for a in args])), dtype=float)
-        if np.count_nonzero(np.isfinite(m)) < m.size:
+            if args:
+                ts, *args = np.broadcast_arrays(ts, *(np.asarray(a, dtype=float) for a in args))
+            if self.vectorized:
+                m = np.asarray(self.eval(ts.ravel(), *[a.ravel() for a in args]), dtype=float)
+            else:
+                m = np.array(list(map(self.eval, ts.ravel().tolist(),
+                                      *[a.ravel().tolist() for a in args])), dtype=float)
+            m = m.reshape(ts.shape + m.shape[1:])
+        if not all_finite(m):
             raise InvalidInputError(f"non-finite {self.name or 'matrix function'} at t={t}")
-        return m.reshape(ts.shape + m.shape[1:])
+        return m
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":

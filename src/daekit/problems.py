@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ExtrapolationError, InvalidInputError
-from .linalg import (MatrixFunction, check_grid, check_span, matfn_derivative, norm2,
-                     quadrature, semi_inverse)
+from .linalg import (MatrixFunction, all_finite, check_grid, check_span, matfn_derivative,
+                     norm2, quadrature, semi_inverse)
 
 
 def _vec(x, r=None):
@@ -131,7 +131,8 @@ def mesh_steps(a: float, b: float, h: float) -> int:
 def probe_points(probe_grid, lo: float, hi: float) -> np.ndarray:
     """The probe grid as a non-empty array inside the solved span [lo, hi]
     (``check_span``), each probe clamped to [lo, hi]."""
-    probe_grid = check_span(probe_grid, lo, hi, "the solution (probe grid)", InvalidInputError)
+    probe_grid = np.asarray(
+        check_span(probe_grid, lo, hi, "the solution (probe grid)", InvalidInputError))
     if probe_grid.size == 0:
         raise InvalidInputError("probe grid must be non-empty")
     return np.clip(probe_grid, lo, hi)
@@ -152,6 +153,10 @@ class Trajectory:
     def __call__(self, t) -> np.ndarray:
         lo, hi = self.span
         ts = check_span(t, lo, hi, "the trajectory", ExtrapolationError)
+        if isinstance(ts, float):
+            # min and max keep the first of equal arguments, as np.minimum
+            # and np.maximum do
+            return self._at(np.array([min(max(ts, lo), hi)]))[0]
         vals = self._at(np.minimum(np.maximum(ts.reshape(-1), lo), hi))
         return vals.reshape(ts.shape + vals.shape[1:])
 
@@ -292,10 +297,15 @@ class SemiNonlinearDAE(_OnInterval):
         """Norm of the algebraic rows of the equation at (t, y).
 
         The projector V of A(t) extracts the rows in which y' does not
-        appear; a consistent initial value drives them to zero.
+        appear; a consistent initial value drives them to zero.  A
+        non-finite F(t, y) or f(t) raises InvalidInputError.
         """
         v = semi_inverse(self.A(t)).projector
-        return norm2(v @ (_vec(self.F(t, _vec(y, self.r))) - _vec(self.f(t))))
+        fy, fv = _vec(self.F(t, _vec(y, self.r))), _vec(self.f(t))
+        for name, side in (("F", fy), ("f", fv)):
+            if not all_finite(side):
+                raise InvalidInputError(f"non-finite {name} at t={t}")
+        return norm2(v @ (fy - fv))
 
 
 Problem = LinearIAE | LinearDAE | SemiNonlinearIAE | SemiNonlinearDAE

@@ -1,6 +1,7 @@
 """Fixed-step BDF solver: convergence, algebraic rows, monitor, failure data."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from daekit import (
     monitor,
     solve_dae,
 )
+from daekit import linalg
 from daekit.bdf import MAX_HALVINGS, NEWTON_TOL
 from daekit.structure import WARN_THRESHOLD
 from daekit.linalg import NEWTON_MAX_ITER
@@ -381,6 +383,55 @@ def test_a_non_finite_f_is_refused_not_reported_as_a_breakdown():
     p.f = lambda t: np.array([np.inf, 0.0])
     with pytest.raises(InvalidInputError, match=r"non-finite f at t=0\.0$"):
         solve_dae(p, DaeSolveConfig(h=0.1))
+
+
+def test_a_non_finite_f_inside_a_failed_step_is_refused_at_its_substep():
+    # ex32's Newton solve fails at t = 1.675, 1e-3 after the last accepted
+    # step; f = inf only around 1.6745 is met by the first halving's substep
+    p = example("ex32")
+    f = p.f
+    p.f = lambda t: np.array([np.inf, 0.0]) if 1.6742 < t < 1.6748 else f(t)
+    with pytest.raises(InvalidInputError, match=r"non-finite f at t=1\.6744999"):
+        solve_dae(p, DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+
+
+def test_a_non_finite_F_at_the_start_is_refused():
+    # the README's relaxation problem with 1e400 in F's second row: its
+    # consistency defect would be NaN, which no defect test refuses
+    p = SemiNonlinearDAE(A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)),
+                         F=lambda t, y: np.array([y[0] - y[1], y[1] - np.sin(t) + 1e400]),
+                         f=lambda t: np.zeros(2), r=2, T=1.0, y0=np.array([1.0, 0.0]))
+    with pytest.raises(InvalidInputError, match=r"non-finite F at t=0\.0$"):
+        solve_dae(p, DaeSolveConfig(h=0.25))
+
+
+def test_newtons_finiteness_checks_make_no_call_of_numpys_all_wrapper():
+    # np.isfinite(v).all() goes through numpy's Python-level _methods._all;
+    # the crossing run (675 steps, three failed halvings) makes none from newton
+    methods = pytest.importorskip("numpy._core._methods")
+    newton_code = linalg.newton.__code__
+
+    def in_newton(frame):
+        while frame is not None and frame.f_code is not newton_code:
+            frame = frame.f_back
+        return frame is not None
+
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is methods._all.__code__ and in_newton(frame):
+            seen.append(frame.f_lineno)
+
+    sys.setprofile(profile)
+    try:
+        sol = solve_dae(example("ex32"), DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    finally:
+        sys.setprofile(None)
+    assert seen == []
+    assert (len(sol.newton_iters), sum(sol.newton_iters), sol.newton_iters[-5:]) \
+        == (675, 1547, [4, 4, 4, 6, 136])
+    assert sol.failure == {"t": 1.675, "step": 674, "reason": "Newton iteration did not "
+                           f"converge (after {MAX_HALVINGS} local halvings)"}
 
 
 def test_interval_must_fit_the_step():

@@ -189,6 +189,15 @@ def test_a_non_finite_f_at_the_start_is_refused_with_exit_1(tmp_path, capsys):
     assert not list(tmp_path.glob("inf*"))
 
 
+def test_a_non_finite_F_at_the_start_is_refused_with_exit_1(tmp_path, capsys):
+    # its consistency defect would be NaN: "solved ... (stopped early)", exit 0
+    path = write_problem(tmp_path, {**RELAX, "F": ["y1 - y2", "y2 - sin(t) + 1e400"]})
+    assert main(["solve-dae", "--problem", str(path), "--h", "0.25",
+                 "--out", str(tmp_path / "inf")]) == 1
+    assert "non-finite F at t=0.0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("inf*"))
+
+
 def test_problem_file_must_exist_and_be_json(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(tmp_path / "nope.json")

@@ -26,7 +26,7 @@ from daekit import (
     solve_iae,
 )
 from daekit import bdf, collocation
-from daekit.linalg import newton, norm2, per_point, quadrature
+from daekit.linalg import all_finite, newton, norm2, per_point, quadrature
 from helpers import float_bits, random_fixed_rank, reference_newton
 
 
@@ -337,6 +337,61 @@ def test_a_vectorized_eval_gets_a_float_t_as_a_one_point_array():
     ts = np.linspace(0.0, 1.0, 4)
     assert _bits(f(ts)) == _bits([f(t) for t in ts])
     assert _bits(matfn_derivative(f, ts)) == _bits([np.eye(2)] * 4)
+
+
+def test_all_finite_gives_np_isfinite_alls_verdict():
+    # finite entries from 1e-300 to 1e200 (v·v overflows past 1e154), with
+    # NaN and ±inf mixed in; a RuntimeWarning fails the test
+    rng = np.random.default_rng(29)
+    cases = [np.array([1e200, 1.0]), np.array([[1e160, 0.0], [0.0, 1e-300]]),
+             np.array([np.nan]), np.array([np.inf, -np.inf]), np.zeros(0), np.zeros((2, 0))]
+    for shape in [(1,), (2,), (7,), (2, 2), (3, 3), (1, 2, 2), (4, 2, 2)]:
+        for share in (0.0, 0.1, 0.5):
+            for _ in range(30):
+                v = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 200, shape)
+                bad = rng.random(shape) < share
+                v[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+                cases.append(v)
+    verdicts = [all_finite(v) for v in cases]
+    assert verdicts == [bool(np.isfinite(v).all()) for v in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _outcome(f, t):
+    """f(t)'s value (its bytes, shape and type) or its error (type and text)."""
+    try:
+        value = f(t)
+    except (DomainError, InvalidInputError) as exc:
+        return type(exc), str(exc)
+    return value.tobytes(), value.shape, type(value)
+
+
+# in the span [0, 1], within its 1e-9 slack, outside it, and NaN
+SPAN_TIMES = [0.25, np.float64(0.25), 0.0, -0.0, 1.0, -5e-10, 1.0 + 5e-10, -2e-9,
+              1.0 + 2e-9, 1.5, np.nan, 0.9, np.float64(0.9)]
+
+
+def _stepped(t):
+    # _wiggle, non-finite from t = 0.8 on
+    return np.where(np.asarray(t)[..., None, None] < 0.8, _wiggle(t), np.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MatrixFunction(eval=_stepped, domain=(0.0, 1.0), name="w"),
+    lambda: MatrixFunction(eval=_stepped, domain=(0.0, 1.0), name="w", vectorized=True),
+    lambda: MatrixFunction(eval=lambda t: _wiggle(t)[0], domain=(0.0, 1.0)),
+    lambda: MatrixFunction.constant(np.arange(4.0).reshape(2, 2), domain=(0.0, 1.0), name="c"),
+    lambda: MatrixFunction.constant([[0.0, np.nan]], domain=(0.0, 1.0), name="c"),
+], ids=["per-point", "vectorized", "per-point-vector", "constant", "constant-nan"])
+def test_a_float_call_is_the_array_paths_call_bit_for_bit(make):
+    # a 0-d array takes the path a float took before it had its own; the
+    # (1,) call's row has the same bits
+    f = make()
+    for t in SPAN_TIMES:
+        got = _outcome(f, t)
+        assert got == _outcome(f, np.array(t))
+        if isinstance(got[0], bytes):
+            assert got[0] == f(np.array([t]))[0].tobytes()
 
 
 def test_only_the_vectorized_field_decides_how_eval_is_called():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from daekit import (
+    CollocationConfig,
+    DaeSolveConfig,
     ExtrapolationError,
     InvalidInputError,
     LinearDAE,
@@ -15,6 +17,8 @@ from daekit import (
     available,
     example,
     fd_jacobian,
+    solve_dae,
+    solve_iae,
     verify_exact,
 )
 from daekit.problems import MAX_STEPS, mesh_steps
@@ -234,6 +238,43 @@ def test_trajectory_on_an_array_is_the_loop_of_float_calls():
     assert np.stack([traj(t) for t in ts]).tobytes() == want
     single = TrajectorySample(times=[0.5], values=[[1.0, 2.0]])
     assert single(np.array([0.5, 0.5])).tobytes() == np.stack([single(0.5)] * 2).tobytes()
+
+
+def _outcome(traj, t):
+    """traj(t)'s value (its bytes, shape and type) or its error (type and text)."""
+    try:
+        value = traj(t)
+    except ExtrapolationError as exc:
+        return ExtrapolationError, str(exc)
+    return value.tobytes(), value.shape, type(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrajectorySample.from_function(lambda t: np.array([np.sin(3.0 * t), t * t]),
+                                           np.linspace(0.0, 1.0, 9)),
+    lambda: TrajectorySample(times=[0.0], values=[[1.0, 2.0]]),
+    lambda: solve_dae(example("ex33"), DaeSolveConfig(h=0.125), interval=(0.0, 1.0)),
+    # one accepted point: y' = exp(60y) blows up before t = 0.5
+    lambda: solve_dae(SemiNonlinearDAE(
+        A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+        F=lambda t, y: -np.exp(60.0 * y), f=lambda t: np.zeros(1), r=1, T=1.0,
+        y0=np.zeros(1)), DaeSolveConfig(h=0.5)),
+    lambda: solve_iae(ex33_as_integral_equation(), CollocationConfig(c=(0.0, 0.7, 0.9), h=0.125),
+                      interval=(0.0, 1.0))[0],
+], ids=["sample", "one-point-sample", "bdf", "one-point-bdf", "collocation"])
+def test_a_float_call_on_a_trajectory_is_the_array_paths_call_bit_for_bit(make):
+    # a 0-d array takes the path a float took before it had its own; the
+    # (1,) call's row has the same bits
+    traj = make()
+    lo, hi = traj.span
+    slack = 5e-10 * max(1.0, abs(hi))
+    inside = np.linspace(lo, hi, 13).tolist()
+    for t in [*inside, *map(np.float64, inside), -0.0 if lo == 0.0 else lo, lo - 5e-10,
+              hi + slack, lo - 2e-9, hi + 4 * slack, np.nan]:
+        got = _outcome(traj, t)
+        assert got == _outcome(traj, np.array(t))
+        if isinstance(got[0], bytes):
+            assert got[0] == traj(np.array([t]))[0].tobytes()
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["kappa_y", "finite-differences"])
