@@ -54,7 +54,8 @@ class SolveResult(Trajectory):
     """Accepted trajectory plus per-step diagnostics.
 
     ``failure`` is None on a complete run; otherwise a record of where and
-    why stepping stopped (times/values then cover only the solved span).
+    why stepping stopped (times/values then cover only the solved span),
+    whose ``t`` is the end of the step that failed.
     As a :class:`~daekit.problems.Trajectory` on the span of its accepted
     times it gives the natural cubic spline through the accepted points,
     or the one accepted value of a solve that stopped at its first step.

@@ -285,10 +285,13 @@ class ConsistencyReport:
         return {**asdict(self), "ok": self.ok, "tol": CONSISTENCY_TOL}
 
 
-def consistency_check(levels, F_list, t0: Optional[float] = None) -> ConsistencyReport:
+def consistency_check(levels, F_list) -> ConsistencyReport:
     """Check the start-point compatibility conditions of a completed chain.
 
-    Requires ν ≥ 1 levels of reduction and the matching rhs chain.  A
+    The conditions are checked at t0, the start of A_ν's domain: the lower
+    limit of the integrals, where every integral term vanishes.  At a
+    later time consistent start data would not satisfy them.  Requires
+    ν ≥ 1 levels of reduction and the matching rhs chain.  A
     numerically singular A_ν(t0) (:func:`~daekit.linalg.numerical_rank`)
     is an error.  A full-rank one has condition number below
     1/``DEFAULT_RANK_TOL``, so no second conditioning test follows.
@@ -299,7 +302,7 @@ def consistency_check(levels, F_list, t0: Optional[float] = None) -> Consistency
     if len(F_list) < nu + 1:
         raise InvalidInputError(f"need {nu + 1} rhs functions, got {len(F_list)}")
     A_nu = levels[-1].A
-    t0 = float(A_nu.domain[0]) if t0 is None else float(t0)
+    t0 = float(A_nu.domain[0])
     m = A_nu(t0)
     if numerical_rank(m) < m.shape[0]:
         raise InconsistentChainError(

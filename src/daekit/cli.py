@@ -11,6 +11,8 @@ Commands
 
 Exit codes: 0 on success (solver breakdowns are data, not errors),
 1 on invalid configuration or problem files, 2 on unknown problem names.
+Every refusal is an exception that ``main`` alone prints, so a command
+that refuses writes nothing to stdout and no file.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("figure", choices=[f"fig{i}" for i in range(1, 6)])
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -99,15 +100,15 @@ def _resolve_problem(spec: str):
     return load_problem(path) if path.exists() else None
 
 
-def _out_stem(args, default: str) -> Path:
-    return Path(args.out) if getattr(args, "out", None) else Path(default)
-
-
-def _emit(args, text: str, payload: dict):
+def _emit(args, text: str, payload: dict, json_path) -> int:
+    """Write payload to json_path (None: no file), print text or payload; exit code 0."""
+    if json_path:
+        write_json(json_path, payload)
     if args.format == "json":
         sys.stdout.write(dumps(payload))
     else:
         print(text)
+    return 0
 
 
 def _cmd_list(args) -> int:
@@ -123,22 +124,18 @@ def _cmd_list(args) -> int:
 def _as_linear_iae(p, interval):
     """Problem -> the linear IAE whose kernel drives the index chain."""
     if isinstance(p, LinearIAE):
-        return p, None
+        return p
     if isinstance(p, LinearDAE):
-        return dae_to_iae(p), None
+        return dae_to_iae(p)
     if getattr(p, "exact", None) is None:
-        return None, ("analyze needs a linear problem or one with a known "
-                      "solution to linearize along; use classify instead")
-    a, b = interval
-    traj = TrajectorySample.from_function(p.exact, np.linspace(a, b, 201))
-    return linearize_iae(p, traj), None
+        raise InvalidInputError("analyze needs a linear problem or one with a known "
+                                "solution to linearize along; use classify instead")
+    traj = TrajectorySample.from_function(p.exact, np.linspace(*interval, 201))
+    return linearize_iae(p, traj)
 
 
 def _cmd_analyze(args, p, interval) -> int:
-    q, err = _as_linear_iae(p, interval)
-    if err:
-        print(err, file=sys.stderr)
-        return 1
+    q = _as_linear_iae(p, interval)
     grid = np.linspace(interval[0], interval[1], 33)
     report = rank_degree_index(q.A, q.k, grid=grid)
     payload = {"problem": args.problem, "interval": list(interval),
@@ -149,26 +146,23 @@ def _cmd_analyze(args, p, interval) -> int:
     for lev in report.levels:
         lines.append(f"  level {lev.level}: rank {lev.rank}")
     if report.nu is not None and report.nu > 0:
+        # at the chain's domain start, the integral origin: at a later t0
+        # the integral terms do not vanish and consistent data fail
         try:
-            f_list = rhs_chain(q.f, report.levels)
-            cons = consistency_check(report.levels, f_list, t0=interval[0])
+            cons = consistency_check(report.levels, rhs_chain(q.f, report.levels))
             payload["consistency"] = cons.to_dict()
-            lines.append(f"consistency at t0={interval[0]:g}: "
-                         f"{'PASS' if cons.ok else 'FAIL'} "
+            lines.append(f"consistency at t0={cons.t0:g}: {'PASS' if cons.ok else 'FAIL'} "
                          f"(max defect {max(cons.defects):.3e})")
         except InconsistentChainError as exc:
             payload["consistency"] = {"error": str(exc)}
-            lines.append(f"consistency at t0={interval[0]:g}: FAIL ({exc})")
-    _emit(args, "\n".join(lines), payload)
-    if getattr(args, "out", None):
-        write_json(Path(args.out).with_suffix(".json"), payload)
-    return 0
+            lines.append(f"consistency at t0={q.t_start:g}: FAIL ({exc})")
+    return _emit(args, "\n".join(lines), payload,
+                 args.out and Path(args.out).with_suffix(".json"))
 
 
 def _cmd_classify(args, p, interval) -> int:
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
-        print("classify applies to semi-nonlinear problems", file=sys.stderr)
-        return 1
+        raise InvalidInputError("classify applies to semi-nonlinear problems")
     grid = np.linspace(interval[0], interval[1], 21)
     profile = classify(p, eps=args.eps, seed=args.seed, grid=grid)
     payload = {"problem": args.problem, "interval": list(interval),
@@ -183,10 +177,8 @@ def _cmd_classify(args, p, interval) -> int:
         lines.append("critical points: none")
     for e in profile.evidence:
         lines.append(f"  evidence: {e}")
-    _emit(args, "\n".join(lines), payload)
-    if getattr(args, "out", None):
-        write_json(Path(args.out).with_suffix(".json"), payload)
-    return 0
+    return _emit(args, "\n".join(lines), payload,
+                 args.out and Path(args.out).with_suffix(".json"))
 
 
 def _monitor_keys(traj, conditions) -> dict:
@@ -195,28 +187,30 @@ def _monitor_keys(traj, conditions) -> dict:
             "warn_threshold": WARN_THRESHOLD}
 
 
+def _emit_solve(args, p, times, values, diag, span: str) -> int:
+    """Write a solve's ``<out>.csv`` and ``<out>.diagnostics.json``, and report them."""
+    stem = Path(args.out or f"{Path(args.problem).stem}-{args.command}")
+    csv_path = write_solution_csv(stem.with_suffix(".csv"), times, values,
+                                  exact=getattr(p, "exact", None))
+    json_path = stem.parent / (stem.name + ".diagnostics.json")
+    text = (f"solved {args.problem} {span} "
+            f"({'complete' if diag['failure'] is None else 'stopped early'}); "
+            f"wrote {csv_path} and {json_path}")
+    return _emit(args, text, diag, json_path)
+
+
 def _cmd_solve_dae(args, p, interval) -> int:
     if not isinstance(p, SemiNonlinearDAE):
-        print("solve-dae needs a differential problem; use solve-iae", file=sys.stderr)
-        return 1
-    cfg = DaeSolveConfig(h=args.h, order=args.order)
-    sol = solve_dae(p, cfg, interval=interval)
-    stem = _out_stem(args, f"{Path(args.problem).stem}-solve-dae")
-    csv_path = write_solution_csv(stem.with_suffix(".csv"), sol.times, sol.values,
-                                  exact=getattr(p, "exact", None))
+        raise InvalidInputError("solve-dae needs a differential problem; use solve-iae")
+    sol = solve_dae(p, DaeSolveConfig(h=args.h, order=args.order), interval=interval)
     diag = {**sol.to_dict(), **_monitor_keys(sol, p.critical_conditions)}
-    json_path = write_json(stem.parent / (stem.name + ".diagnostics.json"), diag)
-    text = (f"solved {args.problem} on [{sol.times[0]:g}, {sol.times[-1]:g}] "
-            f"({'complete' if sol.success else 'stopped early'}); "
-            f"wrote {csv_path} and {json_path}")
-    _emit(args, text, diag)
-    return 0
+    return _emit_solve(args, p, sol.times, sol.values, diag,
+                       f"on [{sol.times[0]:g}, {sol.times[-1]:g}]")
 
 
 def _cmd_solve_iae(args, p, interval) -> int:
     if not isinstance(p, (LinearIAE, SemiNonlinearIAE)):
-        print("solve-iae needs an integral problem; use solve-dae", file=sys.stderr)
-        return 1
+        raise InvalidInputError("solve-iae needs an integral problem; use solve-dae")
     cfg = CollocationConfig(c=args.c, h=args.h)
     sol, diag = solve_iae(p, cfg, interval=interval)
     times = sol.collocation_times()
@@ -226,16 +220,7 @@ def _cmd_solve_iae(args, p, interval) -> int:
             iae_residual(p, sol, times).max())
     # a linear problem has no conditions; an empty solution no value to read
     diag.update(_monitor_keys(sol, getattr(p, "critical_conditions", ()) if times.size else ()))
-    stem = _out_stem(args, f"{Path(args.problem).stem}-solve-iae")
-    csv_path = write_solution_csv(stem.with_suffix(".csv"), times, values,
-                                  exact=getattr(p, "exact", None))
-    json_path = write_json(stem.parent / (stem.name + ".diagnostics.json"), diag)
-    ok = diag["failure"] is None
-    text = (f"solved {args.problem} over {sol.n_intervals} intervals "
-            f"({'complete' if ok else 'stopped early'}); "
-            f"wrote {csv_path} and {json_path}")
-    _emit(args, text, diag)
-    return 0
+    return _emit_solve(args, p, times, values, diag, f"over {sol.n_intervals} intervals")
 
 
 # --- figure experiments ------------------------------------------------
@@ -400,12 +385,11 @@ def _cmd_reproduce(args) -> int:
     times, values, exact, summary = _FIGURES[args.figure]()
     csv_path = write_solution_csv(out_dir / f"{args.figure}.csv", times, values,
                                   exact=exact)
-    json_path = write_json(out_dir / f"{args.figure}-summary.json", summary)
+    json_path = out_dir / f"{args.figure}-summary.json"
     text = (f"{args.figure}: {summary['problem']} -> "
             f"{'PASS' if summary['passed'] else 'FAIL'} ({summary['criterion']}); "
             f"wrote {csv_path} and {json_path}")
-    _emit(args, text, summary)
-    return 0
+    return _emit(args, text, summary, json_path)
 
 
 def main(argv=None) -> int:

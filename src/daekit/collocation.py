@@ -365,7 +365,9 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
 
     Diagnostics carry per-step Newton iterations, residual norms and
     Newton-matrix condition numbers, plus a failure record if a step did
-    not converge (the solution then covers only the completed steps).  A
+    not converge (the solution then covers only the completed steps).  The
+    record's ``t`` is the end of the interval that failed, a + (step + 1)·h,
+    as in :func:`~daekit.bdf.solve_dae`'s record.  A
     linear problem's residual norm is that of the accepted value; a
     nonlinear entry is the residual at the iterate before the accepted
     step, whose Newton step met ``newton_tol``.  The
@@ -458,7 +460,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
             diag["residual_norms"].append(norm2(res))
         diag["condition_numbers"].append(np.inf if u_free is None else float(np.linalg.cond(jac)))
         if u_free is None:
-            diag["failure"] = {"step": n, "t": t_n,
+            diag["failure"] = {"step": n, "t": a + (n + 1) * cfg.h,
                                "reason": "Newton iteration did not converge"}
             break
         values[n, 0] = left_value

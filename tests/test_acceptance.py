@@ -269,10 +269,10 @@ def test_criterion_09_consistency_conditions():
         rep0.levels, rhs_chain(lambda t: np.zeros(2), rep0.levels))
 
     rep, induced_f = _linearized_growing_iae()
-    good = consistency_check(rep.levels, rhs_chain(induced_f, rep.levels), t0=1.0)
+    good = consistency_check(rep.levels, rhs_chain(induced_f, rep.levels))
     shift = np.array([0.0, 1.0])
     bad = consistency_check(
-        rep.levels, rhs_chain(lambda t: induced_f(t) + shift, rep.levels), t0=1.0)
+        rep.levels, rhs_chain(lambda t: induced_f(t) + shift, rep.levels))
     passed = trivial.ok and good.ok and not bad.ok
     detail = (f"zero rhs: max defect {max(trivial.defects):.1e}; "
               f"constructed consistent system: max defect "
@@ -308,8 +308,8 @@ def test_criterion_11_reproduction_runs_are_byte_identical(tmp_path, capsys):
     identical = []
     for fig in figures:
         d1, d2 = tmp_path / f"{fig}-a", tmp_path / f"{fig}-b"
-        assert cli_main(["reproduce", fig, "--out", str(d1), "--seed", "0"]) == 0
-        assert cli_main(["reproduce", fig, "--out", str(d2), "--seed", "0"]) == 0
+        assert cli_main(["reproduce", fig, "--out", str(d1)]) == 0
+        assert cli_main(["reproduce", fig, "--out", str(d2)]) == 0
         same = ((d1 / f"{fig}.csv").read_bytes() == (d2 / f"{fig}.csv").read_bytes()
                 and (d1 / f"{fig}-summary.json").read_bytes()
                 == (d2 / f"{fig}-summary.json").read_bytes())

@@ -43,7 +43,7 @@ SIGNATURES = {
     "IndexReport": "nu, levels, grid, status",
     "IndexReport.to_dict": "",
     "chain_step": "A_i, k_i",
-    "consistency_check": "levels, F_list, t0=",
+    "consistency_check": "levels, F_list",
     "dae_to_iae": "p",
     "rank_degree_index": "A, k, grid=",
     "rhs_chain": "f, levels",

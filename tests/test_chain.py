@@ -411,7 +411,7 @@ def test_consistency_zero_rhs_passes():
 def test_consistency_constructed_system_passes():
     rep, induced_f = _linearized_ex34_with_induced_f()
     fns = rhs_chain(induced_f, rep.levels)
-    report = consistency_check(rep.levels, fns, t0=1.0)
+    report = consistency_check(rep.levels, fns)
     assert report.ok
     assert max(report.defects) <= 1e-6
 
@@ -421,7 +421,7 @@ def test_consistency_detects_perturbed_start_data():
     rep, induced_f = _linearized_ex34_with_induced_f()
     shift = np.array([0.0, 1.0])
     fns = rhs_chain(lambda t: induced_f(t) + shift, rep.levels)
-    report = consistency_check(rep.levels, fns, t0=1.0)
+    report = consistency_check(rep.levels, fns)
     assert not report.ok
     assert max(report.defects) > 1e-2
 

@@ -1,5 +1,6 @@
 """Problem files and the command-line front-end."""
 
+import argparse
 import json
 
 import numpy as np
@@ -269,7 +270,8 @@ def test_analyze_json_format(tmp_path, capsys):
 def test_analyze_reports_a_singular_final_chain_matrix_as_a_failed_check(monkeypatch, capsys):
     # the chain reaches ν only where A_ν is nonsingular on its grid, t0
     # included, so only a patch makes consistency_check raise here
-    def singular(levels, f_list, t0=None):
+    def singular(levels, f_list):
+        t0 = float(levels[-1].A.domain[0])
         raise InconsistentChainError(f"final chain matrix is numerically singular at t0={t0}")
 
     monkeypatch.setattr(cli, "consistency_check", singular)
@@ -291,6 +293,27 @@ def test_analyze_linear_dae_problem_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rank-degree index: 2" in out
     assert "consistency at t0=0: PASS" in out
+
+
+# the linear index-2 IAE with solution (cos t, 1 + sin t), and its DAE twin
+# y1' + y2 = 0, y1 = sin t
+INDEX_2_IAE = {"kind": "linear-iae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+               "k": [["0", "1"], ["1", "0"]], "f": ["t + 1", "sin(t)"]}
+INDEX_2_DAE = {"kind": "linear-dae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+               "B": [[0, 1], [1, 0]], "f": [0, "sin(t)"]}
+
+
+@pytest.mark.parametrize("data", [INDEX_2_IAE, INDEX_2_DAE], ids=["iae", "dae"])
+def test_analyze_checks_consistency_at_the_integral_origin(tmp_path, capsys, data):
+    # the conditions hold at t_start, where every integral term vanishes; at
+    # --interval's start 0.5 these consistent problems miss them by 0.48 and 0.43
+    argv = ["analyze", "--problem", str(write_problem(tmp_path, data)), "--interval", "0.5", "1"]
+    assert main(argv) == 0
+    assert "consistency at t0=0: PASS" in capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) == 0
+    consistency = json.loads(capsys.readouterr().out)["consistency"]
+    assert consistency["t0"] == 0.0
+    assert max(consistency["defects"]) <= 1e-10
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,6 +529,24 @@ def test_solve_iae_wrong_problem_kind_exits_1(capsys):
     assert "solve-dae" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, problem, hint", [
+    ("analyze", "ex31", "analyze needs a linear problem or one with a known solution "
+                        "to linearize along; use classify instead"),
+    ("classify", None, "classify applies to semi-nonlinear problems"),
+    ("solve-dae", "ex34", "solve-dae needs a differential problem; use solve-iae"),
+    ("solve-iae", "ex32", "solve-iae needs an integral problem; use solve-dae"),
+], ids=["analyze", "classify", "solve-dae", "solve-iae"])
+def test_a_wrong_kind_of_problem_is_an_error_that_writes_nothing(tmp_path, capsys, command,
+                                                                 problem, hint, fmt):
+    problem = problem or str(write_problem(tmp_path, CONSTANT_PAIR))
+    before = set(tmp_path.iterdir())
+    assert main([command, "--problem", problem, "--out", str(tmp_path / "run"),
+                 "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", f"error: {hint}\n")
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_solve_dae_from_problem_file(tmp_path):
     path = write_problem(tmp_path, RELAX, name="relax.json")
     stem = tmp_path / "relax-out"
@@ -516,6 +557,28 @@ def test_solve_dae_from_problem_file(tmp_path):
     last = [float(x) for x in lines[-1].split(",")]
     assert last[0] == pytest.approx(1.0)
     assert last[2] == pytest.approx(np.sin(1.0), abs=1e-12)
+
+
+# every command's options, in order; "=" marks one with a default, as in
+# test_api.py's SIGNATURES: adding or removing an option is an edit here
+OPTIONS = {
+    "list": "",
+    "analyze": "--problem, --interval, --out, --format=",
+    "classify": "--problem, --interval, --out, --format=, --eps=, --seed=",
+    "solve-dae": "--problem, --interval, --out, --format=, --h=, --order=",
+    "solve-iae": "--problem, --interval, --out, --format=, --h=, --c=",
+    "reproduce": "figure, --out=, --format=",
+}
+
+
+def test_every_command_line_option_is_in_the_table():
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    got = {name: ", ".join((a.option_strings[0] if a.option_strings else a.dest)
+                           + ("=" if a.default is not None else "")
+                           for a in sub._actions if a.dest != "help")
+           for name, sub in commands.choices.items()}
+    assert got == OPTIONS
 
 
 def test_usage_errors_exit_1(capsys):

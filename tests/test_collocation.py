@@ -8,6 +8,7 @@ import pytest
 
 from daekit import (
     CollocationConfig,
+    DaeSolveConfig,
     ExtrapolationError,
     InvalidInputError,
     LinearIAE,
@@ -16,6 +17,7 @@ from daekit import (
     SemiNonlinearIAE,
     example,
     residual,
+    solve_dae,
     solve_iae,
     verify_exact,
 )
@@ -299,9 +301,27 @@ def test_an_overflowing_iterate_is_not_accepted(with_kappa_y):
         p.kappa_y = None
     sol, diag = solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.1))
     assert diag["failure"]["step"] == sol.n_intervals == 6
-    assert diag["failure"]["t"] == pytest.approx(1.6)
+    assert diag["failure"]["t"] == pytest.approx(1.7)
     assert np.all(np.isfinite(diag["residual_norms"][:-1]))
     assert np.max(np.abs(sol.nodal_values)) < 1e3
+
+
+@pytest.mark.parametrize("solver, h, step, t", [("bdf1", 1e-3, 674, 1.675),
+                                                ("collocation", 0.1, 6, 1.7)])
+def test_both_solvers_record_the_end_of_the_step_that_failed(solver, h, step, t):
+    # one convention, so that stop times compare across solver families:
+    # t = a + (step + 1)·h, one step past the end of the kept trajectory
+    if solver == "bdf1":
+        sol = solve_dae(example("ex32"), DaeSolveConfig(h=h), interval=(1.0, 2.0))
+        failure = sol.failure
+    else:
+        sol, diag = solve_iae(example("ex34"), CollocationConfig(c=(0.3, 0.8), h=h))
+        failure = diag["failure"]
+    a = sol.span[0]
+    assert a == 1.0
+    assert failure["t"] == a + (failure["step"] + 1) * h
+    assert sol.span[1] == a + failure["step"] * h
+    assert (failure["step"], failure["t"]) == (step, pytest.approx(t))
 
 
 @pytest.mark.parametrize("with_kappa_y", [True, False])

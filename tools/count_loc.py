@@ -6,12 +6,20 @@ docstring lines do not count.  Every line of a multi-line token that is
 not a docstring, such as a long string or an expression continued over
 several lines, counts.  Standard library only.
 
-    python3 tools/count_loc.py [PACKAGE_DIR]    # default: src/daekit
+    python3 tools/count_loc.py [PACKAGE_DIR]                 # default: src/daekit
+    python3 tools/count_loc.py [PACKAGE_DIR] --against REV
+
+``--against REV`` prints each module's code lines at the git revision REV
+(read through ``git show``), the worktree's, and the change; a module
+missing on one side counts 0 there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -31,23 +39,56 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    docs = docstring_lines(ast.parse(path.read_bytes(), filename=str(path)))
+def code_lines(source: bytes, name: str = "<source>") -> int:
+    docs = docstring_lines(ast.parse(source, filename=name))
     lines = set()
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in NOT_CODE:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - docs)
 
 
+def worktree_counts(package: Path) -> dict:
+    return {path.name: code_lines(path.read_bytes(), str(path))
+            for path in sorted(package.glob("*.py"))}
+
+
+def revision_counts(package: Path, rev: str) -> dict:
+    """The counts of the package's modules at git revision ``rev``."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+    # ls-tree and a "./" path are read relative to the working directory
+    names = git("ls-tree", "--name-only", rev, f"{package.as_posix()}/").decode().split()
+    return {Path(name).name: code_lines(git("show", f"{rev}:./{name}"), f"{rev}:{name}")
+            for name in sorted(names) if name.endswith(".py")}
+
+
 def main(argv: list) -> int:
-    package = Path(argv[1] if len(argv) > 1 else "src/daekit")
-    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
-    width = max(map(len, counts), default=0)
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:>5}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("package", nargs="?", default="src/daekit")
+    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
+    args = parser.parse_args(argv[1:])
+    package = Path(args.package)
+    counts = worktree_counts(package)
+    if args.against is None:
+        width = max(map(len, counts), default=0)
+        for name, n in counts.items():
+            print(f"{name:<{width}}  {n:>5}")
+        print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+        return 0
+    try:
+        before = revision_counts(package, args.against)
+    except subprocess.CalledProcessError as exc:
+        print(exc.stderr.decode().strip() or exc, file=sys.stderr)
+        return 1
+    rows = [(name, before.get(name, 0), counts.get(name, 0))
+            for name in sorted(before.keys() | counts.keys())]
+    rows.append(("total", sum(b for _, b, _ in rows), sum(a for _, _, a in rows)))
+    width = max(len(name) for name, _, _ in rows)
+    rev = args.against[:12]
+    print(f"{'':<{width}}  {rev:>12}  {'worktree':>8}  {'delta':>6}")
+    for name, b, a in rows:
+        print(f"{name:<{width}}  {b:>12}  {a:>8}  {a - b:>+6}")
     return 0
 
 
