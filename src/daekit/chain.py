@@ -65,12 +65,13 @@ from .linalg import (
     semi_inverse,
 )
 from .problems import (
+    JACOBIAN_CONTRACT,
     LinearDAE,
     LinearIAE,
     SemiNonlinearDAE,
     SemiNonlinearIAE,
     Trajectory,
-    batch_jacobian,
+    batch_checked,
     start_value,
 )
 
@@ -335,10 +336,8 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
 
     The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
     chain level.  An array call makes one Jacobian call on all its points
-    (and samples), through :func:`~daekit.problems.batch_jacobian`: the
-    batch form is tried once per kernel, checked against per-point calls at
-    its two end points, and a Jacobian that fails that try is called per
-    point.
+    (and samples), and the first call of each kernel checks the batch
+    shape (r, r, M) (:func:`~daekit.problems.batch_checked`).
     """
     if isinstance(p, LinearDAE):
         return MatrixFunction(eval=lambda t, s: p.B(s) - matfn_derivative(p.A, s),
@@ -355,7 +354,7 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
         def at(s):
             return np.broadcast_to(v, s.shape + v.shape)
     dae = isinstance(p, SemiNonlinearDAE)
-    jac = batch_jacobian(p.jacobian if dae else p.kappa_jacobian, p.r)
+    jac = batch_checked(p.jacobian if dae else p.kappa_jacobian, (p.r, p.r), JACOBIAN_CONTRACT)
 
     def kernel(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = at(s)                                   # (n, r) or (n, S, r)

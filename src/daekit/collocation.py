@@ -37,10 +37,9 @@ all its probes, and one history call per batch of probes whose histories
 hold as many points as the solver's largest history call.  Each equation (or probe) keeps its own product with its
 weights, so the values are those of one call per equation.  The Newton
 matrix of an interval is one dense (n_eq r)² system, built in one piece
-from one κ_y call per Newton iteration on those same points.  κ_y is tried
-in that batch form (and checked against per-point calls) once per solve,
-and one that fails the try is called per Gauss point
-(:func:`~daekit.problems.batch_jacobian`).  A κ with no κ_y is differenced
+from one κ_y call per Newton iteration on those same points.  The first
+κ and κ_y calls of a solve check the batch shapes, (r, M) and (r, r, M)
+(:func:`~daekit.problems.batch_checked`).  A κ with no κ_y is differenced
 in one call on all 2r perturbed copies of those points
 (:func:`~daekit.problems.fd_jacobian`).  Newton failures
 are recorded, not raised: a solve that stops converging after an index
@@ -57,8 +56,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import NEWTON_MAX_ITER, newton, norm2, per_point
-from .problems import (LinearIAE, SemiNonlinearIAE, Trajectory, batch_jacobian, probe_points,
-                       solve_span, start_value)
+from .problems import (JACOBIAN_CONTRACT, KAPPA_CONTRACT, LinearIAE, SemiNonlinearIAE, Trajectory,
+                       batch_checked, probe_points, solve_span, start_value)
 
 
 QUAD_ORDER = 8
@@ -218,32 +217,6 @@ class PiecewiseSolution(Trajectory):
         return ts.ravel()
 
 
-_CONTRACT = ("κ must be vectorised: κ(t, s, y) with t and s of shape (M,) and y of "
-             "shape (r, M), components on axis 0, returns shape (r, M)")
-
-
-def _checked_kappa(kappa, r: int):
-    """κ as the solver calls it; the first call checks the batch contract."""
-    checked = False
-
-    def call(t, s, y):
-        nonlocal checked
-        if checked:
-            return kappa(t, s, y)
-        try:
-            out = np.asarray(kappa(t, s, y), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{_CONTRACT}; the batched call raised {exc!r}") from exc
-        if out.shape != (r, s.size):
-            raise InvalidInputError(
-                f"{_CONTRACT}; the batched call returned shape {out.shape}, "
-                f"expected {(r, s.size)}")
-        checked = True
-        return out
-
-    return call
-
-
 def _kernel_of(p):
     """(κ, ∂κ/∂y, linear) in batch form: for s of shape (M,) and y of shape
     (r, M), κ returns (r, M) and ∂κ/∂y returns (r, r, M), each in one call
@@ -258,7 +231,8 @@ def _kernel_of(p):
         return ((lambda t, s, y: np.einsum("ijm,jm->im", k_at(t, s), y)),
                 (lambda t, s, y: k_at(t, s)), True)
     if isinstance(p, SemiNonlinearIAE):
-        return _checked_kappa(p.kappa, p.r), batch_jacobian(p.kappa_jacobian, p.r), False
+        return (batch_checked(p.kappa, (p.r,), KAPPA_CONTRACT),
+                batch_checked(p.kappa_jacobian, (p.r, p.r), JACOBIAN_CONTRACT), False)
     raise InvalidInputError(f"expected an IAE problem, got {type(p)}")
 
 

@@ -17,9 +17,11 @@ Five semi-nonlinear problems exercising the index taxonomy:
 All five share the leading matrix diag(1, 0).  Right-hand sides come from
 substituting the stated solutions into the equations (the integrals for
 ex34/ex35 evaluate in closed form); ``verify_exact`` in the test suite
-guards every registered formula.  Every F_y and κ_y also takes a batch:
-y of shape (r, M) gives the (r, r, M) stack of Jacobians, so a constant
-entry is written as an array shaped like y[0].
+guards every registered formula.  Every F_y and κ_y takes the batch that
+:func:`~daekit.problems.batch_checked` checks: y of shape (r, M) gives the
+(r, r, M) stack of Jacobians, so a constant entry is written as an array
+shaped like y[0].  F_y takes the per-point form too, as ``solve_dae``
+calls it.
 """
 
 from __future__ import annotations

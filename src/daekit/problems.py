@@ -35,8 +35,11 @@ VERIFY_QUAD_TOL = 1e-10
 # the most steps a solve may take; at r = 2 the collocation history of
 # 10**6 intervals alone is 128 MB
 MAX_STEPS = 10**6
-# a batched Jacobian and per-point calls may round apart in the last bits
-BATCH_CHECK_RTOL = 4 * np.finfo(float).eps
+# what batch_checked's refusals name, for κ and for the Jacobians
+KAPPA_CONTRACT = ("κ must be vectorised: κ(t, s, y) with t and s of shape (M,) and y of "
+                  "shape (r, M), components on axis 0, returns shape (r, M)")
+JACOBIAN_CONTRACT = ("κ_y and F_y (κ and F when differenced) must take the batch: κ_y(t, s, y) "
+                     "and F_y(t, y) with t, s of shape (M,), y of shape (r, M) return (r, r, M)")
 
 
 def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
@@ -70,48 +73,31 @@ def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
     return (out[..., 0] - out[..., 1]) / (2.0 * h)
 
 
-def batch_jacobian(jac: Callable[..., np.ndarray], r: int) -> Callable[..., np.ndarray]:
-    """``jac`` in batch form: (..., y) with y of shape (r, M) gives (r, r, M).
+def batch_checked(fn: Callable[..., np.ndarray], shape: tuple,
+                  contract: str) -> Callable[..., np.ndarray]:
+    """``fn`` as a batch caller calls it, with y of shape (r, M) last.
 
-    The leading arguments (t and s) are scalars or (M,) arrays.  The first
-    call with M >= 2 tries ``jac`` on the whole batch and keeps that form
-    for good if it returns shape (r, r, M) and its first and last points
-    agree with per-point calls there to BATCH_CHECK_RTOL of their largest
-    entry; a per-point Jacobian that reduces over its y (a norm, a sum)
-    gives other values on a batch and is caught that way.  Otherwise, and
-    if the try raises TypeError/ValueError, this and every later call go
-    once per point (float arguments, y of shape (r,)) and stack the (r, r)
-    results.  The decision lives in the returned closure, so each kernel or
-    solve that builds one tries the batch form at most once.
+    Its first call must return ``shape + (M,)``: (r,) + (M,) for κ, (r, r)
+    + (M,) for κ_y and F_y.  One that raises TypeError/ValueError or returns
+    another shape raises InvalidInputError naming ``contract``; later calls
+    go to ``fn`` unchecked.
     """
-    batched = None
-
-    def per_point(lead, y: np.ndarray, points) -> np.ndarray:
-        lead = [np.broadcast_to(a, y.shape[1:]) for a in lead]
-        return np.stack([np.asarray(jac(*(float(a[g]) for a in lead), y[:, g]), dtype=float)
-                         for g in points], axis=-1)
-
-    def agrees(out: np.ndarray, lead, y: np.ndarray) -> bool:
-        ends = [0, y.shape[1] - 1]
-        want = per_point(lead, y, ends)
-        return bool(np.all(np.max(np.abs(out[..., ends] - want), axis=(0, 1))
-                           <= BATCH_CHECK_RTOL * np.max(np.abs(want), axis=(0, 1))))
+    checked = False
 
     def call(*args) -> np.ndarray:
-        nonlocal batched
-        *lead, y = args
-        if batched is None and y.shape[1] >= 2:
-            try:
-                out = np.asarray(jac(*args), dtype=float)
-            except (TypeError, ValueError):
-                out = None
-            batched = out is not None and out.shape == (r, r, y.shape[1]) \
-                and agrees(out, lead, y)
-            if batched:
-                return out
-        if batched:
-            return np.asarray(jac(*args), dtype=float)
-        return per_point(lead, y, range(y.shape[1]))
+        nonlocal checked
+        if checked:
+            return fn(*args)
+        try:
+            out = np.asarray(fn(*args), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{contract}; the batched call raised {exc!r}") from exc
+        want = shape + np.shape(args[-1])[1:]
+        if out.shape != want:
+            raise InvalidInputError(
+                f"{contract}; the batched call returned shape {out.shape}, expected {want}")
+        checked = True
+        return out
 
     return call
 
@@ -193,7 +179,16 @@ class TrajectorySample(Trajectory):
 
 
 class _OnInterval:
-    """A problem's working interval [t_start, T], the one rule of its four classes."""
+    """A problem's working interval [t_start, T], the one rule of its four classes.
+
+    A's domain must start at t_start: the chain takes the start of A's
+    domain as the integral origin (:func:`~daekit.chain.consistency_check`).
+    """
+
+    def __post_init__(self):
+        if self.A.domain[0] != self.t_start:
+            raise InvalidInputError(
+                f"A's domain {self.A.domain} must start at t_start = {self.t_start}")
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -242,10 +237,8 @@ class SemiNonlinearIAE(_OnInterval):
     differenced Jacobian, ``residual`` one for the partial intervals of
     all its probes and one per batch of their histories, and both raise
     InvalidInputError when the first call fails or has the wrong shape.
-    ``kappa_y`` may take the same batch and return (r, r, M); its per-point
-    form (scalars, y of shape (r,), an (r, r) result) must still work.
-    Callers go through :func:`batch_jacobian`, which tries the batch form
-    once, checks it against per-point calls and falls back to those.
+    ``kappa_y`` takes the same batch and returns (r, r, M); its first call
+    in each kernel or solve is checked the same way (:func:`batch_checked`).
     """
 
     A: MatrixFunction
@@ -260,9 +253,9 @@ class SemiNonlinearIAE(_OnInterval):
     name: str = ""
 
     def kappa_jacobian(self, t, s, y: np.ndarray) -> np.ndarray:
-        """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r) at scalars
-        and y (r,); (r, r, M) at t, s (M,) and y (r, M) if κ_y (or κ) takes
-        the batch.  :func:`batch_jacobian` adds the per-point fallback."""
+        """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r, M) at t, s
+        (M,) and y (r, M); (r, r) at scalars and y (r,) if κ_y (or κ) takes
+        that form too."""
         if self.kappa_y is None:
             return fd_jacobian(self.kappa, t, s, y)
         return np.asarray(self.kappa_y(t, s, y), dtype=float)
@@ -270,7 +263,13 @@ class SemiNonlinearIAE(_OnInterval):
 
 @dataclass
 class SemiNonlinearDAE(_OnInterval):
-    """A(t) y'(t) + F(t, y(t)) = f(t), y(t_start) = y0."""
+    """A(t) y'(t) + F(t, y(t)) = f(t), y(t_start) = y0.
+
+    F and ``F_y`` take a float t and y of shape (r,), as ``solve_dae`` calls
+    them, and a batch: t of shape (M,) and y of shape (r, M) give (r, M)
+    and (r, r, M), as a linearized kernel calls them, its first call
+    checked by :func:`batch_checked`.
+    """
 
     A: MatrixFunction
     F: Callable[[float, np.ndarray], np.ndarray]
@@ -287,8 +286,7 @@ class SemiNonlinearDAE(_OnInterval):
 
     def jacobian(self, t, y: np.ndarray) -> np.ndarray:
         """∂F/∂y (F_y, else differences of F) in one call: (r, r) at a float t
-        and y (r,); (r, r, M) at t (M,) and y (r, M) if F_y (or F) takes the
-        batch.  :func:`batch_jacobian` adds the per-point fallback."""
+        and y (r,); (r, r, M) at t (M,) and y (r, M)."""
         if self.F_y is not None:
             return np.asarray(self.F_y(t, y), dtype=float)
         return fd_jacobian(self.F, t, y)

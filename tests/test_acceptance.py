@@ -210,7 +210,7 @@ def test_criterion_07_collocation_solves_the_index2_integral_problem():
     scalar = SemiNonlinearIAE(
         A=one, kappa=lambda t, s, y: np.array([y[0]]),
         f=lambda t: np.array([1.0]), r=1, T=1.0, t_start=0.0,
-        kappa_y=lambda t, s, y: np.eye(1))
+        kappa_y=lambda t, s, y: np.multiply.outer(np.eye(1), np.ones_like(y[0])))
     oerrs = []
     ohs = (0.1, 0.05)
     for h in ohs:

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from daekit import (
     ChainLevel,
     CollocationConfig,
+    DaeSolveConfig,
     InconsistentChainError,
     InvalidInputError,
     LinearDAE,
@@ -29,13 +30,13 @@ from daekit import (
     numerical_rank,
     semi_inverse,
     available,
+    classify,
+    solve_dae,
     SemiNonlinearIAE,
     solve_iae,
     verify_exact,
 )
 from daekit.chain import linear_kernel
-from daekit.collocation import _kernel_of
-from daekit.structure import frozen_index_report
 from helpers import (
     PAIR_A,
     PAIR_K,
@@ -527,10 +528,10 @@ def test_linear_kernel_rejects_what_it_cannot_linearize():
         linear_kernel(example("ex32"))
 
 
-# --- batched Jacobians ------------------------------------------------------
+# --- the batch contract of the Jacobians -------------------------------------
 
-# a Jacobian's scalar and array arithmetic may round apart in the last bit
-ULPS = 4 * np.finfo(float).eps
+# what a refusal names: the batch form κ_y and F_y must take
+JACOBIAN_CONTRACT = r"must take the batch: κ_y\(t, s, y\) and F_y\(t, y\)"
 
 
 def _per_point_kappa_y(t, s, y):
@@ -545,7 +546,10 @@ def _per_point_F_y(t, y):
     return np.array([[-2.0 * y1, -math.exp(y2)], [-y2, -y1]])
 
 
-PER_POINT = [("ex34", "kappa_y", _per_point_kappa_y), ("ex32", "F_y", _per_point_F_y)]
+def _per_point_F(t, y):
+    # ex32's F on floats
+    y1, y2 = float(y[0]), float(y[1])
+    return np.array([-y1 ** 2 - math.exp(y2), -y1 * y2])
 
 
 def _counted(fn, shapes):
@@ -555,72 +559,33 @@ def _counted(fn, shapes):
     return call
 
 
-def _point_loop(jac, attr, t, s, etas):
-    """The kernel of a per-point Jacobian, one call per point and sample."""
-    if attr == "kappa_y":
-        return np.array([[jac(ti, si, e) for e in etas] for ti, si in zip(t, s)])
-    return np.array([[jac(si, e) for e in etas] for si in s])
-
-
-@pytest.mark.parametrize("name, attr, per_point", PER_POINT)
-def test_a_per_point_jacobian_gives_the_kernel_of_the_batched_one(name, attr, per_point):
-    p, q = example(name), example(name)
-    setattr(q, attr, per_point)
-    rng = np.random.default_rng(5)
-    etas = rng.uniform(-2.0, 2.0, size=(3, 2))
-    t, s = rng.uniform(1.0, 2.0, size=(2, 7))
-    tr = exact_traj(p)
-    for eta in (etas, etas[0], tr):
-        got = linear_kernel(q, eta)(t, s)
-        np.testing.assert_allclose(got, linear_kernel(p, eta)(t, s), rtol=ULPS, atol=0.0)
-    # the fallback is the loop of per-point calls, bit for bit (A' = 0 here)
-    assert linear_kernel(q, etas)(t, s).tobytes() == \
-        _point_loop(per_point, attr, t, s, etas).tobytes()
-    assert linear_kernel(q, etas[0])(1.5, 1.2).tobytes() == \
-        _point_loop(per_point, attr, [1.5], [1.2], etas[:1])[0, 0].tobytes()
-
-
-@pytest.mark.parametrize("name, attr, per_point", PER_POINT)
-def test_a_constant_per_point_jacobian_gives_its_matrix_everywhere(name, attr, per_point):
-    m = np.array([[0.5, -1.0], [2.0, 0.25]])
-    q = example(name)
-    setattr(q, attr, (lambda t, s, y: m) if attr == "kappa_y" else (lambda t, y: m))
-    t = np.linspace(1.0, 2.0, 6)
-    got = linear_kernel(q, np.array([[0.3, 0.1], [-0.2, 0.4]]))(t, t)
-    assert got.shape == (6, 2, 2, 2)
-    assert np.all(got == m)
-
-
-def test_a_per_point_kappa_y_gives_the_collocation_jacobian_of_the_batched_one():
-    p, q = example("ex34"), example("ex34")
+def test_a_per_point_kappa_y_is_refused_by_the_linear_kernel():
+    q = example("ex34")
     q.kappa_y = _per_point_kappa_y
-    rng = np.random.default_rng(6)
-    s = rng.uniform(1.0, 2.0, size=9)
-    y = rng.uniform(-2.0, 2.0, size=(2, 9))
-    np.testing.assert_allclose(_kernel_of(q)[1](1.5, s, y), p.kappa_jacobian(1.5, s, y),
-                               rtol=ULPS, atol=0.0)
-    assert q.kappa_jacobian(1.5, s[0], y[:, 0]).tobytes() == \
-        _per_point_kappa_y(1.5, s[0], y[:, 0]).tobytes()
-    m = np.array([[0.5, -1.0], [2.0, 0.25]])
-    q.kappa_y = lambda t, s, y: m
-    assert _kernel_of(q)[1](1.5, s, y).tobytes() == np.repeat(m[..., None], 9, -1).tobytes()
+    t = np.linspace(1.0, 2.0, 5)
+    for eta in (exact_traj(q), np.array([0.3, 0.1]), np.array([[0.3, 0.1], [-0.2, 0.4]])):
+        with pytest.raises(InvalidInputError, match=JACOBIAN_CONTRACT + ".*raised TypeError"):
+            linear_kernel(q, eta)(t, t)
 
 
-@pytest.mark.parametrize("name, attr, per_point", PER_POINT)
-def test_a_per_point_jacobian_is_tried_in_batch_form_once_per_kernel(name, attr, per_point):
-    p, q = example(name), example(name)
-    batched, single = [], []
-    setattr(p, attr, _counted(getattr(p, attr), batched))
-    setattr(q, attr, _counted(per_point, single))
-    tr = exact_traj(p)
-    for prob in (p, q):
-        frozen_index_report(prob, tr(1.5), 1.5, tr)
-    wide = [shape for shape in batched if len(shape) == 2]
-    # the built-in's first batch is checked against per-point calls at its ends
-    assert batched[1:3] == [(2,), (2,)] and len(batched) == len(wide) + 2
-    assert [shape for shape in single if len(shape) == 2] == [wide[0]]
-    # after the one batch try, the same points go one at a time
-    assert single[1:] == [(2,)] * sum(shape[1] for shape in wide)
+def test_a_per_point_F_y_is_refused_by_classify():
+    q = example("ex32")
+    q.F_y = _per_point_F_y
+    with pytest.raises(InvalidInputError, match=JACOBIAN_CONTRACT + ".*raised TypeError"):
+        classify(q, grid=np.linspace(1.0, 2.0, 21))
+
+
+def test_a_per_point_F_without_F_y_is_refused_by_classify_and_solved_by_bdf():
+    p, q = example("ex32"), example("ex32")
+    p.F_y = q.F_y = None
+    q.F = _per_point_F
+    with pytest.raises(InvalidInputError, match=JACOBIAN_CONTRACT + ".*raised TypeError"):
+        classify(q, grid=np.linspace(1.0, 2.0, 21))
+    # BDF calls F per point, so the solve is that of the batch-capable F
+    cfg = DaeSolveConfig(h=1e-2)
+    want, got = solve_dae(p, cfg, interval=(1.0, 1.5)), solve_dae(q, cfg, interval=(1.0, 1.5))
+    assert got.failure is None
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -628,55 +593,33 @@ def test_a_per_point_jacobian_is_tried_in_batch_form_once_per_kernel(name, attr,
     lambda out: out[..., :-1],              # one point short
     lambda out: out.sum(axis=-1),           # (r, r)
 ], ids=["points-first", "short", "no-point-axis"])
-def test_a_batch_result_of_the_wrong_shape_falls_back_to_per_point_calls(wrong):
+def test_a_batch_result_of_the_wrong_shape_is_refused(wrong):
     q = example("ex34")
-    builtin, shapes = q.kappa_y, []
-    q.kappa_y = _counted(
-        lambda t, s, y: wrong(builtin(t, s, y)) if np.ndim(y) == 2 else builtin(t, s, y),
-        shapes)
+    builtin = q.kappa_y
+    q.kappa_y = lambda t, s, y: wrong(builtin(t, s, y))
     t = np.linspace(1.0, 2.0, 5)
     etas = np.array([[0.3, 0.1], [-0.2, 0.4], [1.0, 1.0]])
-    kernel = linear_kernel(q, etas)
-    want = _point_loop(builtin, "kappa_y", t, t, etas).tobytes()
-    assert kernel(t, t).tobytes() == want
-    # the decision holds: the next call goes per point without a batch try
-    assert kernel(t, t).tobytes() == want
-    assert shapes == [(2, 15)] + [(2,)] * 30
+    with pytest.raises(InvalidInputError,
+                       match=JACOBIAN_CONTRACT + r".*returned shape .*, expected \(2, 2, 15\)"):
+        linear_kernel(q, etas)(t, t)
 
 
-def _norm_kappa_y(t, s, y):
-    # per point: y/‖y‖ in the first row; a batch gets the shape right but
-    # divides by the norm of all its points
-    return np.array([y / np.linalg.norm(y), [y[1], -y[0]]])
+@pytest.mark.parametrize("name, attr", [("ex34", "kappa_y"), ("ex32", "F_y")])
+def test_a_constant_matrix_jacobian_is_refused(name, attr):
+    m = np.array([[0.5, -1.0], [2.0, 0.25]])
+    q = example(name)
+    setattr(q, attr, (lambda t, s, y: m) if attr == "kappa_y" else (lambda t, y: m))
+    t = np.linspace(1.0, 2.0, 6)
+    etas = np.array([[0.3, 0.1], [-0.2, 0.4]])
+    with pytest.raises(InvalidInputError, match=JACOBIAN_CONTRACT + r".*returned shape \(2, 2\)"):
+        linear_kernel(q, etas)(t, t)
+    # written to take both forms, the constant is its matrix everywhere
+    def both_forms(*args):
+        return np.multiply.outer(m, np.ones_like(args[-1][0]))
 
-
-def _max_kappa_y(t, s, y):
-    return np.array([[np.max(y) + 0.0 * y[0], y[0]], [s * y[1], 1.0 + 0.0 * y[0]]])
-
-
-@pytest.mark.parametrize("per_point", [_norm_kappa_y, _max_kappa_y], ids=["norm", "max"])
-def test_a_per_point_jacobian_that_reduces_over_y_falls_back(per_point):
-    q = example("ex34")
-    shapes = []
-    q.kappa_y = _counted(per_point, shapes)
-    rng = np.random.default_rng(7)
-    etas = rng.uniform(0.5, 2.0, size=(3, 2))
-    t, s = rng.uniform(1.0, 2.0, size=(2, 7))
-    assert np.shape(per_point(1.5, s[:3], etas.T)) == (2, 2, 3)
-    kernel = linear_kernel(q, etas)
-    want = _point_loop(per_point, "kappa_y", t, s, etas).tobytes()
-    assert kernel(t, s).tobytes() == want
-    assert kernel(t, s).tobytes() == want
-    assert shapes.count((2, 21)) == 1
-    # a one-point call cannot tell the forms apart and decides nothing
-    single = linear_kernel(q, etas[0])
-    assert single(1.5, 1.2).tobytes() == \
-        _point_loop(per_point, "kappa_y", [1.5], [1.2], etas[:1])[0, 0].tobytes()
-    assert single(t, s).tobytes() == \
-        _point_loop(per_point, "kappa_y", t, s, etas[:1])[:, 0].tobytes()
-    y = etas.T
-    assert _kernel_of(q)[1](1.5, s[:3], y).tobytes() == \
-        np.stack([per_point(1.5, si, yi) for si, yi in zip(s[:3], y.T)], axis=-1).tobytes()
+    setattr(q, attr, both_forms)
+    assert np.all(linear_kernel(q, etas)(t, t) == m)
+    assert both_forms(1.5, etas[0]).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("name", available())
@@ -688,7 +631,7 @@ def test_every_built_in_jacobian_takes_the_batch(name):
     t = np.linspace(p.interval[0], p.interval[1], 5)
     etas = np.array([[0.3, -0.2], [-0.5, 0.7]])
     assert linear_kernel(p, etas)(t, t).shape == (5, 2, 2, 2)
-    assert shapes == [(2, 10), (2,), (2,)]
+    assert shapes == [(2, 10)]
 
 
 def test_second_kind_systems_have_index_zero():

@@ -35,7 +35,7 @@ def scalar_second_kind():
         kappa=lambda t, s, y: np.array([y[0]]),
         f=lambda t: np.array([1.0]),
         r=1, T=1.0, t_start=0.0,
-        kappa_y=lambda t, s, y: np.eye(1),
+        kappa_y=lambda t, s, y: np.multiply.outer(np.eye(1), np.ones_like(y[0])),
         exact=lambda t: np.array([np.exp(-t)]))
 
 
@@ -54,25 +54,17 @@ def test_scalar_second_kind_accuracy():
     assert sup_error(p, sol, 0.0, 1.0) <= 1e-4
 
 
-def test_a_per_point_kappa_y_gives_the_solve_of_the_batched_one():
-    # ex34's κ_y on floats: tried in batch form once per solve, then per point
-    p, q = example("ex34"), example("ex34")
-    builtin, shapes = p.kappa_y, []
+def test_a_per_point_kappa_y_is_refused_by_the_solve():
+    # ex34's κ_y on floats: the solve's first Jacobian call is a batch
+    q = example("ex34")
 
     def per_point(t, s, y):
-        shapes.append(np.shape(y))
         y1, y2 = float(y[0]), float(y[1])
         return np.array([[2.0 * y1 * y2, (y1 ** 2 + 2.0) + math.exp(y2)], [2.0 * y1, 0.0]])
 
     q.kappa_y = per_point
-    cfg = CollocationConfig(h=0.05)
-    want, _ = solve_iae(p, cfg, interval=(1.0, 1.5))
-    got, diag = solve_iae(q, cfg, interval=(1.0, 1.5))
-    assert diag["failure"] is None
-    np.testing.assert_allclose(got.nodal_values, want.nodal_values, rtol=1e-12, atol=0.0)
-    # one batch try per solve, on the Gauss points of all three equations
-    assert [shape for shape in shapes if len(shape) == 2] == [(2, 3 * QUAD_ORDER)]
-    assert builtin is p.kappa_y
+    with pytest.raises(InvalidInputError, match=r"κ_y and F_y .*must take the batch: κ_y\(t, s, y\)"):
+        solve_iae(q, CollocationConfig(h=0.05), interval=(1.0, 1.5))
 
 
 # --- the stacked Newton system of one interval --------------------------------
@@ -168,14 +160,13 @@ def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one(monkeypa
 
 
 def test_kappa_y_is_called_once_per_newton_iteration():
-    # plus the two per-point calls that check the one batch try of a solve
     p = example("ex34")
     builtin, calls = p.kappa_y, []
     p.kappa_y = lambda t, s, y: calls.append(np.shape(y)) or builtin(t, s, y)
     sol, diag = solve_iae(p, CollocationConfig(h=0.05), interval=(1.0, 1.5))
     assert diag["failure"] is None and sol.n_intervals == 10
-    assert len(calls) == sum(diag["newton_iters"]) + 2
-    assert calls.count((2,)) == 2
+    assert len(calls) == sum(diag["newton_iters"])
+    assert calls.count((2,)) == 0
 
 
 @pytest.mark.parametrize("with_kappa_y", [True, False], ids=["kappa_y", "differenced"])
@@ -184,7 +175,7 @@ def test_kappa_is_called_once_per_collocation_stage(with_kappa_y):
     # one per history integral from the second interval on (interval n's
     # covers n intervals' Gauss points for each equation) and, without κ_y,
     # one per Jacobian on all 2r = 4 perturbed copies of the residual's
-    # points, plus the 2r calls at each of the 2 points that check its batch try
+    # points
     p = example("ex34")
     if not with_kappa_y:
         p.kappa_y = None
@@ -195,7 +186,7 @@ def test_kappa_is_called_once_per_collocation_stage(with_kappa_y):
     iters = sum(diag["newton_iters"])
     want = [(3 * QUAD_ORDER,)] * iters + [(3 * n * QUAD_ORDER,) for n in (1, 2)]
     if not with_kappa_y:
-        want += [(4 * 3 * QUAD_ORDER,)] * iters + [()] * 2 * 4
+        want += [(4 * 3 * QUAD_ORDER,)] * iters
     assert sorted(t_shapes) == sorted(want)
 
 

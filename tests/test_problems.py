@@ -156,6 +156,22 @@ def test_verify_exact_linear_iae():
     assert verify_exact(p, grid) >= 0.1
 
 
+@pytest.mark.parametrize("cls, fields", [
+    (LinearIAE, {"k": lambda t, s: np.array([[0.0, 1.0], [1.0, 0.0]])}),
+    (LinearDAE, {"B": MatrixFunction.constant(np.array([[0.0, 1.0], [1.0, 0.0]])), "y0": None}),
+    (SemiNonlinearIAE, {"kappa": lambda t, s, y: y[::-1]}),
+    (SemiNonlinearDAE, {"F": lambda t, y: y[::-1]}),
+], ids=["LinearIAE", "LinearDAE", "SemiNonlinearIAE", "SemiNonlinearDAE"])
+def test_a_problem_refuses_an_A_whose_domain_starts_before_t_start(cls, fields):
+    # the chain takes the start of A's domain as the integral origin, so A
+    # on (0, 1) with t_start = 0.5 would check consistency at 0, not 0.5
+    a = MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0))
+    f = lambda t: np.array([t + 1.0, np.sin(t)])  # noqa: E731
+    with pytest.raises(InvalidInputError, match=r"domain \(0.0, 1.0\) must start at t_start = 0.5"):
+        cls(A=a, f=f, r=2, T=1.0, t_start=0.5, **fields)
+    assert cls(A=a, f=f, r=2, T=1.0, t_start=0.0, **fields).interval == (0.0, 1.0)
+
+
 def test_mesh_steps_refuses_more_than_max_steps():
     assert mesh_steps(0.0, 1.0, 1.0 / MAX_STEPS) == MAX_STEPS
     with pytest.raises(InvalidInputError, match="exceeds the limit"):

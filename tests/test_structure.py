@@ -67,7 +67,7 @@ def test_linearize_iae_of_linear_dae_ignores_trajectory():
         F=lambda t, y: m @ y,
         f=lambda t: np.zeros(2),
         r=2, T=1.0, t_start=0.0,
-        F_y=lambda t, y: m)
+        F_y=lambda t, y: np.multiply.outer(m, np.ones_like(y[0])))
     grid = np.linspace(0.0, 1.0, 31)
     tr1 = TrajectorySample(grid, np.column_stack([np.sin(grid), grid]))
     tr2 = TrajectorySample(grid, np.column_stack([np.exp(grid), -grid]))
@@ -107,7 +107,7 @@ def test_linearize_iae_of_linear_operator_ignores_trajectory():
         kappa=lambda t, s, y: m @ y,
         f=lambda t: np.zeros(2),
         r=2, T=1.0, t_start=0.0,
-        kappa_y=lambda t, s, y: m)
+        kappa_y=lambda t, s, y: np.multiply.outer(m, np.ones_like(y[0])))
     grid = np.linspace(0.0, 1.0, 31)
     tr1 = TrajectorySample(grid, np.column_stack([grid, grid ** 2]))
     tr2 = TrajectorySample(grid, np.column_stack([np.cos(grid), np.sin(grid)]))
@@ -211,7 +211,7 @@ def test_classify_refuses_at_the_first_point_past_20_percent_undefined(monkeypat
     bad = SemiNonlinearDAE(
         A=MatrixFunction.constant(np.zeros((2, 2)), domain=(0.0, 1.0)),
         F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=1.0, t_start=0.0,
-        F_y=lambda t, y: np.zeros((2, 2)))
+        F_y=lambda t, y: np.zeros((2, 2) + np.shape(y)[1:]))
     flat = TrajectorySample(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
     calls = []
     _count_calls(monkeypatch, daekit.structure, "rank_degree_index", calls)
@@ -233,7 +233,7 @@ def _ex32_crossing_inside_the_window():
     # y1 = 0 holds at the middle window point only
     p = example("ex32")
     F_y = p.F_y
-    p.F_y = lambda t, y: F_y(t, y + np.array([t - HALF_PI, 0.0]))
+    p.F_y = lambda t, y: F_y(t, y + np.array([t - HALF_PI, np.zeros_like(t)]))
     return p
 
 
@@ -331,7 +331,6 @@ def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
     # k_0(grid, grid) and at 47 for k_1(grid, grid) (k_0 at the 9 points and
     # at their 38 stencil points); evaluating A_1(grid) again for A_2(grid)
     # would add 9.  κ_y takes each batch in one call: count its width M.
-    # The kernel's one check of the batch form adds two per-point calls.
     p = example("ex34")
     tr = exact_traj(p)
     widths, probes = [], []
@@ -348,7 +347,7 @@ def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
     rep = frozen_index_report(p, tr(1.5), 1.5, tr)
     assert rep.nu == 2
     assert sum(widths) == 56
-    assert len(probes) == 2
+    assert len(probes) == 0
     # the levels' grid data equal a fresh evaluation of each level on the grid
     for lev in rep.levels:
         whole = lev.A(rep.grid)
@@ -622,7 +621,7 @@ def test_classify_raises_when_index_mostly_undefined():
         F=lambda t, y: np.zeros(2),
         f=lambda t: np.zeros(2),
         r=2, T=1.0, t_start=0.0,
-        F_y=lambda t, y: np.zeros((2, 2)))
+        F_y=lambda t, y: np.zeros((2, 2) + np.shape(y)[1:]))
     flat = TrajectorySample(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
     with pytest.raises(ClassificationUnreliableError):
         classify(bad, traj=flat, seed=0)
@@ -636,7 +635,7 @@ def test_classify_locates_a_jump_of_the_pointwise_index():
         A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(1.0, 2.0)),
         F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=2.0, t_start=1.0,
         F_y=lambda t, y: np.array([[-2.0 * y[0], -np.exp(y[1])],
-                                   [-y[1], -max(y[0], 0.0)]]),
+                                   [-y[1], -np.maximum(y[0], 0.0)]]),
         exact=lambda t: np.array([np.cos(t), t]))
     grid = np.linspace(1.0, 2.0, 21)
     prof = classify(p, grid=grid)
