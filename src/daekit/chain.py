@@ -42,6 +42,16 @@ S samples with one stacked SVD per level and per stencil, level 0's
 taken once per point, and :func:`rank_degree_index` reads per-sample
 ranks, ν and determinants from it; each sample's numbers equal those of
 its own chain bit for bit.
+
+A chain may also hold many windows on one time axis.  Its A has a
+*windowed* domain, two (W,) arrays of window ends, and every level
+function of it takes the window index w of each point as its last
+argument: A_i(t, w), k_i(t, s, w).  Each point is checked against its
+own window's ends (:func:`~daekit.linalg.window_span`), its stencils
+stay inside that window, and a kernel of :func:`linear_kernel` on a
+(W, S, r) stack reads window w's η's.  :func:`rank_degree_index` takes a
+(W, m) grid for it, runs one level loop for all windows, and returns one
+result per window, equal to that window's own chain bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .linalg import (
     per_point,
     quadrature,
     semi_inverse,
+    window_span,
 )
 from .problems import (
     JACOBIAN_CONTRACT,
@@ -90,13 +101,16 @@ def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray]) -> Callable[..., np
 
     ``g`` and the result take (n,) arrays of t and of each argument, which
     is held fixed in the derivative, and return stacks of matrices along t.
+    In a windowed chain the last argument is each point's window index,
+    which A_i reads too, and each stencil stays in its point's window.
     """
-    lo, hi = A_i.domain
+    window = slice(-1, None) if isinstance(A_i.domain[0], np.ndarray) else slice(0)
 
     def projected(tau: np.ndarray, *args) -> np.ndarray:
-        return semi_inverse(A_i(tau)).projector @ g(tau, *args)
+        return semi_inverse(A_i(tau, *args[window])).projector @ g(tau, *args)
 
     def lifted(t: np.ndarray, *args) -> np.ndarray:
+        lo, hi = window_span(A_i.domain, args)
         return fd_derivative(projected, t, lo=lo, hi=hi, args=args) + g(t, *args)
 
     return lifted
@@ -109,13 +123,14 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel) -> tuple[MatrixFunction, Matrix
     k_{i+1}(t, s), and evaluate an array with one stacked SVD for the
     projectors V_i at its points and one for those at its stencil points.
     k_{i+1} is :func:`_lift` of k_i with s held fixed, the rule
-    :func:`rhs_chain` applies to the right side.
+    :func:`rhs_chain` applies to the right side.  On a windowed domain
+    (module docstring) they are A_{i+1}(t, w) and k_{i+1}(t, s, w).
     """
     k_i = per_point(k_i, A_i.domain, "kernel")
 
-    def a_next(t: np.ndarray) -> np.ndarray:
-        a = A_i(t)
-        return a + semi_inverse(a).projector @ k_i(t, t)
+    def a_next(t: np.ndarray, *w) -> np.ndarray:
+        a = A_i(t, *w)
+        return a + semi_inverse(a).projector @ k_i(t, t, *w)
 
     return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
             MatrixFunction(eval=_lift(A_i, k_i), domain=A_i.domain, vectorized=True))
@@ -202,44 +217,67 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
     own except that its levels hold the shared A and k (sample j of A_i(t)
     is A_i(t)[..., j, :, :], or [..., 0, :, :] on an axis of size 1).
     Without the axis it returns one report: the S = 1 case.
+
+    A windowed A (module docstring), whose domain holds the ends of W
+    windows, takes a (W, m) grid, row w in window w, and returns the list
+    of W window results, each a report or a list of S reports as above.
+    All windows share one level loop, and a window's points leave it once
+    its samples have all stopped, so each window's reports equal those of
+    its own chain, except that their levels hold the windowed A and k.
     """
-    grid = check_grid(np.linspace(*A.domain, 33) if grid is None else grid, 1)
+    lo, hi = A.domain
+    windowed = isinstance(lo, np.ndarray)
+    grid = np.linspace(lo, hi, 33, axis=-1) if grid is None else np.asarray(grid, dtype=float)
+    nodes = np.array([check_grid(row, 1) for row in (grid if windowed else [grid])])
+    if windowed and len(nodes) != lo.size:
+        raise InvalidInputError(f"a chain on {lo.size} windows needs {lo.size} grid rows")
+    n_windows, m = nodes.shape
+    # every window's nodes on one time axis, each point with its window index
+    t = nodes.ravel()
+    wins = [np.repeat(np.arange(n_windows), m)] if windowed else []
 
     A_i, k_i = A, per_point(k, A.domain, "kernel")
-    a_grid = A(grid)
+    a_grid = A(t, *wins)
     stacked = a_grid.ndim == 4
     # a stacked chain's S is the kernel's: A may have a sample axis of size 1
-    k_grid = k_i(grid, grid) if stacked else None
+    k_grid = k_i(t, t, *wins) if stacked else None
     n_samples = k_grid.shape[1] if stacked else 1
-    levels: list = [[] for _ in range(n_samples)]
-    reports: list = [None] * n_samples
+    levels = [[[] for _ in range(n_samples)] for _ in range(n_windows)]
+    reports: list = [[None] * n_samples for _ in range(n_windows)]
+    running = np.arange(n_windows)
     for level in range(NU_MAX + 1):
         inv = semi_inverse(a_grid)
-        shape = (grid.size, n_samples)
-        ranks = np.broadcast_to(inv.rank.reshape(grid.size, -1), shape)
-        dets = np.broadcast_to(np.linalg.det(a_grid).reshape(grid.size, -1), shape)
-        for j in range(n_samples):
-            if reports[j] is not None:
-                continue
-            varies = ranks[:, j] != ranks[0, j]
-            rank_j = None if np.any(varies) else int(ranks[0, j])
-            levels[j].append(ChainLevel(level, A_i, k_i, rank_j, dets[:, j]))
-            if rank_j is None:
-                t_bad = float(grid[int(np.argmax(varies))])
-                reports[j] = IndexReport(None, levels[j], grid,
-                                         ChainStatus("non-constant-rank", level, t_bad))
-            elif rank_j == a_grid.shape[-1]:
-                reports[j] = IndexReport(level, levels[j], grid, ChainStatus("ok"))
-        if all(rep is not None for rep in reports):
+        shape = (running.size, m, n_samples)
+        ranks = np.broadcast_to(inv.rank.reshape(running.size, m, -1), shape)
+        dets = np.broadcast_to(np.linalg.det(a_grid).reshape(running.size, m, -1), shape)
+        varies = ranks != ranks[:, :1]
+        constant = (~np.any(varies, axis=1)).tolist()
+        first = ranks[:, 0].tolist()
+        for i, w in enumerate(running.tolist()):
+            for j in range(n_samples):
+                if reports[w][j] is not None:
+                    continue
+                rank_j = first[i][j] if constant[i][j] else None
+                levels[w][j].append(ChainLevel(level, A_i, k_i, rank_j, dets[i, :, j]))
+                if rank_j is None:
+                    t_bad = float(nodes[w][int(np.argmax(varies[i, :, j]))])
+                    reports[w][j] = IndexReport(None, levels[w][j], nodes[w],
+                                                ChainStatus("non-constant-rank", level, t_bad))
+                elif rank_j == a_grid.shape[-1]:
+                    reports[w][j] = IndexReport(level, levels[w][j], nodes[w], ChainStatus("ok"))
+        going = np.array([None in reports[w] for w in running.tolist()])
+        if level == NU_MAX or not going.any():
             break
-        if level < NU_MAX:
-            if k_grid is None:
-                k_grid = k_i(grid, grid)
-            A_i, k_i = chain_step(A_i, k_i)
-            a_grid, k_grid = a_grid + inv.projector @ k_grid, None
-    reports = [IndexReport(None, lev, grid, ChainStatus("exceeded-max-level", NU_MAX))
-               if rep is None else rep for rep, lev in zip(reports, levels)]
-    return reports if stacked else reports[0]
+        rows = np.repeat(going, m)
+        running, t, wins = running[going], t[rows], [idx[rows] for idx in wins]
+        k_grid = k_i(t, t, *wins) if k_grid is None else k_grid[rows]
+        A_i, k_i = chain_step(A_i, k_i)
+        a_grid, k_grid = a_grid[rows] + inv.projector[rows] @ k_grid, None
+    results = [[IndexReport(None, lev, row, ChainStatus("exceeded-max-level", NU_MAX))
+                if rep is None else rep for rep, lev in zip(reps, levs)]
+               for reps, levs, row in zip(reports, levels, nodes)]
+    results = [reps if stacked else reps[0] for reps in results]
+    return results if windowed else results[0]
 
 
 def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
@@ -332,7 +370,9 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
     is the :class:`~daekit.problems.Trajectory` to linearize along, a fixed
     vector, or an (S, r) stack of fixed vectors; a LinearDAE ignores it.  A
     stack gives kernel values with a sample axis, shape (S, r, r), whose
-    slice j is the kernel at eta[j].
+    slice j is the kernel at eta[j].  A (W, S, r) stack, one (S, r) stack
+    per window of a windowed chain, gives the kernel k(t, s, w) of window
+    w's stack eta[w].
 
     The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
     chain level.  An array call makes one Jacobian call on all its points
@@ -351,13 +391,15 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
     else:
         v = np.asarray(eta, dtype=float)
 
-        def at(s):
+        def at(s, *w):
+            if w:
+                return v[w[0].astype(np.intp)]
             return np.broadcast_to(v, s.shape + v.shape)
     dae = isinstance(p, SemiNonlinearDAE)
     jac = batch_checked(p.jacobian if dae else p.kappa_jacobian, (p.r, p.r), JACOBIAN_CONTRACT)
 
-    def kernel(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        y = at(s)                                   # (n, r) or (n, S, r)
+    def kernel(t: np.ndarray, s: np.ndarray, *w) -> np.ndarray:
+        y = at(s, *w)                               # (n, r) or (n, S, r)
         lead = y.shape[:-1]
         col = lead[:1] + (1,) * (len(lead) - 1)     # a per-point value across samples
 

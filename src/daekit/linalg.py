@@ -194,14 +194,24 @@ def quadrature(fn: Callable, a: float, b: float, tol: float) -> np.ndarray:
                           f"within {QUAD_MAX_PANELS} panels")
 
 
-def check_span(t, lo: float, hi: float, what: str, error: type = DomainError):
+def check_span(t, lo, hi, what: str, error: type = DomainError):
     """``t`` checked to lie in the span [lo − 1e-9·max(1, |lo|),
     hi + 1e-9·max(1, |hi|)] of ``what`` (NaN never does), else ``error``:
     the one span rule of the package.  A float t (``np.float64`` too) comes
     back as a Python float and builds no array; anything else as a float
-    array."""
+    array.  ``lo`` and ``hi`` may also be arrays of per-point ends, aligned
+    with an array t, and then the error names the first point outside its
+    own span."""
     if isinstance(t, float):
         ts = t0 = t1 = float(t)
+    elif isinstance(lo, np.ndarray):
+        ts = np.asarray(t, dtype=float)
+        out = ~((lo - 1e-9 * np.maximum(1.0, np.abs(lo)) <= ts)
+                & (ts <= hi + 1e-9 * np.maximum(1.0, np.abs(hi))))
+        if np.any(out):
+            j = np.unravel_index(np.argmax(out), out.shape)
+            raise error(f"t={ts[j]} outside the span [{lo[j]}, {hi[j]}] of {what}")
+        return ts
     else:
         ts = np.asarray(t, dtype=float)
         # the ends as initial values, so that an empty t passes
@@ -226,12 +236,13 @@ def check_grid(grid, min_size: int, what: str = "grid") -> np.ndarray:
 FD_STEP = 1e-4
 
 
-def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
-                  args: tuple = ()) -> np.ndarray:
+def fd_derivative(fn: Callable, t, lo=-np.inf, hi=np.inf, args: tuple = ()) -> np.ndarray:
     """4th-order finite-difference derivative of an array-valued function of t.
 
     t must lie in [lo, hi] (:func:`check_span`), and the step at t is
-    ``FD_STEP``·max(1, |t|).  Uses the central 5-point stencil where the
+    ``FD_STEP``·max(1, |t|).  For an array t, ``lo`` and ``hi`` may be
+    arrays aligned with it: each t then has its own span, which its stencil
+    stays in.  Uses the central 5-point stencil where the
     domain allows, one-sided 4th-order stencils near ``lo``/``hi``; the
     step shrinks to a quarter of the domain if the domain is too narrow
     for the stencil, and a t that still fits no stencil takes the
@@ -250,10 +261,9 @@ def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
     ts = np.atleast_1d(ts)
     steps = FD_STEP * np.maximum(1.0, np.abs(ts))
 
-    width = hi - lo
-    if np.isfinite(width):
-        # largest stencil reach is 4 steps (one-sided) or 2 (central)
-        steps = np.minimum(steps, max(width / 4.0, 1e-14))
+    # largest stencil reach is 4 steps (one-sided) or 2 (central); an
+    # infinite span leaves the step as it is
+    steps = np.minimum(steps, np.maximum((hi - lo) / 4.0, 1e-14))
 
     central = (ts - 2.0 * steps >= lo) & (ts + 2.0 * steps <= hi)
     forward = ~central & (ts + 4.0 * steps <= hi)
@@ -267,7 +277,8 @@ def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
         backward |= stuck & (up < down)
         if np.any(steps[stuck] <= 0.0):
             j = int(np.argmax(stuck))
-            raise DomainError(f"domain [{lo}, {hi}] too narrow for a stencil at t={ts[j]}")
+            lo_j, hi_j = (np.broadcast_to(end, ts.shape)[j] for end in (lo, hi))
+            raise DomainError(f"domain [{lo_j}, {hi_j}] too narrow for a stencil at t={ts[j]}")
 
     # the stencil points kind by kind, offset-major within a kind
     groups = [(_STENCILS[kind], np.flatnonzero(mask))
@@ -304,7 +315,12 @@ class MatrixFunction:
     times at once (a float t as a (1,) array) and returns the (n, ...)
     stack.  Further arguments (a kernel's s) are broadcast with t and reach
     ``eval`` the way t does.  A declared ``derivative`` is called the way
-    ``eval`` is.  Nothing is memoized.
+    ``eval`` is.  Nothing is memoized.  A value that is not finite raises
+    InvalidInputError naming the first time whose value it is.
+
+    A domain of two (W,) arrays holds the ends of W windows: the function
+    is then called with a window index as its last argument, and each t
+    must lie in its own window (:func:`window_span`).
     """
 
     eval: Callable
@@ -315,8 +331,13 @@ class MatrixFunction:
 
     def __call__(self, t, *args) -> np.ndarray:
         lo, hi = self.domain
+        if args:
+            t, *args = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                           *(np.asarray(a, dtype=float) for a in args))
+            if isinstance(lo, np.ndarray):
+                lo, hi = window_span(self.domain, args)
         ts = check_span(t, lo, hi, self.name or "a matrix function")
-        if isinstance(ts, float) and not args:
+        if isinstance(ts, float):
             # one time: the array path's call of eval and its value, without
             # the arrays of t around them
             if self.vectorized:
@@ -325,8 +346,6 @@ class MatrixFunction:
             else:
                 m = np.array(self.eval(ts), dtype=float)
         else:
-            if args:
-                ts, *args = np.broadcast_arrays(ts, *(np.asarray(a, dtype=float) for a in args))
             if self.vectorized:
                 m = np.asarray(self.eval(ts.ravel(), *[a.ravel() for a in args]), dtype=float)
             else:
@@ -334,6 +353,9 @@ class MatrixFunction:
                                       *[a.ravel().tolist() for a in args])), dtype=float)
             m = m.reshape(ts.shape + m.shape[1:])
         if not all_finite(m):
+            if np.ndim(t):
+                finite = np.isfinite(m.reshape(ts.size, -1)).all(axis=1)
+                t = ts.ravel()[np.argmin(finite)]
             raise InvalidInputError(f"non-finite {self.name or 'matrix function'} at t={t}")
         return m
 
@@ -356,6 +378,17 @@ class MatrixFunction:
 
         return MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
                               name=name, vectorized=True)
+
+
+def window_span(domain, args: tuple) -> tuple:
+    """The ends (lo, hi) that points carrying ``args`` must lie between:
+    ``domain`` itself, or, when it holds two (W,) arrays of window ends,
+    the ends of each point's window, indexed by the last of ``args``."""
+    lo, hi = domain
+    if not isinstance(lo, np.ndarray):
+        return lo, hi
+    w = np.asarray(args[-1]).astype(np.intp)
+    return lo[w], hi[w]
 
 
 def per_point(fn: Callable, domain, name: str = "") -> MatrixFunction:

@@ -26,14 +26,23 @@ there).  The determinant argument assumes the lower chain levels keep
 their rank between the compared points, which holds for the built-in
 problems.
 
-At each grid point the centre traj(t) and its ball samples go through
-one chain: :func:`pointwise_index` with ``ball`` makes one
-:func:`frozen_index_report` call on the (1 + S, r) stack of η's, and
-that chain, whose level values carry a sample axis, (n, 1 + S, r, r),
-gives every η's ν; level 0 has a sample axis of size 1, as A does not
-depend on η.  The determinants of A_ν at t are read from the ``det``
-the chain stored when t is a window node and every η reached level ν,
-and otherwise come from its A_ν at t in one stacked ``det``.
+Every grid point of classify goes through one chain: :func:`pointwise_index`
+with the (n,) grid and an (n, S, r) ``ball`` makes one
+:func:`frozen_index_report` call on the (n, 1 + S, r) stack of η's,
+each point's centre traj(t) followed by its ball samples.  That chain's
+time axis holds every window's nodes, each node carries its window's
+index, so that its stencils stay in its window and its kernel reads that
+window's η's, and its level values carry a sample axis, (N, 1 + S, r, r);
+level 0 has a sample axis of size 1, as A does not depend on η.  A
+window leaves the level loop once all its η's have stopped, so each
+point's ν and reports are those of its own chain, bit for bit.  The
+determinants of A_ν at t are read from the ``det`` the chain stored
+when t is a window node and every η of the window reached level ν,
+and otherwise come from A_ν at the windows' times in one stacked
+``det``.  As every window is evaluated before any ν is read, an
+evaluation error at any grid point (a degenerate window, a non-finite
+kernel) is raised even where the 20% refusal of classify would have
+come first at an earlier point.
 
 Along any trajectory, a solve's included, :func:`detect_critical_points`
 locates where a declared condition g(t, y) crosses or touches zero, and
@@ -116,17 +125,20 @@ def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE, traj: Trajectory) -> L
                      name=f"{p.name}-linearized" if p.name else "")
 
 
-def _window(p, traj: Trajectory, t: float):
+def _window(p, traj: Trajectory, t):
+    """The ends (lo, hi) of the window around t, or (n,) arrays of them
+    around an (n,) array of times."""
     a = max(p.interval[0], traj.span[0])
     b = min(p.interval[1], traj.span[1])
-    lo, hi = max(a, t - WINDOW), min(b, t + WINDOW)
-    if hi - lo <= 1e-8:
-        raise DomainError(
-            f"window around t={t} degenerate within [{a}, {b}]")
+    lo, hi = np.maximum(a, np.subtract(t, WINDOW)), np.minimum(b, np.add(t, WINDOW))
+    narrow = hi - lo <= 1e-8
+    if np.any(narrow):
+        raise DomainError(f"window around t={np.ravel(t)[np.argmax(narrow)]} "
+                          f"degenerate within [{a}, {b}]")
     return lo, hi
 
 
-def frozen_index_report(p, eta, t: float, traj: Trajectory) -> IndexReport | list:
+def frozen_index_report(p, eta, t, traj: Trajectory) -> IndexReport | list:
     """Chain report for the linearization frozen at ``eta``, on a window around t.
 
     An (S, r) stack of η's gives the list of S reports from one chain with
@@ -134,29 +146,47 @@ def frozen_index_report(p, eta, t: float, traj: Trajectory) -> IndexReport | lis
     A with a sample axis of size 1, which broadcasts against the kernel's
     S, and each report equals the single-η report of its sample except
     that its levels hold the shared chain.
+
+    An (n,) array of times with an (n, S, r) stack, one (S, r) stack per
+    time, gives the list of n such lists from one windowed chain: its time
+    axis holds every window's nodes, and each point carries its window's
+    index, so its stencils stay in that window and its kernel reads that
+    window's η's.  List i equals the report list of t[i] and eta[i] except
+    that its levels hold the windowed chain, whose A_i and k_i take the
+    window index i as their last argument: A_i(t, i), k_i(t, s, i).
     """
     lo, hi = _window(p, traj, t)
-    grid = np.linspace(lo, hi, WINDOW_POINTS)
+    grid = np.linspace(lo, hi, WINDOW_POINTS, axis=-1)
     eta = np.asarray(eta, dtype=float)
-    a_loc = _restrict(p.A, lo, hi)
-    if eta.ndim == 2:
-        a_loc = MatrixFunction(eval=lambda ts, a=a_loc: a(ts)[:, None],
-                               domain=(lo, hi), vectorized=True)
+    if np.ndim(t) and (eta.ndim != 3 or len(eta) != len(grid)):
+        raise InvalidInputError("an (n,) array of times needs an (n, S, r) stack of η's")
+    if eta.ndim == 1:
+        a_loc = _restrict(p.A, lo, hi)
+    else:
+        a_loc = MatrixFunction(eval=lambda ts, *w: p.A(ts)[:, None], domain=(lo, hi),
+                               vectorized=True)
     return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid)
 
 
-def pointwise_index(p, traj: Trajectory, t: float, ball=None):
+def pointwise_index(p, traj: Trajectory, t, ball=None):
     """Index of the linearization frozen at traj(t), or None if the chain fails.
 
     None means the constant-rank hypothesis broke or the level cap was hit
     inside the window; at actual transitions that is expected evidence,
     not an error.  With ``ball``, an (S, r) stack of η's (S may be 0), the
     result is (ν, reports): the :func:`frozen_index_report` list of
-    [traj(t), *ball] from one chain, ν read from reports[0].
+    [traj(t), *ball] from one chain, ν read from reports[0].  An (n,) array
+    of times with an (n, S, r) ``ball`` gives the list of n such pairs,
+    pair i that of t[i] and ball[i], all from one windowed chain.
     """
     if ball is None:
         return frozen_index_report(p, traj(t), t, traj).nu
-    reports = frozen_index_report(p, np.vstack([traj(t), *ball]), t, traj)
+    centre = traj(t)
+    ball = np.asarray(ball, dtype=float).reshape(centre.shape[:-1] + (-1, p.r))
+    reports = frozen_index_report(p, np.concatenate([centre[..., None, :], ball], axis=-2),
+                                  t, traj)
+    if np.ndim(t):
+        return [(reps[0].nu, reps) for reps in reports]
     return reports[0].nu, reports
 
 
@@ -167,23 +197,37 @@ def _blind_chain(A_i: MatrixFunction, k_i, steps: int) -> MatrixFunction:
     return A_i
 
 
-def _final_det(reports: list, nu: int, t: float) -> np.ndarray:
+def _final_det(reports: list, nu: int, t) -> np.ndarray:
     """det A_ν(t) of each report's sample: the (S,) determinants of S
-    reports that share one chain (a single report is S = 1).
+    reports that share one chain (a single report is S = 1), or at an (n,)
+    array of times the (n, S) determinants of a windowed chain's n report
+    lists, row i at t[i] in window i.
 
-    When every report reached level ν and t is a node of their grid, the
-    determinants are read from the level's ``det``.  Otherwise the
-    chain of the longest report is stepped past the level where it stopped
-    and evaluated at t, all samples in one stacked ``det``.
+    When every report of a window reached level ν and t is a node of its
+    grid, the determinants are read from the level's ``det``.  Otherwise
+    the chain of the window's longest report is stepped past the level
+    where it stopped and evaluated at t, all samples in one stacked
+    ``det``, and all windows that start from the same level in one call.
     """
-    node = np.flatnonzero(reports[0].grid == t)
-    if node.size and all(len(rep.levels) > nu for rep in reports):
-        return np.array([rep.levels[nu].det[node[0]] for rep in reports])
-    longest = max(reports, key=lambda rep: len(rep.levels))
-    lev = longest.levels[min(nu, len(longest.levels) - 1)]
-    det = np.linalg.det(_blind_chain(lev.A, lev.k, nu - lev.level)(t))
-    # a level 0 of a stacked chain has one sample for all
-    return np.broadcast_to(det, (len(reports),))
+    windowed = np.ndim(t) == 1
+    times = np.atleast_1d(t)
+    windows = reports if windowed else [reports]
+    out = np.empty((times.size, len(windows[0])))
+    blind: dict = {}
+    for i, (ti, reps) in enumerate(zip(times.tolist(), windows)):
+        node = np.flatnonzero(reps[0].grid == ti)
+        if node.size and all(len(rep.levels) > nu for rep in reps):
+            out[i] = [rep.levels[nu].det[node[0]] for rep in reps]
+        else:
+            longest = max(reps, key=lambda rep: len(rep.levels))
+            lev = longest.levels[min(nu, len(longest.levels) - 1)]
+            blind.setdefault(lev.level, (lev, []))[1].append(i)
+    for lev, rows in blind.values():
+        A_nu = _blind_chain(lev.A, lev.k, nu - lev.level)
+        det = np.linalg.det(A_nu(times[rows], *([rows] if windowed else [])))
+        # a level 0 of a stacked chain has one sample for all
+        out[rows] = det.reshape(len(rows), -1)
+    return out if windowed else out[0]
 
 
 def _bisect_zero(g: Callable[[float], float], lo: float, hi: float,
@@ -306,9 +350,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     ``traj`` is any :class:`~daekit.problems.Trajectory`, a solve's result
     included; by default ``p.exact`` (else y ≡ 0) sampled on the grid's span.
     For each grid point the pointwise index is computed at the trajectory
-    and at ``N_PERTURB`` uniform draws from the eps-ball around it, all in
-    one chain (:func:`pointwise_index` with ``ball``); the evidence listed
-    in the module docstring decides well vs free structure.
+    and at ``N_PERTURB`` uniform draws from the eps-ball around it, every
+    point's window in one chain (one :func:`pointwise_index` call on the
+    whole grid, see the module docstring); the evidence listed there
+    decides well vs free structure.
     Critical points along the trajectory come from declared conditions,
     from sign changes of the final chain determinant, and (fallback) from
     bisecting jumps of the pointwise index itself.  Dependent form holds
@@ -316,8 +361,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
 
     The grid (``check_grid``, default 21 points) must lie in the problem's
     interval and traj's span.  Raises ClassificationUnreliableError when the
-    pointwise index is undefined at more than 20% of the grid points, at
-    the first grid point that takes the count past 20%.
+    pointwise index is undefined at more than 20% of the grid points,
+    naming the first grid point that takes the count past 20%.  The one
+    chain evaluates every point first, so an evaluation error anywhere on
+    the grid comes before that refusal.
     """
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError("classification applies to semi-nonlinear problems")
@@ -337,21 +384,23 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
             traj = TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
     check_span(grid, *traj.span, "the trajectory (grid)", InvalidInputError)
 
-    # the ball samples are drawn point by point in grid order; the undefined
-    # fraction only grows, so the refusal comes at the first point past 20%
+    # the ball samples are drawn point by point in grid order, and every
+    # point's window goes through one chain
     rng = np.random.default_rng(seed)
-    nu_at, points = [], []
-    for t in grid:
-        t = float(t)
-        center = np.asarray(traj(t), dtype=float)
-        etas = [_ball_sample(rng, center, eps) for _ in range(N_PERTURB)]
-        nu, reports = pointwise_index(p, traj, t, ball=etas)
-        nu_at.append(nu)
-        points.append((t, center, etas, reports))
-        undefined_fraction = 1.0 - (grid.size - nu_at.count(None)) / grid.size
+    centers = traj(grid)
+    balls = np.array([[_ball_sample(rng, center, eps) for _ in range(N_PERTURB)]
+                      for center in centers])
+    points = pointwise_index(p, traj, grid, ball=balls)
+    nu_at = [nu for nu, _ in points]
+    # the undefined fraction only grows along the grid: the refusal names
+    # the first point that takes it past 20%
+    undefined = 0
+    for t, nu in zip(grid.tolist(), nu_at):
+        undefined += nu is None
+        undefined_fraction = 1.0 - (grid.size - undefined) / grid.size
         if undefined_fraction > 0.2:
             raise ClassificationUnreliableError(
-                f"pointwise index undefined at {nu_at.count(None)} of {grid.size} "
+                f"pointwise index undefined at {undefined} of {grid.size} "
                 f"grid points by t={t:g}: over 20%")
 
     defined = [n for n in nu_at if n is not None]
@@ -365,10 +414,11 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
 
     conditions = tuple(getattr(p, "critical_conditions", ()) or ())
     nu_flip = det_flip = cond_flip = False
-    for t, center, etas, reports in points:
+    dets = _final_det([reports for _, reports in points], nu_ref, grid)
+    for t, center, etas, (_, reports), det in zip(grid.tolist(), centers, balls, points, dets):
         if any(rep.nu != nu_ref for rep in reports[1:]):
             nu_flip = True
-        signs = _det_signs(_final_det(reports, nu_ref, t))
+        signs = _det_signs(det)
         if signs.min() < 0.0 < signs.max():
             det_flip = True
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]

@@ -213,8 +213,10 @@ def reference_newton(residual, jacobian, x0, tol, max_iter, affine=False):
             jac = jacobian(x)
             if not np.all(np.isfinite(jac)):
                 return None, it, res, jac
+            # newton's step x − solve(J, res): solve(J, −res) differs from it
+            # in the sign of a zero
             try:
-                delta = np.linalg.solve(jac, -res)
+                delta = -np.linalg.solve(jac, res)
             except np.linalg.LinAlgError:
                 return None, it, res, jac
             x = x + delta

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example as pinned_example, given, settings
 from hypothesis import strategies as st
 
 from daekit import (
@@ -233,6 +233,17 @@ def test_matrix_function_rejects_non_finite_values():
         f(0.5)
 
 
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_a_non_finite_value_names_the_first_time_it_is_at(vectorized):
+    # _stepped is not finite from t = 0.8 on; times are read in row-major
+    # order, so 0.9 comes before 0.85
+    f = MatrixFunction(eval=_stepped, domain=(0.0, 1.0), name="w", vectorized=vectorized)
+    with pytest.raises(InvalidInputError, match=r"^non-finite w at t=0\.8$"):
+        f(np.array([0.1, 0.5, 0.8, 0.95]))
+    with pytest.raises(InvalidInputError, match=r"^non-finite w at t=0\.9$"):
+        f(np.array([[0.1, 0.9], [0.85, 0.2]]))
+
+
 # --- stacks of matrices and arrays of times ----------------------------------
 
 def _bits(x):
@@ -292,6 +303,22 @@ def test_fd_derivative_on_an_array_is_the_loop_of_float_calls():
     want = [fd_derivative(_wiggle, t, lo=0.0, hi=1.0, args=(s,))
             for t, s in zip(ts, ss)]
     assert _bits(got) == _bits(want)
+
+
+def test_fd_derivative_with_a_span_per_point_is_the_loop_of_float_calls():
+    # each t differenced in its own span: one-sided at either end, central
+    # inside, and a step cut to a quarter of a span narrower than a stencil
+    ts = np.array([0.0, 0.3, 0.55, 1.0, 2.0, 2.0 + 2e-5])
+    lo = np.array([0.0, 0.2, 0.5, 0.9, 1.5, 2.0])
+    hi = np.array([0.1, 0.3, 0.6, 1.0, 2.5, 2.0 + 4e-5])
+    ss = np.linspace(-1.0, 1.0, ts.size)
+    got = fd_derivative(_wiggle, ts, lo=lo, hi=hi, args=(ss,))
+    want = [fd_derivative(_wiggle, t, lo=a, hi=b, args=(s,))
+            for t, a, b, s in zip(ts, lo, hi, ss)]
+    assert _bits(got) == _bits(want)
+    # 0.35 lies in the first span but not in its own
+    with pytest.raises(DomainError, match=r"t=0\.35 outside the span \[0\.2, 0\.3\]"):
+        fd_derivative(_wiggle, np.array([0.05, 0.35]), lo=lo[:2], hi=hi[:2])
 
 
 def test_fd_derivative_on_an_array_calls_fn_once():
@@ -541,13 +568,21 @@ def _assert_same_newton(got, want):
             assert g.shape == w.shape and _bits(g) == _bits(w)
 
 
-@given(st.integers(min_value=1, max_value=3), st.data(), st.booleans())
+def _newton_cases(r: int):
+    vec = st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=r, max_size=r)
+    return st.tuples(vec, vec, vec)
+
+
+# a, b and x0 all (0, −0): the step's second entry is −0 − 0·(−0), whose
+# sign only a reference that steps x − solve(J, res) as newton does gets
+@pinned_example(case=([0.0, -0.0],) * 3, affine=False)
+@given(case=st.integers(min_value=1, max_value=3).flatmap(_newton_cases), affine=st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_newton_matches_the_reference_loop_bit_for_bit(r, data, affine):
+def test_newton_matches_the_reference_loop_bit_for_bit(case, affine):
     # x + a·sin(x) = b: smooth, with a singular or nearly singular Jacobian
     # wherever 1 + a·cos(x) vanishes, so every exit is reachable
-    vec = st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=r, max_size=r)
-    a, b, x0 = (np.array(data.draw(vec)) for _ in range(3))
+    a, b, x0 = (np.array(v) for v in case)
+    r = a.size
 
     def residual(x):
         return x + a * np.sin(x) - b

@@ -178,12 +178,11 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch):
-    # classify(ex34) on 6 points, where ν = 2 everywhere: two chain steps per
-    # point for the one chain of its centre and 8 samples, whose A_2 also
-    # gives their 9 determinants (a chain per sample made it 110, a centre
-    # chain apart from the samples' 26), and two for the chain along the
-    # trajectory; each point's ν comes from one pointwise_index call
+def test_classify_runs_every_grid_point_through_one_chain(monkeypatch):
+    # classify(ex34) on 6 points, where ν = 2 everywhere: one pointwise_index
+    # call puts every point's window, its centre and 8 samples, in one chain,
+    # which steps twice and whose A_2 gives every determinant, and the chain
+    # along the trajectory steps twice more (a chain per point made it 2·6 + 2)
     import daekit.chain
     import daekit.structure
 
@@ -197,15 +196,16 @@ def test_classify_runs_the_ball_samples_through_one_chain_per_point(monkeypatch)
     assert prof.nu_at == [2] * 6
     assert prof.to_dict()["samples_per_point"] == 8
     assert prof.classification == "well-structure"
-    assert calls.count("chain_step") == 2 * 6 + 2
-    assert calls.count("pointwise_index") == 6
-    assert calls.count("frozen_index_report") == 6
-    assert calls.count("rank_degree_index") == 6
+    assert calls.count("chain_step") == 2 + 2
+    assert calls.count("pointwise_index") == 1
+    assert calls.count("frozen_index_report") == 1
+    assert calls.count("rank_degree_index") == 1
 
 
 def test_classify_refuses_at_the_first_point_past_20_percent_undefined(monkeypatch):
-    # ν is undefined everywhere for A = 0 and F_y = 0: the refusal is sure
-    # once 5 of the 21 grid points are undefined, so no chain runs after that
+    # ν is undefined everywhere for A = 0 and F_y = 0: the refusal names the
+    # point at which 5 of the 21 grid points are undefined, read from the
+    # one chain that holds every point's window
     import daekit.structure
 
     bad = SemiNonlinearDAE(
@@ -217,7 +217,76 @@ def test_classify_refuses_at_the_first_point_past_20_percent_undefined(monkeypat
     _count_calls(monkeypatch, daekit.structure, "rank_degree_index", calls)
     with pytest.raises(ClassificationUnreliableError, match="5 of 21 grid points by t=0.2"):
         classify(bad, traj=flat)
-    assert len(calls) <= int(0.2 * 21) + 1
+    assert len(calls) == 1
+
+
+def test_an_evaluation_error_anywhere_on_the_grid_comes_before_the_refusal():
+    # ν is undefined everywhere, which would refuse at t = 0.2, but F_y is
+    # not finite from s = 0.5 on: the one chain evaluates every window
+    # first, and its error names the first time whose kernel is not finite
+    bad = SemiNonlinearDAE(
+        A=MatrixFunction.constant(np.zeros((2, 2)), domain=(0.0, 1.0)),
+        F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=1.0, t_start=0.0,
+        F_y=lambda t, y: np.where(np.asarray(t) >= 0.5, np.inf, 0.0)
+        * np.ones((2, 2) + np.shape(y)[1:]))
+    flat = TrajectorySample(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)))
+    with pytest.raises(InvalidInputError, match=r"^non-finite kernel at t=0\.5$"):
+        classify(bad, traj=flat)
+
+
+def _assert_batch_is_pointwise(p, tr, times, balls, nus=(1, 2)):
+    """pointwise_index at the (n,) times with the (n, S, r) balls, all in one
+    chain, equals its n single-point calls: each report's float bits, and
+    _final_det's bytes for each ν that classify may compare against."""
+    import daekit.structure
+
+    batch = pointwise_index(p, tr, times, ball=balls)
+    singles = [pointwise_index(p, tr, float(t), ball=ball) for t, ball in zip(times, balls)]
+    assert [nu for nu, _ in batch] == [nu for nu, _ in singles]
+    for (_, got), (_, want) in zip(batch, singles):
+        assert [float_bits(rep.to_dict()) for rep in got] == \
+            [float_bits(rep.to_dict()) for rep in want]
+    for nu in nus:
+        dets = daekit.structure._final_det([reps for _, reps in batch], nu, times)
+        assert dets.tobytes() == np.array(
+            [daekit.structure._final_det(reps, nu, float(t))
+             for t, (_, reps) in zip(times, singles)]).tobytes()
+    return batch
+
+
+def _ball(tr, times, n_samples, seed, eps=0.1):
+    rng = np.random.default_rng(seed)
+    return tr(times)[:, None] + rng.uniform(-eps, eps, size=(times.size, n_samples, 2))
+
+
+def test_a_batch_with_windows_clipped_at_both_ends_is_pointwise():
+    # ex32 on its whole interval [0, 2]: the windows at both ends are clipped
+    # to half width, and the index changes at π/2
+    p = example("ex32")
+    tr = exact_traj(p)
+    times = np.linspace(0.0, 2.0, 41)
+    batch = _assert_batch_is_pointwise(p, tr, times, _ball(tr, times, 8, 5))
+    grids = [reps[0].grid for _, reps in batch]
+    assert (grids[0][0], grids[0][-1], grids[-1][0], grids[-1][-1]) == (0.0, 0.05, 1.95, 2.0)
+
+
+def test_a_batch_needs_one_stack_of_etas_per_time():
+    p = example("ex34")
+    tr = exact_traj(p)
+    times = np.array([1.2, 1.5])
+    with pytest.raises(InvalidInputError, match=r"needs an \(n, S, r\) stack"):
+        frozen_index_report(p, tr(times), times, tr)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: (example("ex32"), _ex32_bdf1()),
+    lambda: (example("ex34"), solve_iae(example("ex34"), CollocationConfig(h=0.025))[0]),
+    lambda: (example("ex35"), solve_iae(example("ex35"), CollocationConfig(h=0.025))[0]),
+], ids=["ex32-bdf1", "ex34-collocation", "ex35-collocation"])
+def test_a_batch_along_a_solve_is_pointwise(solve):
+    p, sol = solve()
+    times = np.linspace(*sol.span, 11)
+    _assert_batch_is_pointwise(p, sol, times, _ball(sol, times, 8, 7))
 
 
 def test_a_window_inside_a_too_short_trajectory_is_refused():
@@ -268,6 +337,32 @@ def test_stacked_report_equals_single_reports_near_the_critical_point(monkeypatc
             dets = daekit.structure._final_det(reports, nu, t)
             assert dets.tobytes() == np.concatenate(
                 [daekit.structure._final_det([rep], nu, t) for rep in singles]).tobytes()
+
+
+@pytest.mark.parametrize("make, nu_max, eta1, outcomes", [
+    (lambda: example("ex32"), 4, [0.0, 1e-11, 1e-6, -0.05],
+     [(2, "ok"), (2, "ok"), (1, "ok"), (1, "ok")]),
+    (lambda: example("ex32"), 1, [1e-6, 0.0, -1e-11],
+     [(1, "ok"), (None, "exceeded-max-level"), (None, "exceeded-max-level")]),
+    (_ex32_crossing_inside_the_window, 4, [0.0, 0.2],
+     [(None, "non-constant-rank"), (1, "ok")]),
+], ids=["nu-1-and-2", "exceeded-max-level", "non-constant-rank"])
+def test_a_batch_whose_samples_stop_early_is_pointwise(monkeypatch, make, nu_max, eta1,
+                                                     outcomes):
+    # the window at π/2 holds samples that stop before the others, and the
+    # windows beside it (ν = 1) leave the chain before a window at ν = 2
+    import daekit.chain
+
+    monkeypatch.setattr(daekit.chain, "NU_MAX", nu_max)
+    p = make()
+    tr = exact_traj(p)
+    times = np.array([1.2, HALF_PI, 1.9])
+    balls = np.array([[[e, HALF_PI] for e in eta1]] * 3)
+    balls[[0, 2], :, 0] += 0.5
+    # at ν = 3 the blind chains start from level 1 beside π/2 and from
+    # level 2 at π/2 when its samples reach it
+    batch = _assert_batch_is_pointwise(p, tr, times, balls, nus=(1, 2, 3))
+    assert [(rep.nu, rep.status.kind) for rep in batch[1][1][1:]] == outcomes
 
 
 @given(name=st.sampled_from(["ex32", "ex34"]), t=st.floats(1.1, 1.9),

@@ -7,7 +7,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, and how many pairs the change won (ties count for
 neither side).  A claimed gain needs the change to win at least nine
 pairs in ten, and the medians to differ by more than the distance
-between the parent's quartiles.  Standard library only.
+between the parent's quartiles.  The last line of output is one JSON
+object with the same figures per metric (each side's runs, q1, median
+and q3, the pairs the change won, whether the gain holds), the form of
+a committed ``BENCH_*.json`` file.  Standard library only.
 
     python3 tools/paired_bench.py --parent ../parent --change . \\
         --workload reproduce --pairs 10 --seconds 36 --seed 7
@@ -67,6 +70,8 @@ def main(argv=None) -> int:
                   f"failed {res['failed']}/{res['attempted']}: {values}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}")
+    summary: dict = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+                     "seed": args.seed, "metrics": {}}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
@@ -78,9 +83,15 @@ def main(argv=None) -> int:
               f"change {cm:.4g} (q1 {c1:.4g}, q3 {c3:.4g})  {m['unit']}  "
               f"change/parent {cm / pm:.3f}  change won {wins}/{args.pairs}  "
               f"{'gain holds' if claim else 'no gain shown'}")
+        summary["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], "won": wins, "gain_holds": claim,
+            **{side: {"q1": q1, "median": q2, "q3": q3, "runs": vals[side]}
+               for side, (q1, q2, q3) in (("parent", (p1, pm, p3)), ("change", (c1, cm, c3)))}}
     failed = [side for side in runs if not all(r["correct"] for r in runs[side])]
     if failed:
         print(f"  outcome checks failed on: {', '.join(failed)}")
+    summary["outcome_checks_failed_on"] = failed
+    print(json.dumps(summary))
     return int(bool(failed))
 
 
