@@ -43,15 +43,12 @@ taken once per point, and :func:`rank_degree_index` reads per-sample
 ranks, ν and determinants from it; each sample's numbers equal those of
 its own chain bit for bit.
 
-A chain may also hold many windows on one time axis.  Its A has a
-*windowed* domain, two (W,) arrays of window ends, and every level
-function of it takes the window index w of each point as its last
-argument: A_i(t, w), k_i(t, s, w).  Each point is checked against its
-own window's ends (:func:`~daekit.linalg.window_span`), its stencils
-stay inside that window, and a kernel of :func:`linear_kernel` on a
-(W, S, r) stack reads window w's η's.  :func:`rank_degree_index` takes a
-(W, m) grid for it, runs one level loop for all windows, and returns one
-result per window, equal to that window's own chain bit for bit.
+A chain may also read many windows at once.  A (W, m) grid holds one
+window's nodes per row, all on A's one domain, and row w passes w as the
+last argument of A, k and every level: A_i(t, w), k_i(t, s, w), so that
+a kernel of :func:`linear_kernel` on a (W, S, r) stack reads window w's
+η's.  :func:`rank_degree_index` runs one level loop for all rows and
+returns one result per row, equal to that row's own chain bit for bit.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ from .linalg import (
     per_point,
     quadrature,
     semi_inverse,
-    window_span,
 )
 from .problems import (
     JACOBIAN_CONTRACT,
@@ -101,16 +97,15 @@ def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray]) -> Callable[..., np
 
     ``g`` and the result take (n,) arrays of t and of each argument, which
     is held fixed in the derivative, and return stacks of matrices along t.
-    In a windowed chain the last argument is each point's window index,
-    which A_i reads too, and each stencil stays in its point's window.
+    A_i gets the arguments after a kernel's s (a chain row's window index,
+    if any), and every stencil stays in A_i's domain.
     """
-    window = slice(-1, None) if isinstance(A_i.domain[0], np.ndarray) else slice(0)
+    lo, hi = A_i.domain
 
     def projected(tau: np.ndarray, *args) -> np.ndarray:
-        return semi_inverse(A_i(tau, *args[window])).projector @ g(tau, *args)
+        return semi_inverse(A_i(tau, *args[1:])).projector @ g(tau, *args)
 
     def lifted(t: np.ndarray, *args) -> np.ndarray:
-        lo, hi = window_span(A_i.domain, args)
         return fd_derivative(projected, t, lo=lo, hi=hi, args=args) + g(t, *args)
 
     return lifted
@@ -123,7 +118,7 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel) -> tuple[MatrixFunction, Matrix
     k_{i+1}(t, s), and evaluate an array with one stacked SVD for the
     projectors V_i at its points and one for those at its stencil points.
     k_{i+1} is :func:`_lift` of k_i with s held fixed, the rule
-    :func:`rhs_chain` applies to the right side.  On a windowed domain
+    :func:`rhs_chain` applies to the right side.  In a chain of windows
     (module docstring) they are A_{i+1}(t, w) and k_{i+1}(t, s, w).
     """
     k_i = per_point(k_i, A_i.domain, "kernel")
@@ -218,19 +213,17 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
     is A_i(t)[..., j, :, :], or [..., 0, :, :] on an axis of size 1).
     Without the axis it returns one report: the S = 1 case.
 
-    A windowed A (module docstring), whose domain holds the ends of W
-    windows, takes a (W, m) grid, row w in window w, and returns the list
-    of W window results, each a report or a list of S reports as above.
-    All windows share one level loop, and a window's points leave it once
-    its samples have all stopped, so each window's reports equal those of
-    its own chain, except that their levels hold the windowed A and k.
+    A (W, m) grid holds W windows, one per row (module docstring): A and
+    k then take the row index w as their last argument, and the result is
+    the list of W row results, each a report or a list of S reports as
+    above.  All rows share one level loop, and a row's points leave it
+    once its samples have all stopped, so row w's reports equal those of
+    A(·, w) and k(·, ·, w) on the grid of row w alone, except that their
+    levels hold the shared A and k.
     """
-    lo, hi = A.domain
-    windowed = isinstance(lo, np.ndarray)
-    grid = np.linspace(lo, hi, 33, axis=-1) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.linspace(*A.domain, 33) if grid is None else np.asarray(grid, dtype=float)
+    windowed = grid.ndim == 2 and grid.size > 0
     nodes = np.array([check_grid(row, 1) for row in (grid if windowed else [grid])])
-    if windowed and len(nodes) != lo.size:
-        raise InvalidInputError(f"a chain on {lo.size} windows needs {lo.size} grid rows")
     n_windows, m = nodes.shape
     # every window's nodes on one time axis, each point with its window index
     t = nodes.ravel()
@@ -371,8 +364,8 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
     vector, or an (S, r) stack of fixed vectors; a LinearDAE ignores it.  A
     stack gives kernel values with a sample axis, shape (S, r, r), whose
     slice j is the kernel at eta[j].  A (W, S, r) stack, one (S, r) stack
-    per window of a windowed chain, gives the kernel k(t, s, w) of window
-    w's stack eta[w].
+    per row of a chain of windows, gives the kernel k(t, s, w) of row w's
+    stack eta[w].
 
     The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
     chain level.  An array call makes one Jacobian call on all its points
@@ -407,7 +400,10 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
             return np.broadcast_to(a.reshape(col), lead).ravel()
 
         points = y.reshape(-1, p.r).T               # (r, M), point-major
-        k = jac(spread(s), points) if dae else jac(spread(t), spread(s), points)
+        # an η far from the solution may overflow the Jacobian: the
+        # kernel's finiteness check then raises the typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = jac(spread(s), points) if dae else jac(spread(t), spread(s), points)
         k = np.moveaxis(k, -1, 0).reshape(lead + (p.r, p.r))
         if dae:
             k = k - matfn_derivative(p.A, s).reshape(col + (p.r, p.r))

@@ -194,24 +194,14 @@ def quadrature(fn: Callable, a: float, b: float, tol: float) -> np.ndarray:
                           f"within {QUAD_MAX_PANELS} panels")
 
 
-def check_span(t, lo, hi, what: str, error: type = DomainError):
+def check_span(t, lo: float, hi: float, what: str, error: type = DomainError):
     """``t`` checked to lie in the span [lo − 1e-9·max(1, |lo|),
     hi + 1e-9·max(1, |hi|)] of ``what`` (NaN never does), else ``error``:
     the one span rule of the package.  A float t (``np.float64`` too) comes
     back as a Python float and builds no array; anything else as a float
-    array.  ``lo`` and ``hi`` may also be arrays of per-point ends, aligned
-    with an array t, and then the error names the first point outside its
-    own span."""
+    array."""
     if isinstance(t, float):
         ts = t0 = t1 = float(t)
-    elif isinstance(lo, np.ndarray):
-        ts = np.asarray(t, dtype=float)
-        out = ~((lo - 1e-9 * np.maximum(1.0, np.abs(lo)) <= ts)
-                & (ts <= hi + 1e-9 * np.maximum(1.0, np.abs(hi))))
-        if np.any(out):
-            j = np.unravel_index(np.argmax(out), out.shape)
-            raise error(f"t={ts[j]} outside the span [{lo[j]}, {hi[j]}] of {what}")
-        return ts
     else:
         ts = np.asarray(t, dtype=float)
         # the ends as initial values, so that an empty t passes
@@ -236,13 +226,12 @@ def check_grid(grid, min_size: int, what: str = "grid") -> np.ndarray:
 FD_STEP = 1e-4
 
 
-def fd_derivative(fn: Callable, t, lo=-np.inf, hi=np.inf, args: tuple = ()) -> np.ndarray:
+def fd_derivative(fn: Callable, t, lo: float = -np.inf, hi: float = np.inf,
+                  args: tuple = ()) -> np.ndarray:
     """4th-order finite-difference derivative of an array-valued function of t.
 
     t must lie in [lo, hi] (:func:`check_span`), and the step at t is
-    ``FD_STEP``·max(1, |t|).  For an array t, ``lo`` and ``hi`` may be
-    arrays aligned with it: each t then has its own span, which its stencil
-    stays in.  Uses the central 5-point stencil where the
+    ``FD_STEP``·max(1, |t|).  Uses the central 5-point stencil where the
     domain allows, one-sided 4th-order stencils near ``lo``/``hi``; the
     step shrinks to a quarter of the domain if the domain is too narrow
     for the stencil, and a t that still fits no stencil takes the
@@ -277,8 +266,7 @@ def fd_derivative(fn: Callable, t, lo=-np.inf, hi=np.inf, args: tuple = ()) -> n
         backward |= stuck & (up < down)
         if np.any(steps[stuck] <= 0.0):
             j = int(np.argmax(stuck))
-            lo_j, hi_j = (np.broadcast_to(end, ts.shape)[j] for end in (lo, hi))
-            raise DomainError(f"domain [{lo_j}, {hi_j}] too narrow for a stencil at t={ts[j]}")
+            raise DomainError(f"domain [{lo}, {hi}] too narrow for a stencil at t={ts[j]}")
 
     # the stencil points kind by kind, offset-major within a kind
     groups = [(_STENCILS[kind], np.flatnonzero(mask))
@@ -317,10 +305,6 @@ class MatrixFunction:
     ``eval`` the way t does.  A declared ``derivative`` is called the way
     ``eval`` is.  Nothing is memoized.  A value that is not finite raises
     InvalidInputError naming the first time whose value it is.
-
-    A domain of two (W,) arrays holds the ends of W windows: the function
-    is then called with a window index as its last argument, and each t
-    must lie in its own window (:func:`window_span`).
     """
 
     eval: Callable
@@ -330,13 +314,10 @@ class MatrixFunction:
     vectorized: bool = False
 
     def __call__(self, t, *args) -> np.ndarray:
-        lo, hi = self.domain
         if args:
             t, *args = np.broadcast_arrays(np.asarray(t, dtype=float),
                                            *(np.asarray(a, dtype=float) for a in args))
-            if isinstance(lo, np.ndarray):
-                lo, hi = window_span(self.domain, args)
-        ts = check_span(t, lo, hi, self.name or "a matrix function")
+        ts = check_span(t, *self.domain, self.name or "a matrix function")
         if isinstance(ts, float):
             # one time: the array path's call of eval and its value, without
             # the arrays of t around them
@@ -378,17 +359,6 @@ class MatrixFunction:
 
         return MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
                               name=name, vectorized=True)
-
-
-def window_span(domain, args: tuple) -> tuple:
-    """The ends (lo, hi) that points carrying ``args`` must lie between:
-    ``domain`` itself, or, when it holds two (W,) arrays of window ends,
-    the ends of each point's window, indexed by the last of ``args``."""
-    lo, hi = domain
-    if not isinstance(lo, np.ndarray):
-        return lo, hi
-    w = np.asarray(args[-1]).astype(np.intp)
-    return lo[w], hi[w]
 
 
 def per_point(fn: Callable, domain, name: str = "") -> MatrixFunction:

@@ -10,10 +10,12 @@ pair may depend on where η sits:
   interval) and dependent form (it changes there; the crossing times are
   the critical points).
 
-The pointwise index at time t freezes η at traj(t) over the window
-[t − WINDOW, t + WINDOW], sampled at WINDOW_POINTS times, and runs the
-reduction chain there.  Freezing matters: letting η vary inside
-the window makes the chain ranks non-constant exactly at transitions.
+The pointwise index at time t freezes η at traj(t).  With η frozen the
+linear chain is defined on the whole overlap of the problem's interval
+and the trajectory's span, and runs there; its ranks are read at
+WINDOW_POINTS nodes of the window [t − WINDOW, t + WINDOW] in it.
+Freezing matters: letting η vary inside the window makes the chain ranks
+non-constant exactly at transitions.
 
 Index transitions live on thin sets (for the built-in problems, the
 surface y₁ = 0), so random sampling alone essentially never lands on one.
@@ -29,16 +31,15 @@ problems.
 Every grid point of classify goes through one chain: :func:`pointwise_index`
 with the (n,) grid and an (n, S, r) ``ball`` makes one
 :func:`frozen_index_report` call on the (n, 1 + S, r) stack of η's,
-each point's centre traj(t) followed by its ball samples.  That chain's
-time axis holds every window's nodes, each node carries its window's
-index, so that its stencils stay in its window and its kernel reads that
-window's η's, and its level values carry a sample axis, (N, 1 + S, r, r);
-level 0 has a sample axis of size 1, as A does not depend on η.  A
-window leaves the level loop once all its η's have stopped, so each
-point's ν and reports are those of its own chain, bit for bit.  The
-determinants of A_ν at t are read from the ``det`` the chain stored
-when t is a window node and every η of the window reached level ν,
-and otherwise come from A_ν at the windows' times in one stacked
+each point's centre traj(t) followed by its ball samples.  That chain
+runs on the overlap, with one window's nodes per row of an (n, m) grid;
+row i's kernel reads point i's η's, and its level values carry a sample
+axis, (N, 1 + S, r, r); level 0 has a sample axis of size 1, as A does
+not depend on η.  A row leaves the level loop once all its η's have
+stopped, so each point's ν and reports are those of its own chain, bit
+for bit.  The determinants of A_ν at t are read from the ``det`` the
+chain stored when t is a window node and every η of the window reached
+level ν, and otherwise come from A_ν at the points' times in one stacked
 ``det``.  As every window is evaluated before any ν is read, an
 evaluation error at any grid point (a degenerate window, a non-finite
 kernel) is raised even where the 20% refusal of classify would have
@@ -126,8 +127,9 @@ def linearize_iae(p: SemiNonlinearIAE | SemiNonlinearDAE, traj: Trajectory) -> L
 
 
 def _window(p, traj: Trajectory, t):
-    """The ends (lo, hi) of the window around t, or (n,) arrays of them
-    around an (n,) array of times."""
+    """The overlap (a, b) of the problem's interval and traj's span, and
+    the WINDOW_POINTS nodes of the window around t in it: an (m,) row, or
+    an (n, m) grid, one row per time of an (n,) array."""
     a = max(p.interval[0], traj.span[0])
     b = min(p.interval[1], traj.span[1])
     lo, hi = np.maximum(a, np.subtract(t, WINDOW)), np.minimum(b, np.add(t, WINDOW))
@@ -135,11 +137,17 @@ def _window(p, traj: Trajectory, t):
     if np.any(narrow):
         raise DomainError(f"window around t={np.ravel(t)[np.argmax(narrow)]} "
                           f"degenerate within [{a}, {b}]")
-    return lo, hi
+    return (a, b), np.linspace(lo, hi, WINDOW_POINTS, axis=-1)
 
 
 def frozen_index_report(p, eta, t, traj: Trajectory) -> IndexReport | list:
-    """Chain report for the linearization frozen at ``eta``, on a window around t.
+    """Chain report for the linearization frozen at ``eta``, read on the
+    window around t.
+
+    With η frozen, the chain is defined on the whole overlap of the
+    problem's interval and traj's span: its levels live there, and their
+    stencils may reach past the window.  The window only places the
+    WINDOW_POINTS nodes of the report's grid.
 
     An (S, r) stack of η's gives the list of S reports from one chain with
     a sample axis (see :func:`~daekit.chain.rank_degree_index`): level 0 is
@@ -148,22 +156,20 @@ def frozen_index_report(p, eta, t, traj: Trajectory) -> IndexReport | list:
     that its levels hold the shared chain.
 
     An (n,) array of times with an (n, S, r) stack, one (S, r) stack per
-    time, gives the list of n such lists from one windowed chain: its time
-    axis holds every window's nodes, and each point carries its window's
-    index, so its stencils stay in that window and its kernel reads that
-    window's η's.  List i equals the report list of t[i] and eta[i] except
-    that its levels hold the windowed chain, whose A_i and k_i take the
-    window index i as their last argument: A_i(t, i), k_i(t, s, i).
+    time, gives the list of n such lists from one chain on an (n, m) grid,
+    row i the window around t[i], and its kernel reads eta[i] in row i.
+    List i equals the report list of t[i] and eta[i] except that its levels
+    hold the batched chain, whose A_i and k_i take the row index i as their
+    last argument: A_i(t, i), k_i(t, s, i).
     """
-    lo, hi = _window(p, traj, t)
-    grid = np.linspace(lo, hi, WINDOW_POINTS, axis=-1)
+    domain, grid = _window(p, traj, t)
     eta = np.asarray(eta, dtype=float)
     if np.ndim(t) and (eta.ndim != 3 or len(eta) != len(grid)):
         raise InvalidInputError("an (n,) array of times needs an (n, S, r) stack of η's")
     if eta.ndim == 1:
-        a_loc = _restrict(p.A, lo, hi)
+        a_loc = _restrict(p.A, *domain)
     else:
-        a_loc = MatrixFunction(eval=lambda ts, *w: p.A(ts)[:, None], domain=(lo, hi),
+        a_loc = MatrixFunction(eval=lambda ts, *w: p.A(ts)[:, None], domain=domain,
                                vectorized=True)
     return rank_degree_index(a_loc, linear_kernel(p, eta), grid=grid)
 
@@ -177,7 +183,7 @@ def pointwise_index(p, traj: Trajectory, t, ball=None):
     result is (ν, reports): the :func:`frozen_index_report` list of
     [traj(t), *ball] from one chain, ν read from reports[0].  An (n,) array
     of times with an (n, S, r) ``ball`` gives the list of n such pairs,
-    pair i that of t[i] and ball[i], all from one windowed chain.
+    pair i that of t[i] and ball[i], all from one chain.
     """
     if ball is None:
         return frozen_index_report(p, traj(t), t, traj).nu
@@ -200,8 +206,8 @@ def _blind_chain(A_i: MatrixFunction, k_i, steps: int) -> MatrixFunction:
 def _final_det(reports: list, nu: int, t) -> np.ndarray:
     """det A_ν(t) of each report's sample: the (S,) determinants of S
     reports that share one chain (a single report is S = 1), or at an (n,)
-    array of times the (n, S) determinants of a windowed chain's n report
-    lists, row i at t[i] in window i.
+    array of times the (n, S) determinants of the n report lists of a chain
+    of windows, row i at t[i] with row index i.
 
     When every report of a window reached level ν and t is a node of its
     grid, the determinants are read from the level's ``det``.  Otherwise

@@ -114,3 +114,19 @@ def test_settings_that_are_constants_are_not_parameters(call):
     # is asked for at a given (t, y)
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: daekit.solve_dae(example("ex34"), daekit.DaeSolveConfig(h=0.1)),
+     "solve_dae expects a SemiNonlinearDAE"),
+    (lambda: daekit.solve_iae(example("ex32"), daekit.CollocationConfig(h=0.1)),
+     "expected an IAE problem"),
+    (lambda: classify(daekit.LinearDAE(
+        A=daekit.MatrixFunction.constant(np.eye(1)), B=daekit.MatrixFunction.constant(np.eye(1)),
+        f=lambda t: np.zeros(1), y0=np.zeros(1), r=1, T=1.0)),
+     "classification applies to semi-nonlinear problems"),
+], ids=["solve_dae-ex34", "solve_iae-ex32", "classify-LinearDAE"])
+def test_a_wrong_kind_of_problem_is_refused_by_the_library(call, message):
+    # the command line refuses these before the library is called
+    with pytest.raises(daekit.InvalidInputError, match=message):
+        call()

@@ -274,26 +274,20 @@ def test_a_sample_axis_gives_each_sample_the_report_of_its_own_chain():
 
 
 def test_a_windowed_chain_gives_each_window_the_report_of_its_own_chain():
-    # three windows, the last one narrower than a stencil at the default
-    # step: one level loop, each point differenced in its own window
+    # three windows as the rows of one grid on one domain, the last one at
+    # its end; row w passes w as the last argument of A, k and every level
     a, k = _t_dependent_pair()
-    lo, hi = np.array([0.0, 0.2, 0.9998]), np.array([0.3, 0.6, 1.0])
-    windowed = MatrixFunction(eval=lambda t, w: a(t), domain=(lo, hi), vectorized=True)
-    k_w = lambda t, s, w: k(t, s)  # noqa: E731
-    grids = np.linspace(lo, hi, 5, axis=-1)
-    reports = rank_degree_index(windowed, k_w, grid=grids)
-    singles = [rank_degree_index(replace(a, domain=(a_, b_)), k, grid=g)
-               for a_, b_, g in zip(lo, hi, grids)]
+    rows = MatrixFunction(eval=lambda t, w: a(t), domain=a.domain, vectorized=True)
+    k_w = lambda t, s, w: (1.0 + w) * k(t, s)  # noqa: E731
+    grids = np.linspace([0.0, 0.2, 0.9998], [0.3, 0.6, 1.0], 5, axis=-1)
+    reports = rank_degree_index(rows, k_w, grid=grids)
+    singles = [rank_degree_index(a, lambda t, s, c=1.0 + w: c * k(t, s), grid=g)
+               for w, g in enumerate(grids)]
     assert [rep.nu for rep in reports] == [2, 2, 2]
     assert [float_bits(rep.to_dict()) for rep in reports] == \
         [float_bits(rep.to_dict()) for rep in singles]
-    # a level of a windowed report takes the window index as its last argument
     assert reports[1].levels[2].A(grids[1], 1).tobytes() == \
         singles[1].levels[2].A(grids[1]).tobytes()
-    assert [rep.grid.tolist() for rep in rank_degree_index(windowed, k_w)] == \
-        [np.linspace(a_, b_, 33).tolist() for a_, b_ in zip(lo, hi)]
-    with pytest.raises(InvalidInputError, match="3 windows needs 3 grid rows"):
-        rank_degree_index(windowed, k_w, grid=grids[:2])
 
 
 def test_chain_levels_take_a_scalar_s_with_an_array_t():

@@ -385,6 +385,11 @@ def test_solve_dae_invalid_config_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_overflowing_kernel_prints_only_its_error_line(capsys):
+    assert main(["classify", "--problem", "ex32", "--eps", "1000"]) == 1
+    assert capsys.readouterr() == ("", "error: non-finite kernel at t=0.05\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve-dae", "--problem", "ex32", "--h", "nan"], "h must be finite"),
     (["solve-iae", "--problem", "ex34", "--h", "nan"], "h must be finite"),

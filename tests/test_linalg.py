@@ -305,22 +305,6 @@ def test_fd_derivative_on_an_array_is_the_loop_of_float_calls():
     assert _bits(got) == _bits(want)
 
 
-def test_fd_derivative_with_a_span_per_point_is_the_loop_of_float_calls():
-    # each t differenced in its own span: one-sided at either end, central
-    # inside, and a step cut to a quarter of a span narrower than a stencil
-    ts = np.array([0.0, 0.3, 0.55, 1.0, 2.0, 2.0 + 2e-5])
-    lo = np.array([0.0, 0.2, 0.5, 0.9, 1.5, 2.0])
-    hi = np.array([0.1, 0.3, 0.6, 1.0, 2.5, 2.0 + 4e-5])
-    ss = np.linspace(-1.0, 1.0, ts.size)
-    got = fd_derivative(_wiggle, ts, lo=lo, hi=hi, args=(ss,))
-    want = [fd_derivative(_wiggle, t, lo=a, hi=b, args=(s,))
-            for t, a, b, s in zip(ts, lo, hi, ss)]
-    assert _bits(got) == _bits(want)
-    # 0.35 lies in the first span but not in its own
-    with pytest.raises(DomainError, match=r"t=0\.35 outside the span \[0\.2, 0\.3\]"):
-        fd_derivative(_wiggle, np.array([0.05, 0.35]), lo=lo[:2], hi=hi[:2])
-
-
 def test_fd_derivative_on_an_array_calls_fn_once():
     calls = []
 

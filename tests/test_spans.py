@@ -22,7 +22,6 @@ from daekit import (
     residual,
     solve_iae,
 )
-from daekit.linalg import check_span
 from daekit.problems import probe_points
 
 
@@ -113,25 +112,3 @@ def test_classify_refuses_a_grid_outside_the_problem_or_the_trajectory():
     traj = TrajectorySample.from_function(p.exact, np.linspace(1.0, 1.5, 11))
     with pytest.raises(InvalidInputError, match=r"t=1.8 outside the span \[1.0, 1.5\] of the traj"):
         classify(p, traj=traj, grid=[1.2, 1.8])
-
-
-def test_per_point_spans_apply_the_one_span_rule_point_by_point():
-    lo, hi = np.array([0.0, 1.0]), np.array([0.5, 2.0])
-    # within the slack 1e-9·max(1, |end|) of its own ends, each point passes
-    ts = check_span([0.5 + 5e-10, 1.0 - 5e-10], lo, hi, "w")
-    assert ts.tolist() == [0.5 + 5e-10, 1.0 - 5e-10]
-    with pytest.raises(DomainError, match=r"^t=0\.6 outside the span \[0\.0, 0\.5\] of w$"):
-        check_span([0.6, 1.5], lo, hi, "w")
-    # a point inside another point's span is still outside its own
-    with pytest.raises(DomainError, match=r"^t=0\.9 outside the span \[1\.0, 2\.0\] of w$"):
-        check_span([0.2, 0.9], lo, hi, "w")
-
-
-def test_a_windowed_matrix_function_checks_each_point_in_its_window():
-    # a domain of window ends: the last argument is the window index
-    f = MatrixFunction(eval=lambda t, w: (t + 10.0 * w)[:, None, None], name="w",
-                       domain=(np.array([0.0, 1.0]), np.array([0.5, 2.0])), vectorized=True)
-    assert f([0.25, 1.5, 0.5], [0, 1, 0])[:, 0, 0].tolist() == [0.25, 11.5, 0.5]
-    assert f(1.5, 1).tolist() == [[11.5]]
-    with pytest.raises(DomainError, match=r"t=0\.25 outside the span \[1\.0, 2\.0\] of w"):
-        f([0.25, 0.25], [0, 1])

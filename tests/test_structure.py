@@ -29,7 +29,7 @@ from daekit import (
     solve_dae,
     solve_iae,
 )
-from daekit.structure import WARN_THRESHOLD
+from daekit.structure import TIME_TOL, WARN_THRESHOLD
 from helpers import exact_traj, float_bits
 
 HALF_PI = np.pi / 2.0
@@ -234,6 +234,13 @@ def test_an_evaluation_error_anywhere_on_the_grid_comes_before_the_refusal():
         classify(bad, traj=flat)
 
 
+def test_an_overflowing_jacobian_is_a_non_finite_kernel_not_a_warning():
+    # η's from a ball of radius 1000 overflow e^{y2} in ex32's F_y; the
+    # typed error comes, not numpy's overflow warning
+    with pytest.raises(InvalidInputError, match=r"^non-finite kernel at t=1\.0$"):
+        classify(example("ex32"), eps=1000.0, grid=np.linspace(1.0, 2.0, 21))
+
+
 def _assert_batch_is_pointwise(p, tr, times, balls, nus=(1, 2)):
     """pointwise_index at the (n,) times with the (n, S, r) balls, all in one
     chain, equals its n single-point calls: each report's float bits, and
@@ -423,9 +430,9 @@ def test_stacked_report_equals_single_reports_along_a_growing_solution():
 
 def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
     # ex34's ν = 2 chain on 9 points evaluates κ_y at 9 points for
-    # k_0(grid, grid) and at 47 for k_1(grid, grid) (k_0 at the 9 points and
-    # at their 38 stencil points); evaluating A_1(grid) again for A_2(grid)
-    # would add 9.  κ_y takes each batch in one call: count its width M.
+    # k_0(grid, grid) and at 45 for k_1(grid, grid) (k_0 at the 9 points and
+    # at their 36 stencil points, all central, as the chain's domain reaches
+    # past the window); evaluating A_1(grid) again for A_2(grid) would add 9.  κ_y takes each batch in one call: count its width M.
     p = example("ex34")
     tr = exact_traj(p)
     widths, probes = [], []
@@ -441,7 +448,7 @@ def test_each_chain_level_is_built_from_the_grid_values_below(monkeypatch):
     monkeypatch.setattr(p, "kappa_y", counted)
     rep = frozen_index_report(p, tr(1.5), 1.5, tr)
     assert rep.nu == 2
-    assert sum(widths) == 56
+    assert sum(widths) == 54
     assert len(probes) == 0
     # the levels' grid data equal a fresh evaluation of each level on the grid
     for lev in rep.levels:
@@ -722,16 +729,20 @@ def test_classify_raises_when_index_mostly_undefined():
         classify(bad, traj=flat, seed=0)
 
 
-def test_classify_locates_a_jump_of_the_pointwise_index():
+def _nu_jump_dae(conditions=()):
     # the frozen index is 1 while y1 = cos t > 0 and 2 once F_y's corner
-    # max(y1, 0) vanishes; with no declared conditions and no sign change
-    # of det A_1, only the bisection of the ν jump finds π/2
-    p = SemiNonlinearDAE(
+    # max(y1, 0) vanishes; det A_1 changes no sign
+    return SemiNonlinearDAE(
         A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(1.0, 2.0)),
         F=lambda t, y: np.zeros(2), f=lambda t: np.zeros(2), r=2, T=2.0, t_start=1.0,
         F_y=lambda t, y: np.array([[-2.0 * y[0], -np.exp(y[1])],
                                    [-y[1], -np.maximum(y[0], 0.0)]]),
-        exact=lambda t: np.array([np.cos(t), t]))
+        exact=lambda t: np.array([np.cos(t), t]), critical_conditions=conditions)
+
+
+def test_classify_locates_a_jump_of_the_pointwise_index():
+    # with no declared conditions, only the bisection of the ν jump finds π/2
+    p = _nu_jump_dae()
     grid = np.linspace(1.0, 2.0, 21)
     prof = classify(p, grid=grid)
     assert prof.nu_at == [1 if t < HALF_PI else 2 for t in grid]
@@ -740,6 +751,15 @@ def test_classify_locates_a_jump_of_the_pointwise_index():
     assert "pointwise index varies across sampled neighborhoods" in prof.evidence
     # bisection of [1.55, 1.6] down to 1e-3
     assert prof.critical_points == [1.570703125]
+
+
+def test_a_jump_whose_bracket_holds_a_declared_crossing_is_not_bisected():
+    # y2 = t crosses 1.58 inside the jump's bracket [1.55, 1.6], so that
+    # crossing stands for the jump; bisecting the jump as well would add
+    # 1.5707, farther than classify's 2e-3 clustering from 1.58
+    prof = classify(_nu_jump_dae((lambda t, y: y[1] - 1.58,)), grid=np.linspace(1.0, 2.0, 21))
+    assert prof.classification == "free-structure-dependent"
+    assert prof.critical_points == pytest.approx([1.58], abs=TIME_TOL)
 
 
 def test_classify_rejects_non_finite_eps():

@@ -1,0 +1,199 @@
+"""Check that a git revision and the worktree give the same results.
+
+Extracts REV with ``git archive`` into a temporary directory (no worktree,
+no branch), runs every case below in a child process in each tree, with
+that tree's ``src`` first on ``PYTHONPATH``, and prints one digest pair per
+case.  A digest is the SHA-256 of a case's result written canonically:
+floats as their hex bits, files as their bytes, a daekit error as its type
+and message.  Exits 1 on any difference.  Standard library and numpy only;
+the ``analysis`` arguments come from ``perfbench/workloads.py``.
+
+    python3 tools/same_results.py --against REV
+
+The cases:
+
+- ``IndexProfile.to_dict()`` of ``classify`` on ex31, ex32, ex34 and ex35
+  with the ``analysis`` workload's arguments, at seeds 0-5;
+- ex32 on [0, 2] with 41 points, ex31 at eps 3 and ex35 at eps 2, each
+  at seeds 0-2;
+- ``classify`` along ex32's BDF1 solve on [1, 2] at h = 1e-3, and along
+  ex34's and ex35's collocation solves at h = 0.025;
+- ``analyze`` (text and JSON) and ``classify --format json`` on ex32,
+  ex34 and ex35, as printed;
+- the index-4 Hessenberg pair's chain report and consistency ``to_dict()``;
+- the bytes of every file ``reproduce fig1`` ... ``fig5`` writes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def canonical(obj):
+    """``obj`` with every float as its hex bits and every array as a list."""
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, dict):
+        return {str(k): canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    if hasattr(obj, "tolist"):        # a numpy array or scalar
+        return canonical(obj.tolist())
+    return obj
+
+
+def cases() -> dict:
+    """Case name -> a function of no arguments giving the case's result."""
+    import numpy as np
+
+    import daekit
+    from daekit.cli import main
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    def profile(name, seed, **kwargs):
+        return lambda: daekit.classify(daekit.example(name), seed=seed, **kwargs).to_dict()
+
+    def along(name, solve, grid_of=lambda sol: None):
+        def run():
+            p = daekit.example(name)
+            sol = solve(p)
+            return daekit.classify(p, traj=sol, grid=grid_of(sol)).to_dict()
+        return run
+
+    def printed(*argv):
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            return [code, out.getvalue()]
+        return run
+
+    def hessenberg():
+        q = daekit.dae_to_iae(workloads.hessenberg4())
+        report = daekit.rank_degree_index(q.A, q.k)
+        cons = daekit.consistency_check(report.levels, daekit.rhs_chain(q.f, report.levels))
+        return [report.to_dict(), cons.to_dict()]
+
+    def figure(fig):
+        def run():
+            with tempfile.TemporaryDirectory() as out, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["reproduce", fig, "--out", out])
+                files = {path.name: path.read_bytes().hex()
+                         for path in sorted(Path(out).iterdir())}
+            return [code, files]
+        return run
+
+    ex32_bdf1 = lambda p: daekit.solve_dae(  # noqa: E731
+        p, daekit.DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    collocation = lambda p: daekit.solve_iae(  # noqa: E731
+        p, daekit.CollocationConfig(h=0.025, newton_tol=1e-10))[0]
+
+    out = {}
+    for seed in range(6):
+        for name, (kwargs, _, _) in workloads.CLASSIFY.items():
+            out[f"classify {name} seed {seed}"] = profile(name, seed, **kwargs)
+    for seed in range(3):
+        out[f"classify ex32 [0, 2] 41 points seed {seed}"] = profile(
+            "ex32", seed, grid=np.linspace(0.0, 2.0, 41))
+        out[f"classify ex31 eps 3 seed {seed}"] = profile("ex31", seed, eps=3.0)
+        out[f"classify ex35 eps 2 seed {seed}"] = profile("ex35", seed, eps=2.0)
+    out["classify ex32 along BDF1 h=1e-3"] = along(
+        "ex32", ex32_bdf1, lambda sol: np.linspace(1.0, sol.times[-1], 21))
+    out["classify ex34 along collocation h=0.025"] = along("ex34", collocation)
+    out["classify ex35 along collocation h=0.025"] = along("ex35", collocation)
+    for name in ("ex32", "ex34", "ex35"):
+        out[f"analyze {name}"] = printed("analyze", "--problem", name)
+        out[f"analyze {name} --format json"] = printed("analyze", "--problem", name,
+                                                       "--format", "json")
+        out[f"classify {name} --format json"] = printed("classify", "--problem", name,
+                                                        "--format", "json")
+    out["hessenberg4 report and consistency"] = hessenberg
+    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+        out[f"reproduce {fig}"] = figure(fig)
+    return out
+
+
+def digests() -> dict:
+    """Case name -> the digest of its result, in this process's daekit."""
+    import daekit
+    from daekit.errors import DaekitError
+    out = {"daekit imported from": str(Path(daekit.__file__).resolve().parent)}
+    for name, run in cases().items():
+        try:
+            result = canonical(run())
+        except DaekitError as exc:  # a refusal is a result too
+            result = ["raised", type(exc).__name__, str(exc)]
+        text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        out[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return out
+
+
+def start_child(tree: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--child"],
+                            cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV", help="git revision to compare with")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(digests()))
+        return 0
+    if args.against is None:
+        parser.error("--against REV is required")
+    archive = subprocess.run(["git", "archive", "--format=tar", args.against], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode().strip(), file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {args.against[:12]: Path(tmp), "worktree": ROOT}
+        children = {side: start_child(tree) for side, tree in trees.items()}
+        outputs = {side: child.communicate()[0] for side, child in children.items()}
+    for side, child in children.items():
+        if child.returncode != 0:
+            print(f"same_results: the {side} run exited with code {child.returncode}",
+                  file=sys.stderr)
+            return 1
+    got = {side: json.loads(out) for side, out in outputs.items()}
+    before, after = got.values()
+    for side, tree in trees.items():
+        if got[side].pop("daekit imported from") != str((tree / "src" / "daekit").resolve()):
+            print(f"same_results: the {side} run did not import its own daekit",
+                  file=sys.stderr)
+            return 1
+    names = [*before, *(name for name in after if name not in before)]
+    width = max(map(len, names))
+    print(f"{'case':<{width}}  {args.against[:12]:>16}  {'worktree':>16}")
+    differ = 0
+    for name in names:
+        b, a = before.get(name, "-"), after.get(name, "-")
+        differ += a != b
+        print(f"{name:<{width}}  {b:>16}  {a:>16}  {'same' if a == b else 'DIFFERENT'}")
+    print(f"{len(names) - differ} of {len(names)} cases identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
