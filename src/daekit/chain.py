@@ -23,8 +23,9 @@ hence the cap ``NU_MAX = 4``.
 The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
 F_{i+1} are vectorized MatrixFunctions of a float t (and s) or of (n,)
 arrays.  An array call evaluates level i once on all its points and on
-all their stencil points, with one stacked SVD for the projectors there,
-and recurses on those points into the level below; nothing is memoized.
+all their stencil points, with one ``semi_inverse`` call for the
+projectors there (one SVD per distinct matrix of the stack), and
+recurses on those points into the level below; nothing is memoized.
 A user's A (unless vectorized), kernel and right side are called once
 per point, a plain callable being wrapped by :func:`per_point`; the
 kernels of :func:`linear_kernel` make one Jacobian call per array.  Each
@@ -38,10 +39,11 @@ A chain may also carry a sample axis: a kernel linearized at an (S, r)
 stack of η's has values (S, r, r), and level 0, shared by all samples,
 has values (n, 1, r, r) that numpy's matmul broadcasts against them, so
 every level above has values (n, S, r, r).  One chain then serves all
-S samples with one stacked SVD per level and per stencil, level 0's
-taken once per point, and :func:`rank_degree_index` reads per-sample
-ranks, ν and determinants from it; each sample's numbers equal those of
-its own chain bit for bit.
+S samples with one ``semi_inverse`` call per level and per stencil,
+level 0's SVDs taken once per distinct A(t), and
+:func:`rank_degree_index` reads per-sample ranks, ν and determinants
+from it; each sample's numbers equal those of its own chain bit for
+bit.
 
 A chain may also read many windows at once.  A (W, m) grid holds one
 window's nodes per row, all on A's one domain, and row w passes w as the
@@ -63,6 +65,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     MatrixFunction,
     check_grid,
+    det,
     fd_derivative,
     matfn_derivative,
     norm2,
@@ -115,8 +118,9 @@ def chain_step(A_i: MatrixFunction, k_i: Kernel) -> tuple[MatrixFunction, Matrix
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
     Both are vectorized MatrixFunctions on A_i's domain, A_{i+1}(t) and
-    k_{i+1}(t, s), and evaluate an array with one stacked SVD for the
-    projectors V_i at its points and one for those at its stencil points.
+    k_{i+1}(t, s), and evaluate an array with one ``semi_inverse`` call
+    for the projectors V_i at its points and one for those at its stencil
+    points, each factoring every distinct matrix once.
     k_{i+1} is :func:`_lift` of k_i with s held fixed, the rule
     :func:`rhs_chain` applies to the right side.  In a chain of windows
     (module docstring) they are A_{i+1}(t, w) and k_{i+1}(t, s, w).
@@ -203,7 +207,9 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
     The grid (``check_grid``) defaults to 33 uniform points over A's domain.
     A level's grid values are built from those of the level below, A_{i+1}
     = A_i + V_i k_i(t, t), so no level is evaluated on the grid twice; one
-    stacked SVD per level gives its ranks and the projector V_i of that update.
+    ``semi_inverse`` call per level gives its ranks and the projector V_i
+    of that update, and one ``linalg.det`` call its determinants, each
+    factoring every distinct matrix of the level once.
 
     A and k may carry a sample axis (module docstring): A(grid) of shape
     (n, S, r, r) or (n, 1, r, r) and kernel values of shape (S, r, r), S
@@ -242,7 +248,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
         inv = semi_inverse(a_grid)
         shape = (running.size, m, n_samples)
         ranks = np.broadcast_to(inv.rank.reshape(running.size, m, -1), shape)
-        dets = np.broadcast_to(np.linalg.det(a_grid).reshape(running.size, m, -1), shape)
+        dets = np.broadcast_to(det(a_grid).reshape(running.size, m, -1), shape)
         varies = ranks != ranks[:, :1]
         constant = (~np.any(varies, axis=1)).tolist()
         first = ranks[:, 0].tolist()

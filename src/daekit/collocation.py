@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, newton, norm2, per_point
+from .linalg import NEWTON_MAX_ITER, gauss_legendre, newton, norm2, per_point
 from .problems import (JACOBIAN_CONTRACT, KAPPA_CONTRACT, LinearIAE, SemiNonlinearIAE, Trajectory,
                        batch_checked, probe_points, solve_span, start_value)
 
@@ -274,7 +274,7 @@ def _build_scheme(c, h: float) -> _Scheme:
     # equation)
     nodes = _tau_nodes(c)
     eq_taus = nodes[1:]
-    x, w = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    x, w = gauss_legendre(QUAD_ORDER)
     hist_tau = 0.5 * (x + 1.0)
     return _Scheme(nodes=nodes, eq_taus=eq_taus, h=h, hist_tau=hist_tau, hist_w=0.5 * w,
                    hist_basis=_lagrange_weights(nodes, hist_tau))

@@ -6,15 +6,19 @@ A⁻ with A A⁻ A = A; the Moore-Penrose pseudoinverse is used throughout becau
 it is deterministic and varies continuously while the rank stays constant.
 
 The matrix routines also take a stack (..., r, r) of matrices, in the style
-of a numpy gufunc, and the routines of t also take an array of times.  One
-stacked SVD costs little more than one small SVD, and each slice of a stack
-gets exactly the arithmetic of the single-matrix call, so the two forms
-agree bit for bit.  :class:`MatrixFunction` is the one float/array adapter
-for every function of time: coefficients, chain levels, kernels, right sides.
+of a numpy gufunc, and the routines of t also take an array of times.  A
+small SVD costs about as much in a stack as alone (1–2 µs for a 2×2
+matrix), so a stack takes one SVD, and one determinant, per distinct
+matrix (:func:`_per_distinct`): a broadcast stack of one matrix takes
+one.  Each slice of a stack gets exactly the arithmetic of the
+single-matrix call, so the two forms agree bit for bit.
+:class:`MatrixFunction` is the one float/array adapter for every
+function of time: coefficients, chain levels, kernels, right sides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,6 +55,37 @@ def _check_square_finite(m):
     return m
 
 
+def _per_distinct(routine: Callable, m: np.ndarray):
+    """``routine(m)`` of a per-matrix routine (an SVD, a determinant) on a
+    stack m (..., r, r), with ``routine`` run once per distinct matrix.
+
+    A stride-0 stack axis (a broadcast view) is cut to one slice for free;
+    if more than one matrix is left, one ``np.unique`` over each matrix's
+    bytes finds the repeats, so +0.0 and −0.0 count as different entries.
+    Each output (one array or a tuple) comes back C-contiguous and
+    writable with the stack's leading shape.  As the routine works on
+    each matrix alone, every value has the bits of the call on the whole
+    stack.
+    """
+    if m.ndim == 2 or m.size == 0:
+        return routine(m)
+    core = m[tuple(slice(0, 1) if step == 0 else slice(None) for step in m.strides[:-2])]
+    flat = np.ascontiguousarray(core).reshape((-1,) + m.shape[-2:])
+    inverse = slice(None)
+    if len(flat) > 1:
+        keys = flat.reshape(len(flat), -1).view(np.dtype((np.void, flat[0].nbytes)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        flat = flat[first]
+    out = routine(flat)
+
+    def spread(x: np.ndarray) -> np.ndarray:
+        tail = x.shape[1:]
+        x = x[inverse].reshape(core.shape[:-2] + tail)
+        return x if core.shape == m.shape else np.broadcast_to(x, m.shape[:-2] + tail).copy()
+
+    return spread(out) if not isinstance(out, tuple) else tuple(map(spread, out))
+
+
 def _kept(s: np.ndarray) -> np.ndarray:
     """Singular values above ``DEFAULT_RANK_TOL`` times the largest of their
     matrix (none if it is 0): the one rank decision of the package."""
@@ -62,11 +97,19 @@ def numerical_rank(m):
 
     The zero matrix has rank 0; the tolerance is relative to the largest
     singular value, so scaling the matrix does not change the answer.  A
-    stack (..., r, r) gives an integer array of shape (...).
+    stack (..., r, r) gives an integer array of shape (...), from one SVD
+    per distinct matrix.
     """
     m = _check_square_finite(m)
-    rank = np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False)), axis=-1)
+    rank = _per_distinct(
+        lambda d: np.count_nonzero(_kept(np.linalg.svd(d, compute_uv=False)), axis=-1), m)
     return int(rank) if m.ndim == 2 else rank
+
+
+def det(m) -> np.ndarray:
+    """``np.linalg.det`` of a matrix or a stack (..., r, r), one LU per
+    distinct matrix (:func:`_per_distinct`), bit for bit."""
+    return _per_distinct(np.linalg.det, np.asarray(m, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -84,6 +127,17 @@ class SemiInverseResult:
     projector: np.ndarray
 
 
+def _pseudoinverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated pseudoinverse and rank of :func:`semi_inverse`, read
+    from the SVD of m alone."""
+    u, s, vh = np.linalg.svd(m)
+    keep = _kept(s)
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    a_minus = (np.swapaxes(vh, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return a_minus, np.count_nonzero(keep, axis=-1)
+
+
 def semi_inverse(m) -> SemiInverseResult:
     """Moore-Penrose pseudoinverse with singular values below
     ``DEFAULT_RANK_TOL * sigma_max`` dropped.
@@ -91,16 +145,11 @@ def semi_inverse(m) -> SemiInverseResult:
     Returns the pseudoinverse, the retained rank, and the projector
     V = E - A A⁻.  The truncation keeps the result stable when A is
     numerically rank-deficient.  ``m`` may be one matrix or a stack
-    (..., r, r); a stack takes one SVD call.
+    (..., r, r); a stack takes one SVD per distinct matrix.
     """
     m = _check_square_finite(m)
-    u, s, vh = np.linalg.svd(m)
-    keep = _kept(s)
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    a_minus = (np.swapaxes(vh, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
+    a_minus, rank = _per_distinct(_pseudoinverse, m)
     projector = np.eye(m.shape[-1]) - m @ a_minus
-    rank = np.count_nonzero(keep, axis=-1)
     return SemiInverseResult(a_minus=a_minus, rank=int(rank) if m.ndim == 2 else rank,
                              projector=projector)
 
@@ -113,13 +162,22 @@ def norm2(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+# the most entries all_finite tests by their dot product
+_DOT_TEST_MAX = 256
+
+
 def all_finite(v: np.ndarray) -> bool:
     """``np.isfinite(v).all()``'s verdict without numpy's Python ``_all``
-    wrapper.  A finite v·v means every entry is finite (no square is
-    negative, so nothing cancels); only a NaN, an inf or an overflowing
-    dot (entries past 1e154) takes the exact test.  ``np.vdot`` raises no
-    floating-point warning, so large finite entries pass silently."""
-    return math.isfinite(np.vdot(v, v)) or np.count_nonzero(np.isfinite(v)) == v.size
+    wrapper.  A small v (Newton's residual and Jacobian) takes one
+    ``np.vdot`` first: a finite v·v means every entry is finite (no
+    square is negative, so nothing cancels), and only a NaN, an inf or an
+    overflowing dot (entries past 1e154) takes the exact test.  ``np.vdot``
+    raises no floating-point warning.  A larger v, a chain level's stack
+    above all, takes the exact count alone: ``np.vdot`` would copy a
+    non-contiguous stack and may wake the BLAS threads on a long one."""
+    if v.size <= _DOT_TEST_MAX and math.isfinite(np.vdot(v, v)):
+        return True
+    return np.count_nonzero(np.isfinite(v)) == v.size
 
 
 # iteration cap of :func:`newton`, shared by the BDF and collocation solvers
@@ -166,6 +224,16 @@ def newton(residual: Callable[[np.ndarray], np.ndarray],
     return None, max_iter, res, jac
 
 
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss–Legendre rule on
+    [−1, 1], read-only: built on first use, not at import, as numpy loads
+    ``numpy.polynomial`` only when it is first asked for."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 # the most panels :func:`quadrature` doubles to before it gives up
 QUAD_MAX_PANELS = 1024
 
@@ -178,7 +246,7 @@ def quadrature(fn: Callable, a: float, b: float, tol: float) -> np.ndarray:
     finer one is returned.  A non-finite value of ``fn``, or no agreement
     within ``QUAD_MAX_PANELS`` panels, raises EvaluationError.
     """
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = gauss_legendre(8)
     prev, panels = None, 1
     while panels <= QUAD_MAX_PANELS:
         left, half = np.linspace(a, b, panels + 1)[:-1], 0.5 * (b - a) / panels

@@ -39,8 +39,8 @@ not depend on η.  A row leaves the level loop once all its η's have
 stopped, so each point's ν and reports are those of its own chain, bit
 for bit.  The determinants of A_ν at t are read from the ``det`` the
 chain stored when t is a window node and every η of the window reached
-level ν, and otherwise come from A_ν at the points' times in one stacked
-``det``.  As every window is evaluated before any ν is read, an
+level ν, and otherwise come from A_ν at the points' times in one
+:func:`~daekit.linalg.det` call, one LU per distinct matrix.  As every window is evaluated before any ν is read, an
 evaluation error at any grid point (a degenerate window, a non-finite
 kernel) is raised even where the 20% refusal of classify would have
 come first at an earlier point.
@@ -63,7 +63,7 @@ import numpy as np
 from .chain import IndexReport, chain_step, linear_kernel, rank_degree_index
 from .errors import (ClassificationUnreliableError, DomainError, ExtrapolationError,
                      InvalidInputError)
-from .linalg import MatrixFunction, check_grid, check_span, norm2
+from .linalg import MatrixFunction, check_grid, check_span, det, norm2
 from .problems import (
     LinearIAE,
     SemiNonlinearDAE,
@@ -212,8 +212,9 @@ def _final_det(reports: list, nu: int, t) -> np.ndarray:
     When every report of a window reached level ν and t is a node of its
     grid, the determinants are read from the level's ``det``.  Otherwise
     the chain of the window's longest report is stepped past the level
-    where it stopped and evaluated at t, all samples in one stacked
-    ``det``, and all windows that start from the same level in one call.
+    where it stopped and evaluated at t, all samples in one
+    :func:`~daekit.linalg.det` call, and all windows that start from the
+    same level in one call.
     """
     windowed = np.ndim(t) == 1
     times = np.atleast_1d(t)
@@ -230,9 +231,9 @@ def _final_det(reports: list, nu: int, t) -> np.ndarray:
             blind.setdefault(lev.level, (lev, []))[1].append(i)
     for lev, rows in blind.values():
         A_nu = _blind_chain(lev.A, lev.k, nu - lev.level)
-        det = np.linalg.det(A_nu(times[rows], *([rows] if windowed else [])))
+        dets = det(A_nu(times[rows], *([rows] if windowed else [])))
         # a level 0 of a stacked chain has one sample for all
-        out[rows] = det.reshape(len(rows), -1)
+        out[rows] = dets.reshape(len(rows), -1)
     return out if windowed else out[0]
 
 
@@ -421,10 +422,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     conditions = tuple(getattr(p, "critical_conditions", ()) or ())
     nu_flip = det_flip = cond_flip = False
     dets = _final_det([reports for _, reports in points], nu_ref, grid)
-    for t, center, etas, (_, reports), det in zip(grid.tolist(), centers, balls, points, dets):
+    for t, center, etas, (_, reports), point_dets in zip(grid.tolist(), centers, balls, points, dets):
         if any(rep.nu != nu_ref for rep in reports[1:]):
             nu_flip = True
-        signs = _det_signs(det)
+        signs = _det_signs(point_dets)
         if signs.min() < 0.0 < signs.max():
             det_flip = True
         cond_signs = [[np.sign(float(c(t, eta))) for c in conditions]
@@ -445,10 +446,10 @@ def classify(p, traj: Optional[Trajectory] = None, eps: float = 0.1,
     if conditions:
         crit.extend(t for t, _ in detect_critical_points(traj, conditions, interval=(a, b)))
     a_ref = _blind_chain(_restrict(p.A, a, b), linear_kernel(p, traj), nu_ref)
-    traj_dets = np.linalg.det(a_ref(grid))
+    traj_dets = det(a_ref(grid))
     signs = _det_signs(traj_dets)
     for j in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
-        crit.append(_bisect_zero(lambda tt: float(np.linalg.det(a_ref(tt))),
+        crit.append(_bisect_zero(lambda tt: float(det(a_ref(tt))),
                                  float(grid[j]), float(grid[j + 1]), traj_dets[j]))
     # fallback: bisect jumps of the pointwise index itself
     for j in range(grid.size - 1):

@@ -26,7 +26,7 @@ from daekit import (
     solve_iae,
 )
 from daekit import bdf, collocation
-from daekit.linalg import all_finite, newton, norm2, per_point, quadrature
+from daekit.linalg import all_finite, det, gauss_legendre, newton, norm2, per_point, quadrature
 from helpers import float_bits, random_fixed_rank, reference_newton
 
 
@@ -259,6 +259,30 @@ def _mixed_rank_stack():
                      np.diag([1.0, 1e-12, 0.0])])
 
 
+def _repeating_stack():
+    """The mixed-rank stack, two of its matrices again, and a ±0.0 pair:
+    the same matrix with +0.0 and with −0.0 in one entry, whose SVDs differ
+    in the last bits."""
+    plus = np.array([[0.0, -1.0, -1.0], [3.0, 1.0, 2.0], [1.0, 0.0, 0.5]])
+    minus = plus.copy()
+    minus[0, 0] = -0.0
+    stack = _mixed_rank_stack()
+    return np.concatenate([stack, stack[[3, 1]], [plus, minus, plus]])
+
+
+def _stacks():
+    """Stacks (..., 3, 3) with repeats: flat, with a broadcast middle axis
+    (the (n, 1 → S, r, r) shape of a frozen chain's level 0), and a
+    non-contiguous view."""
+    stack = _repeating_stack()
+    return [stack, np.broadcast_to(stack[:, None], (len(stack), 4, 3, 3)),
+            np.swapaxes(stack.reshape(2, 5, 3, 3), 0, 1)]
+
+
+def _is_fresh(x):
+    return x.flags.c_contiguous and x.flags.writeable
+
+
 def test_stacked_semi_inverse_is_the_loop_of_single_calls():
     stack = _mixed_rank_stack()
     got = semi_inverse(stack)
@@ -266,6 +290,16 @@ def test_stacked_semi_inverse_is_the_loop_of_single_calls():
     assert got.rank.tolist() == [res.rank for res in singles] == [0, 1, 2, 3, 1]
     assert _bits(got.a_minus) == _bits([res.a_minus for res in singles])
     assert _bits(got.projector) == _bits([res.projector for res in singles])
+    plus, minus = _repeating_stack()[-3:-1]
+    assert _bits(semi_inverse(plus).a_minus) != _bits(semi_inverse(minus).a_minus)
+    for stack in _stacks():
+        got = semi_inverse(stack)
+        singles = [semi_inverse(stack[i]) for i in np.ndindex(stack.shape[:-2])]
+        assert got.rank.shape == stack.shape[:-2]
+        assert got.rank.ravel().tolist() == [res.rank for res in singles]
+        assert _bits(got.a_minus) == _bits([res.a_minus for res in singles])
+        assert _bits(got.projector) == _bits([res.projector for res in singles])
+        assert all(map(_is_fresh, (got.a_minus, got.projector, got.rank)))
 
 
 def test_stacked_numerical_rank_is_the_loop_of_single_calls():
@@ -273,6 +307,43 @@ def test_stacked_numerical_rank_is_the_loop_of_single_calls():
     assert numerical_rank(stack).tolist() == [numerical_rank(m) for m in stack]
     # leading axes of any shape, gufunc style
     assert numerical_rank(stack[:4].reshape(2, 2, 3, 3)).tolist() == [[0, 1], [2, 3]]
+    for stack in _stacks():
+        got = numerical_rank(stack)
+        assert got.shape == stack.shape[:-2] and _is_fresh(got)
+        assert got.ravel().tolist() == [numerical_rank(stack[i])
+                                        for i in np.ndindex(stack.shape[:-2])]
+
+
+def test_stacked_det_is_the_loop_of_np_linalg_det():
+    for stack in _stacks():
+        got = det(stack)
+        assert got.shape == stack.shape[:-2] and _is_fresh(got)
+        assert _bits(got) == _bits([np.linalg.det(stack[i])
+                                    for i in np.ndindex(stack.shape[:-2])])
+    m = _mixed_rank_stack()[3]
+    assert _bits(det(m)) == _bits(np.linalg.det(m))
+
+
+@pytest.mark.parametrize("fn, routine", [(semi_inverse, "svd"), (numerical_rank, "svd"),
+                                         (det, "det")])
+def test_a_stack_factors_each_distinct_matrix_once(fn, routine, monkeypatch):
+    factored = []
+    lapack = getattr(np.linalg, routine)
+
+    def spy(m, *args, **kwargs):
+        factored.extend(np.reshape(m, (-1, 3, 3)))
+        return lapack(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, spy)
+    stack = _repeating_stack()
+    fn(np.broadcast_to(stack[3], (1000, 3, 3)))
+    assert _bits(factored) == _bits(stack[3])
+    for stack in _stacks():
+        factored.clear()
+        fn(stack)
+        # the ±0.0 pair is two matrices, and each matrix is factored once
+        distinct = {m.tobytes() for m in stack.reshape(-1, 3, 3)}
+        assert sorted(m.tobytes() for m in factored) == sorted(distinct)
 
 
 @pytest.mark.parametrize("fn", [semi_inverse, numerical_rank])
@@ -363,9 +434,30 @@ def test_all_finite_gives_np_isfinite_alls_verdict():
                 bad = rng.random(shape) < share
                 v[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
                 cases.append(v)
+    # stacks as the chain makes them: a kernel's non-contiguous (n, S, r, r)
+    # stack, a broadcast constant, a transposed view; and a long vector
+    for bad in (None, np.nan, np.inf, -np.inf, 1e160, -1e200):
+        values = 10.0 ** rng.uniform(-300, 150, (2, 2, 760 * 9))
+        if bad is not None:
+            values[1, 0, rng.integers(values.shape[-1])] = bad
+        kernel = np.moveaxis(values, -1, 0).reshape(760, 9, 2, 2)
+        cases += [kernel, kernel[::3, :, ::-1], np.swapaxes(kernel, -1, -2),
+                  np.broadcast_to(kernel[7, 4], (760, 9, 2, 2)),
+                  np.broadcast_to(kernel[:, None, 0], (760, 9, 2, 2)), values.ravel()]
     verdicts = [all_finite(v) for v in cases]
     assert verdicts == [bool(np.isfinite(v).all()) for v in cases]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_all_finite_takes_no_dot_product_of_a_large_value(monkeypatch):
+    # a kernel stack as linear_kernel returns it, non-contiguous
+    calls = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(a.shape) or vdot(a, b))
+    kernel = np.moveaxis(np.ones((2, 2, 760 * 9)), -1, 0).reshape(760, 9, 2, 2)
+    for v in (kernel, np.ones((2, 2)), np.ones(10_000), np.ones(6)):
+        assert all_finite(v)
+    assert calls == [(2, 2), (6,)]
 
 
 def _outcome(f, t):
@@ -643,6 +735,23 @@ def test_norm2_is_np_linalg_norm_bit_for_bit():
 
 
 # --- quadrature -----------------------------------------------------------------
+
+def test_each_gauss_rule_is_built_once_on_first_use(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    gauss_legendre.cache_clear()
+    x, w = gauss_legendre(8)
+    assert _bits(x) == _bits(leggauss(8)[0]) and _bits(w) == _bits(leggauss(8)[1])
+    assert not x.flags.writeable and not w.flags.writeable
+    # quadrature's rule and the collocation solver's are the one rule
+    quadrature(np.sin, 0.0, 1.0, 1e-12)
+    quadrature(np.cos, 0.0, 1.0, 1e-12)
+    solve_iae(example("ex34"), CollocationConfig(h=0.05, newton_tol=1e-10),
+              interval=(1.0, 1.1))
+    assert built == [8] == [collocation.QUAD_ORDER]
+
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 2.0), (0.3, 0.30001), (-2.0, 3.0),
                                   (1.0, 0.5)])

@@ -52,3 +52,13 @@ def test_every_computation_runs_with_scipy_unimportable(tmp_path):
         values += [*sol(0.7345), *dae_residual(q, sol, np.linspace(0.51, 0.99, 7))]
         assert np.all(np.isfinite(values))
         """)
+
+
+def test_importing_daekit_builds_no_gauss_rule():
+    # numpy loads numpy.polynomial on first use, and loading it costs every
+    # command's start a few milliseconds: a Gauss rule is built when first used
+    run_fresh("""
+        import sys
+        import daekit, daekit.cli
+        assert "numpy.polynomial" not in sys.modules
+        """)

@@ -392,6 +392,28 @@ def test_final_det_is_the_determinant_of_the_blind_chain(name, t, n_samples, see
         np.broadcast_to(want, (n_samples,)).tobytes()
 
 
+@pytest.mark.parametrize("name", ["ex32", "ex35"])
+def test_every_determinant_classify_takes_is_np_linalg_dets(name, monkeypatch):
+    # the chain's per-level dets, _final_det and the dets along the
+    # trajectory, with repeats and broadcast level-0 stacks among them
+    import daekit.chain
+    import daekit.linalg
+    import daekit.structure
+
+    shapes = []
+
+    def checked(m):
+        got = daekit.linalg.det(m)
+        assert np.asarray(got).tobytes() == np.asarray(np.linalg.det(m)).tobytes()
+        shapes.append(np.shape(m)[:-2])
+        return got
+
+    monkeypatch.setattr(daekit.chain, "det", checked)
+    monkeypatch.setattr(daekit.structure, "det", checked)
+    assert classify(example(name)).classification == "free-structure-dependent"
+    assert (21 * 9, 9) in shapes and (21 * 9, 1) in shapes and (21,) in shapes and () in shapes
+
+
 def test_level_0_of_a_stacked_chain_is_not_repeated_across_samples(monkeypatch):
     # level 0 is A for every sample: repeated 8 times, 520 matrices reached
     # semi_inverse for this report, 329 of them level-0 copies

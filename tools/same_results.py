@@ -14,6 +14,10 @@ The cases:
 
 - ``IndexProfile.to_dict()`` of ``classify`` on ex31, ex32, ex34 and ex35
   with the ``analysis`` workload's arguments, at seeds 0-5;
+- on the same arguments at seed 0, what the profile does not hold: the
+  pointwise ν, and each frozen report's ν, ranks and per-level ``det``
+  arrays, of classify's one ``pointwise_index(p, traj, grid, ball=...)``
+  call, and ``structure._final_det`` on that grid at the workload's ν;
 - ex32 on [0, 2] with 41 points, ex31 at eps 3 and ex35 at eps 2, each
   at seeds 0-2;
 - ``classify`` along ex32's BDF1 solve on [1, 2] at h = 1e-3, and along
@@ -82,6 +86,24 @@ def cases() -> dict:
             return [code, out.getvalue()]
         return run
 
+    def frozen_dets(name, kwargs, nu):
+        # classify's one pointwise_index call at seed 0, made as classify makes it
+        def run():
+            from daekit import structure
+            p = daekit.example(name)
+            grid = kwargs.get("grid", np.linspace(*p.interval, 21))
+            ts = np.linspace(grid[0], grid[-1], 201)
+            traj = (daekit.TrajectorySample(times=ts, values=np.zeros((ts.size, p.r)))
+                    if p.exact is None else daekit.TrajectorySample.from_function(p.exact, ts))
+            rng = np.random.default_rng(0)
+            balls = np.array([[structure._ball_sample(rng, centre, kwargs.get("eps", 0.1))
+                               for _ in range(structure.N_PERTURB)] for centre in traj(grid)])
+            points = structure.pointwise_index(p, traj, grid, ball=balls)
+            reports = [[nu_t, [[rep.nu, [[lev.rank, lev.det] for lev in rep.levels]]
+                               for rep in reps]] for nu_t, reps in points]
+            return [reports, structure._final_det([reps for _, reps in points], nu, grid)]
+        return run
+
     def hessenberg():
         q = daekit.dae_to_iae(workloads.hessenberg4())
         report = daekit.rank_degree_index(q.A, q.k)
@@ -107,6 +129,8 @@ def cases() -> dict:
     for seed in range(6):
         for name, (kwargs, _, _) in workloads.CLASSIFY.items():
             out[f"classify {name} seed {seed}"] = profile(name, seed, **kwargs)
+    for name, (kwargs, _, nu) in workloads.CLASSIFY.items():
+        out[f"frozen reports and final dets {name} seed 0"] = frozen_dets(name, kwargs, nu)
     for seed in range(3):
         out[f"classify ex32 [0, 2] 41 points seed {seed}"] = profile(
             "ex32", seed, grid=np.linspace(0.0, 2.0, 41))
