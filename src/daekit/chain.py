@@ -22,25 +22,28 @@ hence the cap ``NU_MAX = 4``.
 
 The levels are evaluated on whole arrays of times: A_{i+1}, k_{i+1} and
 F_{i+1} are vectorized MatrixFunctions of a float t (and s) or of (n,)
-arrays.  An array call evaluates level i once on all its points and on
-all their stencil points, with one ``semi_inverse`` call for the
-projectors there (one SVD per distinct matrix of the stack), and
-recurses on those points into the level below; nothing is memoized.
+arrays.  Level i+1 is one function of the A-times and the kernel points
+it is asked for (:class:`_Level`), and makes one call of level i on
+everything it needs: A_i at its times and at the stencil points, and
+k_i at (t, t), at the stencil points and at its points.  It takes one
+projector of that A_i stack (one SVD per distinct matrix).  So a call of
+level ν makes one call of each level below it, and one of A and k at
+level 0; nothing is memoized.
 A user's A (unless vectorized), kernel and right side are called once
 per point, a plain callable being wrapped by :func:`per_point`; the
-kernels of :func:`linear_kernel` make one Jacobian call per array.  Each
-element gets the arithmetic of a float call, so both forms agree bit for
-bit.  :func:`rank_degree_index` builds each
-level's grid values from those of the level below instead of evaluating
-that level again.  The one memo left is :func:`dae_to_iae`'s, on the
-quadratures of its right side.
+kernels of :func:`linear_kernel` make one Jacobian call per array, or
+for a LinearDAE one evaluation per distinct s.  Each element gets the
+arithmetic of a float call, so both forms agree bit for bit.
+:func:`rank_degree_index` builds each level's grid values from those
+of the level below instead of evaluating that level again.  The one
+memo left is :func:`dae_to_iae`'s, on the quadratures of its right side.
 
 A chain may also carry a sample axis: a kernel linearized at an (S, r)
 stack of η's has values (S, r, r), and level 0, shared by all samples,
 has values (n, 1, r, r) that numpy's matmul broadcasts against them, so
 every level above has values (n, S, r, r).  One chain then serves all
-S samples with one ``semi_inverse`` call per level and per stencil,
-level 0's SVDs taken once per distinct A(t), and
+S samples with one projector per level, level 0's taken once per
+distinct A(t) and kept a broadcast view, and
 :func:`rank_degree_index` reads per-sample ranks, ν and determinants
 from it; each sample's numbers equal those of its own chain bit for
 bit.
@@ -64,13 +67,16 @@ from .errors import InconsistentChainError, InvalidInputError
 from .linalg import (
     DEFAULT_RANK_TOL,
     MatrixFunction,
+    all_finite,
     check_grid,
-    det,
     fd_derivative,
     matfn_derivative,
+    non_finite,
     norm2,
     numerical_rank,
+    per_distinct,
     per_point,
+    projector,
     quadrature,
     semi_inverse,
 )
@@ -95,44 +101,85 @@ CONSISTENCY_TOL = 1e-6
 NU_MAX = 4
 
 
-def _lift(A_i: MatrixFunction, g: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """The update rule g_{i+1}(t, *args) = ∂/∂t[V_i(t) g(t, *args)] + g(t, *args).
+def _joined(*parts) -> tuple:
+    """The points of ``parts`` (tuples of arrays of one arity, or None) in one tuple of arrays."""
+    return tuple(map(np.concatenate, zip(*(part for part in parts if part is not None))))
 
-    ``g`` and the result take (n,) arrays of t and of each argument, which
-    is held fixed in the derivative, and return stacks of matrices along t.
-    A_i gets the arguments after a kernel's s (a chain row's window index,
-    if any), and every stencil stays in A_i's domain.
+
+class _Level:
+    """Level i+1 ≥ 1 of a chain as one function of the points it is asked for.
+
+    ``level(a, g)`` gives A_{i+1} at the points a = (t, *w) and g_{i+1} at
+    the points g = (t, *args), either of them None.  g is the kernel, args
+    = (s, *w) held fixed in the derivative, or a right side, no args.
+    It makes one call of ``below``, level i as the same kind of function,
+    on every point it needs:
+
+    * A_i at a's times and at the stencil points of g's times;
+    * g_i at (t, t, *w) of a's points, for the A-update; at the stencil
+      points, with g's arguments; and at g's points, for the ``+ g_i`` term.
+
+    It then takes one :func:`~daekit.linalg.projector` of that A_i stack
+    and returns (A_{i+1}, g_{i+1}), each point's value with the arithmetic
+    of a float call.  The differences go through ``fd_derivative``, whose
+    one call of its function carries all of this, and every stencil stays
+    in ``domain``.  A non-finite A_i is an error naming its first such time.
     """
-    lo, hi = A_i.domain
 
-    def projected(tau: np.ndarray, *args) -> np.ndarray:
-        return semi_inverse(A_i(tau, *args[1:])).projector @ g(tau, *args)
+    def __init__(self, below: Callable, domain: tuple[float, float]):
+        self.below, self.domain = below, domain
 
-    def lifted(t: np.ndarray, *args) -> np.ndarray:
-        return fd_derivative(projected, t, lo=lo, hi=hi, args=args) + g(t, *args)
+    def __call__(self, a: Optional[tuple], g: Optional[tuple]) -> tuple:
+        n_a = 0 if a is None else a[0].size
+        out = []
 
-    return lifted
+        def projected(tau: np.ndarray, *args) -> np.ndarray:
+            m = tau.size
+            a_pts = _joined(a, (tau, *args[1:]))
+            a_i, g_i = self.below(a_pts, _joined(a and (a[0], *a), (tau, *args), g))
+            if not all_finite(a_i):
+                raise non_finite(a_i, a_pts[0], "matrix function")
+            v = projector(a_i)
+            # g_i at g's points copied, so that the whole stack is freed
+            # before fd_derivative weighs the differences
+            out.extend((a_i[:n_a] + v[:n_a] @ g_i[:n_a], g_i[n_a + m:].copy()))
+            return v[n_a:] @ g_i[n_a:n_a + m]
+
+        if g is None:
+            # A alone: the kernel's (t, t) points, and no stencil to difference
+            g = (a[0][:0],) * 2 + tuple(w[:0] for w in a[1:])
+            derivative = projected(*g)
+        else:
+            lo, hi = self.domain
+            derivative = fd_derivative(projected, g[0], lo=lo, hi=hi, args=g[1:])
+        return out[0], derivative + out[1]
+
+    def A(self, t: np.ndarray, *w) -> np.ndarray:
+        return self((t, *w), None)[0]
+
+    def g(self, t: np.ndarray, *args) -> np.ndarray:
+        return self(None, (t, *args))[1]
 
 
 def chain_step(A_i: MatrixFunction, k_i: Kernel) -> tuple[MatrixFunction, MatrixFunction]:
     """One reduction level: returns (A_{i+1}, k_{i+1}) as lazy evaluables.
 
     Both are vectorized MatrixFunctions on A_i's domain, A_{i+1}(t) and
-    k_{i+1}(t, s), and evaluate an array with one ``semi_inverse`` call
-    for the projectors V_i at its points and one for those at its stencil
-    points, each factoring every distinct matrix once.
-    k_{i+1} is :func:`_lift` of k_i with s held fixed, the rule
-    :func:`rhs_chain` applies to the right side.  In a chain of windows
-    (module docstring) they are A_{i+1}(t, w) and k_{i+1}(t, s, w).
+    k_{i+1}(t, s), evaluated by one :class:`_Level`: a call of either
+    makes one call of level i, and takes one projector there.  When
+    chain_step built A_i and k_i as one pair, level i is that pair's
+    level, so a call of level ν makes one call of each level below it and
+    one of A and k at level 0.  Otherwise level i calls A_i and k_i once
+    each.  In a chain of windows (module docstring) they are A_{i+1}(t, w)
+    and k_{i+1}(t, s, w).
     """
     k_i = per_point(k_i, A_i.domain, "kernel")
-
-    def a_next(t: np.ndarray, *w) -> np.ndarray:
-        a = A_i(t, *w)
-        return a + semi_inverse(a).projector @ k_i(t, t, *w)
-
-    return (MatrixFunction(eval=a_next, domain=A_i.domain, vectorized=True),
-            MatrixFunction(eval=_lift(A_i, k_i), domain=A_i.domain, vectorized=True))
+    below = getattr(A_i.eval, "__self__", None)
+    if not (isinstance(below, _Level) and getattr(k_i.eval, "__self__", None) is below):
+        below = lambda a, g: (A_i(*a), k_i(*g))  # noqa: E731
+    level = _Level(below, A_i.domain)
+    return (MatrixFunction(eval=level.A, domain=A_i.domain, vectorized=True),
+            MatrixFunction(eval=level.g, domain=A_i.domain, vectorized=True))
 
 
 @dataclass
@@ -196,6 +243,17 @@ class IndexReport:
         }
 
 
+def _factored(a_grid: np.ndarray) -> tuple:
+    """The ranks, projectors and determinants of a level's grid stack, from
+    one search for its distinct matrices (:func:`~daekit.linalg.per_distinct`):
+    one ``semi_inverse`` and one ``np.linalg.det`` call on the stack of those."""
+    def each(d: np.ndarray) -> tuple:
+        inv = semi_inverse(d)
+        return inv.rank, inv.projector, np.linalg.det(d)
+
+    return per_distinct(each, a_grid)
+
+
 def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | list:
     """Iterate the chain until A_ν is nonsingular everywhere on the grid.
 
@@ -207,9 +265,9 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
     The grid (``check_grid``) defaults to 33 uniform points over A's domain.
     A level's grid values are built from those of the level below, A_{i+1}
     = A_i + V_i k_i(t, t), so no level is evaluated on the grid twice; one
-    ``semi_inverse`` call per level gives its ranks and the projector V_i
-    of that update, and one ``linalg.det`` call its determinants, each
-    factoring every distinct matrix of the level once.
+    search for the distinct matrices of a level gives its ranks, the
+    projector V_i of that update and its determinants, from one SVD and
+    one LU per distinct matrix.
 
     A and k may carry a sample axis (module docstring): A(grid) of shape
     (n, S, r, r) or (n, 1, r, r) and kernel values of shape (S, r, r), S
@@ -245,10 +303,10 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
     reports: list = [[None] * n_samples for _ in range(n_windows)]
     running = np.arange(n_windows)
     for level in range(NU_MAX + 1):
-        inv = semi_inverse(a_grid)
+        rank, v, dets = _factored(a_grid)
         shape = (running.size, m, n_samples)
-        ranks = np.broadcast_to(inv.rank.reshape(running.size, m, -1), shape)
-        dets = np.broadcast_to(det(a_grid).reshape(running.size, m, -1), shape)
+        ranks = np.broadcast_to(rank.reshape(running.size, m, -1), shape)
+        dets = np.broadcast_to(dets.reshape(running.size, m, -1), shape)
         varies = ranks != ranks[:, :1]
         constant = (~np.any(varies, axis=1)).tolist()
         first = ranks[:, 0].tolist()
@@ -271,7 +329,7 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
         running, t, wins = running[going], t[rows], [idx[rows] for idx in wins]
         k_grid = k_i(t, t, *wins) if k_grid is None else k_grid[rows]
         A_i, k_i = chain_step(A_i, k_i)
-        a_grid, k_grid = a_grid[rows] + inv.projector[rows] @ k_grid, None
+        a_grid, k_grid = a_grid[rows] + v[rows] @ k_grid, None
     results = [[IndexReport(None, lev, row, ChainStatus("exceeded-max-level", NU_MAX))
                 if rep is None else rep for rep, lev in zip(reps, levs)]
                for reps, levs, row in zip(reports, levels, nodes)]
@@ -282,11 +340,13 @@ def rank_degree_index(A: MatrixFunction, k: Kernel, grid=None) -> IndexReport | 
 def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
     """Right-hand-side companions F_0..F_n of the chain levels.
 
-    F_0 = f and F_{i+1} = :func:`_lift` of F_i through level i's A_i, the
-    update rule of the kernel: F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t).
-    Returns one vectorized MatrixFunction per level, on level 0's domain:
-    an (r,) vector at a float t, an (n, r) stack at an (n,) array.  A
-    plain ``f`` is called once per point, and nothing is memoized.
+    F_0 = f and F_{i+1} is F_i lifted through level i's A_i by the
+    kernel's rule, F_{i+1}(t) = d/dt[V_i(t) F_i(t)] + F_i(t), in a
+    :class:`_Level` of its own: a call of F_{i+1} makes one call of F_i
+    and one of A_i.  Returns one vectorized MatrixFunction per level, on
+    level 0's domain: an (r,) vector at a float t, an (n, r) stack at an
+    (n,) array.  A plain ``f`` is called once per point, and nothing is
+    memoized.
     """
     if not levels:
         raise InvalidInputError("levels must be non-empty")
@@ -295,7 +355,8 @@ def rhs_chain(f: Callable[[float], np.ndarray], levels) -> list:
     # values travel as (n, r, 1) columns, so V_i F_i is the kernel's product
     columns = [lambda t: f(t).reshape(t.size, -1, 1)]
     for lev in levels[:-1]:
-        columns.append(_lift(lev.A, columns[-1]))
+        below = lambda a, g, A_i=lev.A, F_i=columns[-1]: (A_i(*a), F_i(*g))  # noqa: E731
+        columns.append(_Level(below, domain).g)
     return [MatrixFunction(eval=lambda t, g=g: g(t)[..., 0], domain=domain, vectorized=True)
             for g in columns]
 
@@ -374,13 +435,21 @@ def linear_kernel(p, eta=None) -> MatrixFunction:
     stack eta[w].
 
     The kernel is a vectorized MatrixFunction k(t, s) on A's domain, like a
-    chain level.  An array call makes one Jacobian call on all its points
-    (and samples), and the first call of each kernel checks the batch
-    shape (r, r, M) (:func:`~daekit.problems.batch_checked`).
+    chain level.  A LinearDAE's reads s alone: an array call evaluates B
+    and A′ once per distinct s (told apart by its bits, so ±0.0 are two).
+    Another's makes one Jacobian call on all its points (and samples), and
+    the first call of each kernel checks the batch shape (r, r, M)
+    (:func:`~daekit.problems.batch_checked`).
     """
     if isinstance(p, LinearDAE):
-        return MatrixFunction(eval=lambda t, s: p.B(s) - matfn_derivative(p.A, s),
-                              domain=p.A.domain, name="kernel", vectorized=True)
+        def of_s(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+            # one evaluation per distinct s, told apart by its bits
+            _, first, inverse = np.unique(np.ascontiguousarray(s).view(np.uint64),
+                                          return_index=True, return_inverse=True)
+            u = s[first]
+            return (p.B(u) - matfn_derivative(p.A, u))[inverse]
+
+        return MatrixFunction(eval=of_s, domain=p.A.domain, name="kernel", vectorized=True)
     if not isinstance(p, (SemiNonlinearDAE, SemiNonlinearIAE)):
         raise InvalidInputError(f"no linear kernel for a {type(p).__name__}")
     if eta is None:
@@ -429,8 +498,9 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
     """
     y_start = start_value(p, p.t_start)
     start = None if y_start is None else p.A(p.t_start) @ y_start
-    # the F chain's nested stencils revisit times: without this memo the
-    # index-4 Hessenberg consistency check makes 4,564 right-side evaluations, not 92
+    # the F chain's nested stencils revisit times: the index-4 Hessenberg
+    # consistency check asks for the right side 1,141 times at 23 distinct
+    # times, so without this memo it would run 1,141 quadratures, not 23
     cache: dict[float, np.ndarray] = {}
 
     def rhs(t: float) -> np.ndarray:

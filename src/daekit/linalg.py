@@ -9,7 +9,7 @@ The matrix routines also take a stack (..., r, r) of matrices, in the style
 of a numpy gufunc, and the routines of t also take an array of times.  A
 small SVD costs about as much in a stack as alone (1–2 µs for a 2×2
 matrix), so a stack takes one SVD, and one determinant, per distinct
-matrix (:func:`_per_distinct`): a broadcast stack of one matrix takes
+matrix (:func:`per_distinct`): a broadcast stack of one matrix takes
 one.  Each slice of a stack gets exactly the arithmetic of the
 single-matrix call, so the two forms agree bit for bit.
 :class:`MatrixFunction` is the one float/array adapter for every
@@ -55,7 +55,13 @@ def _check_square_finite(m):
     return m
 
 
-def _per_distinct(routine: Callable, m: np.ndarray):
+def _core(m: np.ndarray) -> np.ndarray:
+    """The free view of a stack m (..., r, r) with each stride-0 stack axis
+    (a broadcast view's) cut to one slice."""
+    return m[tuple(slice(0, 1) if step == 0 else slice(None) for step in m.strides[:-2])]
+
+
+def per_distinct(routine: Callable, m: np.ndarray):
     """``routine(m)`` of a per-matrix routine (an SVD, a determinant) on a
     stack m (..., r, r), with ``routine`` run once per distinct matrix.
 
@@ -69,7 +75,7 @@ def _per_distinct(routine: Callable, m: np.ndarray):
     """
     if m.ndim == 2 or m.size == 0:
         return routine(m)
-    core = m[tuple(slice(0, 1) if step == 0 else slice(None) for step in m.strides[:-2])]
+    core = _core(m)
     flat = np.ascontiguousarray(core).reshape((-1,) + m.shape[-2:])
     inverse = slice(None)
     if len(flat) > 1:
@@ -101,15 +107,15 @@ def numerical_rank(m):
     per distinct matrix.
     """
     m = _check_square_finite(m)
-    rank = _per_distinct(
+    rank = per_distinct(
         lambda d: np.count_nonzero(_kept(np.linalg.svd(d, compute_uv=False)), axis=-1), m)
     return int(rank) if m.ndim == 2 else rank
 
 
 def det(m) -> np.ndarray:
     """``np.linalg.det`` of a matrix or a stack (..., r, r), one LU per
-    distinct matrix (:func:`_per_distinct`), bit for bit."""
-    return _per_distinct(np.linalg.det, np.asarray(m, dtype=float))
+    distinct matrix (:func:`per_distinct`), bit for bit."""
+    return per_distinct(np.linalg.det, np.asarray(m, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -148,10 +154,21 @@ def semi_inverse(m) -> SemiInverseResult:
     (..., r, r); a stack takes one SVD per distinct matrix.
     """
     m = _check_square_finite(m)
-    a_minus, rank = _per_distinct(_pseudoinverse, m)
+    a_minus, rank = per_distinct(_pseudoinverse, m)
     projector = np.eye(m.shape[-1]) - m @ a_minus
     return SemiInverseResult(a_minus=a_minus, rank=int(rank) if m.ndim == 2 else rank,
                              projector=projector)
+
+
+def projector(m: np.ndarray) -> np.ndarray:
+    """The projector V of :func:`semi_inverse` of a finite stack m (..., r, r),
+    formed once per distinct matrix, with the bits of semi_inverse's.  A
+    stride-0 axis of m stays one: V is a read-only view, and a broadcast
+    (constant) stack's V holds one matrix.  m is not checked."""
+    def each(d: np.ndarray) -> np.ndarray:
+        return np.eye(d.shape[-1]) - d @ _pseudoinverse(d)[0]
+
+    return np.broadcast_to(per_distinct(each, _core(m)), m.shape)
 
 
 def norm2(v) -> float:
@@ -178,6 +195,15 @@ def all_finite(v: np.ndarray) -> bool:
     if v.size <= _DOT_TEST_MAX and math.isfinite(np.vdot(v, v)):
         return True
     return np.count_nonzero(np.isfinite(v)) == v.size
+
+
+def non_finite(m: np.ndarray, t, what: str) -> InvalidInputError:
+    """The error of a value m of ``what`` at t that is not finite: it names
+    t, or for an array t (one time per leading entry of m) the first time
+    whose value is not finite."""
+    if np.ndim(t):
+        t = np.ravel(t)[np.argmin(np.isfinite(m.reshape(np.size(t), -1)).all(axis=1))]
+    return InvalidInputError(f"non-finite {what} at t={t}")
 
 
 # iteration cap of :func:`newton`, shared by the BDF and collocation solvers
@@ -402,10 +428,7 @@ class MatrixFunction:
                                       *[a.ravel().tolist() for a in args])), dtype=float)
             m = m.reshape(ts.shape + m.shape[1:])
         if not all_finite(m):
-            if np.ndim(t):
-                finite = np.isfinite(m.reshape(ts.size, -1)).all(axis=1)
-                t = ts.ravel()[np.argmin(finite)]
-            raise InvalidInputError(f"non-finite {self.name or 'matrix function'} at t={t}")
+            raise non_finite(m, ts if np.ndim(t) else t, self.name or "matrix function")
         return m
 
     @staticmethod

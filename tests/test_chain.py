@@ -290,6 +290,100 @@ def test_a_windowed_chain_gives_each_window_the_report_of_its_own_chain():
         singles[1].levels[2].A(grids[1]).tobytes()
 
 
+def test_a_level_makes_one_call_of_the_level_below(monkeypatch):
+    # A_4 and k_3 of the index-4 pair: one call of level 0's A and kernel,
+    # one projector per level above it
+    import daekit.chain
+
+    a, k = _hessenberg4_pair()
+    calls = []
+
+    def spied(name, fn):
+        return replace(fn, eval=lambda *args: calls.append(name) or fn.eval(*args))
+
+    rep = rank_degree_index(spied("A", a), spied("kernel", k))
+    assert rep.nu == 4
+    projectors = []
+    projector = daekit.chain.projector
+    monkeypatch.setattr(daekit.chain, "projector",
+                        lambda m: projectors.append(m.shape) or projector(m))
+    grid = np.linspace(0.0, 1.0, 5)
+    for level, evaluate in [(4, lambda: rep.levels[4].A(0.0)),
+                            (4, lambda: rep.levels[4].A(grid)),
+                            (3, lambda: rep.levels[3].k(grid, grid[::-1]))]:
+        calls.clear()
+        projectors.clear()
+        evaluate()
+        assert sorted(calls) == ["A", "kernel"]
+        assert len(projectors) == level
+
+
+def test_a_linear_dae_kernel_evaluates_b_once_per_distinct_s():
+    seen = []
+
+    def b(t):
+        seen.append(t)
+        return np.array([[1.0 + t, 0.0], [t * t, 2.0]])
+
+    domain = (-1.0, 1.0)
+    p = LinearDAE(A=MatrixFunction(eval=lambda t: np.array([[t, 0.0], [0.0, 0.0]]), domain=domain),
+                  B=MatrixFunction(eval=b, domain=domain), f=lambda t: np.zeros(2), y0=None,
+                  r=2, T=1.0, t_start=-1.0)
+    k = linear_kernel(p)
+    s = np.array([0.5, -0.0, 0.5, 0.0, 0.25, 0.5, -0.0])
+    t = np.linspace(-1.0, 1.0, s.size)
+    got = k(t, s)
+    # ±0.0 are two times
+    assert sorted(float(u).hex() for u in seen) == sorted(float(u).hex()
+                                                          for u in (0.5, -0.0, 0.0, 0.25))
+    assert got.tobytes() == np.stack([k(ti, si) for ti, si in zip(t, s)]).tobytes()
+
+
+def test_a_windowed_chain_with_samples_equals_each_rows_own_chain_to_the_bit():
+    # levels 1-4 at times reaching both ends of the domain, so central,
+    # forward and backward stencils meet in one call: row w, sample j
+    # equals the chain frozen at eta[w, j], and each array call equals its
+    # float calls
+    p = example("ex34")
+    lo, hi = p.A.domain
+    eta = exact_traj(p)(np.array([[1.2, 1.4, 1.6], [1.3, 1.5, 1.9]]))   # (W, S, r)
+    rows = MatrixFunction(eval=lambda ts, *w: p.A(ts)[:, None], domain=p.A.domain,
+                          vectorized=True)
+    times = np.linspace(lo, hi, 7)
+    s = times[::-1].copy()
+    windowed = [(rows, linear_kernel(p, eta))]
+    singles = {(w, j): [(p.A, linear_kernel(p, eta[w, j]))] for w in range(2) for j in range(3)}
+    for chain in [windowed, *singles.values()]:
+        for _ in range(4):
+            chain.append(chain_step(*chain[-1]))
+    for level in range(1, 5):
+        A_i, k_i = windowed[level]
+        for w in range(2):
+            ws = np.full(times.size, w)
+            a_rows, k_rows = A_i(times, ws), k_i(times, s, ws)
+            assert a_rows.tobytes() == np.stack([A_i(t, w) for t in times]).tobytes()
+            assert k_rows.tobytes() == np.stack([k_i(t, u, w) for t, u in zip(times, s)]).tobytes()
+            for j in range(3):
+                A_one, k_one = singles[w, j][level]
+                assert a_rows[:, j].tobytes() == A_one(times).tobytes()
+                assert k_rows[:, j].tobytes() == k_one(times, s).tobytes()
+
+
+def test_a_non_finite_level_above_0_is_a_typed_error():
+    # a finite kernel whose third derivative overflows: A_3 is not finite
+    # at t = 0, so neither is the stack of it that A_4 projects
+    a = MatrixFunction.constant(A_SING)
+    levels = [(a, lambda t, s: np.array([[0.0, 0.0], [1e306 * np.sin(40.0 * t), 0.0]]))]
+    for _ in range(4):
+        levels.append(chain_step(*levels[-1]))
+    grid = np.linspace(0.0, 1.0, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(levels[2][0](grid)).all()
+        for A_i, _ in levels[3:]:
+            with pytest.raises(InvalidInputError, match=r"^non-finite matrix function at t=0\.0$"):
+                A_i(grid)
+
+
 def test_chain_levels_take_a_scalar_s_with_an_array_t():
     a1, k1 = chain_step(*_t_dependent_pair())
     grid = np.linspace(0.0, 1.0, 5)

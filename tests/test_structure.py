@@ -408,7 +408,12 @@ def test_every_determinant_classify_takes_is_np_linalg_dets(name, monkeypatch):
         shapes.append(np.shape(m)[:-2])
         return got
 
-    monkeypatch.setattr(daekit.chain, "det", checked)
+    def checked_level(m, factored=daekit.chain._factored):
+        rank, v, dets = factored(m)
+        assert checked(m).tobytes() == dets.tobytes()
+        return rank, v, dets
+
+    monkeypatch.setattr(daekit.chain, "_factored", checked_level)
     monkeypatch.setattr(daekit.structure, "det", checked)
     assert classify(example(name)).classification == "free-structure-dependent"
     assert (21 * 9, 9) in shapes and (21 * 9, 1) in shapes and (21,) in shapes and () in shapes
@@ -416,7 +421,9 @@ def test_every_determinant_classify_takes_is_np_linalg_dets(name, monkeypatch):
 
 def test_level_0_of_a_stacked_chain_is_not_repeated_across_samples(monkeypatch):
     # level 0 is A for every sample: repeated 8 times, 520 matrices reached
-    # semi_inverse for this report, 329 of them level-0 copies
+    # the chain's factorizations for this report, 329 of them level-0 copies;
+    # rank_degree_index's _factored and the levels' projector calls take
+    # 189, level 0 with a sample axis of size 1 in both
     import daekit.chain
 
     p = example("ex34")
@@ -424,19 +431,21 @@ def test_level_0_of_a_stacked_chain_is_not_repeated_across_samples(monkeypatch):
     etas = tr(1.5) + np.random.default_rng(3).uniform(-0.1, 0.1, size=(8, 2))
     a0 = p.A(1.5)
     counts, level0_samples = [], []
-    semi_inverse = daekit.chain.semi_inverse
 
-    def counted(m):
-        counts.append(int(np.prod(m.shape[:-2])))
-        if np.all(m == a0):
-            level0_samples.append(m.shape[-3])
-        return semi_inverse(m)
+    def counted(factor):
+        def spy(m):
+            counts.append(int(np.prod(m.shape[:-2])))
+            if np.all(m == a0):
+                level0_samples.append(m.shape[-3])
+            return factor(m)
+        return spy
 
-    monkeypatch.setattr(daekit.chain, "semi_inverse", counted)
+    for name in ("_factored", "projector"):
+        monkeypatch.setattr(daekit.chain, name, counted(getattr(daekit.chain, name)))
     reports = frozen_index_report(p, etas, 1.5, tr)
     assert [rep.nu for rep in reports] == [2] * 8
-    assert sum(counts) <= 191
-    assert level0_samples and all(n == 1 for n in level0_samples)
+    assert sum(counts) <= 189
+    assert len(level0_samples) == 2 and all(n == 1 for n in level0_samples)
 
 
 def test_stacked_report_equals_single_reports_along_a_growing_solution():

@@ -24,7 +24,11 @@ The cases:
   ex34's and ex35's collocation solves at h = 0.025;
 - ``analyze`` (text and JSON) and ``classify --format json`` on ex32,
   ex34 and ex35, as printed;
-- the index-4 Hessenberg pair's chain report and consistency ``to_dict()``;
+- the index-4 Hessenberg pair's chain report and consistency ``to_dict()``,
+  and the values of its levels' A_i, k_i and F_i at 11 times from end to
+  end of the domain;
+- every level's A_i and k_i on its row's grid in one chain of three
+  frozen windows (ex34, t = 1, 1.5, 2) with three samples each;
 - the bytes of every file ``reproduce fig1`` ... ``fig5`` writes.
 """
 
@@ -110,6 +114,33 @@ def cases() -> dict:
         cons = daekit.consistency_check(report.levels, daekit.rhs_chain(q.f, report.levels))
         return [report.to_dict(), cons.to_dict()]
 
+    def hessenberg_levels():
+        # A_i, k_i and F_i at times reaching both ends, so one array call
+        # meets central, forward and backward stencils
+        q = daekit.dae_to_iae(workloads.hessenberg4())
+        report = daekit.rank_degree_index(q.A, q.k)
+        times = np.linspace(0.0, 1.0, 11)
+        s = times[::-1].copy()
+        return [[lev.A(times), lev.k(times, s), F_i(times)]
+                for lev, F_i in zip(report.levels, daekit.rhs_chain(q.f, report.levels))]
+
+    def windowed_levels():
+        # one chain of three windows with three samples each, as classify
+        # builds it: every level's A_i(t, w) and k_i(t, s, w) on row w's grid
+        p = daekit.example("ex34")
+        times = np.array([1.0, 1.5, 2.0])
+        centre = daekit.TrajectorySample.from_function(p.exact, np.linspace(1.0, 2.0, 201))
+        eta = centre(times)[:, None] + np.array([[0.0, 0.0], [0.05, -0.05], [-0.1, 0.1]])
+        rows = daekit.frozen_index_report(p, eta, times, centre)
+        out = []
+        for w, reports in enumerate(rows):
+            grid, ws = reports[0].grid, np.full(reports[0].grid.size, w)
+            longest = max(reports, key=lambda rep: len(rep.levels))
+            out.append([[rep.nu for rep in reports],
+                        [[lev.A(grid, ws), lev.k(grid, grid[::-1], ws)]
+                         for lev in longest.levels]])
+        return out
+
     def figure(fig):
         def run():
             with tempfile.TemporaryDirectory() as out, \
@@ -147,6 +178,8 @@ def cases() -> dict:
         out[f"classify {name} --format json"] = printed("classify", "--problem", name,
                                                         "--format", "json")
     out["hessenberg4 report and consistency"] = hessenberg
+    out["hessenberg4 levels A, k and F at both ends"] = hessenberg_levels
+    out["windowed chain levels, 3 windows x 3 samples"] = windowed_levels
     for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
         out[f"reproduce {fig}"] = figure(fig)
     return out
