@@ -24,6 +24,15 @@ When c_1 > 0 there is no equation to pass across the joint; the nodes are
 (0, c_1, ..., c_m) and all m collocation equations stay on their own
 interval, which is the standard continuous scheme for second-kind systems.
 
+The code has one interval system and one march.  :class:`_Interval` is
+interval n's equations as the residual/Jacobian pair of its free nodal
+values that :func:`~daekit.linalg.newton` takes, built from its left value
+and the history of the intervals before it.  :func:`solve_iae` marches:
+build interval n, run Newton from its left value, record the step, store
+the interval in the history, and carry its right-end value to the next.
+:func:`residual` builds no interval: it batches its own history over the
+probes, so it checks a solution independently of the march.
+
 History and partial integrals use one Gauss-Legendre rule of ``QUAD_ORDER``
 points, in the solver and in :func:`residual` alike, applied to the
 interval interpolants.  κ is vectorised over quadrature points, with t of
@@ -334,10 +343,58 @@ def _rhs_of(p):
     return lambda t: f(t).reshape(np.size(t), p.r)
 
 
+class _Interval:
+    """The collocation system of interval n, [t_n, t_n + h]: ``residual(x)``
+    and ``jacobian(x)`` of its free nodal values x, shape (n_eq r,), the pair
+    :func:`~daekit.linalg.newton` takes.  The left nodal value is pinned to
+    ``left_value``; the history integral covers the first n intervals stored
+    in ``history``.  ``jacobian`` reads u at the x of the latest
+    ``residual`` call, the order in which newton calls them.
+
+    κ and κ_y see the Gauss points of every equation at once: t, s of shape
+    (n_eq q,), each equation's time repeated over its points.
+    """
+
+    def __init__(self, A, f, kappa, kappa_jac, sch: _Scheme, history: _GaussHistory,
+                 t_n: float, n: int, left_value: np.ndarray):
+        self.kappa, self.kappa_jac, self.sch = kappa, kappa_jac, sch
+        t_eq = t_n + sch.eq_taus * sch.h
+        self.a_eq = A(t_eq)  # (n_eq, r, r)
+        self.f_eq = f(t_eq)
+        # a history that overflows is a Newton failure, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.hist = history.integral(kappa, t_eq, [n] * t_eq.size)
+        self.t_all = np.repeat(t_eq, QUAD_ORDER)
+        self.s_all = (t_n + sch.part_tau * sch.h).ravel()
+        self.eqs = np.arange(t_eq.size)
+        self.values = np.empty((sch.nodes.size, left_value.size))  # left value, then x
+        self.values[0] = left_value
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        u, r = self.values, self.values.shape[1]
+        u[1:] = x.reshape(-1, r)
+        self.u_s = (self.sch.part_basis @ u).reshape(-1, r).T  # (r, n_eq q)
+        k_int = _partial_integrals(self.kappa, self.t_all, self.s_all, self.u_s, self.sch.part_w)
+        # equation positions line up with nodes[1:]
+        return (np.einsum("eab,eb->ea", self.a_eq, u[1:]) + self.hist + k_int - self.f_eq).ravel()
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        # block (i, j) = Σ_g w_ig ℓ_j(τ_ig) ∂κ/∂y(s_ig) over the free nodes j,
+        # plus A(t_eq[i]) where node j carries equation i
+        r, eqs = self.values.shape[1], self.eqs
+        k_y = self.kappa_jac(self.t_all, self.s_all, self.u_s).reshape(r, r, eqs.size, -1)
+        jac = np.einsum("egj,abeg->eajb", self.sch.part_wbasis[:, :, 1:], k_y)
+        jac[eqs, :, eqs, :] += self.a_eq
+        return jac.reshape(x.size, x.size)
+
+
 def solve_iae(p, cfg: CollocationConfig, interval=None):
     """March the collocation scheme across the mesh; returns (solution, diagnostics).
 
-    Diagnostics carry per-step Newton iterations, residual norms and
+    Each step builds interval n's system (:class:`_Interval`) from the
+    previous interval's right-end value, solves it by Newton from that
+    value, records the step and stores the interval in the history of the
+    next ones.  Diagnostics carry per-step Newton iterations, residual norms and
     Newton-matrix condition numbers, plus a failure record if a step did
     not converge (the solution then covers only the completed steps).  The
     record's ``t`` is the end of the interval that failed, a + (step + 1)·h,
@@ -353,32 +410,22 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
     cfg.validate()
     kappa, kappa_jac, linear = _kernel_of(p)
     a, n_steps = solve_span(p, interval, cfg.h)
-
     sch = _build_scheme(cfg.c, cfg.h)
-    nodes = sch.nodes
-    n_nodes = nodes.size
-    n_eq = sch.eq_taus.size        # equations per interval = free nodes per interval
-    r = p.r
-
-    f = _rhs_of(p)
-    f_a = f(a)[0]
-    warnings = []
-    y_start = start_value(p, a)
-    if y_start is None:
-        # the one start guessed where the data give none
-        y_start = np.linalg.lstsq(p.A(a), f_a, rcond=None)[0]
-        warnings.append("initial value at t=%g taken as least-squares solution of "
-                        "A(a) y = f(a); kernel-of-A components are a guess" % a)
-
-    values = np.zeros((n_steps, n_nodes, r))
     diag = {
-        "newton_iters": [], "residual_norms": [], "condition_numbers": [],
-        "failure": None,
-        "warnings": warnings,
+        "newton_iters": [], "residual_norms": [], "condition_numbers": [], "failure": None,
+        "warnings": [],
         "config": {"c": [float(x) for x in cfg.c], "h": cfg.h,
                    "quad_order": QUAD_ORDER, "newton_tol": cfg.newton_tol,
                    "newton_max_iter": NEWTON_MAX_ITER},
     }
+    f = _rhs_of(p)
+    f_a = f(a)[0]
+    y_start = start_value(p, a)
+    if y_start is None:
+        # the one start guessed where the data give none
+        y_start = np.linalg.lstsq(p.A(a), f_a, rcond=None)[0]
+        diag["warnings"].append("initial value at t=%g taken as least-squares solution of "
+                                "A(a) y = f(a); kernel-of-A components are a guess" % a)
     # the data themselves must satisfy the equation at t = a
     start_defect = norm2(p.A(a) @ y_start - f_a)
     diag["start_consistency"] = start_defect
@@ -386,49 +433,19 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         diag["warnings"].append(
             f"initial data violate A(a)y = f(a) by {start_defect:.3e}")
 
-    history = _GaussHistory.empty(sch, a, n_steps, r)
+    values = np.zeros((n_steps, sch.nodes.size, p.r))
+    history = _GaussHistory.empty(sch, a, n_steps, p.r)
+    end_weights = _lagrange_weights(sch.nodes, 1.0)  # the right end, when it is no node
     left_value = y_start
-    completed = 0
-    eqs = np.arange(n_eq)
-    end_weights = _lagrange_weights(nodes, 1.0)  # the right end, when it is no node
     for n in range(n_steps):
-        t_n = a + n * cfg.h
-        t_eq = t_n + sch.eq_taus * cfg.h
-        a_eq = p.A(t_eq)  # (n_eq, r, r)
-        f_eq = f(t_eq)
-        # a history that overflows is a Newton failure below, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            hist = history.integral(kappa, t_eq, [n] * n_eq)
-        # κ and κ_y see the Gauss points of every equation at once: t, s of
-        # shape (n_eq q,), each equation's time repeated over its points
-        t_all = np.repeat(t_eq, QUAD_ORDER)
-        s_all = (t_n + sch.part_tau * cfg.h).ravel()
-
-        u_s = None  # (r, n_eq q) at the latest residual's iterate
-        u_all = np.empty((n_nodes, r))  # the left value, then the iterate's free nodes
-        u_all[0] = left_value
-        def res_of(x):
-            nonlocal u_s
-            u_all[1:] = x.reshape(n_eq, r)
-            u_s = (sch.part_basis @ u_all).reshape(-1, r).T
-            k_int = _partial_integrals(kappa, t_all, s_all, u_s, sch.part_w)
-            # equation positions line up with nodes[1:]
-            return (np.einsum("eab,eb->ea", a_eq, u_all[1:]) + hist + k_int - f_eq).ravel()
-
-        def jac_of(x):
-            # block (i, j) = Σ_g w_ig ℓ_j(τ_ig) ∂κ/∂y(s_ig) over the free nodes j,
-            # plus A(t_eq[i]) where node j carries equation i
-            k_y = kappa_jac(t_all, s_all, u_s).reshape(r, r, n_eq, -1)
-            jac = np.einsum("egj,abeg->eajb", sch.part_wbasis[:, :, 1:], k_y)
-            jac[eqs, :, eqs, :] += a_eq
-            return jac.reshape(n_eq * r, n_eq * r)
-
+        system = _Interval(p.A, f, kappa, kappa_jac, sch, history, a + n * cfg.h, n, left_value)
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
-        u_free, iters, res, jac = newton(res_of, jac_of, np.tile(left_value, n_eq),
-                                         cfg.newton_tol, NEWTON_MAX_ITER, affine=linear)
+        u_free, iters, res, jac = newton(system.residual, system.jacobian,
+                                         np.tile(left_value, sch.eq_taus.size), cfg.newton_tol,
+                                         NEWTON_MAX_ITER, affine=linear)
         if linear and u_free is not None:
-            res = res_of(u_free)  # the accepted value's, not its start guess's
+            res = system.residual(u_free)  # the accepted value's, not its start guess's
         diag["newton_iters"].append(iters)
         with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
             diag["residual_norms"].append(norm2(res))
@@ -436,15 +453,14 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         if u_free is None:
             diag["failure"] = {"step": n, "t": a + (n + 1) * cfg.h,
                                "reason": "Newton iteration did not converge"}
+            values = values[:n]
             break
         values[n, 0] = left_value
-        values[n, 1:] = u_free.reshape(n_eq, r)
+        values[n, 1:] = u_free.reshape(-1, p.r)
         history.store(n, values[n])
-        left_value = values[n, -1] if nodes[-1] == 1.0 else end_weights @ values[n]
-        completed = n + 1
+        left_value = values[n, -1] if sch.nodes[-1] == 1.0 else end_weights @ values[n]
 
-    sol = PiecewiseSolution(t_start=a, h=cfg.h, c=cfg.c, nodal_values=values[:completed].copy())
-    return sol, diag
+    return PiecewiseSolution(t_start=a, h=cfg.h, c=cfg.c, nodal_values=values), diag
 
 
 def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:

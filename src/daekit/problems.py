@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ExtrapolationError, InvalidInputError
+from .errors import DomainError, ExtrapolationError, InvalidInputError
 from .linalg import (MatrixFunction, all_finite, check_grid, check_span, matfn_derivative,
                      norm2, quadrature, semi_inverse)
 
@@ -50,7 +50,10 @@ def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
     components on axis 0: g then gets all 2r perturbed copies in one call, y
     of shape (r, 2r·M) with every (M,) argument before it (t, a kernel's s)
     tiled to match, and the result has shape (n, r, M), one Jacobian per
-    point on the last axis with the arithmetic of its per-point call.
+    point on the last axis with the arithmetic of its per-point call.  A
+    non-finite value of g gives non-finite entries, not an error: the
+    caller checks the Jacobian, as :func:`~daekit.linalg.newton` and a
+    kernel's finiteness check do.
     """
     *lead, y = args
     y = np.array(y, dtype=float, ndmin=1)
@@ -68,8 +71,6 @@ def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
         tiled = [a if np.ndim(a) == 0 else np.tile(a, 2 * r) for a in lead]
         out = np.asarray(g(*tiled, copies.reshape(r, -1)), dtype=float)
         out = out.reshape(-1, r, 2, y.shape[1]).swapaxes(2, 3)  # (n, r, M, 2)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"non-finite function value while differencing at t={args[0]}")
     return (out[..., 0] - out[..., 1]) / (2.0 * h)
 
 

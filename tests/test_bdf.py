@@ -231,6 +231,24 @@ def test_a_solve_that_stops_at_its_first_step_is_a_one_point_trajectory():
         dae_residual(p, sol, [0.0])
 
 
+def test_a_differenced_jacobian_fails_where_a_declared_one_does():
+    # F = y − 1 up to y = 1 + 5e-7 and inf beyond: differencing at y = 1
+    # meets the inf copy, as a declared F_y of inf does; both are the same
+    # Newton failure, whichever way the Jacobian was obtained
+    def make(F_y):
+        return SemiNonlinearDAE(A=MatrixFunction.constant(np.eye(1), domain=(0.0, 1.0)),
+                                F=lambda t, y: np.where(y <= 1.0 + 5e-7, y - 1.0, np.inf),
+                                f=lambda t: np.zeros(1), r=1, T=1.0, y0=np.ones(1), F_y=F_y)
+
+    declared = solve_dae(make(lambda t, y: np.full((1, 1), np.inf)), DaeSolveConfig(h=0.1))
+    differenced = solve_dae(make(None), DaeSolveConfig(h=0.1))
+    assert differenced.failure == declared.failure == {
+        "t": 0.1, "step": 0,
+        "reason": f"Newton iteration did not converge (after {MAX_HALVINGS} local halvings)"}
+    assert differenced.newton_iters == declared.newton_iters
+    assert differenced.halvings == declared.halvings
+
+
 def test_unstable_interval_truncates_with_failure_record():
     # the growing solution amplifies perturbations until Newton stops
     # converging shortly before the right endpoint

@@ -390,6 +390,18 @@ def test_an_overflowing_kernel_prints_only_its_error_line(capsys):
     assert capsys.readouterr() == ("", "error: non-finite kernel at t=0.05\n")
 
 
+def test_an_overflowing_differenced_kernel_prints_the_declared_ones_error(tmp_path, capsys):
+    # ex32 as a file has no F_y: classify differences F, and at eps 1000 that
+    # kernel overflows where ex32's declared F_y does
+    data = {"kind": "dae", "t_start": 0.0, "T": 2.0, "A": [[1, 0], [0, 0]],
+            "F": ["-y1^2 - exp(y2)", "-y1*y2"],
+            "f": ["-cos(t)^2 - exp(t) - sin(t)", "-t*cos(t)"],
+            "y0": [1, 0], "exact": ["cos(t)", "t"]}
+    path = write_problem(tmp_path, data, name="ex32.json")
+    assert main(["classify", "--problem", str(path), "--eps", "1000"]) == 1
+    assert capsys.readouterr() == ("", "error: non-finite kernel at t=0.05\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve-dae", "--problem", "ex32", "--h", "nan"], "h must be finite"),
     (["solve-iae", "--problem", "ex34", "--h", "nan"], "h must be finite"),

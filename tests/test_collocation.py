@@ -23,6 +23,8 @@ from daekit import (
 )
 from daekit import collocation
 from daekit.collocation import QUAD_ORDER
+from daekit.linalg import NEWTON_MAX_ITER, newton, norm2
+from daekit.problems import start_value
 from helpers import ex33_as_integral_equation
 
 HALF_PI = np.pi / 2.0
@@ -69,22 +71,26 @@ def test_a_per_point_kappa_y_is_refused_by_the_solve():
 
 # --- the stacked Newton system of one interval --------------------------------
 
-def first_interval_system(monkeypatch, p, cfg):
+def interval_system(p, cfg, history, n, left_value):
+    """Interval n's system, built from its left value and the intervals
+    before it as the solver builds it, and its kernel's ``linear`` flag."""
+    kappa, kappa_jac, linear = collocation._kernel_of(p)
+    sch = collocation._build_scheme(cfg.c, cfg.h)
+    return collocation._Interval(p.A, collocation._rhs_of(p), kappa, kappa_jac, sch, history,
+                                 p.t_start + n * cfg.h, n, left_value), linear
+
+
+def first_interval_system(p, cfg):
     """(x, residual, Jacobian) of the solver's first interval at a point x
-    near its initial guess, taken before the Newton iteration runs."""
-    seen = []
-    real = collocation.newton
-
-    def spy(res_of, jac_of, x0, *args, **kwargs):
-        if not seen:
-            x = x0 + 0.01 * np.sin(np.arange(1.0, x0.size + 1.0))
-            # the Jacobian reuses the iterate of the residual called before it
-            seen.append((x, res_of(x), jac_of(x)))
-        return real(res_of, jac_of, x0, *args, **kwargs)
-
-    monkeypatch.setattr(collocation, "newton", spy)
-    solve_iae(p, cfg, interval=(p.t_start, p.t_start + cfg.h))
-    return seen[0]
+    near its initial guess, the start value at every free node."""
+    sch = collocation._build_scheme(cfg.c, cfg.h)
+    left = start_value(p, p.t_start)
+    system, _ = interval_system(p, cfg, collocation._GaussHistory.empty(sch, p.t_start, 1, p.r),
+                                0, left)
+    x = np.tile(left, sch.eq_taus.size)
+    x = x + 0.01 * np.sin(np.arange(1.0, x.size + 1.0))
+    # the Jacobian reuses the iterate of the residual called before it
+    return x, system.residual(x), system.jacobian(x)
 
 
 def per_equation_system(p, cfg, x):
@@ -133,30 +139,63 @@ def scalar_nonlinear_second_kind():
     (lambda: example("ex34"), (0.3, 0.8)),
     (scalar_nonlinear_second_kind, (0.0, 0.7, 0.9)),
 ], ids=["ex34-closing-equation", "ex34-c1-positive", "r1"])
-def test_the_stacked_newton_system_is_the_per_equation_one(monkeypatch, make, c):
+def test_the_stacked_newton_system_is_the_per_equation_one(make, c):
     p = make()
     cfg = CollocationConfig(c=c, h=0.05)
-    x, res, jac = first_interval_system(monkeypatch, p, cfg)
+    x, res, jac = first_interval_system(p, cfg)
     want_res, want_jac = per_equation_system(p, cfg, x)
     assert jac.shape == want_jac.shape == (x.size, x.size)
     np.testing.assert_allclose(res, want_res, rtol=0.0, atol=1e-14 * np.abs(want_res).max())
     np.testing.assert_allclose(jac, want_jac, rtol=0.0, atol=1e-14 * np.abs(want_jac).max())
 
 
-def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one(monkeypatch):
+def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one():
     # one κ call on every equation's Gauss points, each with its own t, and
     # one product per equation: the same bits as one call per equation
     p = scalar_nonlinear_second_kind()
     builtin, ts = p.kappa, []
     cfg = CollocationConfig(h=0.05)
     p.kappa = lambda t, s, y: ts.append(t) or builtin(t, s, y)
-    x, res, _ = first_interval_system(monkeypatch, p, cfg)
+    x, res, _ = first_interval_system(p, cfg)
     p.kappa = builtin
     want_res, _ = per_equation_system(p, cfg, x)
     np.testing.assert_array_equal(res, want_res)
     # the first call is that residual's: each equation's time over its points
     t_eq = cfg.h * np.array([0.7, 0.9, 1.0])
     np.testing.assert_array_equal(ts[0], np.repeat(t_eq, QUAD_ORDER))
+
+
+@pytest.mark.parametrize("c, h", [((0.0, 0.7, 0.9), 0.05), ((0.3, 0.8), 0.1)],
+                         ids=["converging", "diverging"])
+def test_each_interval_rebuilt_from_outside_the_solve_reproduces_the_march(c, h):
+    # interval n from its stored left value, with the stored intervals before
+    # it as history; the diverging run fails at interval 6, whose left value
+    # is the right end of the last kept interval
+    p, cfg = example("ex34"), CollocationConfig(c=c, h=h)
+    sol, diag = solve_iae(p, cfg)
+    steps = len(diag["newton_iters"])
+    assert steps == sol.n_intervals + (diag["failure"] is not None)
+    history = collocation._GaussHistory.empty(collocation._build_scheme(c, h), sol.t_start,
+                                              steps, p.r)
+    right_end = collocation._lagrange_weights(sol.tau_nodes, 1.0)
+    iters, norms = [], []
+    for n in range(steps):
+        kept = n < sol.n_intervals
+        left = sol.nodal_values[n, 0] if kept else right_end @ sol.nodal_values[n - 1]
+        system, linear = interval_system(p, cfg, history, n, left)
+        x, it, res, _ = newton(system.residual, system.jacobian,
+                               np.tile(left, sol.tau_nodes.size - 1), cfg.newton_tol,
+                               NEWTON_MAX_ITER, affine=linear)
+        iters.append(it)
+        with np.errstate(over="ignore"):
+            norms.append(norm2(res))
+        if kept:
+            assert x.tobytes() == sol.nodal_values[n, 1:].tobytes()
+            history.store(n, sol.nodal_values[n])
+        else:
+            assert x is None
+    assert iters == diag["newton_iters"]
+    assert np.array(norms).tobytes() == np.array(diag["residual_norms"]).tobytes()
 
 
 def test_kappa_y_is_called_once_per_newton_iteration():

@@ -39,6 +39,13 @@ def test_fd_jacobian_identity_map():
     np.testing.assert_allclose(jac, np.eye(3), atol=1e-9)
 
 
+def test_fd_jacobian_of_a_non_finite_value_is_non_finite_not_an_error():
+    # the caller checks the Jacobian, as it checks a declared one
+    g = lambda t, y: np.where(y <= 1.0 + 5e-7, y - 1.0, np.inf)  # noqa: E731
+    assert fd_jacobian(g, 0.1, np.ones(1)).tolist() == [[np.inf]]
+    assert fd_jacobian(g, np.zeros(3), np.ones((1, 3))).tolist() == [[[np.inf] * 3]]
+
+
 def test_fd_jacobian_on_shared_dae_rows():
     # d/dy of (-y1^2 - e^{y2}, -y1 y2) at (1, 0)
     p = example("ex32")

@@ -29,7 +29,17 @@ The cases:
   end of the domain;
 - every level's A_i and k_i on its row's grid in one chain of three
   frozen windows (ex34, t = 1, 1.5, 2) with three samples each;
-- the bytes of every file ``reproduce fig1`` ... ``fig5`` writes.
+- the bytes of every file ``reproduce fig1`` ... ``fig5`` writes;
+- ``solve_iae`` on ex34 and ex35, one case per c in (0, 0.7, 0.9),
+  (0, 0.5, 1), (0.3, 0.8) and (0.5,), each over h = 0.1, 0.05, 0.025,
+  ``newton_tol`` = 1e-12, 1e-10, and with and without κ_y: the nodal
+  values, every diagnostics entry, and ``residual`` at the collocation
+  times;
+- the same for a ``LinearIAE`` (the affine path) and for ex34 without
+  ``exact`` (the least-squares start and its warning);
+- ``solve_dae`` on ex32 over [1, 2] at h = 1e-3 (fig2's run, which fails
+  after its halvings) and on ex33 over [0, 1] at h = 1e-2, each with BDF1
+  and BDF2: the times, the values and ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -156,7 +166,53 @@ def cases() -> dict:
     collocation = lambda p: daekit.solve_iae(  # noqa: E731
         p, daekit.CollocationConfig(h=0.025, newton_tol=1e-10))[0]
 
+    def iae_runs(make, configs):
+        def run():
+            out = []
+            for kwargs, with_kappa_y in configs:
+                p = make()
+                if not with_kappa_y:
+                    p.kappa_y = None
+                sol, diag = daekit.solve_iae(p, daekit.CollocationConfig(**kwargs))
+                res = (daekit.residual(p, sol, sol.collocation_times())
+                       if sol.n_intervals else None)
+                out.append([sol.nodal_values, diag, res])
+            return out
+        return run
+
+    def without_exact():
+        p = daekit.example("ex34")
+        p.exact = None
+        return p
+
+    def linear_iae():
+        # y1 + ∫ y2 = t + 1, ∫ y1 = sin t: index 2, y = (cos t, 1 + sin t)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return daekit.LinearIAE(
+            A=daekit.MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)),
+            k=lambda t, s: swap, f=lambda t: np.array([t + 1.0, np.sin(t)]), r=2, T=1.0,
+            exact=lambda t: np.array([np.cos(t), 1.0 + np.sin(t)]))
+
+    def dae_run(name, interval, h, order):
+        def run():
+            sol = daekit.solve_dae(daekit.example(name), daekit.DaeSolveConfig(h=h, order=order),
+                                   interval=interval)
+            return [sol.times, sol.values, sol.to_dict()]
+        return run
+
     out = {}
+    grid = [(h, tol, with_kappa_y) for h in (0.1, 0.05, 0.025) for tol in (1e-12, 1e-10)
+            for with_kappa_y in (True, False)]
+    for name in ("ex34", "ex35"):
+        for c in ((0.0, 0.7, 0.9), (0.0, 0.5, 1.0), (0.3, 0.8), (0.5,)):
+            out[f"solve_iae {name} c={c}, 12 runs"] = iae_runs(
+                lambda name=name: daekit.example(name),
+                [(dict(c=c, h=h, newton_tol=tol), kappa_y) for h, tol, kappa_y in grid])
+    out["solve_iae LinearIAE h=0.05"] = iae_runs(linear_iae, [(dict(h=0.05), True)])
+    out["solve_iae ex34 without exact h=0.05"] = iae_runs(without_exact, [(dict(h=0.05), True)])
+    for order in (1, 2):
+        out[f"solve_dae ex32 [1, 2] bdf{order} h=1e-3"] = dae_run("ex32", (1.0, 2.0), 1e-3, order)
+        out[f"solve_dae ex33 [0, 1] bdf{order} h=1e-2"] = dae_run("ex33", (0.0, 1.0), 1e-2, order)
     for seed in range(6):
         for name, (kwargs, _, _) in workloads.CLASSIFY.items():
             out[f"classify {name} seed {seed}"] = profile(name, seed, **kwargs)
