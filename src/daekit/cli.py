@@ -2,8 +2,9 @@
 
 Commands
     list        registered example problems
-    analyze     rank-degree index chain + consistency check (linear problems,
-                or the linearization of a problem with a known solution)
+    analyze     rank-degree index chain (linear problems, or the linearization
+                of a problem with a known solution) + consistency check (linear
+                problems only)
     classify    structure/form classification with critical points
     solve-dae   fixed-step BDF solve, CSV + diagnostics JSON
     solve-iae   piecewise collocation solve, CSV + diagnostics JSON
@@ -145,7 +146,9 @@ def _cmd_analyze(args, p, interval) -> int:
              f"status: {report.status}"]
     for lev in report.levels:
         lines.append(f"  level {lev.level}: rank {lev.rank}")
-    if report.nu is not None and report.nu > 0:
+    if report.nu and not isinstance(p, (LinearIAE, LinearDAE)):
+        lines.append("consistency: not checked (the linearization's right side is zero)")
+    elif report.nu:
         # at the chain's domain start, the integral origin: at a later t0
         # the integral terms do not vanish and consistent data fail
         try:

@@ -8,10 +8,15 @@ before any evaluation happens, so loading an untrusted file can at worst
 raise, never execute code.
 
 Expressions are parsed with the ast module, validated node by node against
-the whitelist, and then compiled once to a plain Python function of the
-declared variables.  The functions are numpy ufuncs, so a compiled
-expression evaluates elementwise when its variables are arrays (an ``exp``
-that overflows gives ``inf`` with a RuntimeWarning, not an exception).
+the whitelist, and compiled once to a plain Python function of the
+declared variables (a lambda, with no builtins in reach).  Its arithmetic
+is numpy's float64 arithmetic: every literal and every argument enters as
+float64, a scalar at a float and a float array at an array, and the
+functions are numpy ufuncs, so an expression evaluates elementwise over
+arrays.  A division by zero, a negative base to a fractional power or an
+overflow gives ``inf`` or ``nan`` with numpy's RuntimeWarning, never an
+exception, and an untrusted file's arithmetic cannot run away: ``9^9^9``
+is ``inf`` at once, not a Python integer of billions of digits.
 """
 
 from __future__ import annotations
@@ -58,43 +63,48 @@ def _validate(node: ast.AST, variables, source: str):
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ProblemFileError(f"literal {node.value!r} not allowed in {source!r}")
+        if isinstance(node.value, int) and abs(node.value) > sys.float_info.max:
+            raise ProblemFileError(f"integer literal past the float range in {source!r}")
     else:
         raise ProblemFileError(
             f"syntax element {type(node).__name__} not allowed in {source!r}")
 
 
-def compile_expression(text, variables=("t",)):
-    """Compile an expression string to a function of the given variables.
+class _Float64(ast.NodeTransformer):
+    """Wrap each literal and each variable of a validated tree in float64(),
+    so that numpy's arithmetic computes every operation."""
 
-    Finite numeric inputs are accepted directly and become constant
-    functions, so JSON files can mix numbers and strings in the same matrix.
+    def visit_Call(self, node):  # a function's name is no variable
+        node.args = [self.visit(node.args[0])]
+        return node
+
+    def visit_Name(self, node):
+        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
+
+    visit_Constant = visit_Name
+
+
+def compile_expression(text, variables=("t",)):
+    """Compile an expression string to a function of the given sequence of
+    variable names, which are its parameters in that order.  A variable
+    named sin, cos, exp or float64 would hide the global of that name.
+
+    A finite number entry is compiled as its repr, so JSON files can mix
+    numbers and strings in the same matrix.
     """
-    variables = tuple(variables)
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         if not abs(text) <= sys.float_info.max:  # NaN, ±inf, an int past the float range
             raise ProblemFileError(f"a number entry must be finite, got {text!r}")
-        value = float(text)
-        fn = lambda *args: value  # noqa: E731
-        fn.source = repr(value)
-        return fn
+        text = repr(float(text))
     if not isinstance(text, str):
         raise ProblemFileError(f"expression must be a string or number, got {type(text)}")
-    normalized = text.replace("^", "**")
     try:
-        tree = ast.parse(normalized, mode="eval")
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ProblemFileError(f"cannot parse expression {text!r}: {exc}") from None
     _validate(tree, variables, text)
-    code = compile(tree, f"<expression {text!r}>", "eval")
-    names = variables
-
-    def fn(*args):
-        if len(args) != len(names):
-            raise ProblemFileError(
-                f"expression {text!r} expects {len(names)} arguments, got {len(args)}")
-        env = dict(zip(names, args))
-        env.update(_FUNCTIONS)
-        return eval(code, {"__builtins__": {}}, env)
-
+    body = ast.unparse(_Float64().visit(tree))
+    fn = eval(compile(f"lambda {', '.join(variables)}: {body}", f"<expression {text!r}>", "eval"),
+              {"__builtins__": {}, "float64": np.float64, **_FUNCTIONS})
     fn.source = text
     return fn

@@ -136,8 +136,7 @@ def load_problem(path):
     if not isinstance(entries, list):
         raise ProblemFileError(f"{path}: critical_conditions must be a list")
     compiled = [_compile(e, ("t",) + y_vars, "critical_conditions", path) for e in entries]
-    conditions = tuple((lambda t, y, fn=fn: float(fn(t, *np.asarray(y, dtype=float))))
-                       for fn in compiled)
+    conditions = tuple((lambda t, y, fn=fn: float(fn(t, *y))) for fn in compiled)
 
     if kind == "linear-iae":
         k_eval, rk = _compile_matrix(_require(data, "k", path), ("t", "s"), "k", path)
@@ -158,7 +157,7 @@ def load_problem(path):
         big_f = _compile_vector(_require(data, "F", path), ("t",) + y_vars, "F", r, path)
         return SemiNonlinearDAE(
             A=a_fn,
-            F=lambda t, y: big_f(t, *np.asarray(y, dtype=float)),
+            F=lambda t, y: big_f(t, *y),
             f=f_fn, r=r, T=t_end, t_start=t_start, y0=y0,
             exact=exact, critical_conditions=conditions, name=name)
 
@@ -166,6 +165,6 @@ def load_problem(path):
                             "kappa", r, path)
     return SemiNonlinearIAE(
         A=a_fn,
-        kappa=lambda t, s, y: kappa(t, s, *np.asarray(y, dtype=float)),
+        kappa=lambda t, s, y: kappa(t, s, *y),
         f=f_fn, r=r, T=t_end, t_start=t_start,
         exact=exact, critical_conditions=conditions, name=name)

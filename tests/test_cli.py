@@ -199,6 +199,26 @@ def test_a_non_finite_F_at_the_start_is_refused_with_exit_1(tmp_path, capsys):
     assert not list(tmp_path.glob("inf*"))
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("solve-dae", {**RELAX, "F": ["y1 - y2", "y2 - 1/t"]}, "non-finite F at t=0.0"),
+    ("solve-dae", {**RELAX, "f": ["1/t", 0]}, "non-finite f at t=0.0"),
+    ("solve-dae", {**RELAX, "t_start": 0.5, "f": ["(0-t)^0.5", 0]}, "non-finite f at t=0.5"),
+    ("solve-iae", {"kind": "iae", "t_start": 0.0, "T": 1.0, "A": [[0]], "kappa": ["y1"],
+                   "f": ["9^9^6"]}, "non-finite f at t=0.0"),
+], ids=["F-division-by-zero", "f-division-by-zero", "f-negative-base-to-a-fraction",
+        "f-overflowing-power"])
+def test_a_float_evaluation_that_leaves_the_reals_is_refused_with_exit_1(
+        tmp_path, capsys, command, data, message):
+    # a float computes with numpy's arithmetic, as an array does: inf or nan
+    # with a RuntimeWarning, which the finiteness check refuses; no traceback
+    path = write_problem(tmp_path, data)
+    with pytest.warns(RuntimeWarning):
+        assert main([command, "--problem", str(path), "--h", "0.1",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_problem_file_must_exist_and_be_json(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(tmp_path / "nope.json")
@@ -245,8 +265,7 @@ def test_analyze_problem_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, interval, nu", [
     ("ex34", None, 2),
-    # sub-intervals: the trajectory covers [a, b] only, and the linearization
-    # has right-hand side 0, so its start data are consistent
+    # sub-intervals: the trajectory covers [a, b] only
     ("ex34", ("1.2", "1.8"), 2),
     ("ex32", ("1", "2"), 1),
 ], ids=["ex34", "ex34-1.2-1.8", "ex32-1-2"])
@@ -257,7 +276,19 @@ def test_analyze_example_with_known_solution(name, interval, nu, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert f"rank-degree index: {nu}" in out
-    assert "consistency at t0=" in out and ": PASS" in out
+    assert "consistency: not checked (the linearization's right side is zero)" in out
+
+
+@pytest.mark.parametrize("name", ["ex32", "ex34", "ex35"])
+def test_analyze_does_not_check_the_consistency_of_a_linearization(name, capsys):
+    # the linearization's right side is zero, so every defect would be 0
+    # whatever the problem: a PASS that no problem can fail
+    assert main(["analyze", "--problem", name]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" not in out and "consistency at t0" not in out
+    assert main(["analyze", "--problem", name, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"]["nu"] > 0 and "consistency" not in payload
 
 
 def test_analyze_json_format(tmp_path, capsys):
@@ -267,7 +298,8 @@ def test_analyze_json_format(tmp_path, capsys):
     assert payload["report"]["nu"] == 2
 
 
-def test_analyze_reports_a_singular_final_chain_matrix_as_a_failed_check(monkeypatch, capsys):
+def test_analyze_reports_a_singular_final_chain_matrix_as_a_failed_check(
+        tmp_path, monkeypatch, capsys):
     # the chain reaches ν only where A_ν is nonsingular on its grid, t0
     # included, so only a patch makes consistency_check raise here
     def singular(levels, f_list):
@@ -275,12 +307,13 @@ def test_analyze_reports_a_singular_final_chain_matrix_as_a_failed_check(monkeyp
         raise InconsistentChainError(f"final chain matrix is numerically singular at t0={t0}")
 
     monkeypatch.setattr(cli, "consistency_check", singular)
-    assert main(["analyze", "--problem", "ex34"]) == 0
-    assert "consistency at t0=1: FAIL (final chain matrix is numerically singular at t0=1.0)" \
+    path = str(write_problem(tmp_path, CONSTANT_PAIR))
+    assert main(["analyze", "--problem", path]) == 0
+    assert "consistency at t0=0: FAIL (final chain matrix is numerically singular at t0=0.0)" \
         in capsys.readouterr().out
-    assert main(["analyze", "--problem", "ex34", "--format", "json"]) == 0
+    assert main(["analyze", "--problem", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["consistency"] == {
-        "error": "final chain matrix is numerically singular at t0=1.0"}
+        "error": "final chain matrix is numerically singular at t0=0.0"}
 
 
 def test_analyze_linear_dae_problem_file(tmp_path, capsys):

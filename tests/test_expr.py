@@ -1,5 +1,6 @@
 """Expression compiler for problem files: accepted grammar and rejections."""
 
+import builtins
 import json
 
 import numpy as np
@@ -93,3 +94,52 @@ def test_constant_kappa_entry_broadcasts_over_the_batch(tmp_path):
 def test_exp_overflow_gives_inf_with_a_warning():
     with pytest.warns(RuntimeWarning):
         assert compile_expression("exp(t)")(1000.0) == np.inf
+
+
+def test_a_compiled_expression_calls_no_eval(monkeypatch):
+    # compiled once: a call evaluates the function itself, not eval on a code object
+    fn = compile_expression("y1^2*sin(t) - 1/(t + 2)", ("t", "y1"))
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("eval called")
+
+    monkeypatch.setattr(builtins, "eval", no_eval)
+    assert fn(0.5, 3.0) == 9.0 * np.sin(0.5) - 0.4
+    np.testing.assert_array_equal(fn(np.array([0.5, 1.0]), 3.0),
+                                  [9.0 * np.sin(0.5) - 0.4, 9.0 * np.sin(1.0) - 1.0 / 3.0])
+
+
+def test_wrong_number_of_arguments_is_a_type_error():
+    with pytest.raises(TypeError):
+        compile_expression("t*s", ("t", "s"))(1.0)
+
+
+@pytest.mark.parametrize("text, t, want", [
+    ("1/t", 0.0, np.inf),
+    ("(0-t)^0.5", 0.5, np.nan),
+    ("9^9^6", 0.0, np.inf),
+    ("t/(t - t)", 1.0, np.inf),
+    ("0/0 + t", 1.0, np.nan),
+])
+def test_a_float_computes_with_numpy_arithmetic(text, t, want):
+    # as an array does: inf or nan with a RuntimeWarning, never an exception,
+    # and an integer power is a float power, not a Python integer
+    with pytest.warns(RuntimeWarning):
+        got = compile_expression(text)(t)
+    assert type(got) is np.float64
+    np.testing.assert_array_equal(got, want)
+    with pytest.warns(RuntimeWarning):
+        np.testing.assert_array_equal(compile_expression(text)(np.full(3, t)), np.full(3, want))
+
+
+def test_arguments_and_literals_enter_as_float64():
+    assert type(compile_expression("2")(1)) is np.float64
+    np.testing.assert_array_equal(compile_expression("t/2")(np.arange(3)), [0.0, 0.5, 1.0])
+    assert compile_expression("t*s", ("t", "s"))(2, 3) == 6.0
+
+
+def test_an_integer_literal_past_the_float_range_is_refused():
+    with pytest.raises(ProblemFileError, match="past the float range"):
+        compile_expression("t + 1" + "0" * 400)
+    # a float literal past the range is inf, refused where it is evaluated
+    assert compile_expression("t + 1e400")(0.0) == np.inf

@@ -39,7 +39,16 @@ The cases:
   ``exact`` (the least-squares start and its warning);
 - ``solve_dae`` on ex32 over [1, 2] at h = 1e-3 (fig2's run, which fails
   after its halvings) and on ex33 over [0, 1] at h = 1e-2, each with BDF1
-  and BDF2: the times, the values and ``to_dict()``.
+  and BDF2: the times, the values and ``to_dict()``;
+- problem files: the ``iae-long`` workload's file twin of ex34 solved at
+  h = 0.02 with ``newton_tol`` = 1e-10 (nodal values, diagnostics,
+  ``residual`` at the collocation times) and ``classify`` along that
+  solve; ex32 written as a ``dae`` file without F_y, solved with BDF1 and
+  BDF2 over [1, 2] at h = 1e-3 (times, values, ``to_dict()``) and
+  classified on 21 points of [1, 2]; a ``linear-dae`` and a
+  ``linear-iae`` file through ``analyze``, as text and as JSON;
+- a fixed table of expressions compiled by ``compile_expression``, each
+  evaluated at floats and on a 17-point array.
 """
 
 from __future__ import annotations
@@ -200,7 +209,71 @@ def cases() -> dict:
             return [sol.times, sol.values, sol.to_dict()]
         return run
 
+    def problem_file(data, run):
+        # the file's path is written as <file>, so both trees print the same
+        def case():
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "problem.json"
+                path.write_text(json.dumps(data))
+                return json.loads(json.dumps(canonical(run(str(path)))).replace(
+                    json.dumps(str(path))[1:-1], "<file>"))
+        return case
+
+    def ex34_file():
+        with tempfile.TemporaryDirectory() as tmp:
+            p = daekit.load_problem(workloads.ex34_problem_file(Path(tmp) / "ex34.json"))
+        sol, diag = daekit.solve_iae(p, daekit.CollocationConfig(h=0.02, newton_tol=1e-10))
+        return [sol.nodal_values, diag, daekit.residual(p, sol, sol.collocation_times()),
+                daekit.classify(p, traj=sol).to_dict()]
+
+    ex32_file = {
+        "kind": "dae", "name": "ex32-file", "t_start": 0.0, "T": 2.0, "A": [[1, 0], [0, 0]],
+        "F": ["-y1^2 - exp(y2)", "-y1*y2"], "f": ["-cos(t)^2 - exp(t) - sin(t)", "-t*cos(t)"],
+        "y0": [1, 0], "exact": ["cos(t)", "t"], "critical_conditions": ["y1"]}
+
+    def ex32_file_runs(path):
+        p = daekit.load_problem(path)
+        sols = [daekit.solve_dae(p, daekit.DaeSolveConfig(h=1e-3, order=order),
+                                 interval=(1.0, 2.0)) for order in (1, 2)]
+        return [[[sol.times, sol.values, sol.to_dict()] for sol in sols],
+                daekit.classify(p, grid=np.linspace(1.0, 2.0, 21)).to_dict()]
+
+    def analyzed(path):
+        return [printed("analyze", "--problem", path)(),
+                printed("analyze", "--problem", path, "--format", "json")()]
+
+    # y1' + y2 = sin t, y1 = t (consistent: PASS); and y1 + ∫ (t - s) y2 ds = 1 + t^2,
+    # ∫ e^(s - t) y1 ds = sin t, index 3, whose start data miss a condition (FAIL)
+    linear_dae_file = {"kind": "linear-dae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+                       "B": [[0, 1], [1, 0]], "f": ["sin(t)", "t"]}
+    linear_iae_file = {"kind": "linear-iae", "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+                       "k": [[0, "t - s"], ["exp(s - t)", 0]], "f": ["1 + t^2", "sin(t)"]}
+
+    def expressions():
+        table = [("t", ()), ("-t + +1", ()), (2, ()), (-1.25, ()), (0, ()), (1e-300, ()),
+                 ("t^2", ()), ("t^3", ()), ("t^-1", ()), ("2^t", ()), ("2.718281828459045^t", ()),
+                 ("(t^2 + 1)^0.5", ()), ("exp(t)^2.5", ()), ("1/(t + 3)", ()),
+                 ("sin(t)*exp(t) + t^2 - 1/(t+2)", ()),
+                 ("(y1^2 + 2)*y2 + exp(y2) - sin(s)*cos(t)", ("s", "y1", "y2")),
+                 ("y1^2*y2/7 - 3*t*s + 0.1", ("s", "y1", "y2"))]
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0.25, 2.0, size=(4, 17))
+        out = []
+        for text, extra in table:
+            fn = daekit.compile_expression(text, ("t", *extra))
+            args = points[:1 + len(extra)]
+            out.append([[fn(*map(float, column)) for column in args.T], fn(*args)])
+        return out
+
     out = {}
+    out["problem file: iae-long's ex34 twin h=0.02, and classify along it"] = ex34_file
+    out["problem file: ex32 dae without F_y, bdf1 and bdf2, and classify"] = problem_file(
+        ex32_file, ex32_file_runs)
+    out["problem file: analyze linear-dae (text and json)"] = problem_file(linear_dae_file,
+                                                                            analyzed)
+    out["problem file: analyze linear-iae (text and json)"] = problem_file(linear_iae_file,
+                                                                            analyzed)
+    out["expressions at floats and on a 17-point array"] = expressions
     grid = [(h, tol, with_kappa_y) for h in (0.1, 0.05, 0.025) for tol in (1e-12, 1e-10)
             for with_kappa_y in (True, False)]
     for name in ("ex34", "ex35"):
