@@ -494,7 +494,8 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
     (t, s) ↦ B(s) − A′(s) of :func:`linear_kernel` and right side
     A(t_start)·y(t_start) + ∫ f(s) ds, with y(t_start) from
     :func:`~daekit.problems.start_value`; a problem with no start value
-    keeps ∫ f(s) ds alone.  The kernel alone determines the index.
+    keeps ∫ f(s) ds alone.  The kernel alone determines the index; it is
+    free of t, and the problem declares so.
     """
     y_start = start_value(p, p.t_start)
     start = None if y_start is None else p.A(p.t_start) @ y_start
@@ -514,5 +515,5 @@ def dae_to_iae(p: LinearDAE) -> LinearIAE:
 
     return LinearIAE(A=p.A, k=linear_kernel(p), f=rhs, r=p.r, T=p.T,
                      t_start=p.t_start, name=f"{p.name}-as-iae" if p.name else "",
-                     exact=p.exact)
+                     exact=p.exact, kernel_free_of_t=True)
 

@@ -26,12 +26,13 @@ interval, which is the standard continuous scheme for second-kind systems.
 
 The code has one interval system and one march.  :class:`_Interval` is
 interval n's equations as the residual/Jacobian pair of its free nodal
-values that :func:`~daekit.linalg.newton` takes, built from its left value
-and the history of the intervals before it.  :func:`solve_iae` marches:
-build interval n, run Newton from its left value, record the step, store
-the interval in the history, and carry its right-end value to the next.
-:func:`residual` builds no interval: it batches its own history over the
-probes, so it checks a solution independently of the march.
+values that :func:`~daekit.linalg.newton` takes, built from its left
+value, its slices of A and f, and its history integral.  :func:`solve_iae`
+marches: evaluate A and f once, at the equation times of every interval
+(a constant A stays a broadcast view, and a non-finite f anywhere on the
+mesh is refused before the first interval), then per interval build the
+system, run Newton from its left value, record the step, add the
+interval to the history, and carry its right-end value to the next.
 
 History and partial integrals use one Gauss-Legendre rule of ``QUAD_ORDER``
 points, in the solver and in :func:`residual` alike, applied to the
@@ -39,15 +40,30 @@ interval interpolants.  κ is vectorised over quadrature points, with t of
 shape (M,) aligned with s (see SemiNonlinearIAE), so κ is called once per
 collocation stage: each Newton residual is one call on the Gauss points of
 every equation of the interval, with each equation's time repeated over
-its points; each interval's history integral is one call covering the
-solution stored at the Gauss nodes of every completed interval, for all
-equations at once; :func:`residual` makes one partial-interval call for
-all its probes, and one history call per batch of probes whose histories
-hold as many points as the solver's largest history call.  Each equation (or probe) keeps its own product with its
-weights, so the values are those of one call per equation.  The Newton
-matrix of an interval is one dense (n_eq r)² system, built in one piece
-from one κ_y call per Newton iteration on those same points.  The first
-κ and κ_y calls of a solve check the batch shapes, (r, M) and (r, r, M)
+its points.  The history integral ∫ₐ^{t_n} κ(t, s, u(s)) ds depends on
+the kernel:
+
+* a kernel declared free of t (``kernel_free_of_t``) has one history, the
+  same at every time of the interval.  :class:`_RunningSum` adds each
+  completed interval's integral to it, one κ call on that interval's q
+  Gauss points: q·N points over a solve of N intervals, and no per-point
+  history in memory;
+* a kernel that depends on t is integrated over the whole history again
+  at each time.  :class:`_GaussHistory` keeps the solution at the Gauss
+  nodes of every completed interval, and interval n's history is one
+  call covering them for all its n_eq equations at once: n_eq·q·n points,
+  about n_eq·q·N²/2 over a solve.
+
+:func:`residual` builds no interval and always takes the whole history,
+so it checks a solution, a running sum's included, independently of the
+march: one partial-interval call for all its probes, and one history
+call per batch of probes whose histories hold as many points as the
+solver's largest whole-history call.  Each equation (or probe) keeps its
+own product with its weights, so the values are those of one call per
+equation.  The Newton matrix of an interval is one dense (n_eq r)²
+system, built in one piece from one κ_y call per Newton iteration on the
+residual's points.  The first κ and κ_y calls of a solve check the batch
+shapes, (r, M) and (r, r, M)
 (:func:`~daekit.problems.batch_checked`).  A κ with no κ_y is differenced
 in one call on all 2r perturbed copies of those points
 (:func:`~daekit.problems.fd_jacobian`).  Newton failures
@@ -60,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -291,41 +308,70 @@ def _build_scheme(c, h: float) -> _Scheme:
 
 @dataclass
 class _GaussHistory:
-    """u at the Gauss nodes of every completed interval, laid out as κ takes it."""
+    """The history of a kernel that depends on t: u at the Gauss nodes of
+    every completed interval, laid out as κ takes it, integrated again at
+    each time."""
 
+    kappa: Callable
     basis: np.ndarray  # (q, n_nodes) Lagrange weights at the Gauss nodes
     s: np.ndarray      # (N q,) Gauss points of all intervals, in time order
     w: np.ndarray      # (N q,) matching weights, ds included
     u: np.ndarray      # (r, N q) solution at s, written as intervals complete
 
     @classmethod
-    def empty(cls, sch: _Scheme, a: float, n_intervals: int, r: int) -> "_GaussHistory":
+    def empty(cls, kappa, sch: _Scheme, a: float, n_intervals: int, r: int) -> "_GaussHistory":
         t_j = a + np.arange(n_intervals) * sch.h
         s = (t_j[:, None] + sch.hist_tau[None, :] * sch.h).ravel()
-        return cls(basis=sch.hist_basis, s=s, w=np.tile(sch.h * sch.hist_w, n_intervals),
-                   u=np.zeros((r, s.size)))
+        return cls(kappa=kappa, basis=sch.hist_basis, s=s,
+                   w=np.tile(sch.h * sch.hist_w, n_intervals), u=np.zeros((r, s.size)))
 
     def store(self, n: int, values: np.ndarray):
         """Record interval n from its nodal values (n_nodes, r)."""
         q = self.basis.shape[0]
         self.u[:, n * q:(n + 1) * q] = (self.basis @ values).T
 
-    def integral(self, kappa, t_eval: np.ndarray, n) -> np.ndarray:
+    def integral(self, t_eval: np.ndarray, n) -> np.ndarray:
         """∫ over the first n[i] intervals of κ(t_eval[i], s, u(s)) ds at every
         time t_eval[i] (n a sequence of ints), shape (len(t_eval), r), in one
-        κ call over every time's Gauss points; a product per time."""
+        κ call over every time's Gauss points; a product per time.  An
+        overflow gives inf or nan, not a warning."""
         m = [j * self.basis.shape[0] for j in n]
         out = np.zeros((len(m), self.u.shape[0]))
         if not any(m):
             return out
         # each time's prefix of the stored points, one after the other
-        k = kappa(np.repeat(t_eval, m), np.concatenate([self.s[:j] for j in m]),
-                  np.concatenate([self.u[:, :j] for j in m], axis=1))
-        end = 0
-        for i, j in enumerate(m):
-            out[i] = k[:, end:end + j] @ self.w[:j]
-            end += j
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = self.kappa(np.repeat(t_eval, m), np.concatenate([self.s[:j] for j in m]),
+                           np.concatenate([self.u[:, :j] for j in m], axis=1))
+            end = 0
+            for i, j in enumerate(m):
+                out[i] = k[:, end:end + j] @ self.w[:j]
+                end += j
         return out
+
+
+class _RunningSum:
+    """The history of a kernel free of t: ∫ₐ^{t_n} κ(s, u(s)) ds is one sum,
+    the same at every time.  Storing interval n adds its integral, from one
+    κ call on its q Gauss points (with t = s, which κ ignores)."""
+
+    def __init__(self, kappa, sch: _Scheme, a: float, r: int):
+        self.kappa, self.sch, self.a = kappa, sch, a
+        self.total = np.zeros(r)
+
+    def store(self, n: int, values: np.ndarray):
+        """Add interval n from its nodal values (n_nodes, r).  An overflow
+        gives inf or nan, not a warning."""
+        sch = self.sch
+        s = (self.a + n * sch.h) + sch.hist_tau * sch.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.total = self.total + self.kappa(s, s, (sch.hist_basis @ values).T) \
+                @ (sch.h * sch.hist_w)
+
+    def integral(self, t_eval: np.ndarray, n) -> np.ndarray:
+        """The sum as one row, shape (1, r), which is its value at every time
+        t_eval[i]; each n[i] is the number of intervals stored."""
+        return self.total[None]
 
 
 def _partial_integrals(kappa, t: np.ndarray, s: np.ndarray, u: np.ndarray,
@@ -338,35 +384,33 @@ def _partial_integrals(kappa, t: np.ndarray, s: np.ndarray, u: np.ndarray,
 
 
 def _rhs_of(p):
-    """f as (n,) times -> (n, r) values, per point; a non-finite value raises."""
+    """f as times -> values, shape t.shape + (r,), per point; a non-finite
+    value raises, naming the first such time."""
     f = per_point(p.f, p.interval, "f")
-    return lambda t: f(t).reshape(np.size(t), p.r)
+    return lambda t: f(t).reshape(np.shape(t) + (p.r,))
 
 
 class _Interval:
     """The collocation system of interval n, [t_n, t_n + h]: ``residual(x)``
     and ``jacobian(x)`` of its free nodal values x, shape (n_eq r,), the pair
     :func:`~daekit.linalg.newton` takes.  The left nodal value is pinned to
-    ``left_value``; the history integral covers the first n intervals stored
-    in ``history``.  ``jacobian`` reads u at the x of the latest
+    ``left_value``.  A, f and the history integral at the interval's
+    equation times come in evaluated: ``a_eq`` (n_eq, r, r), ``f_eq``
+    (n_eq, r) and ``hist`` (n_eq, r), or (1, r) when it is the same at
+    every time.  ``jacobian`` reads u at the x of the latest
     ``residual`` call, the order in which newton calls them.
 
     κ and κ_y see the Gauss points of every equation at once: t, s of shape
     (n_eq q,), each equation's time repeated over its points.
     """
 
-    def __init__(self, A, f, kappa, kappa_jac, sch: _Scheme, history: _GaussHistory,
-                 t_n: float, n: int, left_value: np.ndarray):
+    def __init__(self, kappa, kappa_jac, sch: _Scheme, t_n: float, a_eq: np.ndarray,
+                 f_eq: np.ndarray, hist: np.ndarray, left_value: np.ndarray):
         self.kappa, self.kappa_jac, self.sch = kappa, kappa_jac, sch
-        t_eq = t_n + sch.eq_taus * sch.h
-        self.a_eq = A(t_eq)  # (n_eq, r, r)
-        self.f_eq = f(t_eq)
-        # a history that overflows is a Newton failure, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.hist = history.integral(kappa, t_eq, [n] * t_eq.size)
-        self.t_all = np.repeat(t_eq, QUAD_ORDER)
+        self.a_eq, self.f_eq, self.hist = a_eq, f_eq, hist
+        self.t_all = np.repeat(t_n + sch.eq_taus * sch.h, QUAD_ORDER)
         self.s_all = (t_n + sch.part_tau * sch.h).ravel()
-        self.eqs = np.arange(t_eq.size)
+        self.eqs = np.arange(sch.eq_taus.size)
         self.values = np.empty((sch.nodes.size, left_value.size))  # left value, then x
         self.values[0] = left_value
 
@@ -419,7 +463,7 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
                    "newton_max_iter": NEWTON_MAX_ITER},
     }
     f = _rhs_of(p)
-    f_a = f(a)[0]
+    f_a = f(a)
     y_start = start_value(p, a)
     if y_start is None:
         # the one start guessed where the data give none
@@ -433,12 +477,19 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         diag["warnings"].append(
             f"initial data violate A(a)y = f(a) by {start_defect:.3e}")
 
+    # A and f at the equation times of every interval, before the first:
+    # a non-finite f anywhere on the mesh is refused here
+    t_n = a + np.arange(n_steps) * cfg.h
+    t_eq = t_n[:, None] + sch.eq_taus * sch.h
+    a_eq, f_eq = p.A(t_eq), f(t_eq)
+    history = (_RunningSum(kappa, sch, a, p.r) if p.kernel_free_of_t
+               else _GaussHistory.empty(kappa, sch, a, n_steps, p.r))
     values = np.zeros((n_steps, sch.nodes.size, p.r))
-    history = _GaussHistory.empty(sch, a, n_steps, p.r)
     end_weights = _lagrange_weights(sch.nodes, 1.0)  # the right end, when it is no node
     left_value = y_start
     for n in range(n_steps):
-        system = _Interval(p.A, f, kappa, kappa_jac, sch, history, a + n * cfg.h, n, left_value)
+        system = _Interval(kappa, kappa_jac, sch, t_n[n], a_eq[n], f_eq[n],
+                           history.integral(t_eq[n], [n] * sch.eq_taus.size), left_value)
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
         u_free, iters, res, jac = newton(system.residual, system.jacobian,
@@ -472,7 +523,7 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
     sch = _build_scheme(sol.c, sol.h)
     lo, hi = sol.t_start, sol.t_end
     t_probe = probe_points(probe_grid, lo, hi)
-    history = _GaussHistory.empty(sch, lo, sol.n_intervals, sol.r)
+    history = _GaussHistory.empty(kappa, sch, lo, sol.n_intervals, sol.r)
     for n in range(sol.n_intervals):
         history.store(n, sol.nodal_values[n])
     n_probe = sol.interval_of(t_probe)
@@ -488,7 +539,7 @@ def residual(p, sol: PiecewiseSolution, probe_grid) -> np.ndarray:
         # P probes in one call would hold O(P N) points
         batch = sch.eq_taus.size * history.s.size
         cuts = np.flatnonzero(np.diff(np.cumsum(n_probe) * QUAD_ORDER // batch)) + 1
-        acc = np.concatenate([history.integral(kappa, t, n.tolist()) for t, n in
+        acc = np.concatenate([history.integral(t, n.tolist()) for t, n in
                               zip(np.split(t_probe, cuts), np.split(n_probe, cuts))])
         part = np.flatnonzero(tau_t > 0.0)
         if part.size:

@@ -72,7 +72,7 @@ def _shared_F_y(t, y):
 
 
 def _shared_kappa(t, s, y):
-    # used by ex34 and ex35
+    # used by ex34 and ex35, which declare it free of t
     return np.array([(y[0] ** 2 + 2.0) * y[1] + np.exp(y[1]), y[0] ** 2])
 
 
@@ -164,6 +164,7 @@ def _ex34() -> SemiNonlinearIAE:
         exact=lambda t: np.array([np.exp(t), t]),
         critical_conditions=(lambda t, y: y[0],),
         name="ex34",
+        kernel_free_of_t=True,
     )
 
 
@@ -190,4 +191,5 @@ def _ex35() -> SemiNonlinearIAE:
         exact=lambda t: np.array([np.cos(t), t]),
         critical_conditions=(lambda t, y: y[0],),
         name="ex35",
+        kernel_free_of_t=True,
     )

@@ -9,7 +9,9 @@ raise, never execute code.
 
 Expressions are parsed with the ast module, validated node by node against
 the whitelist, and compiled once to a plain Python function of the
-declared variables (a lambda, with no builtins in reach).  Its arithmetic
+declared variables (a lambda, with no builtins in reach).  The same walk
+collects the variables an expression reads, which ``variables_read``
+returns: how a problem file's kernel is known to be free of t.  Its arithmetic
 is numpy's float64 arithmetic: every literal and every argument enters as
 float64, a scalar at a float and a float array at an array, and the
 functions are numpy ufuncs, so an expression evaluates elementwise over
@@ -34,64 +36,54 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
 
 
-def _validate(node: ast.AST, variables, source: str):
-    if isinstance(node, ast.Expression):
-        _validate(node.body, variables, source)
-    elif isinstance(node, ast.BinOp):
+def _checked(node: ast.AST, variables, source: str, names: set) -> ast.AST:
+    """The validated tree of ``node`` with each literal and each variable
+    wrapped in float64(), so that numpy's arithmetic computes every
+    operation; the variables it reads are added to ``names``.  Dispatched
+    by isinstance: ``ast.NodeVisitor`` builds a fresh ``'visit_*'`` name
+    per node, and CPython's type cache keeps them."""
+    if isinstance(node, ast.BinOp):
         if not isinstance(node.op, _BINOPS):
             raise ProblemFileError(
                 f"operator {type(node.op).__name__} not allowed in {source!r}")
-        _validate(node.left, variables, source)
-        _validate(node.right, variables, source)
+        node.left = _checked(node.left, variables, source, names)
+        node.right = _checked(node.right, variables, source, names)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, _UNARYOPS):
             raise ProblemFileError(
                 f"operator {type(node.op).__name__} not allowed in {source!r}")
-        _validate(node.operand, variables, source)
+        node.operand = _checked(node.operand, variables, source, names)
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ProblemFileError(f"unknown function call in {source!r}")
         if len(node.args) != 1 or node.keywords:
             raise ProblemFileError(
                 f"{node.func.id} takes exactly one argument in {source!r}")
-        _validate(node.args[0], variables, source)
+        node.args = [_checked(node.args[0], variables, source, names)]
     elif isinstance(node, ast.Name):
         if node.id not in variables:
             raise ProblemFileError(
                 f"unknown variable {node.id!r} in {source!r} "
                 f"(allowed: {', '.join(variables)})")
+        names.add(node.id)
+        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ProblemFileError(f"literal {node.value!r} not allowed in {source!r}")
         if isinstance(node.value, int) and abs(node.value) > sys.float_info.max:
             raise ProblemFileError(f"integer literal past the float range in {source!r}")
+        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
     else:
         raise ProblemFileError(
             f"syntax element {type(node).__name__} not allowed in {source!r}")
+    return node
 
 
-class _Float64(ast.NodeTransformer):
-    """Wrap each literal and each variable of a validated tree in float64(),
-    so that numpy's arithmetic computes every operation."""
-
-    def visit_Call(self, node):  # a function's name is no variable
-        node.args = [self.visit(node.args[0])]
-        return node
-
-    def visit_Name(self, node):
-        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
-
-    visit_Constant = visit_Name
-
-
-def compile_expression(text, variables=("t",)):
-    """Compile an expression string to a function of the given sequence of
-    variable names, which are its parameters in that order.  A variable
-    named sin, cos, exp or float64 would hide the global of that name.
-
-    A finite number entry is compiled as its repr, so JSON files can mix
-    numbers and strings in the same matrix.
-    """
+def _parse(text, variables) -> tuple[ast.AST, set, str]:
+    """(body, names, source) of an expression entry: its validated tree
+    with float64() around each literal and variable (:func:`_checked`), the
+    variables it reads, and its text.  A finite number entry is parsed as
+    its repr."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         if not abs(text) <= sys.float_info.max:  # NaN, ±inf, an int past the float range
             raise ProblemFileError(f"a number entry must be finite, got {text!r}")
@@ -102,9 +94,30 @@ def compile_expression(text, variables=("t",)):
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ProblemFileError(f"cannot parse expression {text!r}: {exc}") from None
-    _validate(tree, variables, text)
-    body = ast.unparse(_Float64().visit(tree))
-    fn = eval(compile(f"lambda {', '.join(variables)}: {body}", f"<expression {text!r}>", "eval"),
+    names = set()
+    return _checked(tree.body, variables, text, names), names, text
+
+
+def variables_read(text, variables=("t",)) -> set:
+    """The declared variables that an expression entry reads: ``{"s", "y1"}``
+    for ``"y1*s"``, none for a number.  It raises as
+    :func:`compile_expression` does."""
+    return _parse(text, variables)[1]
+
+
+def compile_expression(text, variables=("t",)):
+    """Compile an expression string to a function of the given sequence of
+    variable names, which are its parameters in that order.  A variable
+    named sin, cos, exp or float64 would hide the global of that name.
+
+    A finite number entry is compiled as its repr, so JSON files can mix
+    numbers and strings in the same matrix.
+    """
+    body, _, text = _parse(text, variables)
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(v) for v in variables], kwonlyargs=[],
+                           kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
+    fn = eval(compile(tree, f"<expression {text!r}>", "eval"),
               {"__builtins__": {}, "float64": np.float64, **_FUNCTIONS})
     fn.source = text
     return fn

@@ -406,6 +406,9 @@ class MatrixFunction:
     derivative: Optional[Callable] = None
     name: str = ""
     vectorized: bool = False
+    # True when every value is known finite where it is built (a finite
+    # constant's), so no call checks it again; no field, so no setting
+    _known_finite = False
 
     def __call__(self, t, *args) -> np.ndarray:
         if args:
@@ -427,13 +430,15 @@ class MatrixFunction:
                 m = np.array(list(map(self.eval, ts.ravel().tolist(),
                                       *[a.ravel().tolist() for a in args])), dtype=float)
             m = m.reshape(ts.shape + m.shape[1:])
-        if not all_finite(m):
+        if not (self._known_finite or all_finite(m)):
             raise non_finite(m, ts if np.ndim(t) else t, self.name or "matrix function")
         return m
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":
-        """The matrix ``m`` at every t: read-only views of one read-only copy."""
+        """The matrix ``m`` at every t: read-only views of one read-only copy.
+        Its finiteness is checked once, here; a non-finite m raises at each
+        call, as any matrix function's non-finite value does."""
         m = np.array(m, dtype=float)
 
         def fixed(value: np.ndarray) -> Callable:
@@ -448,8 +453,10 @@ class MatrixFunction:
 
             return at
 
-        return MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
-                              name=name, vectorized=True)
+        out = MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
+                             name=name, vectorized=True)
+        out._known_finite = all_finite(m)
+        return out
 
 
 def per_point(fn: Callable, domain, name: str = "") -> MatrixFunction:

@@ -14,6 +14,9 @@ variables an entry may use depends on its role:
     critical_conditions  list of scalars in t, y1..yr (optional)
     y0       length-r list of numbers (optional, DAE kinds)
 
+A kernel (k or kappa) none of whose entries reads t is declared free of t
+(``kernel_free_of_t``), read off the parsed entries, never by evaluating them.
+
 Every number in a file (t_start, T, a y0 entry, a numeric entry of a
 matrix, vector or condition) must be finite: a JSON NaN or Infinity, or an
 integer past the float range, is a ProblemFileError naming its field.
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ProblemFileError
-from .expr import compile_expression
+from .expr import compile_expression, variables_read
 from .linalg import MatrixFunction
 from .problems import LinearDAE, LinearIAE, SemiNonlinearDAE, SemiNonlinearIAE
 
@@ -61,6 +64,13 @@ def _compile(entry, variables, what, path):
         return compile_expression(entry, variables)
     except ProblemFileError as exc:
         raise ProblemFileError(f"{path}: {what}: {exc}") from None
+
+
+def _free_of_t(entries, variables) -> bool:
+    """Whether no compiled kernel entry reads t, which makes the kernel free
+    of t.  Read from each entry's text, not from its compiled function,
+    which a caller of ``compile_expression`` may have wrapped."""
+    return not any("t" in variables_read(e, variables) for e in entries)
 
 
 def _compile_matrix(entries, variables, what, path):
@@ -139,11 +149,13 @@ def load_problem(path):
     conditions = tuple((lambda t, y, fn=fn: float(fn(t, *y))) for fn in compiled)
 
     if kind == "linear-iae":
-        k_eval, rk = _compile_matrix(_require(data, "k", path), ("t", "s"), "k", path)
+        k_entries = _require(data, "k", path)
+        k_eval, rk = _compile_matrix(k_entries, ("t", "s"), "k", path)
         if rk != r:
             raise ProblemFileError(f"{path}: k must match A's dimension {r}")
         return LinearIAE(A=a_fn, k=k_eval, f=f_fn, r=r, T=t_end,
-                         t_start=t_start, name=name, exact=exact)
+                         t_start=t_start, name=name, exact=exact,
+                         kernel_free_of_t=_free_of_t(sum(k_entries, []), ("t", "s")))
 
     if kind == "linear-dae":
         b_eval, rb = _compile_matrix(_require(data, "B", path), ("t",), "B", path)
@@ -161,10 +173,11 @@ def load_problem(path):
             f=f_fn, r=r, T=t_end, t_start=t_start, y0=y0,
             exact=exact, critical_conditions=conditions, name=name)
 
-    kappa = _compile_vector(_require(data, "kappa", path), ("t", "s") + y_vars,
-                            "kappa", r, path)
+    kappa_entries, kappa_vars = _require(data, "kappa", path), ("t", "s") + y_vars
+    kappa = _compile_vector(kappa_entries, kappa_vars, "kappa", r, path)
     return SemiNonlinearIAE(
         A=a_fn,
         kappa=lambda t, s, y: kappa(t, s, *y),
         f=f_fn, r=r, T=t_end, t_start=t_start,
-        exact=exact, critical_conditions=conditions, name=name)
+        exact=exact, critical_conditions=conditions, name=name,
+        kernel_free_of_t=_free_of_t(kappa_entries, kappa_vars))

@@ -32,8 +32,8 @@ def _vec(x, r=None):
 
 JACOBIAN_STEP = 1e-6
 VERIFY_QUAD_TOL = 1e-10
-# the most steps a solve may take; at r = 2 the collocation history of
-# 10**6 intervals alone is 128 MB
+# the most steps a solve may take; at r = 2 the whole collocation history
+# of 10**6 intervals (a kernel that depends on t) alone is 128 MB
 MAX_STEPS = 10**6
 # what batch_checked's refusals name, for κ and for the Jacobians
 KAPPA_CONTRACT = ("κ must be vectorised: κ(t, s, y) with t and s of shape (M,) and y of "
@@ -198,7 +198,11 @@ class _OnInterval:
 
 @dataclass
 class LinearIAE(_OnInterval):
-    """A(t) y(t) + ∫_{t_start}^t k(t,s) y(s) ds = f(t)."""
+    """A(t) y(t) + ∫_{t_start}^t k(t,s) y(s) ds = f(t).
+
+    ``kernel_free_of_t`` declares that k(t, s) does not depend on t (as
+    :class:`SemiNonlinearIAE`'s does for κ).
+    """
 
     A: MatrixFunction
     k: Callable[[float, float], np.ndarray]
@@ -208,6 +212,7 @@ class LinearIAE(_OnInterval):
     t_start: float = 0.0
     name: str = ""
     exact: Optional[Callable[[float], np.ndarray]] = None
+    kernel_free_of_t: bool = False
 
 
 @dataclass
@@ -234,12 +239,19 @@ class SemiNonlinearIAE(_OnInterval):
     axis 0, as in scipy's ``solve_ivp(vectorized=True)``) returns shape
     (r, M); a scalar t stands for the same t at every point.  Scalars t and
     s with y of shape (r,) return shape (r,).  ``solve_iae`` makes one
-    batched κ call per Newton residual, per history integral and per
-    differenced Jacobian, ``residual`` one for the partial intervals of
+    batched κ call per Newton residual, per history integral (per
+    completed interval for a kernel free of t) and per differenced
+    Jacobian, ``residual`` one for the partial intervals of
     all its probes and one per batch of their histories, and both raise
     InvalidInputError when the first call fails or has the wrong shape.
     ``kappa_y`` takes the same batch and returns (r, r, M); its first call
     in each kernel or solve is checked the same way (:func:`batch_checked`).
+
+    ``kernel_free_of_t`` declares that κ(t, s, y) does not depend on t, so
+    ``solve_iae`` keeps one running sum of the history integral instead of
+    integrating the whole history again at every time.  The default, False,
+    is "κ depends on t"; a wrong True gives a wrong solution, which
+    ``residual`` (it always integrates the whole history) shows.
     """
 
     A: MatrixFunction
@@ -252,6 +264,7 @@ class SemiNonlinearIAE(_OnInterval):
     exact: Optional[Callable[[float], np.ndarray]] = None
     critical_conditions: Sequence[Callable[[float, np.ndarray], float]] = field(default_factory=tuple)
     name: str = ""
+    kernel_free_of_t: bool = False
 
     def kappa_jacobian(self, t, s, y: np.ndarray) -> np.ndarray:
         """∂κ/∂y (κ_y, else differences of κ) in one call: (r, r, M) at t, s

@@ -21,13 +21,13 @@ SIGNATURES = {
     "numerical_rank": "m",
     "semi_inverse": "m",
     "LinearDAE": "A, B, f, y0, r, T, t_start=, name=, exact=",
-    "LinearIAE": "A, k, f, r, T, t_start=, name=, exact=",
+    "LinearIAE": "A, k, f, r, T, t_start=, name=, exact=, kernel_free_of_t=",
     "SemiNonlinearDAE": "A, F, f, r, T, t_start=, y0=, F_y=, exact=, exact_derivative=, "
                         "critical_conditions=, name=",
     "SemiNonlinearDAE.consistency_defect": "t, y",
     "SemiNonlinearDAE.jacobian": "t, y",
     "SemiNonlinearIAE": "A, kappa, f, r, T, t_start=, kappa_y=, exact=, critical_conditions=, "
-                        "name=",
+                        "name=, kernel_free_of_t=",
     "SemiNonlinearIAE.kappa_jacobian": "t, s, y",
     "Trajectory": "",
     "TrajectorySample": "times, values",

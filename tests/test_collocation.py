@@ -11,10 +11,12 @@ from daekit import (
     DaeSolveConfig,
     ExtrapolationError,
     InvalidInputError,
+    LinearDAE,
     LinearIAE,
     MatrixFunction,
     PiecewiseSolution,
     SemiNonlinearIAE,
+    dae_to_iae,
     example,
     residual,
     solve_dae,
@@ -71,13 +73,26 @@ def test_a_per_point_kappa_y_is_refused_by_the_solve():
 
 # --- the stacked Newton system of one interval --------------------------------
 
+def history_of(p, cfg, steps):
+    """An empty history of ``steps`` intervals, of the kind the solver keeps for p."""
+    kappa = collocation._kernel_of(p)[0]
+    sch = collocation._build_scheme(cfg.c, cfg.h)
+    if p.kernel_free_of_t:
+        return collocation._RunningSum(kappa, sch, p.t_start, p.r)
+    return collocation._GaussHistory.empty(kappa, sch, p.t_start, steps, p.r)
+
+
 def interval_system(p, cfg, history, n, left_value):
     """Interval n's system, built from its left value and the intervals
-    before it as the solver builds it, and its kernel's ``linear`` flag."""
+    before it as the solver builds it, with A and f evaluated at its
+    equation times alone, and its kernel's ``linear`` flag."""
     kappa, kappa_jac, linear = collocation._kernel_of(p)
     sch = collocation._build_scheme(cfg.c, cfg.h)
-    return collocation._Interval(p.A, collocation._rhs_of(p), kappa, kappa_jac, sch, history,
-                                 p.t_start + n * cfg.h, n, left_value), linear
+    t_n = p.t_start + n * cfg.h
+    t_eq = t_n + sch.eq_taus * sch.h
+    return collocation._Interval(kappa, kappa_jac, sch, t_n, p.A(t_eq),
+                                 collocation._rhs_of(p)(t_eq),
+                                 history.integral(t_eq, [n] * t_eq.size), left_value), linear
 
 
 def first_interval_system(p, cfg):
@@ -85,8 +100,7 @@ def first_interval_system(p, cfg):
     near its initial guess, the start value at every free node."""
     sch = collocation._build_scheme(cfg.c, cfg.h)
     left = start_value(p, p.t_start)
-    system, _ = interval_system(p, cfg, collocation._GaussHistory.empty(sch, p.t_start, 1, p.r),
-                                0, left)
+    system, _ = interval_system(p, cfg, history_of(p, cfg, 1), 0, left)
     x = np.tile(left, sch.eq_taus.size)
     x = x + 0.01 * np.sin(np.arange(1.0, x.size + 1.0))
     # the Jacobian reuses the iterate of the residual called before it
@@ -165,37 +179,78 @@ def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one():
     np.testing.assert_array_equal(ts[0], np.repeat(t_eq, QUAD_ORDER))
 
 
-@pytest.mark.parametrize("c, h", [((0.0, 0.7, 0.9), 0.05), ((0.3, 0.8), 0.1)],
-                         ids=["converging", "diverging"])
-def test_each_interval_rebuilt_from_outside_the_solve_reproduces_the_march(c, h):
-    # interval n from its stored left value, with the stored intervals before
-    # it as history; the diverging run fails at interval 6, whose left value
-    # is the right end of the last kept interval
-    p, cfg = example("ex34"), CollocationConfig(c=c, h=h)
-    sol, diag = solve_iae(p, cfg)
+def march_rebuilt(p, cfg, sol, diag):
+    """Each interval of a solve rebuilt from outside it: interval n from its
+    stored left value, with the stored intervals before it as history and A
+    and f at its own equation times, solved by Newton as the solver does.
+    Returns each interval's Newton solution, iterations, residual norm and
+    condition number; a failed interval's left value is the right end of
+    the last kept one."""
     steps = len(diag["newton_iters"])
     assert steps == sol.n_intervals + (diag["failure"] is not None)
-    history = collocation._GaussHistory.empty(collocation._build_scheme(c, h), sol.t_start,
-                                              steps, p.r)
+    history = history_of(p, cfg, steps)
     right_end = collocation._lagrange_weights(sol.tau_nodes, 1.0)
-    iters, norms = [], []
+    out = []
     for n in range(steps):
         kept = n < sol.n_intervals
         left = sol.nodal_values[n, 0] if kept else right_end @ sol.nodal_values[n - 1]
         system, linear = interval_system(p, cfg, history, n, left)
-        x, it, res, _ = newton(system.residual, system.jacobian,
-                               np.tile(left, sol.tau_nodes.size - 1), cfg.newton_tol,
-                               NEWTON_MAX_ITER, affine=linear)
-        iters.append(it)
+        x, it, res, jac = newton(system.residual, system.jacobian,
+                                 np.tile(left, sol.tau_nodes.size - 1), cfg.newton_tol,
+                                 NEWTON_MAX_ITER, affine=linear)
         with np.errstate(over="ignore"):
-            norms.append(norm2(res))
+            out.append((x, it, norm2(res), np.inf if x is None else float(np.linalg.cond(jac))))
         if kept:
-            assert x.tobytes() == sol.nodal_values[n, 1:].tobytes()
             history.store(n, sol.nodal_values[n])
-        else:
-            assert x is None
-    assert iters == diag["newton_iters"]
-    assert np.array(norms).tobytes() == np.array(diag["residual_norms"]).tobytes()
+    return out
+
+
+@pytest.mark.parametrize("c, h", [((0.0, 0.7, 0.9), 0.05), ((0.3, 0.8), 0.1)],
+                         ids=["converging", "diverging"])
+def test_each_interval_rebuilt_from_outside_the_solve_reproduces_the_march(c, h):
+    # the diverging run fails at interval 6; ex34's κ is free of t, and
+    # undeclared it takes the whole history at every time
+    for free_of_t in (True, False):
+        p, cfg = example("ex34"), CollocationConfig(c=c, h=h)
+        p.kernel_free_of_t = free_of_t
+        sol, diag = solve_iae(p, cfg)
+        rebuilt = march_rebuilt(p, cfg, sol, diag)
+        for n, (x, _, _, _) in enumerate(rebuilt):
+            if n < sol.n_intervals:
+                assert x.tobytes() == sol.nodal_values[n, 1:].tobytes()
+            else:
+                assert x is None
+        assert [it for _, it, _, _ in rebuilt] == diag["newton_iters"]
+        assert np.array([res for _, _, res, _ in rebuilt]).tobytes() == \
+            np.array(diag["residual_norms"]).tobytes()
+
+
+def time_dependent_problem():
+    """y·(1 + t/2) + ∫ (1 + t − s) sin y ds = 1 + t²: A, κ and f all depend
+    on t, A and f evaluated per point."""
+    return SemiNonlinearIAE(
+        A=MatrixFunction(eval=lambda t: np.array([[1.0 + 0.5 * t]]), domain=(0.0, 1.0)),
+        kappa=lambda t, s, y: (1.0 + t - s) * np.sin(y),
+        f=lambda t: np.array([1.0 + t * t]),
+        r=1, T=1.0, t_start=0.0,
+        kappa_y=lambda t, s, y: np.array([[(1.0 + t - s) * np.cos(y[0])]]))
+
+
+def test_a_kernel_that_depends_on_t_keeps_the_march_of_one_interval_at_a_time():
+    # A and f evaluated once on the whole mesh, and the history of a kernel
+    # that depends on t, give the bits of a march that evaluates A, f and
+    # the whole history interval by interval: the nodal values, the
+    # iterations, the residual norms and the condition numbers
+    p, cfg = time_dependent_problem(), CollocationConfig(h=0.01)
+    assert not p.kernel_free_of_t
+    sol, diag = solve_iae(p, cfg)
+    assert diag["failure"] is None and sol.n_intervals == 100
+    rebuilt = march_rebuilt(p, cfg, sol, diag)
+    assert np.array([x for x, _, _, _ in rebuilt]).tobytes() == \
+        sol.nodal_values[:, 1:].reshape(100, -1).tobytes()
+    assert [it for _, it, _, _ in rebuilt] == diag["newton_iters"]
+    for k, key in ((2, "residual_norms"), (3, "condition_numbers")):
+        assert np.array([row[k] for row in rebuilt]).tobytes() == np.array(diag[key]).tobytes()
 
 
 def test_kappa_y_is_called_once_per_newton_iteration():
@@ -208,25 +263,93 @@ def test_kappa_y_is_called_once_per_newton_iteration():
     assert calls.count((2,)) == 0
 
 
-@pytest.mark.parametrize("with_kappa_y", [True, False], ids=["kappa_y", "differenced"])
-def test_kappa_is_called_once_per_collocation_stage(with_kappa_y):
-    # one call per Newton residual on the Gauss points of the 3 equations,
-    # one per history integral from the second interval on (interval n's
-    # covers n intervals' Gauss points for each equation) and, without κ_y,
-    # one per Jacobian on all 2r = 4 perturbed copies of the residual's
-    # points
+def kappa_batch_sizes(free_of_t, with_kappa_y):
+    """The size of t at each κ call of ex34's solve over three intervals,
+    sorted, and the solve's total Newton iterations."""
     p = example("ex34")
+    p.kernel_free_of_t = free_of_t
     if not with_kappa_y:
         p.kappa_y = None
     builtin, t_shapes = p.kappa, []
     p.kappa = lambda t, s, y: t_shapes.append(np.shape(t)) or builtin(t, s, y)
     sol, diag = solve_iae(p, CollocationConfig(h=0.05), interval=(1.0, 1.15))
     assert diag["failure"] is None and sol.n_intervals == 3
-    iters = sum(diag["newton_iters"])
+    return sorted(t_shapes), sum(diag["newton_iters"])
+
+
+@pytest.mark.parametrize("with_kappa_y", [True, False], ids=["kappa_y", "differenced"])
+def test_kappa_is_called_once_per_collocation_stage(with_kappa_y):
+    # a kernel that depends on t: one call per Newton residual on the Gauss
+    # points of the 3 equations, one per history integral from the second
+    # interval on (interval n's covers n intervals' Gauss points for each
+    # equation) and, without κ_y, one per Jacobian on all 2r = 4 perturbed
+    # copies of the residual's points
+    sizes, iters = kappa_batch_sizes(False, with_kappa_y)
     want = [(3 * QUAD_ORDER,)] * iters + [(3 * n * QUAD_ORDER,) for n in (1, 2)]
     if not with_kappa_y:
         want += [(4 * 3 * QUAD_ORDER,)] * iters
-    assert sorted(t_shapes) == sorted(want)
+    assert sizes == sorted(want)
+
+
+@pytest.mark.parametrize("with_kappa_y", [True, False], ids=["kappa_y", "differenced"])
+def test_a_kernel_free_of_t_makes_one_history_call_per_completed_interval(with_kappa_y):
+    # the history is a running sum: each completed interval adds its own
+    # integral, one call on its q Gauss points; the Newton calls are as above
+    sizes, iters = kappa_batch_sizes(True, with_kappa_y)
+    want = [(3 * QUAD_ORDER,)] * iters + [(QUAD_ORDER,)] * 3
+    if not with_kappa_y:
+        want += [(4 * 3 * QUAD_ORDER,)] * iters
+    assert sizes == sorted(want)
+
+
+def test_a_kernel_free_of_t_keeps_no_history_of_points(monkeypatch):
+    # the march keeps one (r,) sum, not u at the Gauss points of every interval
+    def refuse(*args):
+        raise AssertionError("a whole history was built")
+
+    monkeypatch.setattr(collocation._GaussHistory, "empty", refuse)
+    sol, diag = solve_iae(example("ex34"), CollocationConfig(h=0.05), interval=(1.0, 1.15))
+    assert diag["failure"] is None and sol.n_intervals == 3
+
+
+def linear_dae():
+    # y1' + y2 = sin t, y1 = t: index 2, y = (t, sin t − 1)
+    return LinearDAE(A=MatrixFunction.constant(np.diag([1.0, 0.0]), domain=(0.0, 1.0)),
+                     B=MatrixFunction.constant(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                               domain=(0.0, 1.0)),
+                     f=lambda t: np.array([np.sin(t), t]), y0=np.array([0.0, -1.0]), r=2, T=1.0,
+                     exact=lambda t: np.array([t, np.sin(t) - 1.0]))
+
+
+def test_the_builtin_kernels_and_dae_to_iae_are_declared_free_of_t():
+    assert example("ex34").kernel_free_of_t and example("ex35").kernel_free_of_t
+    assert dae_to_iae(linear_dae()).kernel_free_of_t
+    assert not scalar_second_kind().kernel_free_of_t  # the default: κ depends on t
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: example("ex34"), CollocationConfig(h=0.005, newton_tol=1e-10)),
+    (lambda: dae_to_iae(linear_dae()), CollocationConfig(h=0.02)),
+], ids=["ex34-N200", "dae_to_iae"])
+def test_the_running_sum_agrees_with_the_whole_history(make, cfg):
+    # the same solve declared free of t and undeclared: only the order of
+    # the history sums differs
+    p = make()
+    assert p.kernel_free_of_t
+    sol, diag = solve_iae(p, cfg)
+    p.kernel_free_of_t = False
+    full, full_diag = solve_iae(p, cfg)
+    assert diag["failure"] is None and full_diag["failure"] is None
+    assert sol.n_intervals == full.n_intervals
+    assert np.max(np.abs(sol.nodal_values - full.nodal_values)) <= 1e-9
+
+
+def test_the_running_sum_solves_a_fine_mesh_to_its_residual():
+    # residual() integrates the whole history: an independent check
+    p = example("ex34")
+    sol, diag = solve_iae(p, CollocationConfig(h=1.0 / 800, newton_tol=1e-10))
+    assert diag["failure"] is None and sol.n_intervals == 800
+    assert np.max(residual(p, sol, sol.collocation_times())) <= 1e-8
 
 
 def test_scalar_second_kind_order_at_least_two():
@@ -472,6 +595,20 @@ def nan_at_one_half(p):
 def test_a_non_finite_f_is_refused_by_the_solver():
     with pytest.raises(InvalidInputError, match="non-finite f"):
         solve_iae(nan_at_one_half(example("ex34")), CollocationConfig(h=0.125))
+
+
+def test_a_non_finite_f_past_a_newton_failure_is_refused_before_the_march():
+    # at c = (0.3, 0.8) the march fails at t = 1.7; f is evaluated on every
+    # equation time of the mesh first, so a NaN from t = 1.9 on is refused
+    # at the first equation time past it, 1.9 + 0.3·0.1
+    p = example("ex34")
+    f = p.f
+    p.f = lambda t: np.full(2, np.nan) if t > 1.9 else f(t)
+    with pytest.raises(InvalidInputError, match=r"non-finite f at t=1\.93"):
+        solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.1))
+    p.f = f
+    assert solve_iae(p, CollocationConfig(c=(0.3, 0.8), h=0.1))[1]["failure"]["t"] == \
+        pytest.approx(1.7)
 
 
 def test_a_non_finite_f_is_refused_by_the_residual():

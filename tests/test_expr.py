@@ -1,5 +1,6 @@
 """Expression compiler for problem files: accepted grammar and rejections."""
 
+import ast
 import builtins
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from daekit import ProblemFileError, compile_expression, load_problem
+from daekit.expr import variables_read
 
 
 def test_arithmetic_and_functions():
@@ -143,3 +145,37 @@ def test_an_integer_literal_past_the_float_range_is_refused():
         compile_expression("t + 1" + "0" * 400)
     # a float literal past the range is inf, refused where it is evaluated
     assert compile_expression("t + 1e400")(0.0) == np.inf
+
+
+def test_variables_read_are_the_variables_of_the_parsed_tree():
+    assert variables_read("(y1^2 + 2)*y2 + exp(y2) - sin(s)", ("t", "s", "y1", "y2")) == \
+        {"s", "y1", "y2"}
+    assert variables_read("sin(t)") == {"t"}  # a function's name is no variable
+    assert variables_read(2.5) == variables_read("3") == set()
+    with pytest.raises(ProblemFileError, match="unknown variable 's'"):
+        variables_read("s")
+
+
+def test_compiling_uses_no_node_visitor_and_no_unparse(monkeypatch):
+    # ast.NodeVisitor makes a fresh 'visit_*' name per node, which fills
+    # CPython's type cache when problem files are loaded again and again
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(ast.NodeVisitor, "visit", refuse)
+    monkeypatch.setattr(ast, "unparse", refuse)
+    fn = compile_expression("-sin(s)*t^2 + 1/(t + 2)", ("t", "s"))
+    assert fn(0.5, 2.0) == -np.sin(2.0) * 0.25 + 0.4
+
+
+@pytest.mark.parametrize("kind, key, entries, free", [
+    ("iae", "kappa", ["(y1^2 + 2)*y2 + exp(y2)", "y1^2*s"], True),
+    ("iae", "kappa", ["y1", "2*t"], False),
+    ("linear-iae", "k", [[0, "s"], ["exp(s)", 1]], True),
+    ("linear-iae", "k", [[0, "t - s"], ["exp(s - t)", 0]], False),
+], ids=["kappa-free-of-t", "kappa-of-t", "k-free-of-t", "k-of-t"])
+def test_a_file_kernel_is_free_of_t_when_no_entry_reads_t(tmp_path, kind, key, entries, free):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": kind, "t_start": 0.0, "T": 1.0, "A": [[1, 0], [0, 0]],
+                                key: entries, "f": ["t", 0]}))
+    assert load_problem(path).kernel_free_of_t is free

@@ -25,7 +25,7 @@ from daekit import (
     solve_dae,
     solve_iae,
 )
-from daekit import bdf, collocation
+from daekit import bdf, collocation, linalg
 from daekit.linalg import all_finite, det, gauss_legendre, newton, norm2, per_point, quadrature
 from helpers import float_bits, random_fixed_rank, reference_newton
 
@@ -543,6 +543,15 @@ def test_writing_into_a_constant_value_raises_and_changes_nothing():
     assert _bits(a(1.5)) == _bits(before)
     assert _bits(a(np.array([1.2, 1.5]))) == _bits([before, before])
     assert _bits(matfn_derivative(a, 1.5)) == _bits(np.zeros((2, 2)))
+
+
+def test_a_finite_constant_is_checked_once_when_built(monkeypatch):
+    seen = []
+    monkeypatch.setattr(linalg, "all_finite", lambda v: seen.append(v.shape) or all_finite(v))
+    f = MatrixFunction.constant(np.eye(2), domain=(0.0, 1.0))
+    f(0.5)
+    f(np.linspace(0.0, 1.0, 7))
+    assert seen == [(2, 2)]
 
 
 def test_a_constant_keeps_its_own_copy_of_m():

@@ -37,6 +37,11 @@ The cases:
   times;
 - the same for a ``LinearIAE`` (the affine path) and for ex34 without
   ``exact`` (the least-squares start and its warning);
+- the same for ex34 at N = 800 with ``newton_tol`` = 1e-10 (its κ is
+  declared free of t: the running-sum history), and for two kernels that
+  depend on t, each taking the whole history at every time: ex34 with its
+  declaration withdrawn at N = 200 (``newton_tol`` = 1e-10), and a scalar
+  problem whose A, κ and f all depend on t at N = 100;
 - ``solve_dae`` on ex32 over [1, 2] at h = 1e-3 (fig2's run, which fails
   after its halvings) and on ex33 over [0, 1] at h = 1e-2, each with BDF1
   and BDF2: the times, the values and ``to_dict()``;
@@ -202,6 +207,21 @@ def cases() -> dict:
             k=lambda t, s: swap, f=lambda t: np.array([t + 1.0, np.sin(t)]), r=2, T=1.0,
             exact=lambda t: np.array([np.cos(t), 1.0 + np.sin(t)]))
 
+    def depends_on_t(make):
+        def run():
+            p = make()
+            p.kernel_free_of_t = False
+            return p
+        return run
+
+    def time_dependent():
+        # y·(1 + t/2) + ∫ (1 + t − s) sin y ds = 1 + t², A and f per point
+        return daekit.SemiNonlinearIAE(
+            A=daekit.MatrixFunction(eval=lambda t: np.array([[1.0 + 0.5 * t]]),
+                                    domain=(0.0, 1.0)),
+            kappa=lambda t, s, y: (1.0 + t - s) * np.sin(y), f=lambda t: np.array([1.0 + t * t]),
+            r=1, T=1.0, kappa_y=lambda t, s, y: np.array([[(1.0 + t - s) * np.cos(y[0])]]))
+
     def dae_run(name, interval, h, order):
         def run():
             sol = daekit.solve_dae(daekit.example(name), daekit.DaeSolveConfig(h=h, order=order),
@@ -283,6 +303,12 @@ def cases() -> dict:
                 [(dict(c=c, h=h, newton_tol=tol), kappa_y) for h, tol, kappa_y in grid])
     out["solve_iae LinearIAE h=0.05"] = iae_runs(linear_iae, [(dict(h=0.05), True)])
     out["solve_iae ex34 without exact h=0.05"] = iae_runs(without_exact, [(dict(h=0.05), True)])
+    out["solve_iae ex34 N=800 newton_tol=1e-10"] = iae_runs(
+        lambda: daekit.example("ex34"), [(dict(h=0.00125, newton_tol=1e-10), True)])
+    out["solve_iae ex34 undeclared (depends on t) N=200 newton_tol=1e-10"] = iae_runs(
+        depends_on_t(lambda: daekit.example("ex34")), [(dict(h=0.005, newton_tol=1e-10), True)])
+    out["solve_iae A, kappa and f of t, N=100"] = iae_runs(
+        time_dependent, [(dict(h=0.01), True)])
     for order in (1, 2):
         out[f"solve_dae ex32 [1, 2] bdf{order} h=1e-3"] = dae_run("ex32", (1.0, 2.0), 1e-3, order)
         out[f"solve_dae ex33 [0, 1] bdf{order} h=1e-2"] = dae_run("ex33", (0.0, 1.0), 1e-2, order)
