@@ -179,18 +179,20 @@ def test_the_residual_of_a_time_dependent_kappa_is_the_per_equation_one():
     np.testing.assert_array_equal(ts[0], np.repeat(t_eq, QUAD_ORDER))
 
 
-def march_rebuilt(p, cfg, sol, diag):
-    """Each interval of a solve rebuilt from outside it: interval n from its
-    stored left value, with the stored intervals before it as history and A
-    and f at its own equation times, solved by Newton as the solver does.
-    Returns each interval's Newton solution, iterations, residual norm and
-    condition number; a failed interval's left value is the right end of
-    the last kept one."""
+def solve_and_rebuild(p, cfg):
+    """Solve p, then rebuild each interval from outside the solve: interval n
+    from its stored left value, with the stored intervals before it as
+    history and A and f at its own equation times, solved by Newton as the
+    solver does (a failed interval's left value is the right end of the
+    last kept one).  Asserts that the rebuilt march gives the solve's
+    nodal values, iterations, residual norms and condition numbers bit for
+    bit, and returns the solve."""
+    sol, diag = solve_iae(p, cfg)
     steps = len(diag["newton_iters"])
     assert steps == sol.n_intervals + (diag["failure"] is not None)
     history = history_of(p, cfg, steps)
     right_end = collocation._lagrange_weights(sol.tau_nodes, 1.0)
-    out = []
+    iters, norms, conds = [], [], []
     for n in range(steps):
         kept = n < sol.n_intervals
         left = sol.nodal_values[n, 0] if kept else right_end @ sol.nodal_values[n - 1]
@@ -198,11 +200,19 @@ def march_rebuilt(p, cfg, sol, diag):
         x, it, res, jac = newton(system.residual, system.jacobian,
                                  np.tile(left, sol.tau_nodes.size - 1), cfg.newton_tol,
                                  NEWTON_MAX_ITER, affine=linear)
+        iters.append(it)
         with np.errstate(over="ignore"):
-            out.append((x, it, norm2(res), np.inf if x is None else float(np.linalg.cond(jac))))
+            norms.append(norm2(res))
+        conds.append(np.inf if x is None else float(np.linalg.cond(jac)))
         if kept:
+            assert x.tobytes() == sol.nodal_values[n, 1:].tobytes()
             history.store(n, sol.nodal_values[n])
-    return out
+        else:
+            assert x is None
+    assert iters == diag["newton_iters"]
+    assert np.array(norms).tobytes() == np.array(diag["residual_norms"]).tobytes()
+    assert np.array(conds).tobytes() == np.array(diag["condition_numbers"]).tobytes()
+    return sol, diag
 
 
 @pytest.mark.parametrize("c, h", [((0.0, 0.7, 0.9), 0.05), ((0.3, 0.8), 0.1)],
@@ -211,18 +221,9 @@ def test_each_interval_rebuilt_from_outside_the_solve_reproduces_the_march(c, h)
     # the diverging run fails at interval 6; ex34's κ is free of t, and
     # undeclared it takes the whole history at every time
     for free_of_t in (True, False):
-        p, cfg = example("ex34"), CollocationConfig(c=c, h=h)
+        p = example("ex34")
         p.kernel_free_of_t = free_of_t
-        sol, diag = solve_iae(p, cfg)
-        rebuilt = march_rebuilt(p, cfg, sol, diag)
-        for n, (x, _, _, _) in enumerate(rebuilt):
-            if n < sol.n_intervals:
-                assert x.tobytes() == sol.nodal_values[n, 1:].tobytes()
-            else:
-                assert x is None
-        assert [it for _, it, _, _ in rebuilt] == diag["newton_iters"]
-        assert np.array([res for _, _, res, _ in rebuilt]).tobytes() == \
-            np.array(diag["residual_norms"]).tobytes()
+        solve_and_rebuild(p, CollocationConfig(c=c, h=h))
 
 
 def time_dependent_problem():
@@ -239,18 +240,11 @@ def time_dependent_problem():
 def test_a_kernel_that_depends_on_t_keeps_the_march_of_one_interval_at_a_time():
     # A and f evaluated once on the whole mesh, and the history of a kernel
     # that depends on t, give the bits of a march that evaluates A, f and
-    # the whole history interval by interval: the nodal values, the
-    # iterations, the residual norms and the condition numbers
-    p, cfg = time_dependent_problem(), CollocationConfig(h=0.01)
+    # the whole history interval by interval
+    p = time_dependent_problem()
     assert not p.kernel_free_of_t
-    sol, diag = solve_iae(p, cfg)
+    sol, diag = solve_and_rebuild(p, CollocationConfig(h=0.01))
     assert diag["failure"] is None and sol.n_intervals == 100
-    rebuilt = march_rebuilt(p, cfg, sol, diag)
-    assert np.array([x for x, _, _, _ in rebuilt]).tobytes() == \
-        sol.nodal_values[:, 1:].reshape(100, -1).tobytes()
-    assert [it for _, it, _, _ in rebuilt] == diag["newton_iters"]
-    for k, key in ((2, "residual_norms"), (3, "condition_numbers")):
-        assert np.array([row[k] for row in rebuilt]).tobytes() == np.array(diag[key]).tobytes()
 
 
 def test_kappa_y_is_called_once_per_newton_iteration():
