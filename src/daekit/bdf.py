@@ -12,8 +12,14 @@ is the expected observation.  The solver first retries the step with up to
 ``MAX_HALVINGS`` local halvings (first-order substeps), recording each
 attempt; if those fail too, it returns the trajectory computed so far with
 a failure record attached.  A non-finite right side f is no breakdown:
-it is refused with InvalidInputError at every step and substep, as
-``solve_iae`` refuses it, and so is a non-finite F at the start.
+it is refused with InvalidInputError, as ``solve_iae`` refuses it, and
+so is a non-finite F at the start.
+
+f is read once per solve, on the whole mesh, before the first step (so a
+non-finite f anywhere on it is refused there), and at each halving
+substep's own time.  A is read at every step and substep, not on the
+mesh: an A that is undefined past a breakdown is never asked for there,
+and a non-constant A is not stored at r² floats per mesh time.
 
 The solver reads no critical condition: the accepted trajectory is read
 by :func:`~daekit.structure.monitor` after the solve.
@@ -127,30 +133,30 @@ class SolveResult(Trajectory):
         }
 
 
-def _newton(p: SemiNonlinearDAE, f: MatrixFunction, t_new: float, c: float, d: np.ndarray,
+def _newton(p: SemiNonlinearDAE, fv: np.ndarray, t_new: float, c: float, d: np.ndarray,
             y_guess: np.ndarray):
     """Solve c·A(t)·y − A(t)·d + F(t,y) = f(t) by Newton; (y, iters) or (None, iters).
 
-    ``f`` is the solve's per-point right side, so a non-finite f(t) raises
-    InvalidInputError before any iteration.  F and a declared F_y are
+    ``fv`` is f(t_new), already checked finite.  F and a declared F_y are
     called directly (``p.jacobian`` differences F otherwise), and their
     values enter the arithmetic as returned: numpy's operators convert a
     list or a scalar to the floats ``asarray`` would give.
     """
     a = p.A(t_new)
     ad, ca = a @ d, c * a
-    fv = f(t_new)
     F, jac = p.F, p.jacobian if p.F_y is None else p.F_y
     y, it, _, _ = newton(lambda y: c * (a @ y) - ad + F(t_new, y) - fv,
                          lambda y: ca + jac(t_new, y), y_guess, NEWTON_TOL, NEWTON_MAX_ITER)
     return y, it
 
 
-def _halved(p, f, t_n, y_n, h, records, step_index):
+def _halved(p, f: MatrixFunction, t_n, y_n, h, records, step_index):
     """Retry [t_n, t_n+h] with first-order substeps at h/2, h/4, ... .
 
-    Returns (y, iters) or (None, iters), iters the Newton iterations of
-    every halving tried, failed ones included.
+    ``f`` is the solve's per-point right side, read at each substep's time,
+    so a non-finite f there raises InvalidInputError.  Returns (y, iters)
+    or (None, iters), iters the Newton iterations of every halving tried,
+    failed ones included.
     """
     spent = 0
     for halving in range(1, MAX_HALVINGS + 1):
@@ -160,7 +166,8 @@ def _halved(p, f, t_n, y_n, h, records, step_index):
         total_iters = 0
         ok = True
         for i in range(m):
-            y_next, its = _newton(p, f, t + sub_h, 1.0 / sub_h, y / sub_h, y)
+            t_sub = t + sub_h
+            y_next, its = _newton(p, f(t_sub), t_sub, 1.0 / sub_h, y / sub_h, y)
             total_iters += its
             if y_next is None:
                 ok = False
@@ -180,10 +187,12 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
 
     The interval and the initial value come from ``solve_span`` and
     ``start_value`` (:mod:`~daekit.problems`): y0 at t_start, else the
-    exact solution at a; the value must satisfy the algebraic rows.  A
-    non-finite f at a step or substep, or a non-finite F at a, raises
-    InvalidInputError.  Order 2 starts with one BDF1 step and extrapolates
-    the Newton guess from the two previous points.
+    exact solution at a; the value must satisfy the algebraic rows.  f is
+    read at a, then once on the mesh a + n·h (n = 1 … N) before the first
+    step, then at each halving substep; a non-finite f at any of them, or
+    a non-finite F at a, raises InvalidInputError.  A is read at each step
+    and substep.  Order 2 starts with one BDF1 step and extrapolates the
+    Newton guess from the two previous points.
     """
     cfg.validate()
     if not isinstance(p, SemiNonlinearDAE):
@@ -198,6 +207,10 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
     if not defect <= 1e-6 * (1.0 + norm2(f_a)):  # a NaN defect fails too
         raise InvalidInputError(
             f"initial value violates the algebraic rows at t={a}: defect {defect:.3e}")
+
+    # f at every step's t_new, rounded as t_new is: a non-finite f anywhere
+    # on the mesh is refused here
+    f_mesh = f(a + np.arange(1, n_steps + 1) * cfg.h)
 
     times = [a]
     values = [y0]
@@ -218,7 +231,7 @@ def solve_dae(p: SemiNonlinearDAE, cfg: DaeSolveConfig, interval=None) -> SolveR
             c = 1.0 / cfg.h
             d = y_n / cfg.h
             guess = y_n if y_nm1 is None else 2.0 * y_n - y_nm1
-        y_new, its = _newton(p, f, t_new, c, d, guess)
+        y_new, its = _newton(p, f_mesh[step], t_new, c, d, guess)
         if y_new is None:
             y_new, more = _halved(p, f, t_n, y_n, cfg.h, halvings, step)
             its += more
@@ -243,15 +256,20 @@ def dae_residual(p: SemiNonlinearDAE, sol: SolveResult, probe_grid) -> np.ndarra
     The solution derivative comes from differentiating the cubic spline
     through the accepted points, so even an exact trajectory shows the
     interpolation-differentiation floor rather than zero.  A solution of
-    one accepted point has no slope and raises InvalidInputError.
+    one accepted point has no slope and raises InvalidInputError.  A and f
+    are read once on the probe grid, f per point as ``solve_dae`` reads
+    it: a non-finite f at a probe raises InvalidInputError naming the
+    first such time.  F is called once per probe.
     """
     lo, hi = sol.span
     probe_grid = probe_points(probe_grid, lo, hi)
     values, slopes = sol._spline_at(probe_grid)
+    a_probe = p.A(probe_grid)
+    f_probe = per_point(p.f, p.interval, "f")(probe_grid)
     out = np.empty(probe_grid.size)
     for i, t in enumerate(probe_grid.tolist()):
-        res = (p.A(t) @ slopes[i]
+        res = (a_probe[i] @ slopes[i]
                + np.atleast_1d(np.asarray(p.F(t, values[i]), dtype=float))
-               - np.atleast_1d(np.asarray(p.f(t), dtype=float)))
+               - f_probe[i])
         out[i] = norm2(res)
     return out

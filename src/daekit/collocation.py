@@ -81,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NEWTON_MAX_ITER, gauss_legendre, newton, norm2, per_point
+from .linalg import NEWTON_MAX_ITER, cond, gauss_legendre, newton, norm2, per_point
 from .problems import (JACOBIAN_CONTRACT, KAPPA_CONTRACT, LinearIAE, SemiNonlinearIAE, Trajectory,
                        batch_checked, probe_points, solve_span, start_value)
 
@@ -493,14 +493,14 @@ def solve_iae(p, cfg: CollocationConfig, interval=None):
         # initial guess: the previous interval's right-end value, carried
         # forward unchanged (first interval: the consistent start value)
         u_free, iters, res, jac = newton(system.residual, system.jacobian,
-                                         np.tile(left_value, sch.eq_taus.size), cfg.newton_tol,
-                                         NEWTON_MAX_ITER, affine=linear)
+                                         np.concatenate((left_value,) * sch.eq_taus.size),
+                                         cfg.newton_tol, NEWTON_MAX_ITER, affine=linear)
         if linear and u_free is not None:
             res = system.residual(u_free)  # the accepted value's, not its start guess's
         diag["newton_iters"].append(iters)
         with np.errstate(over="ignore"):  # a diverged iterate's norm is inf
             diag["residual_norms"].append(norm2(res))
-        diag["condition_numbers"].append(np.inf if u_free is None else float(np.linalg.cond(jac)))
+        diag["condition_numbers"].append(np.inf if u_free is None else cond(jac))
         if u_free is None:
             diag["failure"] = {"step": n, "t": a + (n + 1) * cfg.h,
                                "reason": "Newton iteration did not converge"}

@@ -17,10 +17,6 @@ from .errors import InvalidInputError
 from .linalg import norm2
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def solution_table(times, values, exact=None):
     """Build (header, rows) for a solution; exact is a callable or None."""
     times = np.asarray(times, dtype=float)
@@ -44,8 +40,9 @@ def solution_table(times, values, exact=None):
 def write_solution_csv(path, times, values, exact=None):
     """Write the solution table to path; returns the path."""
     header, rows = solution_table(times, values, exact)
+    row_format = ",".join(["%.17g"] * len(header))  # format(x, ".17g")'s text
     lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += [row_format % tuple(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
 

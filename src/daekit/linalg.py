@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# the LAPACK gesv gufunc that np.linalg.solve wraps: called directly, it gives
-# the same bits without the wrapper's fixed cost, which dominates 2×2 solves
-from numpy.linalg._umath_linalg import solve1 as _gesv
+# the LAPACK gesv and gesdd gufuncs that np.linalg.solve and np.linalg.cond
+# wrap: called directly, they give the same bits without the wrappers' fixed
+# cost, which dominates small matrices
+from numpy.linalg._umath_linalg import solve1 as _gesv, svd as _singular_values
 
 from .errors import DomainError, EvaluationError, InvalidInputError
 
@@ -116,6 +117,16 @@ def det(m) -> np.ndarray:
     """``np.linalg.det`` of a matrix or a stack (..., r, r), one LU per
     distinct matrix (:func:`per_distinct`), bit for bit."""
     return per_distinct(np.linalg.det, np.asarray(m, dtype=float))
+
+
+def cond(m: np.ndarray) -> float:
+    """``np.linalg.cond(m)`` of one finite square matrix m, to the bit:
+    σ_max/σ_min from the singular values alone, and inf where that is NaN
+    (the zero matrix).  m is not checked."""
+    s = _singular_values(m, signature="d->d")
+    with np.errstate(all="ignore"):
+        ratio = s[0] / s[-1]
+    return math.inf if math.isnan(ratio) else float(ratio)
 
 
 @dataclass(frozen=True)
@@ -406,9 +417,10 @@ class MatrixFunction:
     derivative: Optional[Callable] = None
     name: str = ""
     vectorized: bool = False
-    # True when every value is known finite where it is built (a finite
-    # constant's), so no call checks it again; no field, so no setting
-    _known_finite = False
+    # a finite constant's one read-only matrix, checked where it is built:
+    # a float t gets it as it is, and no call checks a value again; None
+    # for any other function.  No field, so no setting
+    _constant = None
 
     def __call__(self, t, *args) -> np.ndarray:
         if args:
@@ -416,6 +428,8 @@ class MatrixFunction:
                                            *(np.asarray(a, dtype=float) for a in args))
         ts = check_span(t, *self.domain, self.name or "a matrix function")
         if isinstance(ts, float):
+            if self._constant is not None:
+                return self._constant
             # one time: the array path's call of eval and its value, without
             # the arrays of t around them
             if self.vectorized:
@@ -430,15 +444,16 @@ class MatrixFunction:
                 m = np.array(list(map(self.eval, ts.ravel().tolist(),
                                       *[a.ravel().tolist() for a in args])), dtype=float)
             m = m.reshape(ts.shape + m.shape[1:])
-        if not (self._known_finite or all_finite(m)):
+        if self._constant is None and not all_finite(m):
             raise non_finite(m, ts if np.ndim(t) else t, self.name or "matrix function")
         return m
 
     @staticmethod
     def constant(m, domain=(0.0, 1.0), name: str = "") -> "MatrixFunction":
-        """The matrix ``m`` at every t: read-only views of one read-only copy.
-        Its finiteness is checked once, here; a non-finite m raises at each
-        call, as any matrix function's non-finite value does."""
+        """The matrix ``m`` at every t: one read-only copy at a float t, and
+        read-only views of it at an array.  Its finiteness is checked once,
+        here; a non-finite m raises at each call, as any matrix function's
+        non-finite value does."""
         m = np.array(m, dtype=float)
 
         def fixed(value: np.ndarray) -> Callable:
@@ -455,7 +470,8 @@ class MatrixFunction:
 
         out = MatrixFunction(eval=fixed(m), domain=domain, derivative=fixed(np.zeros_like(m)),
                              name=name, vectorized=True)
-        out._known_finite = all_finite(m)
+        if all_finite(m):
+            out._constant = m
         return out
 
 

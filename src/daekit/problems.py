@@ -68,7 +68,7 @@ def fd_jacobian(g: Callable[..., np.ndarray], *args) -> np.ndarray:
         out = np.moveaxis(np.array([[_vec(g(*lead, copies[:, j, k].copy())) for k in (0, 1)]
                                     for j in range(r)]), -1, 0)  # (n, r, 2)
     else:
-        tiled = [a if np.ndim(a) == 0 else np.tile(a, 2 * r) for a in lead]
+        tiled = [a if np.ndim(a) == 0 else np.concatenate((a,) * (2 * r)) for a in lead]
         out = np.asarray(g(*tiled, copies.reshape(r, -1)), dtype=float)
         out = out.reshape(-1, r, 2, y.shape[1]).swapaxes(2, 3)  # (n, r, M, 2)
     return (out[..., 0] - out[..., 1]) / (2.0 * h)

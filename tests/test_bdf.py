@@ -137,6 +137,25 @@ def test_solution_spline_agrees_with_scipy_natural_cubic_spline(n):
     np.testing.assert_allclose(slopes, want(t, 1), rtol=0.0, atol=bound)
 
 
+def test_residual_reads_a_and_f_on_the_probe_grid_with_the_per_probe_bits():
+    p = example("ex32")
+    sol = solve_dae(p, DaeSolveConfig(h=1e-2), interval=(0.5, 1.0))
+    probes = np.linspace(0.5, 1.0, 11)
+    values, slopes = sol._spline_at(probes)
+    want = [linalg.norm2(p.A(t) @ slopes[i] + p.F(t, values[i]) - p.f(t))
+            for i, t in enumerate(probes.tolist())]
+    assert dae_residual(p, sol, probes).tobytes() == np.array(want).tobytes()
+
+
+def test_residual_refuses_a_non_finite_f_as_collocations_residual_does():
+    p = example("ex32")
+    sol = solve_dae(p, DaeSolveConfig(h=1e-2), interval=(0.5, 1.0))
+    f = p.f
+    p.f = lambda t: f(t) if t <= 0.9 else np.array([np.nan, 0.0])
+    with pytest.raises(InvalidInputError, match=r"^non-finite f at t=0\.95$"):
+        dae_residual(p, sol, np.linspace(0.5, 1.0, 11))
+
+
 def test_residual_probe_must_stay_inside_solved_span():
     p = example("ex32")
     sol = solve_dae(p, DaeSolveConfig(h=1e-2), interval=(0.5, 1.0))
@@ -411,6 +430,45 @@ def test_a_non_finite_f_inside_a_failed_step_is_refused_at_its_substep():
     p.f = lambda t: np.array([np.inf, 0.0]) if 1.6742 < t < 1.6748 else f(t)
     with pytest.raises(InvalidInputError, match=r"non-finite f at t=1\.6744999"):
         solve_dae(p, DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+
+
+def test_f_reaches_solve_dae_as_one_mesh_call_besides_the_start_and_the_substeps():
+    # the crossing run: 1000 mesh times, a failure at step 674 after three
+    # halvings; a vectorized f records every array of times it is given
+    p = example("ex32")
+    f, seen = p.f, []
+
+    def recording(t):
+        seen.append(t.copy())
+        return np.array([f(x) for x in t.tolist()])
+
+    p.f = MatrixFunction(eval=recording, domain=p.interval, name="f", vectorized=True)
+    sol = solve_dae(p, DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    plain = solve_dae(example("ex32"), DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    assert sol.values.tobytes() == plain.values.tobytes()
+    assert (sol.newton_iters, sol.halvings, sol.failure) \
+        == (plain.newton_iters, plain.halvings, plain.failure)
+    # f(a), the start's consistency defect, then the whole mesh at once
+    assert [t.shape for t in seen[:3]] == [(1,), (1,), (1000,)]
+    assert seen[0][0] == seen[1][0] == 1.0
+    assert seen[2].tobytes() == np.array([1.0 + k * 1e-3 for k in range(1, 1001)]).tobytes()
+    # then one time per substep, all inside the failed step (1.674, 1.675]
+    subs = np.concatenate(seen[3:])
+    assert [t.shape for t in seen[3:]] == [(1,)] * subs.size
+    assert subs.size >= len(sol.halvings) == MAX_HALVINGS
+    assert np.all((subs > 1.674) & (subs <= 1.675 + 1e-12))
+
+
+def test_a_non_finite_f_anywhere_on_the_mesh_is_refused_before_the_first_step():
+    # f = NaN only past t = 1.9, beyond the breakdown at 1.675 that the
+    # march would otherwise report: the mesh read names the first such time
+    p = example("ex32")
+    f, F, calls = p.f, p.F, []
+    p.f = lambda t: f(t) if t <= 1.9 else np.array([np.nan, 0.0])
+    p.F = lambda t, y: calls.append(t) or F(t, y)
+    with pytest.raises(InvalidInputError, match=r"^non-finite f at t=1\.901$"):
+        solve_dae(p, DaeSolveConfig(h=1e-3), interval=(1.0, 2.0))
+    assert calls == [1.0]  # the start's consistency defect only: no step was taken
 
 
 def test_a_non_finite_F_at_the_start_is_refused():

@@ -684,6 +684,16 @@ def test_error_rows_are_the_np_linalg_norm_rows_bit_for_bit(make, name):
     assert np.asarray(rows).tobytes() == np.asarray(want_rows, dtype=float).tobytes()
 
 
+def test_csv_rows_print_each_float_as_format_17g_does(tmp_path):
+    times = np.array([0.0, 0.5, 1.0])
+    values = np.array([[np.nan, np.inf], [-np.inf, -0.0], [1e-300, 0.1 + 0.2]])
+    write_solution_csv(tmp_path / "out.csv", times, values)
+    want = ["t,y1,y2"] + [",".join(format(x, ".17g") for x in [t, *row])
+                          for t, row in zip(times.tolist(), values.tolist())]
+    assert (tmp_path / "out.csv").read_text() == "\n".join(want) + "\n"
+    assert want[1:] == ["0,nan,inf", "0.5,-inf,-0", "1,1e-300,0.30000000000000004"]
+
+
 @pytest.mark.parametrize("values", [np.zeros((2, 1)), np.zeros(3)], ids=["rows", "ndim"])
 def test_a_table_whose_values_do_not_match_its_times_is_invalid_input(values, tmp_path):
     times = np.array([0.0, 0.5, 1.0])

@@ -554,6 +554,39 @@ def test_a_finite_constant_is_checked_once_when_built(monkeypatch):
     assert seen == [(2, 2)]
 
 
+def test_a_finite_constants_float_call_is_its_one_read_only_matrix():
+    m = np.array([[2.0, 1.0], [0.0, 3.0]])
+    f = MatrixFunction.constant(m, domain=(0.0, 1.0), name="c")
+    value = f(0.5)
+    assert value is f(0.25) and value is f(np.float64(1.0))
+    assert not value.flags.writeable
+    assert _bits(value) == _bits(f(np.array([0.5, 0.75]))[1]) == _bits(m)
+    with pytest.raises(DomainError):
+        f(1.5)
+
+
+def test_a_non_finite_constant_raises_at_every_call():
+    f = MatrixFunction.constant([[0.0, np.nan]], domain=(0.0, 1.0), name="c")
+    for t in (0.5, 0.5, np.array([0.25, 0.5]), 0.25):
+        with pytest.raises(InvalidInputError, match="^non-finite c at t=0"):
+            f(t)
+
+
+@pytest.mark.parametrize("m", [
+    [[2.0, 1.0], [0.5, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0]], [[-0.0]], [[3.0]], [[1e-300, 0.0], [0.0, 1e300]],
+    np.random.default_rng(3).standard_normal((6, 6)),
+], ids=["regular", "singular", "rank-one-diagonal", "zero", "negative-zero", "scalar",
+        "overflowing-ratio", "random-6x6"])
+def test_cond_is_numpys_cond_bit_for_bit(m):
+    m = np.array(m, dtype=float)
+    with np.errstate(all="ignore"):
+        want = float(np.linalg.cond(m))
+    got = linalg.cond(m)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(want)
+
+
 def test_a_constant_keeps_its_own_copy_of_m():
     m = np.array([[2.0, 1.0], [0.0, 3.0]])
     f = MatrixFunction.constant(m, domain=(0.0, 1.0))

@@ -43,8 +43,9 @@ The cases:
   declaration withdrawn at N = 200 (``newton_tol`` = 1e-10), and a scalar
   problem whose A, κ and f all depend on t at N = 100;
 - ``solve_dae`` on ex32 over [1, 2] at h = 1e-3 (fig2's run, which fails
-  after its halvings) and on ex33 over [0, 1] at h = 1e-2, each with BDF1
-  and BDF2: the times, the values and ``to_dict()``;
+  after its halvings), on ex33 over [0, 1] at h = 1e-2, and on ex33 with
+  the per-point A(t) = diag(eᵗ, 0) over [0, 1] at h = 1e-2, each with
+  BDF1 and BDF2: the times, the values and ``to_dict()``;
 - problem files: the ``iae-long`` workload's file twin of ex34 solved at
   h = 0.02 with ``newton_tol`` = 1e-10 (nodal values, diagnostics,
   ``residual`` at the collocation times) and ``classify`` along that
@@ -222,12 +223,19 @@ def cases() -> dict:
             kappa=lambda t, s, y: (1.0 + t - s) * np.sin(y), f=lambda t: np.array([1.0 + t * t]),
             r=1, T=1.0, kappa_y=lambda t, s, y: np.array([[(1.0 + t - s) * np.cos(y[0])]]))
 
-    def dae_run(name, interval, h, order):
+    def dae_run(make, interval, h, order):
         def run():
-            sol = daekit.solve_dae(daekit.example(name), daekit.DaeSolveConfig(h=h, order=order),
+            sol = daekit.solve_dae(make(), daekit.DaeSolveConfig(h=h, order=order),
                                    interval=interval)
             return [sol.times, sol.values, sol.to_dict()]
         return run
+
+    def ex33_exponential_a():
+        # ex33 behind A(t) = diag(e^t, 0), called one float at a time
+        p = daekit.example("ex33")
+        p.A = daekit.MatrixFunction(eval=lambda t: np.diag([np.exp(t), 0.0]), domain=p.A.domain,
+                                    name="A")
+        return p
 
     def problem_file(data, run):
         # the file's path is written as <file>, so both trees print the same
@@ -310,8 +318,12 @@ def cases() -> dict:
     out["solve_iae A, kappa and f of t, N=100"] = iae_runs(
         time_dependent, [(dict(h=0.01), True)])
     for order in (1, 2):
-        out[f"solve_dae ex32 [1, 2] bdf{order} h=1e-3"] = dae_run("ex32", (1.0, 2.0), 1e-3, order)
-        out[f"solve_dae ex33 [0, 1] bdf{order} h=1e-2"] = dae_run("ex33", (0.0, 1.0), 1e-2, order)
+        out[f"solve_dae ex32 [1, 2] bdf{order} h=1e-3"] = dae_run(
+            lambda: daekit.example("ex32"), (1.0, 2.0), 1e-3, order)
+        out[f"solve_dae ex33 [0, 1] bdf{order} h=1e-2"] = dae_run(
+            lambda: daekit.example("ex33"), (0.0, 1.0), 1e-2, order)
+        out[f"solve_dae ex33 A=diag(e^t, 0) [0, 1] bdf{order} h=1e-2"] = dae_run(
+            ex33_exponential_a, (0.0, 1.0), 1e-2, order)
     for seed in range(6):
         for name, (kwargs, _, _) in workloads.CLASSIFY.items():
             out[f"classify {name} seed {seed}"] = profile(name, seed, **kwargs)
